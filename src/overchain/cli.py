@@ -15,6 +15,7 @@ import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -56,7 +57,7 @@ def _render(report, format_: str) -> str:
 
 def _cmd_run(args) -> int:
     try:
-        configs = [(arg, _load(arg, args.seed)) for arg in args.configs]
+        configs = [_load(arg, args.seed) for arg in args.configs]
     except ConfigError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
         return 2
@@ -65,19 +66,12 @@ def _cmd_run(args) -> int:
     if trace_target and len(configs) > 1:
         trace_target.mkdir(parents=True, exist_ok=True)
 
-    results = []
+    formats = repeat(args.format)
     if args.jobs > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_job_entry, arg, args.seed, args.format)
-                       for arg, _ in configs]
-            results = [f.result() for f in futures]
+            results = list(pool.map(_job_entry, configs, formats))
     else:
-        for arg, config in configs:
-            world = run_scenario(config)
-            trace_text = world.engine.trace.text()
-            report = build_report(trace_text, config)
-            results.append((config.name, report.passed, trace_text,
-                            _render(report, args.format)))
+        results = list(map(_job_entry, configs, formats))
 
     all_passed = True
     for name, passed, trace_text, rendered in results:
@@ -90,8 +84,7 @@ def _cmd_run(args) -> int:
     return 0 if all_passed else 1
 
 
-def _job_entry(arg: str, seed: Optional[int], format_: str):
-    config = _load(arg, seed)
+def _job_entry(config: ScenarioConfig, format_: str):
     world = run_scenario(config)
     trace_text = world.engine.trace.text()
     report = build_report(trace_text, config)

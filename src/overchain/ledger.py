@@ -8,6 +8,11 @@ list through ``p_t_id`` starting from the all-zero digest.
 
 Blocks are generated on a fixed round-robin turn schedule (no proof-of-work)
 and receivers verify only a trust-dependent fraction of block contents.
+
+Transactions and blocks are frozen, so each caches its signature verdict on
+first use (a block also its signing bytes): every node that is handed the
+same object reuses it. A tampered copy (``dataclasses.replace``) is a new value and is checked
+afresh. ``BlockVerdict.verification_count`` still counts the simulated sample.
 """
 from __future__ import annotations
 
@@ -18,6 +23,7 @@ import random
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .crypto import (
@@ -90,6 +96,24 @@ class Transaction:
 
     def wire_bytes(self) -> bytes:
         return canonical_join(self.t_id.data) + self.body_bytes()
+
+    @cached_property
+    def _integrity(self) -> TxVerdict:
+        """``check_integrity``'s verdict, computed once per value."""
+        if self.kind is TxKind.SINGLE and (self.pk_2 is not None or self.sig_2 is not None):
+            return TxVerdict(False, TxFault.MALFORMED, "single-sig with countersign fields")
+        if self.kind is TxKind.MULTI and self.pk_2 is None:
+            return TxVerdict(False, TxFault.MALFORMED, "multisig without recipient pk")
+        if self.sig_2 is not None and self.pk_2 is None:
+            return TxVerdict(False, TxFault.MALFORMED, "countersignature without pk_2")
+        if self.t_id != self.compute_t_id():
+            return TxVerdict(False, TxFault.MALFORMED, "t_id does not match contents")
+        body = self.signing_body()
+        if not verify(body, self.sig_1, self.pk_1):
+            return TxVerdict(False, TxFault.BAD_SIGNATURE, "sig_1 invalid")
+        if self.sig_2 is not None and not verify(body, self.sig_2, self.pk_2):
+            return TxVerdict(False, TxFault.BAD_SIGNATURE, "sig_2 invalid")
+        return TxVerdict(True)
 
     @property
     def fully_signed(self) -> bool:
@@ -178,20 +202,7 @@ class TxVerdict:
 
 def check_integrity(tx: Transaction) -> TxVerdict:
     """Structural and signature checks that need no chain context."""
-    if tx.kind is TxKind.SINGLE and (tx.pk_2 is not None or tx.sig_2 is not None):
-        return TxVerdict(False, TxFault.MALFORMED, "single-sig with countersign fields")
-    if tx.kind is TxKind.MULTI and tx.pk_2 is None:
-        return TxVerdict(False, TxFault.MALFORMED, "multisig without recipient pk")
-    if tx.sig_2 is not None and tx.pk_2 is None:
-        return TxVerdict(False, TxFault.MALFORMED, "countersignature without pk_2")
-    if tx.t_id != tx.compute_t_id():
-        return TxVerdict(False, TxFault.MALFORMED, "t_id does not match contents")
-    body = tx.signing_body()
-    if not verify(body, tx.sig_1, tx.pk_1):
-        return TxVerdict(False, TxFault.BAD_SIGNATURE, "sig_1 invalid")
-    if tx.sig_2 is not None and not verify(body, tx.sig_2, tx.pk_2):
-        return TxVerdict(False, TxFault.BAD_SIGNATURE, "sig_2 invalid")
-    return TxVerdict(True)
+    return tx._integrity
 
 
 def validate_transaction(
@@ -223,6 +234,10 @@ class Block:
     generator_signature: Signature
 
     def signing_body(self) -> bytes:
+        return self._signing_body
+
+    @cached_property
+    def _signing_body(self) -> bytes:
         fields = [
             self.prev_block_hash.data,
             self.generator_pk.data,
@@ -230,6 +245,10 @@ class Block:
         ]
         fields.extend(tx.wire_bytes() for tx in self.transactions)
         return canonical_join(*fields)
+
+    @cached_property
+    def _generator_sig_ok(self) -> bool:
+        return verify(self._signing_body, self.generator_signature, self.generator_pk)
 
     def compute_block_id(self) -> Digest:
         return digest(self.signing_body())
@@ -463,7 +482,7 @@ def validate_block(
         or not block.transactions
     ):
         return BlockVerdict(False, BlockFault.BROKEN_LINKAGE)
-    if not verify(block.signing_body(), block.generator_signature, block.generator_pk):
+    if not block._generator_sig_ok:
         return BlockVerdict(False, BlockFault.BAD_GENERATOR_SIG)
 
     n = len(block.transactions)
@@ -505,7 +524,7 @@ def verify_chain(chain: Chain) -> bool:
             return False
         if block.block_id != block.compute_block_id():
             return False
-        if not verify(block.signing_body(), block.generator_signature, block.generator_pk):
+        if not block._generator_sig_ok:
             return False
         for tx in block.transactions:
             if not tx.fully_signed:

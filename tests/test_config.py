@@ -1,9 +1,11 @@
 """Scenario configuration loading: schema validation, field-path errors,
 referential checks, and file handling."""
+import pickle
 import textwrap
 
 import pytest
 
+from overchain.cli import bundled_scenarios
 from overchain.config import (
     ConfigError,
     load_scenario,
@@ -273,3 +275,10 @@ def test_missing_file_reports_path(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_scenario(tmp_path / "absent.yaml")
     assert "absent.yaml" in str(err.value)
+
+
+def test_bundled_configs_pickle_round_trip():
+    # ``run --jobs`` hands parsed configs to worker processes
+    for path in bundled_scenarios().values():
+        config = load_scenario(path)
+        assert pickle.loads(pickle.dumps(config)) == config

@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from overchain import ledger
 from overchain.crypto import ZERO_DIGEST, digest, generate_keypair
 from overchain.ledger import (
     Block,
@@ -28,6 +29,7 @@ from overchain.ledger import (
     TxKind,
     append_block,
     build_transaction,
+    check_integrity,
     countersign,
     form_block,
     schedule_block_turn,
@@ -422,3 +424,99 @@ def test_chain_dump_lines_round_trip():
     restored = Chain.from_dump_lines(lines)
     assert restored.dump_lines() == lines
     assert verify_chain(restored)
+
+
+# ---------------------------------------------------------------------------
+# cached verdicts: once per value, never carried over to a tampered copy
+# ---------------------------------------------------------------------------
+
+def flip(value):
+    """The same value type with its first byte flipped."""
+    data = bytearray(value.data)
+    data[0] ^= 1
+    return type(value)(bytes(data))
+
+
+@pytest.mark.parametrize("field, rehash, fault, detail", [
+    ("t_id", False, TxFault.MALFORMED, "t_id does not match contents"),
+    ("sig_1", False, TxFault.MALFORMED, "t_id does not match contents"),
+    ("sig_2", False, TxFault.MALFORMED, "t_id does not match contents"),
+    ("payload_digest", False, TxFault.MALFORMED, "t_id does not match contents"),
+    ("sig_1", True, TxFault.BAD_SIGNATURE, "sig_1 invalid"),
+    ("sig_2", True, TxFault.BAD_SIGNATURE, "sig_2 invalid"),
+    ("payload_digest", True, TxFault.BAD_SIGNATURE, "sig_1 invalid"),
+])
+def test_tampered_copy_of_checked_transaction_fails(field, rehash, fault, detail):
+    tx = countersign(pending(payload=b"cached"), BOB)
+    assert check_integrity(tx).ok  # the verdict is now cached on tx
+    bent = dataclasses.replace(tx, **{field: flip(getattr(tx, field))})
+    if rehash:  # a tamperer who also recomputes the identifier
+        bent = dataclasses.replace(bent, t_id=bent.compute_t_id())
+    verdict = check_integrity(bent)
+    assert not verdict.ok
+    assert (verdict.fault, verdict.detail) == (fault, detail)
+    assert check_integrity(tx).ok
+
+
+def validated_block():
+    chain = Chain()
+    blk = form_block([single(payload=bytes([i])) for i in range(3)], chain, GEN, 3)
+    assert validate_block(blk, chain, TrustTable(), sample_seed=1).ok
+    append_block(chain, blk)
+    assert verify_chain(chain)
+    return chain, blk
+
+
+def test_tampered_copy_of_validated_block_is_rejected():
+    chain, blk = validated_block()
+    bad_sig = dataclasses.replace(blk, generator_signature=flip(blk.generator_signature))
+    forged = single(payload=b"swapped-in")
+    bad_tx = dataclasses.replace(blk, transactions=(forged,) + blk.transactions[1:])
+    for tampered, fault in ((bad_sig, BlockFault.BAD_GENERATOR_SIG),
+                            (bad_tx, BlockFault.BROKEN_LINKAGE)):
+        verdict = validate_block(tampered, Chain(), TrustTable(), sample_seed=1)
+        assert not verdict.ok and verdict.fault is fault
+        chain.blocks[0] = tampered
+        assert not verify_chain(chain)
+    chain.blocks[0] = blk
+    assert verify_chain(chain)
+
+
+def test_cached_verdicts_leave_value_semantics_alone():
+    chain = build_sample_chain()
+    fresh = Chain.from_dump_lines(chain.dump_lines())  # same values, nothing cached
+    assert verify_chain(chain)
+    assert "_generator_sig_ok" in vars(chain.blocks[0])
+    assert "_integrity" in vars(chain.blocks[0].transactions[0])
+    assert "_integrity" not in vars(fresh.blocks[0].transactions[0])
+    assert chain.dump_lines() == fresh.dump_lines()
+    for cached, plain in zip(chain.blocks, fresh.blocks):
+        assert cached == plain and hash(cached) == hash(plain)
+        assert cached.to_json_obj() == plain.to_json_obj()
+        for tx, twin in zip(cached.transactions, plain.transactions):
+            assert tx == twin and hash(tx) == hash(twin)
+            assert tx.to_json_obj() == twin.to_json_obj()
+
+
+def test_backend_verify_runs_once_per_signature(monkeypatch):
+    calls = []
+    real_verify = ledger.verify
+
+    def counting_verify(message, signature, public_key):
+        calls.append(signature)
+        return real_verify(message, signature, public_key)
+
+    monkeypatch.setattr(ledger, "verify", counting_verify)
+    tx = countersign(pending(payload=b"counted"), BOB)
+    for _ in range(3):
+        assert check_integrity(tx).ok
+    assert calls == [tx.sig_1, tx.sig_2]
+
+    calls.clear()
+    chain = Chain()
+    blk = form_block([single(payload=bytes([i])) for i in range(4)], chain, GEN, 4)
+    for _ in range(3):
+        verdict = validate_block(blk, chain, TrustTable(), sample_seed=1)
+        # the simulated effort is still counted on every validation
+        assert verdict.ok and verdict.verification_count == 4
+    assert calls == [blk.generator_signature] + [t.sig_1 for t in blk.transactions]

@@ -294,9 +294,12 @@ def test_cli_report_missing_trace_exits_two(capsys):
 def test_cli_parallel_jobs(tiny_config, tmp_path, capsys):
     other = tmp_path / "tiny2.yaml"
     other.write_text(TINY.replace("name: tiny", "name: tiny2"))
-    assert main(["run", str(tiny_config), str(other), "--jobs", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "scenario tiny " in out and "scenario tiny2 " in out
+    outputs = []
+    for jobs in ("2", "1"):
+        assert main(["run", str(tiny_config), str(other), "--jobs", jobs]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "scenario tiny " in outputs[0] and "scenario tiny2 " in outputs[0]
+    assert outputs[0] == outputs[1]  # parallel output is the serial output
 
 
 def test_cli_list_names_every_bundled_scenario(capsys):

@@ -1,0 +1,33 @@
+"""Golden trace hashes: every bundled scenario at its own seed must produce
+exactly these trace bytes. A change that alters a trace on purpose updates
+the hash here, and says why; a speed-up or refactor must leave all of them.
+"""
+import hashlib
+
+import pytest
+
+from overchain.cli import bundled_scenarios
+
+GOLDEN_TRACE_SHA256 = {
+    "ddos_flood": "ad7419dc19bad72b5c32e286682a89134703abd8dbd9b9befded861dc58b9872",
+    "full_demo": "17c3b8087b39bcb592867753d93124d053d922dcd7a940bb0b50b251ae302415",
+    "handover": "4cdc94c12834d423b9c5c0ce0a03e932d5b43e73ba42c26e748ecdf57a344b31",
+    "handover_flapping": "e99c38ad3388ed8526b510c4050f5c39beb95ff29d3836fa17654d93e588a67e",
+    "handover_sparse": "6b81cabc17f54db1b5e1bdd22d6465b7955506b922493cd8e5c67c4b9c4bac41",
+    "insurance": "8a2318d25a62613d2fff686977d0c03b8f19fd5ddfd0b8c32b8b7877f802a43a",
+    "throughput_load_step": "13b04174bbd40b5c8df0b020472e9aea1f18c44d4df5ec97c915699e51aef910",
+    "trust_trend": "f446bc16101c563cd20811ad6ac8f61e2927da124f23a79dda78cda695db4046",
+    "wrsu_happy_path": "5a04fc24c86ccce05b0706cbf9bc2085744d9e18897c70082e2cb0cfe23e52bb",
+    "wrsu_impersonation": "a81330bc3b0af54898088f42a4c71095a5729114a20d7500fe5ee405187c8b79",
+    "wrsu_tampered": "643efa25199a38dfb0cc9b8ea03be47e4531bfd715695437f63ac003ca38befe",
+}
+
+
+def test_every_bundled_scenario_has_a_golden_hash():
+    assert sorted(GOLDEN_TRACE_SHA256) == sorted(bundled_scenarios())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_SHA256))
+def test_trace_is_byte_identical(bundled, name):
+    trace = bundled(name).trace_text.encode()
+    assert hashlib.sha256(trace).hexdigest() == GOLDEN_TRACE_SHA256[name]
