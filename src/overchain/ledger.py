@@ -10,9 +10,10 @@ Blocks are generated on a fixed round-robin turn schedule (no proof-of-work)
 and receivers verify only a trust-dependent fraction of block contents.
 
 Transactions and blocks are frozen, so each caches its signature verdict on
-first use (a block also its signing bytes): every node that is handed the
-same object reuses it. A tampered copy (``dataclasses.replace``) is a new value and is checked
-afresh. ``BlockVerdict.verification_count`` still counts the simulated sample.
+first use (a block also its signing bytes and dump line): every node that is
+handed the same object reuses it. A tampered copy (``dataclasses.replace``) is
+a new value and is checked afresh. ``BlockVerdict.verification_count`` still
+counts the simulated sample.
 """
 from __future__ import annotations
 
@@ -253,6 +254,11 @@ class Block:
     def compute_block_id(self) -> Digest:
         return digest(self.signing_body())
 
+    @cached_property
+    def _dump_line(self) -> str:
+        """``Chain.dump_lines``'s line for this block, encoded once per value."""
+        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+
     def to_json_obj(self) -> dict:
         return {
             "height": self.height,
@@ -307,7 +313,7 @@ class Chain:
 
     def dump_lines(self) -> list[str]:
         """One structured text line per block, suitable for golden-file diffs."""
-        return [json.dumps(b.to_json_obj(), separators=(",", ":")) for b in self.blocks]
+        return [b._dump_line for b in self.blocks]
 
     @classmethod
     def from_dump_lines(cls, lines: Sequence[str]) -> "Chain":
@@ -488,11 +494,7 @@ def validate_block(
     n = len(block.transactions)
     k = checks_for_trust(trust.score(block.generator_pk), n, min_check_fraction)
     sample = sorted(random.Random(sample_seed).sample(range(n), k))
-    earlier_ids = [set() for _ in range(n)]
-    running: set[Digest] = set()
-    for i, tx in enumerate(block.transactions):
-        earlier_ids[i] = set(running)
-        running.add(tx.t_id)
+    ids = [tx.t_id for tx in block.transactions]
 
     executed = 0
     for i in sample:
@@ -500,7 +502,7 @@ def validate_block(
         executed += 1
         if not tx.fully_signed:
             return BlockVerdict(False, BlockFault.BAD_TRANSACTION, i, executed)
-        verdict = validate_transaction(tx, chain, known=earlier_ids[i])
+        verdict = validate_transaction(tx, chain, known=set(ids[:i]))
         if not verdict.ok:
             return BlockVerdict(False, BlockFault.BAD_TRANSACTION, i, executed)
     return BlockVerdict(True, verification_count=executed)

@@ -62,23 +62,40 @@ class KeyListEntry:
     member_pk: PublicKey
     member_id: str
 
+    @property
+    def pair(self) -> frozenset:
+        """The unordered key pair this entry admits, in either orientation."""
+        return frozenset((self.requester_pk, self.member_pk))
+
 
 class KeyList:
     """Ordered collection of access entries with pair matching in both
-    orientations."""
+    orientations.
+
+    Entries are indexed by their unordered key pair: ``(r, m)`` matches
+    ``(pk_1, pk_2)`` in either orientation exactly when
+    ``{r, m} == {pk_1, pk_2}``. Each bucket keeps insertion order, so
+    ``matches`` returns hits in ``entries`` order.
+    """
 
     def __init__(self) -> None:
         self.entries: list[KeyListEntry] = []
+        self._by_pair: dict[frozenset, list[KeyListEntry]] = {}
 
     def add(self, entry: KeyListEntry) -> bool:
-        if entry in self.entries:
+        bucket = self._by_pair.setdefault(entry.pair, [])
+        if entry in bucket:
             return False
+        bucket.append(entry)
         self.entries.append(entry)
         return True
 
     def remove_member(self, member_id: str) -> int:
         before = len(self.entries)
         self.entries = [e for e in self.entries if e.member_id != member_id]
+        self._by_pair = {}
+        for e in self.entries:
+            self._by_pair.setdefault(e.pair, []).append(e)
         return before - len(self.entries)
 
     def entries_for(self, member_id: str) -> list[KeyListEntry]:
@@ -87,11 +104,7 @@ class KeyList:
     def matches(self, pk_1: PublicKey, pk_2: Optional[PublicKey]) -> list[KeyListEntry]:
         if pk_2 is None:
             return []
-        hits = []
-        for e in self.entries:
-            if (e.requester_pk, e.member_pk) in ((pk_1, pk_2), (pk_2, pk_1)):
-                hits.append(e)
-        return hits
+        return list(self._by_pair.get(frozenset((pk_1, pk_2)), ()))
 
 
 class BlockManager(BaseActor):
@@ -139,8 +152,7 @@ class BlockManager(BaseActor):
         self.key_list = KeyList()
         self.certified: dict[PublicKey, Certificate] = {}
 
-        self.pool: list[Transaction] = []
-        self._pool_ids: set[Digest] = set()
+        self.pool: dict[Digest, Transaction] = {}  # insertion (arrival) order
         self.seen_tids: set[Digest] = set()
         self.waiting: dict[Digest, tuple[Transaction, Optional[str], float]] = {}
 
@@ -240,7 +252,7 @@ class BlockManager(BaseActor):
 
     def _predecessor_known(self, tx: Transaction) -> bool:
         p = tx.p_t_id
-        return p == ZERO_DIGEST or p in self.chain.tx_index or p in self._pool_ids
+        return p == ZERO_DIGEST or p in self.chain.tx_index or p in self.pool
 
     def _drop(self, engine, tx: Transaction, reason: str, detail: str) -> None:
         self.drops[reason] += 1
@@ -252,8 +264,7 @@ class BlockManager(BaseActor):
         sinks = 0
 
         if tx.fully_signed:
-            self.pool.append(tx)
-            self._pool_ids.add(tx.t_id)
+            self.pool[tx.t_id] = tx
             self._window_count += 1
             engine.trace.emit(engine.now, self.node_id, "tx_pooled",
                               t_id=tx.t_id.hex(), origin="member" if origin_member else "peer")
@@ -346,11 +357,12 @@ class BlockManager(BaseActor):
         return self._generate(engine, flush=True)
 
     def _generate(self, engine, flush: bool) -> bool:
-        block = form_block(self.pool, self.chain, self.keypair,
+        block = form_block(list(self.pool.values()), self.chain, self.keypair,
                            self.throughput.block_size, flush=flush)
         if block is None:
             return False
-        self._pool_ids = {tx.t_id for tx in self.pool}
+        for tx in block.transactions:
+            del self.pool[tx.t_id]
         append_block(self.chain, block)
         self.blocks_appended += 1
         engine.trace.emit(engine.now, self.node_id, "block_formed",
@@ -396,9 +408,8 @@ class BlockManager(BaseActor):
         append_block(self.chain, block)
         self.blocks_appended += 1
         rec = self.trust.record_valid(block.generator_pk)
-        included = {tx.t_id for tx in block.transactions}
-        self.pool = [tx for tx in self.pool if tx.t_id not in included]
-        self._pool_ids = {tx.t_id for tx in self.pool}
+        for tx in block.transactions:
+            self.pool.pop(tx.t_id, None)
         engine.trace.emit(engine.now, self.node_id, "block_appended",
                           block_id=block.block_id.hex(), height=block.height,
                           n_tx=len(block.transactions), generator=generator)
@@ -410,7 +421,8 @@ class BlockManager(BaseActor):
 
     # -- reporting ----------------------------------------------------------------
 
-    def emit_summary(self, engine) -> None:
+    def emit_summary(self, engine) -> str:
+        """Emit ``manager_summary`` and return the chain text it digested."""
         chain_text = "\n".join(self.chain.dump_lines())
         sw_finals = sum(1 for tx in self.chain.all_transactions()
                         if tx.payload_tag is PayloadTag.SW_UPDATE and tx.fully_signed)
@@ -419,3 +431,4 @@ class BlockManager(BaseActor):
                           blocks=self.chain.height, delivered=self.delivered_count,
                           drops=dict(self.drops), sw_finals=sw_finals,
                           chain_digest=_digest(chain_text.encode()).hex())
+        return chain_text

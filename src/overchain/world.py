@@ -291,10 +291,7 @@ class ScenarioDriver(BaseActor):
                 engine.run()
             if not progressed:
                 break
-        for m in managers:
-            m.emit_summary(engine)
-        digests = {m.node_id: "\n".join(m.chain.dump_lines()) for m in managers}
-        unique = len(set(digests.values()))
+        unique = len({m.emit_summary(engine) for m in managers})
         all_valid = all(verify_chain(m.chain) for m in managers)
         engine.trace.emit(engine.now, self.node_id, "scenario_end",
                           chains_equal=unique == 1, all_valid=all_valid,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from overchain.crypto import ZERO_DIGEST, digest, generate_keypair, issue_certificate
 from overchain.ledger import (
@@ -92,6 +93,40 @@ def test_key_list_remove_member_clears_only_that_member():
     assert [e.member_id for e in kl.entries] == ["veh2"]
 
 
+_KEYS = tuple(generate_keypair(f"kl-{i}").public for i in range(3))
+_MEMBERS = ("veh0", "veh1", "veh2")
+_KEY_OPS = st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(_KEYS), st.sampled_from(_KEYS),
+              st.sampled_from(_MEMBERS)),
+    st.tuples(st.just("remove"), st.sampled_from(_MEMBERS)),
+)
+
+
+@given(st.lists(_KEY_OPS, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_key_list_index_agrees_with_linear_scan(ops):
+    kl, ref = KeyList(), []
+    for op in ops:
+        if op[0] == "add":
+            entry = KeyListEntry(*op[1:])
+            assert kl.add(entry) == (entry not in ref)
+            if entry not in ref:
+                ref.append(entry)
+        else:
+            removed = [e for e in ref if e.member_id == op[1]]
+            ref = [e for e in ref if e.member_id != op[1]]
+            assert kl.remove_member(op[1]) == len(removed)
+        assert len(kl.entries) == len(ref)
+        for member in _MEMBERS:
+            assert kl.entries_for(member) == [e for e in ref if e.member_id == member]
+        for pk_1 in _KEYS:
+            assert kl.matches(pk_1, None) == []
+            for pk_2 in _KEYS:
+                expected = [e for e in ref
+                            if (e.requester_pk, e.member_pk) in ((pk_1, pk_2), (pk_2, pk_1))]
+                assert kl.matches(pk_1, pk_2) == expected
+
+
 def test_upload_key_pair_requires_membership():
     engine, (m,) = build_world(1)
     a, b = generate_keypair("a").public, generate_keypair("b").public
@@ -110,7 +145,7 @@ def test_member_transaction_is_pooled_and_replicated_to_peers():
     engine.send("obm0", "obm0", TxMessage(tx, origin_member="veh"))
     engine.run()
     for m in managers:
-        assert [t.t_id for t in m.pool] == [tx.t_id]
+        assert [t.t_id for t in m.pool.values()] == [tx.t_id]
     # only the first-hop manager counts a member origin; relays never re-relay
     assert engine.trace.text().count('"event":"tx_broadcast"') == 1
 
@@ -133,7 +168,7 @@ def test_key_pair_match_delivers_to_member_in_either_orientation():
     engine.run()
     assert [p.tx.t_id for p in veh.got if isinstance(p, DeliverTx)] == [
         pending.t_id, reverse.t_id]
-    assert m.pool == []  # pending transactions are never pooled
+    assert list(m.pool.values()) == []  # pending transactions are never pooled
 
 
 def test_countersigned_transaction_is_pooled_and_delivered():
@@ -150,7 +185,7 @@ def test_countersigned_transaction_is_pooled_and_delivered():
     final = countersign(pending, member)
     engine.send(m.node_id, m.node_id, TxMessage(final, origin_member="veh"))
     engine.run()
-    assert [t.t_id for t in m.pool] == [final.t_id]
+    assert [t.t_id for t in m.pool.values()] == [final.t_id]
     assert [p.tx.t_id for p in veh.got] == [final.t_id]
 
 
@@ -170,7 +205,7 @@ def test_unmatched_relayed_pending_transaction_is_dropped_no_match():
     assert managers[0].drops == {"invalid": 0, "duplicate": 0, "no_match": 0}
     assert managers[1].drops == {"invalid": 0, "duplicate": 0, "no_match": 1}
     for m in managers:
-        assert m.pool == [] and attack.t_id not in m.chain.tx_index
+        assert list(m.pool.values()) == [] and attack.t_id not in m.chain.tx_index
 
 
 def test_drop_partition_counts_invalid_duplicate_no_match():
@@ -201,10 +236,10 @@ def test_child_parked_until_parent_arrives_then_pool_holds_both_in_order():
                               PayloadTag.GENERIC, kp)
     engine.send(m.node_id, m.node_id, TxMessage(child, None))
     engine.run()
-    assert m.pool == [] and len(m.waiting) == 1
+    assert list(m.pool.values()) == [] and len(m.waiting) == 1
     engine.send(m.node_id, m.node_id, TxMessage(parent, None))
     engine.run()
-    assert [t.t_id for t in m.pool] == [parent.t_id, child.t_id]
+    assert [t.t_id for t in m.pool.values()] == [parent.t_id, child.t_id]
     assert m.waiting == {}
 
 
@@ -249,10 +284,37 @@ def test_round_robin_turn_generates_and_replicates():
     assert len(set(heads.values())) == 1
     for m in managers:
         assert m.chain.height == 1
-        assert m.pool == []
+        assert list(m.pool.values()) == []
         assert verify_chain(m.chain)
         if m.node_id != turn:
             assert m.trust.score(managers[int(turn[-1])].keypair.public) == pytest.approx(1 / 6)
+
+
+def test_peer_block_removes_exactly_its_transactions_and_keeps_arrival_order():
+    engine, managers = build_world(2, block_size=2)
+    obm1 = managers[1]
+    _, x = single_tx("peer-only")
+    a, b, c, d = (single_tx(s)[1] for s in "abcd")
+    engine.send("obm1", "obm1", TxMessage(x, None))
+    engine.run()
+    for tx in (a, b, c):
+        engine.send("obm0", "obm0", TxMessage(tx, origin_member="veh"))
+    engine.run()
+    engine.send("obm1", "obm1", TxMessage(d, None))
+    engine.run()
+    assert list(obm1.pool) == [x.t_id, a.t_id, b.t_id, c.t_id, d.t_id]
+
+    engine.now = 10.0
+    tick_all(engine, managers, 0)  # obm0's turn: its block takes a, b
+    engine.run()
+    assert [tx.t_id for tx in managers[0].chain.blocks[0].transactions] == [a.t_id, b.t_id]
+    assert [t.t_id for t in obm1.pool.values()] == [x.t_id, c.t_id, d.t_id]
+
+    engine.now = 20.0
+    tick_all(engine, managers, 1)  # obm1's turn: oldest-first from what is left
+    engine.run()
+    assert [tx.t_id for tx in obm1.chain.blocks[1].transactions] == [x.t_id, c.t_id]
+    assert [t.t_id for t in obm1.pool.values()] == [d.t_id]
 
 
 def test_only_turn_manager_generates():
@@ -414,7 +476,7 @@ def test_flush_turn_drains_pool_below_block_size():
     engine.run()
     engine.now = 5.0
     assert m.flush_turn(engine)
-    assert m.pool == [] and m.chain.height == 1
+    assert list(m.pool.values()) == [] and m.chain.height == 1
     assert not m.flush_turn(engine)  # nothing left
 
 

@@ -500,7 +500,7 @@ def test_update_walkthrough_single_cycle():
     # 2-3. pending routed to the manufacturer, exactly one approval back
     [(pending_tid, final_tid)] = oem.approvals
     # 4. the pool holds the final tx, nothing was dropped anywhere
-    assert [tx.t_id.hex() for tx in manager.pool] == [final_tid]
+    assert [tx.t_id.hex() for tx in manager.pool.values()] == [final_tid]
     assert manager.drops == {"invalid": 0, "duplicate": 0, "no_match": 0}
     # 5. both vehicles installed the same digest the provider published
     expected = ("2.0", digest(blob).hex())
@@ -528,7 +528,7 @@ def test_update_walkthrough_second_publish_chains_to_first():
 
     provider.publish_update(engine, "ecu0", "2.1", b"fw-2.1")
     engine.run()
-    [msg] = [tx for tx in manager.pool]
+    [msg] = [tx for tx in manager.pool.values()]
     assert msg.p_t_id == first_final
     assert [v.installed_sw["ecu0"][0] for v in vehicles] == ["2.1", "2.1"]
 
