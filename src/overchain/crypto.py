@@ -117,6 +117,11 @@ class Signature:
     def from_hex(cls, text: str) -> "Signature":
         return cls(bytes.fromhex(text))
 
+    @cached_property
+    def _verdicts(self) -> dict[tuple[bytes, bytes], bool]:
+        """``verify`` results for this object, keyed by (message, public key bytes)."""
+        return {}
+
     def __repr__(self) -> str:
         return f"Signature({self.data.hex()[:12]}…)"
 

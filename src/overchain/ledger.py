@@ -10,10 +10,13 @@ Blocks are generated on a fixed round-robin turn schedule (no proof-of-work)
 and receivers verify only a trust-dependent fraction of block contents.
 
 Transactions and blocks are frozen, so each caches its signature verdict on
-first use (a block also its signing bytes and dump line): every node that is
-handed the same object reuses it. A tampered copy (``dataclasses.replace``) is
-a new value and is checked afresh. ``BlockVerdict.verification_count`` still
-counts the simulated sample.
+first use (a block also its signing bytes, id check and dump line): every node
+that is handed the same object reuses it. A tampered copy
+(``dataclasses.replace``) is a new value and is checked afresh. Each
+``Signature`` also keeps its Ed25519 results by exact message and key bytes, so
+a countersigned copy, which shares its pending copy's ``sig_1`` object, does not
+verify ``sig_1`` again. ``BlockVerdict.verification_count`` still counts the
+simulated sample.
 """
 from __future__ import annotations
 
@@ -55,6 +58,17 @@ class PayloadTag(str, Enum):
 # ---------------------------------------------------------------------------
 # transactions
 # ---------------------------------------------------------------------------
+
+def _verify_once(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
+    """``verify``, remembered on the signature object for the exact message and
+    key bytes, so a countersigned copy reuses its pending copy's sig_1 verdict."""
+    verdicts = signature._verdicts
+    key = (message, public_key.data)
+    ok = verdicts.get(key)
+    if ok is None:
+        ok = verdicts[key] = verify(message, signature, public_key)
+    return ok
+
 
 @dataclass(frozen=True)
 class Transaction:
@@ -110,9 +124,9 @@ class Transaction:
         if self.t_id != self.compute_t_id():
             return TxVerdict(False, TxFault.MALFORMED, "t_id does not match contents")
         body = self.signing_body()
-        if not verify(body, self.sig_1, self.pk_1):
+        if not _verify_once(body, self.sig_1, self.pk_1):
             return TxVerdict(False, TxFault.BAD_SIGNATURE, "sig_1 invalid")
-        if self.sig_2 is not None and not verify(body, self.sig_2, self.pk_2):
+        if self.sig_2 is not None and not _verify_once(body, self.sig_2, self.pk_2):
             return TxVerdict(False, TxFault.BAD_SIGNATURE, "sig_2 invalid")
         return TxVerdict(True)
 
@@ -253,6 +267,10 @@ class Block:
 
     def compute_block_id(self) -> Digest:
         return digest(self.signing_body())
+
+    @cached_property
+    def _id_ok(self) -> bool:
+        return self.block_id == self.compute_block_id()
 
     @cached_property
     def _dump_line(self) -> str:
@@ -484,7 +502,7 @@ def validate_block(
     if (
         block.height != len(chain.blocks)
         or block.prev_block_hash != chain.head_hash
-        or block.block_id != block.compute_block_id()
+        or not block._id_ok
         or not block.transactions
     ):
         return BlockVerdict(False, BlockFault.BROKEN_LINKAGE)
@@ -512,7 +530,7 @@ def append_block(chain: Chain, block: Block) -> None:
     """Append a block already judged valid; re-checks linkage defensively."""
     if block.height != len(chain.blocks) or block.prev_block_hash != chain.head_hash:
         raise ChainError("stale prev_block_hash or height")
-    if block.block_id != block.compute_block_id():
+    if not block._id_ok:
         raise ChainError("block id does not match contents")
     chain._append_unchecked(block)
 
@@ -524,7 +542,7 @@ def verify_chain(chain: Chain) -> bool:
     for h, block in enumerate(chain.blocks):
         if block.height != h or block.prev_block_hash != prev:
             return False
-        if block.block_id != block.compute_block_id():
+        if not block._id_ok:
             return False
         if not block._generator_sig_ok:
             return False

@@ -20,6 +20,11 @@ from typing import Any, Callable, Optional
 # structured trace
 # ---------------------------------------------------------------------------
 
+# One encoder for every record; ``json.dumps`` with these separators builds a
+# new ``JSONEncoder`` per call and encodes the same bytes.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 class Trace:
     """Collects line-delimited structured records of everything observable.
 
@@ -33,7 +38,7 @@ class Trace:
     def emit(self, t: float, actor: str, event: str, **fields: Any) -> None:
         record = {"t": t, "actor": actor, "event": event}
         record.update(fields)
-        self.lines.append(json.dumps(record, separators=(",", ":")))
+        self.lines.append(_encode(record))
 
     def text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")

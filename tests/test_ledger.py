@@ -469,15 +469,21 @@ def validated_block():
 
 def test_tampered_copy_of_validated_block_is_rejected():
     chain, blk = validated_block()
+    assert "_id_ok" in vars(blk)  # the id check is now cached on blk
+    bad_id = dataclasses.replace(blk, block_id=flip(blk.block_id))
     bad_sig = dataclasses.replace(blk, generator_signature=flip(blk.generator_signature))
     forged = single(payload=b"swapped-in")
     bad_tx = dataclasses.replace(blk, transactions=(forged,) + blk.transactions[1:])
-    for tampered, fault in ((bad_sig, BlockFault.BAD_GENERATOR_SIG),
+    for tampered, fault in ((bad_id, BlockFault.BROKEN_LINKAGE),
+                            (bad_sig, BlockFault.BAD_GENERATOR_SIG),
                             (bad_tx, BlockFault.BROKEN_LINKAGE)):
         verdict = validate_block(tampered, Chain(), TrustTable(), sample_seed=1)
         assert not verdict.ok and verdict.fault is fault
         chain.blocks[0] = tampered
         assert not verify_chain(chain)
+    for tampered in (bad_id, bad_tx):
+        with pytest.raises(ChainError, match="block id"):
+            append_block(Chain(), tampered)
     chain.blocks[0] = blk
     assert verify_chain(chain)
 
@@ -487,8 +493,11 @@ def test_cached_verdicts_leave_value_semantics_alone():
     fresh = Chain.from_dump_lines(chain.dump_lines())  # same values, nothing cached
     assert verify_chain(chain)
     assert "_generator_sig_ok" in vars(chain.blocks[0])
+    assert "_id_ok" in vars(chain.blocks[0])
     assert "_integrity" in vars(chain.blocks[0].transactions[0])
+    assert "_verdicts" in vars(chain.blocks[0].transactions[0].sig_1)
     assert "_integrity" not in vars(fresh.blocks[0].transactions[0])
+    assert "_verdicts" not in vars(fresh.blocks[0].transactions[0].sig_1)
     assert chain.dump_lines() == fresh.dump_lines()
     for cached, plain in zip(chain.blocks, fresh.blocks):
         assert cached == plain and hash(cached) == hash(plain)
@@ -496,6 +505,8 @@ def test_cached_verdicts_leave_value_semantics_alone():
         for tx, twin in zip(cached.transactions, plain.transactions):
             assert tx == twin and hash(tx) == hash(twin)
             assert tx.to_json_obj() == twin.to_json_obj()
+            assert tx.sig_1 == twin.sig_1 and hash(tx.sig_1) == hash(twin.sig_1)
+            assert tx.sig_1.hex() == twin.sig_1.hex()
 
 
 def test_backend_verify_runs_once_per_signature(monkeypatch):
@@ -520,3 +531,42 @@ def test_backend_verify_runs_once_per_signature(monkeypatch):
         # the simulated effort is still counted on every validation
         assert verdict.ok and verdict.verification_count == 4
     assert calls == [blk.generator_signature] + [t.sig_1 for t in blk.transactions]
+
+
+def counted_verify(monkeypatch):
+    """Count backend verifies: the signatures passed to ``ledger.verify``."""
+    calls = []
+    real_verify = ledger.verify
+
+    def counting_verify(message, signature, public_key):
+        calls.append(signature)
+        return real_verify(message, signature, public_key)
+
+    monkeypatch.setattr(ledger, "verify", counting_verify)
+    return calls
+
+
+def test_countersigned_copy_reuses_the_pending_sig_1_verdict(monkeypatch):
+    calls = counted_verify(monkeypatch)
+    half = pending(payload=b"countersigned")
+    assert check_integrity(half).ok
+    done = countersign(half, BOB)
+    assert done.sig_1 is half.sig_1
+    assert check_integrity(done).ok
+    assert calls == [half.sig_1, done.sig_2]
+
+
+def test_signature_verdict_is_kept_per_message_and_key(monkeypatch):
+    calls = counted_verify(monkeypatch)
+    tx = single(payload=b"keyed")
+    body = tx.signing_body()
+    assert ledger._verify_once(body, tx.sig_1, ALICE.public)
+    other_body = single(payload=b"other").signing_body()
+    assert not ledger._verify_once(other_body, tx.sig_1, ALICE.public)
+    assert not ledger._verify_once(body, tx.sig_1, BOB.public)
+    assert calls == [tx.sig_1] * 3
+    # every verdict, true or false, is kept for its exact message and key
+    assert ledger._verify_once(body, tx.sig_1, ALICE.public)
+    assert not ledger._verify_once(other_body, tx.sig_1, ALICE.public)
+    assert not ledger._verify_once(body, tx.sig_1, BOB.public)
+    assert len(calls) == 3
