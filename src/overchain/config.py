@@ -22,7 +22,6 @@ __all__ = [
     "Expectation",
     "LedgerConfig",
     "NetworkConfig",
-    "ProviderSpec",
     "ScenarioConfig",
     "ServiceSpec",
     "TrafficPhase",
@@ -81,12 +80,6 @@ class VehicleSpec:
 
 @dataclass(frozen=True)
 class ServiceSpec:
-    service_id: str
-    obm: str
-
-
-@dataclass(frozen=True)
-class ProviderSpec:
     service_id: str
     obm: str
 
@@ -278,14 +271,6 @@ def _parse_ledger(check: _Checker, obj) -> LedgerConfig:
     return cfg
 
 
-_VEHICLE_FIELDS = {
-    "record_interval", "anchor_interval", "backup_interval", "probe_interval",
-    "handover_threshold", "handover_improvement", "probe_samples",
-    "candidate_obms", "rotate_keys", "record_categories", "upload_categories",
-    "obm",
-}
-
-
 def _parse_vehicle_fields(check: _Checker, raw: dict, path: str,
                           base: dict, manager_ids: list[str]) -> dict:
     out = dict(base)
@@ -333,13 +318,9 @@ def _parse_vehicles(check: _Checker, obj, manager_ids: list[str]) -> tuple:
     if not isinstance(template_raw, dict):
         check.fail("actors.vehicles.template", "expected a mapping")
         template_raw = {}
-    base = {
-        "obm": "round_robin", "record_interval": 0.0, "anchor_interval": 0.0,
-        "backup_interval": 0.0, "probe_interval": 0.0, "handover_threshold": 1e9,
-        "handover_improvement": 0.8, "probe_samples": 3, "candidate_obms": (),
-        "rotate_keys": False, "record_categories": ("location", "speed"),
-        "upload_categories": (),
-    }
+    base = {f.name: f.default for f in dataclasses.fields(VehicleSpec)
+            if f.default is not dataclasses.MISSING}
+    base["obm"] = "round_robin"
     if template_raw.get("obm") == "round_robin":
         template_raw = dict(template_raw)
         template_raw.pop("obm")
@@ -401,7 +382,7 @@ def _parse_actors(check: _Checker, obj, manager_ids: list[str]):
         spec = _parse_service(check, entry, f"actors.providers[{i}]",
                               f"provider{i}", manager_ids)
         if spec is not None:
-            providers.append(ProviderSpec(spec.service_id, spec.obm))
+            providers.append(spec)
     if providers and oem is None:
         check.fail("actors.providers", "software providers require actors.oem")
     vehicles = _parse_vehicles(check, raw.get("vehicles"), manager_ids)

@@ -49,25 +49,29 @@ def _seed_bytes(seed: int | str | bytes) -> bytes:
 # value types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Digest:
-    """A SHA-256 output; also used as transaction/block identifier."""
+class _FixedBytes(bytes):
+    """Raw bytes of one fixed length. Values compare and hash as their bytes;
+    ``hex`` and ``fromhex`` are inherited, and ``fromhex`` checks the length too."""
 
-    data: bytes
+    SIZE: int
 
-    def __post_init__(self) -> None:
-        if len(self.data) != DIGEST_SIZE:
-            raise ValueError(f"digest must be {DIGEST_SIZE} bytes, got {len(self.data)}")
-
-    def hex(self) -> str:
-        return self.data.hex()
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Digest":
-        return cls(bytes.fromhex(text))
+    def __new__(cls, data: bytes):
+        if len(data) != cls.SIZE:
+            raise ValueError(f"{cls.__name__} must be {cls.SIZE} bytes, got {len(data)}")
+        return super().__new__(cls, data)
 
     def __repr__(self) -> str:  # keep traces and test output readable
-        return f"Digest({self.data.hex()[:12]}…)"
+        return f"{type(self).__name__}({self.hex()[:12]}…)"
+
+    # Plain-bytes view, kept only for perfbench/tracer.py; the package itself
+    # passes these values wherever bytes are expected.
+    data = property(bytes)
+
+
+class Digest(_FixedBytes):
+    """A SHA-256 output; also used as transaction/block identifier."""
+
+    SIZE = DIGEST_SIZE
 
 
 ZERO_DIGEST = Digest(b"\x00" * DIGEST_SIZE)
@@ -77,53 +81,25 @@ def digest(data: bytes) -> Digest:
     return Digest(hashlib.sha256(data).digest())
 
 
-@dataclass(frozen=True)
-class PublicKey:
+class PublicKey(_FixedBytes):
     """Raw Ed25519 public key bytes."""
 
-    data: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.data) != PUBLIC_KEY_SIZE:
-            raise ValueError("public key must be 32 raw bytes")
-
-    def hex(self) -> str:
-        return self.data.hex()
-
-    @classmethod
-    def from_hex(cls, text: str) -> "PublicKey":
-        return cls(bytes.fromhex(text))
+    SIZE = PUBLIC_KEY_SIZE
 
     @cached_property
     def _backend(self) -> Ed25519PublicKey:
-        return Ed25519PublicKey.from_public_bytes(self.data)
-
-    def __repr__(self) -> str:
-        return f"PublicKey({self.data.hex()[:12]}…)"
+        return Ed25519PublicKey.from_public_bytes(self)
 
 
-@dataclass(frozen=True)
-class Signature:
-    data: bytes
+class Signature(_FixedBytes):
+    """Raw Ed25519 signature bytes."""
 
-    def __post_init__(self) -> None:
-        if len(self.data) != SIGNATURE_SIZE:
-            raise ValueError("signature must be 64 bytes")
-
-    def hex(self) -> str:
-        return self.data.hex()
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Signature":
-        return cls(bytes.fromhex(text))
+    SIZE = SIGNATURE_SIZE
 
     @cached_property
     def _verdicts(self) -> dict[tuple[bytes, bytes], bool]:
         """``verify`` results for this object, keyed by (message, public key bytes)."""
         return {}
-
-    def __repr__(self) -> str:
-        return f"Signature({self.data.hex()[:12]}…)"
 
 
 @dataclass(frozen=True)
@@ -159,7 +135,7 @@ def sign(message: bytes, keypair: KeyPair) -> Signature:
 def verify(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
     """True iff the signature is valid; never raises on bad input."""
     try:
-        public_key._backend.verify(signature.data, message)
+        public_key._backend.verify(signature, message)
         return True
     except (InvalidSignature, ValueError):
         return False
@@ -170,7 +146,7 @@ def verify(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
 # ---------------------------------------------------------------------------
 
 def _certificate_body(identity: str, subject_pk: PublicKey) -> bytes:
-    return canonical_join(b"certificate", identity.encode(), subject_pk.data)
+    return canonical_join(b"certificate", identity.encode(), subject_pk)
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ def _verify_once(message: bytes, signature: Signature, public_key: PublicKey) ->
     """``verify``, remembered on the signature object for the exact message and
     key bytes, so a countersigned copy reuses its pending copy's sig_1 verdict."""
     verdicts = signature._verdicts
-    key = (message, public_key.data)
+    key = (message, public_key)
     ok = verdicts.get(key)
     if ok is None:
         ok = verdicts[key] = verify(message, signature, public_key)
@@ -88,21 +88,21 @@ class Transaction:
 
     def signing_body(self) -> bytes:
         """Bytes covered by sig_1 and (for multisig) sig_2."""
-        fields = [self.p_t_id.data, self.payload_digest.data, self.pk_1.data]
+        fields = [self.p_t_id, self.payload_digest, self.pk_1]
         if self.pk_2 is not None:
-            fields.append(self.pk_2.data)
+            fields.append(self.pk_2)
         return canonical_join(*fields)
 
     def body_bytes(self) -> bytes:
         """Canonical serialization of every field except t_id."""
         return canonical_join(
-            self.p_t_id.data,
+            self.p_t_id,
             self.kind.value.encode(),
-            self.pk_1.data,
-            self.sig_1.data,
-            self.pk_2.data if self.pk_2 else b"",
-            self.sig_2.data if self.sig_2 else b"",
-            self.payload_digest.data,
+            self.pk_1,
+            self.sig_1,
+            self.pk_2 or b"",
+            self.sig_2 or b"",
+            self.payload_digest,
             self.payload_tag.value.encode(),
         )
 
@@ -110,7 +110,7 @@ class Transaction:
         return digest(self.body_bytes())
 
     def wire_bytes(self) -> bytes:
-        return canonical_join(self.t_id.data) + self.body_bytes()
+        return canonical_join(self.t_id) + self.body_bytes()
 
     @cached_property
     def _integrity(self) -> TxVerdict:
@@ -150,14 +150,14 @@ class Transaction:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Transaction":
         return cls(
-            t_id=Digest.from_hex(obj["t_id"]),
-            p_t_id=Digest.from_hex(obj["p_t_id"]),
+            t_id=Digest.fromhex(obj["t_id"]),
+            p_t_id=Digest.fromhex(obj["p_t_id"]),
             kind=TxKind(obj["kind"]),
-            pk_1=PublicKey.from_hex(obj["pk_1"]),
-            sig_1=Signature.from_hex(obj["sig_1"]),
-            pk_2=PublicKey.from_hex(obj["pk_2"]) if obj.get("pk_2") else None,
-            sig_2=Signature.from_hex(obj["sig_2"]) if obj.get("sig_2") else None,
-            payload_digest=Digest.from_hex(obj["payload_digest"]),
+            pk_1=PublicKey.fromhex(obj["pk_1"]),
+            sig_1=Signature.fromhex(obj["sig_1"]),
+            pk_2=PublicKey.fromhex(obj["pk_2"]) if obj.get("pk_2") else None,
+            sig_2=Signature.fromhex(obj["sig_2"]) if obj.get("sig_2") else None,
+            payload_digest=Digest.fromhex(obj["payload_digest"]),
             payload_tag=PayloadTag(obj["payload_tag"]),
         )
 
@@ -254,8 +254,8 @@ class Block:
     @cached_property
     def _signing_body(self) -> bytes:
         fields = [
-            self.prev_block_hash.data,
-            self.generator_pk.data,
+            self.prev_block_hash,
+            self.generator_pk,
             struct.pack(">Q", self.height),
         ]
         fields.extend(tx.wire_bytes() for tx in self.transactions)
@@ -290,12 +290,12 @@ class Block:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Block":
         return cls(
-            block_id=Digest.from_hex(obj["block_id"]),
-            prev_block_hash=Digest.from_hex(obj["prev_block_hash"]),
-            generator_pk=PublicKey.from_hex(obj["generator_pk"]),
+            block_id=Digest.fromhex(obj["block_id"]),
+            prev_block_hash=Digest.fromhex(obj["prev_block_hash"]),
+            generator_pk=PublicKey.fromhex(obj["generator_pk"]),
             height=obj["height"],
             transactions=tuple(Transaction.from_json_obj(t) for t in obj["transactions"]),
-            generator_signature=Signature.from_hex(obj["generator_signature"]),
+            generator_signature=Signature.fromhex(obj["generator_signature"]),
         )
 
 

@@ -209,7 +209,7 @@ class BlockManager(BaseActor):
             for req_hex, member_hex in request.data.get("entries", []):
                 self.upload_key_pair(
                     engine.trace, engine.now, member,
-                    PublicKey.from_hex(req_hex), PublicKey.from_hex(member_hex))
+                    PublicKey.fromhex(req_hex), PublicKey.fromhex(member_hex))
             engine.trace.emit(engine.now, self.node_id, "member_joined", member=member)
             self.reply(engine, request, {"ok": True})
         elif request.kind == "leave_cluster":
@@ -223,12 +223,12 @@ class BlockManager(BaseActor):
             for req_hex, member_hex in request.data.get("entries", []):
                 if self.upload_key_pair(
                         engine.trace, engine.now, request.sender,
-                        PublicKey.from_hex(req_hex), PublicKey.from_hex(member_hex)):
+                        PublicKey.fromhex(req_hex), PublicKey.fromhex(member_hex)):
                     added += 1
             self.reply(engine, request, {"ok": request.sender in self.members,
                                          "added": added})
         elif request.kind == "chain_lookup":
-            tx = self.chain.get_tx(Digest.from_hex(request.data["t_id"]))
+            tx = self.chain.get_tx(Digest.fromhex(request.data["t_id"]))
             self.reply(engine, request, {"tx": tx.to_json_obj() if tx else None})
         else:
             super().on_request(engine, request)

@@ -166,15 +166,7 @@ def compute_metrics(lines: list[dict]) -> dict:
             summaries[line["actor"]] = line
         elif event == "scenario_end":
             scenario_end = line
-        if event in ("tx_pooled", "tx_parked", "tx_unparked", "block_rejected",
-                     "anchor", "backup", "handover", "probe", "published",
-                     "publish_failed", "approved", "update_notified",
-                     "notify_suppressed", "claim_filed", "record_uploaded",
-                     "cloud_denied", "cloud_tampered", "forged_publish",
-                     "forged_final", "accident", "countersigned",
-                     "account_created", "account_closed", "member_joined",
-                     "member_left", "traffic_tx", "installed"):
-            counts[event] += 1
+        counts[event] += 1
 
     traffic_sent = len(traffic_recipient)
     traffic_done = sum(1 for tid in traffic_recipient if delivered_traffic[tid] >= 1)

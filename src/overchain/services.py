@@ -8,7 +8,6 @@ from typing import Optional
 
 from .crypto import (
     ZERO_DIGEST,
-    Certificate,
     Digest,
     KeyPair,
     PublicKey,
@@ -152,7 +151,7 @@ class CloudStore(BaseActor):
         return {"data": blob.hex()}
 
     def _admin_create(self, engine, data: dict) -> dict:
-        self.create_account(data["account"], PublicKey.from_hex(data["pk"]),
+        self.create_account(data["account"], PublicKey.fromhex(data["pk"]),
                             data.get("acl", []))
         engine.trace.emit(engine.now, self.node_id, "account_created",
                           account=data["account"])
@@ -171,14 +170,13 @@ class SwProvider(BaseActor):
 
     def __init__(self, node_id: str, keypair: KeyPair, obm_id: str, *,
                  cloud_id: str, cloud_account: tuple[str, KeyPair],
-                 oem_pk: PublicKey, certificate: Optional[Certificate] = None):
+                 oem_pk: PublicKey):
         super().__init__(node_id)
         self.keypair = keypair
         self.obm_id = obm_id
         self.cloud_id = cloud_id
         self.cloud_account = cloud_account
         self.oem_pk = oem_pk
-        self.certificate = certificate
         self.last_final_tid: Digest = ZERO_DIGEST
         self.published: list[tuple[str, str, str]] = []  # (version, object id, pending tid)
 
@@ -226,14 +224,12 @@ class Oem(BaseActor):
     the provider's pending update transactions."""
 
     def __init__(self, node_id: str, keypair: KeyPair, obm_id: str, *,
-                 cloud_id: str, cloud_account: tuple[str, KeyPair],
-                 certificate: Optional[Certificate] = None):
+                 cloud_id: str, cloud_account: tuple[str, KeyPair]):
         super().__init__(node_id)
         self.keypair = keypair
         self.obm_id = obm_id
         self.cloud_id = cloud_id
         self.cloud_account = cloud_account
-        self.certificate = certificate
         self.approvals: list[tuple[str, str]] = []  # (pending tid, final tid)
         self.rejections: list[tuple[str, str]] = []  # (pending tid, reason)
         self.observed_finals: list[str] = []
@@ -296,12 +292,11 @@ class Insurer(BaseActor):
     anchors stored in the chain."""
 
     def __init__(self, node_id: str, keypair: KeyPair, obm_id: str, *,
-                 cloud_id: str, certificate: Optional[Certificate] = None):
+                 cloud_id: str):
         super().__init__(node_id)
         self.keypair = keypair
         self.obm_id = obm_id
         self.cloud_id = cloud_id
-        self.certificate = certificate
         self.registry: dict[str, str] = {}  # account id -> owner identity
         self.pk_db: dict[str, PublicKey] = {}  # account id -> account pk
         self.verdicts: list[tuple[str, str]] = []  # (account, verdict)

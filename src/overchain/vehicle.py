@@ -174,7 +174,7 @@ class Vehicle(BaseActor):
         if request.kind == "provision_insurance":
             account_id = request.data["account"]
             account_key = generate_keypair(request.data["secret_seed"])
-            insurer_pk = PublicKey.from_hex(request.data["insurer_pk"])
+            insurer_pk = PublicKey.fromhex(request.data["insurer_pk"])
             self.insurance_account = (account_id, account_key)
             pair = (insurer_pk, account_key.public)
             if pair not in self.access_set:

@@ -346,8 +346,7 @@ def build_world(config: ScenarioConfig) -> World:
         account_key = generate_keypair(f"{seed}:cloud:{oem_id}")
         cloud.create_account(f"{oem_id}-acct", account_key.public, ["sw/"])
         world.oem = Oem(oem_id, oem_key, config.oem.obm, cloud_id="cloud",
-                        cloud_account=(f"{oem_id}-acct", account_key),
-                        certificate=cert)
+                        cloud_account=(f"{oem_id}-acct", account_key))
         engine.add_node(world.oem)
         by_id[config.oem.obm].add_member(oem_id, "service")
         for manager in managers:

@@ -48,7 +48,7 @@ def test_criterion_01_update_installs_fleet_wide_with_digest_equality(bundled):
     assert len({l["actor"] for l in installed}) == 20
     assert all(l["sw_digest"] == published_digest for l in installed)
 
-    final_tid = Digest.from_hex(events(run, "approved")[0]["t_id"])
+    final_tid = Digest.fromhex(events(run, "approved")[0]["t_id"])
     for manager in run.world.managers:
         assert final_tid in manager.chain.tx_index, manager.node_id
     print(f"\n  installs 20/20, digest {published_digest[:12]}…, "

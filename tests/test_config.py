@@ -8,6 +8,8 @@ import pytest
 from overchain.cli import bundled_scenarios
 from overchain.config import (
     ConfigError,
+    ServiceSpec,
+    VehicleSpec,
     load_scenario,
     parse_scenario,
 )
@@ -40,6 +42,10 @@ def test_minimal_config_uses_defaults():
     assert cfg.manager_ids == ["obm0", "obm1", "obm2", "obm3"]
     assert cfg.vehicles == ()
     assert cfg.oem is None and cfg.insurer is None and cfg.attacker is None
+
+    counted = parse_scenario(minimal(actors={"vehicles": {"count": 6}}))
+    assert counted.vehicles == tuple(VehicleSpec(f"veh{i}", f"obm{i % 4}")
+                                     for i in range(6))
 
 
 def test_vehicles_round_robin_and_overrides():
@@ -83,6 +89,7 @@ def test_publish_update_provider_defaulted_when_unique():
         script=[{"at": 1.0, "do": "publish_update", "ecu": "e", "version": "1"}],
     ))
     assert cfg.script[0].params["provider"] == "swp"
+    assert cfg.providers == (ServiceSpec("swp", "obm1"),)
 
 
 def test_expectations_parse_ops_and_tol():

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from overchain.crypto import (
     DIGEST_SIZE,
+    PUBLIC_KEY_SIZE,
+    SIGNATURE_SIZE,
     ZERO_DIGEST,
     Certificate,
     Digest,
@@ -53,19 +55,59 @@ def test_canonical_join_injective_property(a, b):
 # ---------------------------------------------------------------------------
 
 def test_digest_is_sha256():
-    assert digest(b"hello").data == hashlib.sha256(b"hello").digest()
-    assert len(digest(b"").data) == DIGEST_SIZE
+    assert digest(b"hello") == hashlib.sha256(b"hello").digest()
+    assert len(digest(b"")) == DIGEST_SIZE
 
 
 def test_zero_digest_and_hex_round_trip():
-    assert ZERO_DIGEST.data == bytes(32)
+    assert ZERO_DIGEST == bytes(32)
     d = digest(b"x")
-    assert Digest.from_hex(d.hex()) == d
+    assert Digest.fromhex(d.hex()) == d
 
 
 def test_digest_rejects_wrong_length():
     with pytest.raises(ValueError):
         Digest(b"short")
+
+
+# ---------------------------------------------------------------------------
+# fixed-size value types
+# ---------------------------------------------------------------------------
+
+VALUE_TYPES = [(Digest, DIGEST_SIZE), (PublicKey, PUBLIC_KEY_SIZE),
+               (Signature, SIGNATURE_SIZE)]
+
+
+@pytest.mark.parametrize("cls, size", VALUE_TYPES)
+def test_value_type_rejects_wrong_length(cls, size):
+    for n in (0, size - 1, size + 1):
+        with pytest.raises(ValueError, match=f"{cls.__name__} must be {size} bytes"):
+            cls(bytes(n))
+        with pytest.raises(ValueError, match=f"{cls.__name__} must be {size} bytes"):
+            cls.fromhex("ab" * n)
+    value = cls.fromhex("ab" * size)
+    assert type(value) is cls and value == b"\xab" * size
+
+
+@pytest.mark.parametrize("cls, size", VALUE_TYPES)
+def test_value_type_equals_and_hashes_as_its_bytes(cls, size):
+    raw = bytes(range(size))
+    value = cls(raw)
+    assert value == raw and hash(value) == hash(raw)
+    assert value != cls(bytes(size)) and value != raw[:-1]
+    assert {raw: "x"}[value] == "x" and {value: "y"}[raw] == "y"
+    assert value.hex() == raw.hex()
+
+
+@pytest.mark.parametrize("cls, size", VALUE_TYPES)
+def test_value_type_repr_is_short(cls, size):
+    assert repr(cls(bytes(range(size)))) == f"{cls.__name__}(000102030405…)"
+
+
+@pytest.mark.parametrize("cls, size", VALUE_TYPES)
+def test_value_type_data_is_plain_bytes(cls, size):
+    raw = bytes(range(size))
+    assert type(cls(raw).data) is bytes and cls(raw).data == raw
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +135,7 @@ def test_sign_verify_round_trip_and_tamper():
     assert verify(msg, s, kp.public)
     assert not verify(msg + b"!", s, kp.public)
     assert not verify(msg, s, generate_keypair("other").public)
-    flipped = Signature(bytes([s.data[0] ^ 1]) + s.data[1:])
+    flipped = Signature(bytes([s[0] ^ 1]) + s[1:])
     assert not verify(msg, flipped, kp.public)
 
 
@@ -139,13 +181,13 @@ def test_certificate_single_bit_tamper_fails():
     assert not verify_certificate(bad_ident, ca.public)
 
     # flip one bit in the subject key
-    pk = bytearray(cert.subject_pk.data)
+    pk = bytearray(cert.subject_pk)
     pk[5] ^= 0x10
     bad_pk = Certificate(cert.subject_identity, PublicKey(bytes(pk)), cert.ca_signature)
     assert not verify_certificate(bad_pk, ca.public)
 
     # flip one bit in the signature
-    sig = bytearray(cert.ca_signature.data)
+    sig = bytearray(cert.ca_signature)
     sig[0] ^= 0x01
     bad_sig = Certificate(cert.subject_identity, cert.subject_pk, Signature(bytes(sig)))
     assert not verify_certificate(bad_sig, ca.public)

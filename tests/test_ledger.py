@@ -432,7 +432,7 @@ def test_chain_dump_lines_round_trip():
 
 def flip(value):
     """The same value type with its first byte flipped."""
-    data = bytearray(value.data)
+    data = bytearray(value)
     data[0] ^= 1
     return type(value)(bytes(data))
 

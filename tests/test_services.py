@@ -463,8 +463,7 @@ def walkthrough_world():
                           cloud_account=("provider-acct", generate_keypair("p-cloud")),
                           oem_pk=oem_key.public)
     oem = Oem("oem", oem_key, "obm0", cloud_id="cloud",
-              cloud_account=("oem-acct", generate_keypair("o-cloud")),
-              certificate=oem_cert)
+              cloud_account=("oem-acct", generate_keypair("o-cloud")))
     engine.add_node(provider)
     engine.add_node(oem)
 
@@ -513,7 +512,7 @@ def test_update_walkthrough_single_cycle():
     assert manager.chain.height == 1
     assert verify_chain(manager.chain)
     from overchain.crypto import Digest
-    assert manager.chain.get_tx(Digest.from_hex(final_tid)) is not None
+    assert manager.chain.get_tx(Digest.fromhex(final_tid)) is not None
     # 7. the provider observed the final id for chaining
     assert provider.last_final_tid.hex() == final_tid
 

@@ -1,12 +1,14 @@
-"""Golden trace hashes: every bundled scenario at its own seed must produce
-exactly these trace bytes. A change that alters a trace on purpose updates
-the hash here, and says why; a speed-up or refactor must leave all of them.
+"""Golden trace and report hashes: every bundled scenario at its own seed must
+produce exactly these trace bytes and this ``render_json`` report. A change
+that alters either on purpose updates the hash here, and says why; a speed-up
+or refactor must leave all of them.
 """
 import hashlib
 
 import pytest
 
 from overchain.cli import bundled_scenarios
+from overchain.report import render_json
 
 GOLDEN_TRACE_SHA256 = {
     "ddos_flood": "ad7419dc19bad72b5c32e286682a89134703abd8dbd9b9befded861dc58b9872",
@@ -22,12 +24,33 @@ GOLDEN_TRACE_SHA256 = {
     "wrsu_tampered": "643efa25199a38dfb0cc9b8ea03be47e4531bfd715695437f63ac003ca38befe",
 }
 
+GOLDEN_REPORT_SHA256 = {
+    "ddos_flood": "66c39c91833f287d5726b1cbda95bf6a8c8f55aea8541f302241f1c7e40c8800",
+    "full_demo": "502a3bfd168acfe6fee92d88dd08ba25fcd92e32514093ef5fbc2def7979da80",
+    "handover": "1a20740d3ae9509d0341db5eed073315a2d9ad1831de9413cf45ab9621a60f21",
+    "handover_flapping": "59265aeca8d1aa388fd8b55b647c4976e2ad5a46066e9b8fe3d331b3f48327dd",
+    "handover_sparse": "5881e1cc0359dc0f748eb4a435f91459ef41badfb1d4bea93652bec19ada4646",
+    "insurance": "e0953b1bbe9f81b2c6f3602dfddc3e589112775db0d082935374612bebdce752",
+    "throughput_load_step": "d82067f8ac672d7acb98774a3d8c992bebbf5122f761d5e0091184670ac23c88",
+    "trust_trend": "dc6f7ed31c4d1a6e6c94002eeea90c24bb32af5b8f6db758e8636bcef3665180",
+    "wrsu_happy_path": "329eed55ae1feb4e96810bb53573d05c7a51d26d4ca9e140b819d847b842c17d",
+    "wrsu_impersonation": "ee58ba73dbc21a82b9d0b5e11cf7a3616ac3087c06b107ebf863f3e0c2df1b35",
+    "wrsu_tampered": "1db2e65ffdb6705d63394596c65128bdafcf6c24500381e5ca79d55c250d6cf2",
+}
+
 
 def test_every_bundled_scenario_has_a_golden_hash():
     assert sorted(GOLDEN_TRACE_SHA256) == sorted(bundled_scenarios())
+    assert sorted(GOLDEN_REPORT_SHA256) == sorted(bundled_scenarios())
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_SHA256))
 def test_trace_is_byte_identical(bundled, name):
     trace = bundled(name).trace_text.encode()
     assert hashlib.sha256(trace).hexdigest() == GOLDEN_TRACE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_SHA256))
+def test_report_is_byte_identical(bundled, name):
+    report = render_json(bundled(name).report).encode()
+    assert hashlib.sha256(report).hexdigest() == GOLDEN_REPORT_SHA256[name]
