@@ -219,10 +219,12 @@ class _Checker:
 
 def _parse_network(check: _Checker, obj) -> NetworkConfig:
     raw = check.mapping(obj, "network", {"managers", "default_delay", "jitter", "links"})
-    managers = check.integer(raw.get("managers"), "network.managers", 4, minimum=1)
+    default = NetworkConfig()
+    managers = check.integer(raw.get("managers"), "network.managers", default.managers,
+                             minimum=1)
     default_delay = check.number(raw.get("default_delay"), "network.default_delay",
-                                 5.0, minimum=0.0, strict_min=True)
-    jitter = check.number(raw.get("jitter"), "network.jitter", 0.0, minimum=0.0)
+                                 default.default_delay, minimum=0.0, strict_min=True)
+    jitter = check.number(raw.get("jitter"), "network.jitter", default.jitter, minimum=0.0)
     links = []
     raw_links = raw.get("links") or []
     if not isinstance(raw_links, list):
@@ -241,26 +243,22 @@ def _parse_network(check: _Checker, obj) -> NetworkConfig:
 
 def _parse_ledger(check: _Checker, obj) -> LedgerConfig:
     raw = check.mapping(obj, "ledger", {f.name for f in dataclasses.fields(LedgerConfig)})
+    default = LedgerConfig()
+
+    def read(reader, name: str, **bounds):
+        return reader(raw.get(name), f"ledger.{name}", getattr(default, name), **bounds)
+
     cfg = LedgerConfig(
-        block_size=check.integer(raw.get("block_size"), "ledger.block_size", 10, minimum=1),
-        block_period=check.number(raw.get("block_period"), "ledger.block_period",
-                                  10.0, minimum=0.0, strict_min=True),
-        min_check_fraction=check.number(raw.get("min_check_fraction"),
-                                        "ledger.min_check_fraction", 0.1, minimum=0.0),
-        trust_ramp=check.integer(raw.get("trust_ramp"), "ledger.trust_ramp", 5, minimum=1),
-        utilization_low=check.number(raw.get("utilization_low"),
-                                     "ledger.utilization_low", 0.5, minimum=0.0),
-        utilization_high=check.number(raw.get("utilization_high"),
-                                      "ledger.utilization_high", 1.0, minimum=0.0),
-        period_min=check.number(raw.get("period_min"), "ledger.period_min",
-                                1.0, minimum=0.0, strict_min=True),
-        period_max=check.number(raw.get("period_max"), "ledger.period_max",
-                                120.0, minimum=0.0, strict_min=True),
-        pending_timeout=check.number(raw.get("pending_timeout"),
-                                     "ledger.pending_timeout", 60.0, minimum=0.0),
-        notify_requires_certificate=check.flag(
-            raw.get("notify_requires_certificate"),
-            "ledger.notify_requires_certificate", True),
+        block_size=read(check.integer, "block_size", minimum=1),
+        block_period=read(check.number, "block_period", minimum=0.0, strict_min=True),
+        min_check_fraction=read(check.number, "min_check_fraction", minimum=0.0),
+        trust_ramp=read(check.integer, "trust_ramp", minimum=1),
+        utilization_low=read(check.number, "utilization_low", minimum=0.0),
+        utilization_high=read(check.number, "utilization_high", minimum=0.0),
+        period_min=read(check.number, "period_min", minimum=0.0, strict_min=True),
+        period_max=read(check.number, "period_max", minimum=0.0, strict_min=True),
+        pending_timeout=read(check.number, "pending_timeout", minimum=0.0),
+        notify_requires_certificate=read(check.flag, "notify_requires_certificate"),
     )
     if cfg.min_check_fraction > 1.0:
         check.fail("ledger.min_check_fraction", "must be at most 1.0")
@@ -276,20 +274,17 @@ def _parse_vehicle_fields(check: _Checker, raw: dict, path: str,
     out = dict(base)
     for key, value in raw.items():
         if key == "obm":
-            obm = check.text(value, f"{path}.obm", out.get("obm", ""))
+            obm = check.text(value, f"{path}.obm", out["obm"])
             if obm and obm not in manager_ids:
                 check.fail(f"{path}.obm", f"unknown manager '{obm}'")
             out["obm"] = obm
         elif key in ("record_interval", "anchor_interval", "backup_interval",
-                     "probe_interval"):
-            out[key] = check.number(value, f"{path}.{key}", 0.0, minimum=0.0)
-        elif key in ("handover_threshold", "handover_improvement"):
-            out[key] = check.number(value, f"{path}.{key}", out.get(key, 0.0),
-                                    minimum=0.0)
+                     "probe_interval", "handover_threshold", "handover_improvement"):
+            out[key] = check.number(value, f"{path}.{key}", out[key], minimum=0.0)
         elif key == "probe_samples":
-            out[key] = check.integer(value, f"{path}.{key}", 3, minimum=1)
+            out[key] = check.integer(value, f"{path}.{key}", out[key], minimum=1)
         elif key == "rotate_keys":
-            out[key] = check.flag(value, f"{path}.{key}", False)
+            out[key] = check.flag(value, f"{path}.{key}", out[key])
         elif key == "candidate_obms":
             if value == "all":
                 out[key] = tuple(manager_ids)

@@ -128,10 +128,6 @@ def generate_keypair(seed: int | str | bytes) -> KeyPair:
     return KeyPair(public=public, secret=secret)
 
 
-def sign(message: bytes, keypair: KeyPair) -> Signature:
-    return keypair.sign(message)
-
-
 def verify(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
     """True iff the signature is valid; never raises on bad input."""
     try:

@@ -25,7 +25,7 @@ import json
 import math
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import AbstractSet, Iterable, Optional, Sequence
@@ -488,7 +488,6 @@ def validate_block(
     chain: Chain,
     trust: TrustTable,
     sample_seed: int,
-    min_check_fraction: Optional[float] = None,
 ) -> BlockVerdict:
     """Receiver-side validation against the local chain head.
 
@@ -497,8 +496,6 @@ def validate_block(
     the generator's trust grows. ``verification_count`` reports how many
     transactions were actually verified.
     """
-    if min_check_fraction is None:
-        min_check_fraction = trust.min_check_fraction
     if (
         block.height != len(chain.blocks)
         or block.prev_block_hash != chain.head_hash
@@ -510,7 +507,7 @@ def validate_block(
         return BlockVerdict(False, BlockFault.BAD_GENERATOR_SIG)
 
     n = len(block.transactions)
-    k = checks_for_trust(trust.score(block.generator_pk), n, min_check_fraction)
+    k = checks_for_trust(trust.score(block.generator_pk), n, trust.min_check_fraction)
     sample = sorted(random.Random(sample_seed).sample(range(n), k))
     ids = [tx.t_id for tx in block.transactions]
 
@@ -573,10 +570,10 @@ class ThroughputState:
 
     block_period: float
     block_size: int
-    utilization_low: float = 0.5
-    utilization_high: float = 1.0
-    period_min: float = 1.0
-    period_max: float = 120.0
+    utilization_low: float
+    utilization_high: float
+    period_min: float
+    period_max: float
 
     def utilization(self, observed_rate: float, manager_count: int) -> float:
         return observed_rate * self.block_period / (self.block_size * manager_count)

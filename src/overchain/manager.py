@@ -19,6 +19,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
+from .config import LedgerConfig
 from .crypto import (
     ZERO_DIGEST,
     Certificate,
@@ -110,43 +111,26 @@ class KeyList:
 class BlockManager(BaseActor):
     """One overlay cluster head."""
 
-    def __init__(
-        self,
-        node_id: str,
-        keypair: KeyPair,
-        *,
-        block_size: int = 10,
-        block_period: float = 10.0,
-        min_check_fraction: float = 0.1,
-        trust_ramp: int = 5,
-        utilization_low: float = 0.5,
-        utilization_high: float = 1.0,
-        period_min: float = 1.0,
-        period_max: float = 120.0,
-        pending_timeout: float = 60.0,
-        ca_pk: Optional[PublicKey] = None,
-        notify_requires_certificate: bool = True,
-        corrupt_periods: tuple = (),
-    ):
+    def __init__(self, node_id: str, keypair: KeyPair,
+                 ledger: LedgerConfig = LedgerConfig(), *,
+                 ca_pk: Optional[PublicKey] = None):
         super().__init__(node_id)
         self.keypair = keypair
-        self.chain = Chain()
-        self.trust = TrustTable(min_check_fraction, trust_ramp)
-        self.throughput = ThroughputState(
-            block_period=block_period,
-            block_size=block_size,
-            utilization_low=utilization_low,
-            utilization_high=utilization_high,
-            period_min=period_min,
-            period_max=period_max,
-        )
-        self.pending_timeout = pending_timeout
+        self.ledger = ledger
         self.ca_pk = ca_pk
-        self.notify_requires_certificate = notify_requires_certificate
-        self.corrupt_periods = set(corrupt_periods)
+        self.chain = Chain()
+        self.trust = TrustTable(ledger.min_check_fraction, ledger.trust_ramp)
+        self.throughput = ThroughputState(
+            block_period=ledger.block_period,
+            block_size=ledger.block_size,
+            utilization_low=ledger.utilization_low,
+            utilization_high=ledger.utilization_high,
+            period_min=ledger.period_min,
+            period_max=ledger.period_max,
+        )
+        self.corrupt_periods: set[int] = set()  # drills: turns that emit a corrupt block
 
         self.peers: list[str] = []
-        self.manager_count = 1
         self.manager_names: dict[PublicKey, str] = {}
         self.members: dict[str, str] = {}  # member id -> kind ("vehicle"/"service")
         self.key_list = KeyList()
@@ -245,7 +229,7 @@ class BlockManager(BaseActor):
             self._drop(engine, tx, "invalid", verdict.detail)
             return
         if not self._predecessor_known(tx):
-            self.waiting[tid] = (tx, origin_member, engine.now + self.pending_timeout)
+            self.waiting[tid] = (tx, origin_member, engine.now + self.ledger.pending_timeout)
             engine.trace.emit(engine.now, self.node_id, "tx_parked", t_id=tid.hex())
             return
         self._admit(engine, tx, origin_member)
@@ -297,7 +281,7 @@ class BlockManager(BaseActor):
             self._unpark(engine, tx.t_id)
 
     def _notify_update(self, engine, tx: Transaction) -> None:
-        if self.notify_requires_certificate:
+        if self.ledger.notify_requires_certificate:
             cert = self.certified.get(tx.pk_2)
             if cert is None or self.ca_pk is None or not verify_certificate(cert, self.ca_pk):
                 engine.trace.emit(engine.now, self.node_id, "notify_suppressed",
@@ -334,7 +318,7 @@ class BlockManager(BaseActor):
         this manager's turn."""
         elapsed = engine.now - self._last_tick_at
         rate = self._window_count / elapsed if elapsed > 0 else 0.0
-        utilization = self.throughput.adjust(rate, self.manager_count)
+        utilization = self.throughput.adjust(rate, len(self.peers) + 1)
         engine.trace.emit(engine.now, self.node_id, "throughput",
                           period=period_index, rate=rate, utilization=utilization,
                           band=[self.throughput.utilization_low,

@@ -3,7 +3,7 @@ request/response helper shared by all actors."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from .ledger import Block, Transaction
 

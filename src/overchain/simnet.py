@@ -10,10 +10,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-from bisect import bisect_right
-from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +47,9 @@ class Trace:
 # ---------------------------------------------------------------------------
 
 class LinkModel:
-    """Per-ordered-pair base delays with optional jitter and timed overrides.
+    """Symmetric per-pair base delays with optional one-sided jitter.
 
-    Node movement is expressed purely as scheduled base-delay changes: an
-    override (t, delay) takes effect for sends at or after time t.
+    A node moves by ``set_link``: the new delay applies to every later send.
     """
 
     def __init__(self, default_delay: float = 5.0, jitter: float = 0.0):
@@ -61,31 +58,13 @@ class LinkModel:
         self.default_delay = default_delay
         self.jitter = jitter
         self._base: dict[tuple[str, str], float] = {}
-        self._overrides: dict[tuple[str, str], list[tuple[float, float]]] = {}
 
-    def set_link(self, a: str, b: str, delay: float, symmetric: bool = True) -> None:
+    def set_link(self, a: str, b: str, delay: float) -> None:
         self._base[(a, b)] = delay
-        if symmetric:
-            self._base[(b, a)] = delay
+        self._base[(b, a)] = delay
 
-    def add_override(self, a: str, b: str, at: float, delay: float,
-                     symmetric: bool = True) -> None:
-        pairs = [(a, b), (b, a)] if symmetric else [(a, b)]
-        for pair in pairs:
-            entries = self._overrides.setdefault(pair, [])
-            entries.append((at, delay))
-            entries.sort(key=lambda e: e[0])
-
-    def base_delay(self, a: str, b: str, now: float) -> float:
-        entries = self._overrides.get((a, b))
-        if entries:
-            idx = bisect_right(entries, (now, float("inf"))) - 1
-            if idx >= 0:
-                return entries[idx][1]
-        return self._base.get((a, b), self.default_delay)
-
-    def sample(self, a: str, b: str, now: float, rng: Random) -> float:
-        base = self.base_delay(a, b, now)
+    def sample(self, a: str, b: str, rng: Random) -> float:
+        base = self._base.get((a, b), self.default_delay)
         if self.jitter:
             return base * (1.0 + self.jitter * rng.random())
         return base
@@ -140,7 +119,7 @@ class Engine:
 
     def send(self, sender: str, target: str, payload: Any) -> None:
         """Network send: delivery after the sampled link delay."""
-        delay = self.links.sample(sender, target, self.now, self.rng(f"link:{sender}"))
+        delay = self.links.sample(sender, target, self.rng(f"link:{sender}"))
         self._push(self.now + delay, target, payload)
 
     def schedule(self, delay: float, target: str, payload: Any) -> None:
@@ -158,8 +137,8 @@ class Engine:
         rng = self.rng(f"probe:{sender}")
         total = 0.0
         for _ in range(samples):
-            total += self.links.sample(sender, target, self.now, rng)
-            total += self.links.sample(target, sender, self.now, rng)
+            total += self.links.sample(sender, target, rng)
+            total += self.links.sample(target, sender, rng)
         return total / samples
 
     # -- main loop -----------------------------------------------------------

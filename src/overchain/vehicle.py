@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .config import VehicleSpec
 from .crypto import (
     ZERO_DIGEST,
     Digest,
@@ -74,28 +75,18 @@ class Vehicle(BaseActor):
 
     def __init__(
         self,
-        node_id: str,
+        spec: VehicleSpec,
         keys: KeyRing,
-        obm_id: str,
         *,
         oem_pk: Optional[PublicKey] = None,
         cloud_id: str = "cloud",
         cloud_account: Optional[tuple[str, KeyPair]] = None,
         insurance_account: Optional[tuple[str, KeyPair]] = None,
-        anchor_interval: float = 0.0,
-        backup_interval: float = 0.0,
-        record_interval: float = 0.0,
-        record_categories: tuple = ("location", "speed"),
-        upload_categories: tuple = (),
-        probe_interval: float = 0.0,
-        handover_threshold: float = 1e9,
-        handover_improvement: float = 0.8,
-        probe_samples: int = 3,
-        candidate_obms: tuple = (),
     ):
-        super().__init__(node_id)
+        super().__init__(spec.vehicle_id)
+        self.spec = spec
         self.keys = keys
-        self.obm_id = obm_id
+        self.obm_id = spec.obm
         self.oem_pk = oem_pk
         self.cloud_id = cloud_id
         self.cloud_account = cloud_account
@@ -104,17 +95,6 @@ class Vehicle(BaseActor):
         self.in_vehicle_storage: list[StorageRecord] = []
         self.backup_store: list[StorageRecord] = []
         self.installed_sw: dict[str, tuple[str, str]] = {}  # ecu -> (version, digest hex)
-
-        self.anchor_interval = anchor_interval
-        self.backup_interval = backup_interval
-        self.record_interval = record_interval
-        self.record_categories = tuple(record_categories)
-        self.upload_categories = tuple(upload_categories)
-        self.probe_interval = probe_interval
-        self.handover_threshold = handover_threshold
-        self.handover_improvement = handover_improvement
-        self.probe_samples = probe_samples
-        self.candidate_obms = tuple(candidate_obms)
 
         # access set: (requester pk, own pk) pairs this vehicle keeps uploaded
         # at its current manager, re-uploaded on handover
@@ -136,10 +116,10 @@ class Vehicle(BaseActor):
     # -- timers ----------------------------------------------------------------
 
     def start(self, engine) -> None:
-        for kind, interval in (("record", self.record_interval),
-                               ("anchor", self.anchor_interval),
-                               ("backup", self.backup_interval),
-                               ("probe", self.probe_interval)):
+        for kind, interval in (("record", self.spec.record_interval),
+                               ("anchor", self.spec.anchor_interval),
+                               ("backup", self.spec.backup_interval),
+                               ("probe", self.spec.probe_interval)):
             if interval > 0:
                 engine.schedule(interval, self.node_id, Timer(kind, {}))
 
@@ -151,16 +131,16 @@ class Vehicle(BaseActor):
     def on_timer(self, engine, timer: Timer) -> None:
         if timer.kind == "record":
             self.append_records(engine)
-            self._again(engine, "record", self.record_interval)
+            self._again(engine, "record", self.spec.record_interval)
         elif timer.kind == "anchor":
             self.anchor_storage(engine)
-            self._again(engine, "anchor", self.anchor_interval)
+            self._again(engine, "anchor", self.spec.anchor_interval)
         elif timer.kind == "backup":
             self.transfer_to_backup(engine)
-            self._again(engine, "backup", self.backup_interval)
+            self._again(engine, "backup", self.spec.backup_interval)
         elif timer.kind == "probe":
             self.evaluate_handover(engine)
-            self._again(engine, "probe", self.probe_interval)
+            self._again(engine, "probe", self.spec.probe_interval)
         elif timer.kind == "accident":
             self.trigger_accident(engine, **timer.data)
         elif timer.kind == "claim":
@@ -191,12 +171,12 @@ class Vehicle(BaseActor):
     # -- storage and anchoring ----------------------------------------------------
 
     def append_records(self, engine) -> None:
-        for category in self.record_categories:
+        for category in self.spec.record_categories:
             payload = f"{category}@{engine.now:.3f}#{self._record_seq}".encode()
             record = StorageRecord(engine.now, category, payload)
             self.in_vehicle_storage.append(record)
             self._record_seq += 1
-            if category in self.upload_categories and self.insurance_account:
+            if category in self.spec.upload_categories and self.insurance_account:
                 self._upload_record(engine, record)
 
     def _anchor_key(self) -> KeyPair:
@@ -355,15 +335,15 @@ class Vehicle(BaseActor):
     # -- soft handover ------------------------------------------------------------------
 
     def evaluate_handover(self, engine) -> None:
-        if self._handover_in_flight or not self.candidate_obms:
+        if self._handover_in_flight or not self.spec.candidate_obms:
             return
         delays = {}
-        for candidate in self.candidate_obms:
+        for candidate in self.spec.candidate_obms:
             delays[candidate] = engine.probe_rtt(
-                self.node_id, candidate, self.probe_samples)
+                self.node_id, candidate, self.spec.probe_samples)
         engine.trace.emit(engine.now, self.node_id, "probe",
                           delays={k: round(v, 6) for k, v in delays.items()})
-        eligible = {c: d for c, d in delays.items() if d <= self.handover_threshold}
+        eligible = {c: d for c, d in delays.items() if d <= self.spec.handover_threshold}
         if not eligible:
             engine.trace.emit(engine.now, self.node_id, "handover_skipped",
                               reason="all_above_threshold")
@@ -372,7 +352,7 @@ class Vehicle(BaseActor):
         if best == self.obm_id:
             return
         current_delay = delays.get(self.obm_id, float("inf"))
-        if eligible[best] > self.handover_improvement * current_delay:
+        if eligible[best] > self.spec.handover_improvement * current_delay:
             engine.trace.emit(engine.now, self.node_id, "handover_skipped",
                               reason="hysteresis")
             return

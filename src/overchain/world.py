@@ -24,7 +24,7 @@ from .ledger import (
 )
 from .manager import BlockManager
 from .messages import BaseActor, Timer, TxMessage
-from .services import CloudStore, Insurer, Oem, SwProvider, sw_object_id
+from .services import CloudStore, Insurer, Oem, SwProvider
 from .simnet import Engine, LinkModel, Trace
 from .swformat import build_sw_binary
 from .vehicle import Vehicle
@@ -310,24 +310,14 @@ def build_world(config: ScenarioConfig) -> World:
     engine = Engine(seed=seed, links=links, trace=Trace())
 
     ca = generate_keypair(f"{seed}:ca")
-    ledger = config.ledger
     managers = []
     for node_id in config.manager_ids:
-        manager = BlockManager(
-            node_id, generate_keypair(f"{seed}:key:{node_id}"),
-            block_size=ledger.block_size, block_period=ledger.block_period,
-            min_check_fraction=ledger.min_check_fraction,
-            trust_ramp=ledger.trust_ramp,
-            utilization_low=ledger.utilization_low,
-            utilization_high=ledger.utilization_high,
-            period_min=ledger.period_min, period_max=ledger.period_max,
-            pending_timeout=ledger.pending_timeout, ca_pk=ca.public,
-            notify_requires_certificate=ledger.notify_requires_certificate)
+        manager = BlockManager(node_id, generate_keypair(f"{seed}:key:{node_id}"),
+                               config.ledger, ca_pk=ca.public)
         managers.append(manager)
         engine.add_node(manager)
     for manager in managers:
         manager.peers = [m.node_id for m in managers if m is not manager]
-        manager.manager_count = len(managers)
         for other in managers:
             manager.manager_names[other.keypair.public] = other.node_id
 
@@ -388,21 +378,9 @@ def build_world(config: ScenarioConfig) -> World:
         account_key = generate_keypair(f"{seed}:cloud:{vid}")
         cloud.create_account(f"{vid}-acct", account_key.public, ["sw/"])
         vehicle = Vehicle(
-            vid, KeyRing(f"{seed}:key:{vid}",
-                         rotate_per_interaction=spec.rotate_keys),
-            spec.obm,
+            spec, KeyRing(f"{seed}:key:{vid}", rotate_per_interaction=spec.rotate_keys),
             oem_pk=oem_key.public if oem_key else None,
-            cloud_account=(f"{vid}-acct", account_key),
-            anchor_interval=spec.anchor_interval,
-            backup_interval=spec.backup_interval,
-            record_interval=spec.record_interval,
-            record_categories=spec.record_categories,
-            upload_categories=spec.upload_categories,
-            probe_interval=spec.probe_interval,
-            handover_threshold=spec.handover_threshold,
-            handover_improvement=spec.handover_improvement,
-            probe_samples=spec.probe_samples,
-            candidate_obms=spec.candidate_obms)
+            cloud_account=(f"{vid}-acct", account_key))
         world.vehicles[vid] = vehicle
         engine.add_node(vehicle)
         by_id[spec.obm].add_member(vid, "vehicle")

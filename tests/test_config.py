@@ -8,6 +8,8 @@ import pytest
 from overchain.cli import bundled_scenarios
 from overchain.config import (
     ConfigError,
+    LedgerConfig,
+    NetworkConfig,
     ServiceSpec,
     VehicleSpec,
     load_scenario,
@@ -39,6 +41,7 @@ def test_minimal_config_uses_defaults():
     assert cfg.ledger.block_period == 10.0
     assert cfg.ledger.min_check_fraction == 0.1
     assert cfg.ledger.trust_ramp == 5
+    assert cfg.ledger == LedgerConfig() and cfg.network == NetworkConfig()
     assert cfg.manager_ids == ["obm0", "obm1", "obm2", "obm3"]
     assert cfg.vehicles == ()
     assert cfg.oem is None and cfg.insurer is None and cfg.attacker is None
@@ -53,14 +56,16 @@ def test_vehicles_round_robin_and_overrides():
         network={"managers": 3},
         actors={"vehicles": {
             "count": 5,
-            "template": {"record_interval": 7.5},
+            "template": {"record_interval": 7.5, "probe_samples": 5},
             "overrides": {"veh2": {"obm": "obm0", "probe_interval": 4.0,
-                                   "candidate_obms": "all"}},
+                                   "candidate_obms": "all"},
+                          # a null override keeps the template's value
+                          "veh3": {"record_interval": None, "probe_samples": None}},
         }},
     ))
     assert [v.vehicle_id for v in cfg.vehicles] == [f"veh{i}" for i in range(5)]
     assert [v.obm for v in cfg.vehicles] == ["obm0", "obm1", "obm0", "obm0", "obm1"]
-    assert all(v.record_interval == 7.5 for v in cfg.vehicles)
+    assert all(v.record_interval == 7.5 and v.probe_samples == 5 for v in cfg.vehicles)
     veh2 = cfg.vehicles[2]
     assert veh2.probe_interval == 4.0
     assert veh2.candidate_obms == ("obm0", "obm1", "obm2")

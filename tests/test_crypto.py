@@ -19,7 +19,6 @@ from overchain.crypto import (
     digest,
     generate_keypair,
     issue_certificate,
-    sign,
     verify,
     verify_certificate,
 )
@@ -131,7 +130,7 @@ def test_seed_types():
 def test_sign_verify_round_trip_and_tamper():
     kp = generate_keypair("signer")
     msg = b"attest this"
-    s = sign(msg, kp)
+    s = kp.sign(msg)
     assert verify(msg, s, kp.public)
     assert not verify(msg + b"!", s, kp.public)
     assert not verify(msg, s, generate_keypair("other").public)

@@ -14,6 +14,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from overchain.config import LedgerConfig
 from overchain.crypto import ZERO_DIGEST, digest, generate_keypair, issue_certificate
 from overchain.ledger import (
     PayloadTag,
@@ -39,16 +40,16 @@ class Sink(BaseActor):
         self.got.append(payload)
 
 
-def build_world(n_managers: int = 2, *, delay: float = 1.0, **mgr_kwargs):
+def build_world(n_managers: int = 2, *, delay: float = 1.0, **ledger_fields):
     links = LinkModel(default_delay=delay)
     engine = Engine(seed="mgr-test", links=links, trace=Trace())
     managers = []
     for i in range(n_managers):
-        managers.append(BlockManager(f"obm{i}", generate_keypair(f"obm{i}-key"), **mgr_kwargs))
+        managers.append(BlockManager(f"obm{i}", generate_keypair(f"obm{i}-key"),
+                                     LedgerConfig(**ledger_fields)))
     ids = [m.node_id for m in managers]
     for m in managers:
         m.peers = [other for other in ids if other != m.node_id]
-        m.manager_count = n_managers
         for other in managers:
             m.manager_names[other.keypair.public] = other.node_id
         engine.add_node(m)
@@ -347,8 +348,9 @@ def test_trust_ramps_to_half_after_five_valid_blocks():
 
 
 def test_corrupt_block_is_rejected_and_resets_trust():
-    engine, managers = build_world(2, block_period=10.0, block_size=1, corrupt_periods=(2,))
+    engine, managers = build_world(2, block_period=10.0, block_size=1)
     gen, watcher = managers
+    gen.corrupt_periods = {2}
     for period in range(2):
         _, tx = single_tx(f"t{period}")
         engine.send("obm0", "obm0", TxMessage(tx, origin_member="veh"))

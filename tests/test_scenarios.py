@@ -1,5 +1,6 @@
 """End-to-end scenario behavior: bundled configurations, cross-cutting world
 checks that single-module tests cannot see, and the command-line front end."""
+import dataclasses
 import hashlib
 import json
 import struct
@@ -7,8 +8,9 @@ import struct
 import pytest
 
 from overchain.cli import bundled_scenarios, main
-from overchain.config import load_scenario, parse_scenario
-from overchain.ledger import PayloadTag
+from overchain.config import LedgerConfig, load_scenario, parse_scenario
+from overchain.crypto import ZERO_DIGEST, digest, generate_keypair
+from overchain.ledger import PayloadTag, TxKind, build_transaction, countersign
 from overchain.report import build_report, compute_metrics, parse_trace
 from overchain.world import build_world, run_scenario
 
@@ -48,6 +50,55 @@ def test_report_from_saved_trace_matches_in_memory(bundled, tmp_path):
     again = build_report(path.read_text(), run.config)
     assert again.metrics == run.metrics
     assert again.passed
+
+
+# -- configuration reaches the actors ---------------------------------------------------
+
+NON_DEFAULT_LEDGER = {
+    "block_size": 7, "block_period": 13.0, "min_check_fraction": 0.3, "trust_ramp": 9,
+    "utilization_low": 0.2, "utilization_high": 2.5, "period_min": 2.0,
+    "period_max": 90.0, "pending_timeout": 17.0, "notify_requires_certificate": False,
+}
+
+
+def test_every_ledger_setting_reaches_every_manager_and_specs_reach_vehicles():
+    assert set(NON_DEFAULT_LEDGER) == {f.name for f in dataclasses.fields(LedgerConfig)}
+    default = LedgerConfig()
+    assert all(getattr(default, k) != v for k, v in NON_DEFAULT_LEDGER.items())
+    config = parse_scenario({
+        "name": "settings", "network": {"managers": 3}, "ledger": NON_DEFAULT_LEDGER,
+        "actors": {"vehicles": {
+            "count": 3,
+            "template": {"probe_interval": 4.0, "candidate_obms": "all"},
+            "overrides": {"veh1": {"obm": "obm0", "handover_threshold": 30.0}}}},
+    })
+    world = build_world(config)
+    engine = world.engine
+    engine.now = 5.0
+    orphan = build_transaction(TxKind.SINGLE, digest(b"unknown predecessor"),
+                               digest(b"anchor"), PayloadTag.GENERIC,
+                               generate_keypair("orphan"))
+    provider, oem = generate_keypair("provider"), generate_keypair("uncertified-oem")
+    update = countersign(build_transaction(
+        TxKind.MULTI, ZERO_DIGEST, digest(b"fw"), PayloadTag.SW_UPDATE, provider,
+        recipient_pk=oem.public), oem)
+    for m in world.managers:
+        tp = m.throughput
+        assert (tp.block_size, tp.block_period, tp.utilization_low, tp.utilization_high,
+                tp.period_min, tp.period_max) == (7, 13.0, 0.2, 2.5, 2.0, 90.0)
+        assert (m.trust.min_check_fraction, m.trust.trust_ramp) == (0.3, 9)
+        m.receive_transaction(engine, orphan, None)
+        assert m.waiting[orphan.t_id][2] == 5.0 + 17.0  # parking deadline
+        m.receive_transaction(engine, update, None)
+    # no certificate is needed, so every vehicle member hears of the update
+    notified = [r["member"] for r in parse_trace(engine.trace.text())
+                if r["event"] == "update_notified"]
+    assert sorted(notified) == ["veh0", "veh1", "veh2"]
+
+    assert [v.spec for v in world.vehicles.values()] == list(config.vehicles)
+    veh1 = world.vehicles["veh1"]
+    assert (veh1.node_id, veh1.obm_id, veh1.spec.handover_threshold,
+            veh1.spec.candidate_obms) == ("veh1", "obm0", 30.0, ("obm0", "obm1", "obm2"))
 
 
 # -- a corrupt generator is contained by distributed validation ------------------------

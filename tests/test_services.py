@@ -8,6 +8,7 @@ import dataclasses
 
 import pytest
 
+from overchain.config import LedgerConfig, VehicleSpec
 from overchain.crypto import (
     ZERO_DIGEST,
     KeyRing,
@@ -342,12 +343,12 @@ def insurer_world():
     engine = Engine(seed="ins-test", links=LinkModel(default_delay=1.0), trace=Trace())
     cloud = CloudStore("cloud")
     engine.add_node(cloud)
-    manager = BlockManager("obm0", generate_keypair("obm0"), block_size=1)
+    manager = BlockManager("obm0", generate_keypair("obm0"), LedgerConfig(block_size=1))
     manager.manager_names[manager.keypair.public] = "obm0"
     engine.add_node(manager)
     insurer = Insurer("insurer", generate_keypair("insurer"), "obm0", cloud_id="cloud")
     engine.add_node(insurer)
-    veh = Vehicle("veh", KeyRing("veh-keys"), "obm0")
+    veh = Vehicle(VehicleSpec("veh", "obm0"), KeyRing("veh-keys"))
     engine.add_node(veh)
     manager.add_member("veh", "vehicle")
     manager.add_member("insurer", "service")
@@ -410,7 +411,7 @@ def test_claim_signed_by_unregistered_key_is_rejected():
 
 def test_closed_account_surfaces_on_next_vehicle_upload():
     engine, cloud, manager, insurer, veh = insurer_world()
-    veh.upload_categories = ("speed",)
+    veh.spec = dataclasses.replace(veh.spec, upload_categories=("speed",))
     insurer.open_account(engine, "veh", "owner-1")
     engine.run()
     account_id = veh.insurance_account[0]
@@ -446,7 +447,7 @@ def walkthrough_world():
     cloud = CloudStore("cloud")
     engine.add_node(cloud)
 
-    manager = BlockManager("obm0", generate_keypair("obm0"), block_size=1,
+    manager = BlockManager("obm0", generate_keypair("obm0"), LedgerConfig(block_size=1),
                            ca_pk=ca.public)
     manager.manager_names[manager.keypair.public] = "obm0"
     engine.add_node(manager)
@@ -469,7 +470,7 @@ def walkthrough_world():
 
     vehicles = []
     for i in (1, 2):
-        veh = Vehicle(f"veh{i}", KeyRing(f"veh{i}-keys"), "obm0",
+        veh = Vehicle(VehicleSpec(f"veh{i}", "obm0"), KeyRing(f"veh{i}-keys"),
                       oem_pk=oem_key.public,
                       cloud_account=(f"veh{i}-acct", generate_keypair(f"v{i}-cloud")))
         engine.add_node(veh)

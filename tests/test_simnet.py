@@ -54,17 +54,6 @@ def test_causality_no_event_before_send_time():
         assert arrival > sent_at  # delays strictly positive
 
 
-def test_link_override_takes_effect_at_time():
-    links = LinkModel(default_delay=10.0)
-    links.add_override("a", "b", at=50.0, delay=40.0)
-    engine = Engine(1, links)
-    a, b = Recorder("a"), Recorder("b")
-    engine.add_node(a), engine.add_node(b)
-    assert links.base_delay("a", "b", 0.0) == 10.0
-    assert links.base_delay("a", "b", 50.0) == 40.0
-    assert links.base_delay("b", "a", 60.0) == 40.0  # symmetric by default
-
-
 def test_probe_rtt_symmetric_no_jitter():
     links = LinkModel(default_delay=5.0)
     links.set_link("v", "m", 12.0)
@@ -76,10 +65,10 @@ def test_probe_rtt_symmetric_no_jitter():
 
 def test_probe_rtt_sees_schedule_switch():
     links = LinkModel(default_delay=10.0)
-    links.add_override("v", "m", at=50.0, delay=40.0)
     engine = Engine(1, links)
     engine.add_node(Recorder("v")), engine.add_node(Recorder("m"))
-    engine.now = 60.0
+    assert engine.probe_rtt("v", "m", samples=1) == 20.0
+    links.set_link("m", "v", 40.0)  # as move_vehicle does; both directions
     assert engine.probe_rtt("v", "m", samples=1) == 80.0
 
 

@@ -4,9 +4,14 @@ that alters either on purpose updates the hash here, and says why; a speed-up
 or refactor must leave all of them.
 """
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import overchain
 from overchain.cli import bundled_scenarios
 from overchain.report import render_json
 
@@ -54,3 +59,17 @@ def test_trace_is_byte_identical(bundled, name):
 def test_report_is_byte_identical(bundled, name):
     report = render_json(bundled(name).report).encode()
     assert hashlib.sha256(report).hexdigest() == GOLDEN_REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "424242"])
+def test_cli_trace_is_independent_of_python_hash_seed(tmp_path, hash_seed):
+    names = ["insurance", "wrsu_happy_path"]
+    src = str(Path(overchain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "overchain.cli", "run", *names,
+                    "--trace", str(tmp_path)],
+                   env=env, check=True, capture_output=True)
+    for name in names:
+        trace = (tmp_path / f"{name}.trace.jsonl").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == GOLDEN_TRACE_SHA256[name], name

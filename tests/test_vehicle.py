@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+from overchain.config import VehicleSpec
 from overchain.crypto import (
     ZERO_DIGEST,
     KeyRing,
@@ -57,8 +58,8 @@ def make_engine(**link_kwargs):
     return Engine(seed="veh-test", links=LinkModel(**link_kwargs), trace=Trace())
 
 
-def make_vehicle(engine, obm_id="obm", **kwargs):
-    veh = Vehicle("veh", KeyRing("veh-keys"), obm_id, **kwargs)
+def make_vehicle(engine, spec=VehicleSpec("veh", "obm"), **kwargs):
+    veh = Vehicle(spec, KeyRing("veh-keys"), **kwargs)
     engine.add_node(veh)
     return veh
 
@@ -119,7 +120,8 @@ def test_anchors_use_stable_insurance_key_when_present():
 def test_rotating_keys_break_anchor_linkage_on_purpose():
     engine = make_engine()
     engine.add_node(Sink("obm"))
-    veh = Vehicle("veh", KeyRing("veh-keys", rotate_per_interaction=True), "obm")
+    veh = Vehicle(VehicleSpec("veh", "obm"),
+                  KeyRing("veh-keys", rotate_per_interaction=True))
     engine.add_node(veh)
     first = veh.anchor_storage(engine)
     second = veh.anchor_storage(engine)
@@ -317,10 +319,9 @@ def handover_world(delay_current, delay_other, *, threshold=100.0):
         engine.add_node(m)
     for m in managers:
         m.peers = [o.node_id for o in managers if o is not m]
-        m.manager_count = 2
-    veh = Vehicle("veh", KeyRing("veh-keys"), "obm0",
-                  handover_threshold=threshold,
-                  candidate_obms=("obm0", "obm1"))
+    veh = Vehicle(VehicleSpec("veh", "obm0", handover_threshold=threshold,
+                              candidate_obms=("obm0", "obm1")),
+                  KeyRing("veh-keys"))
     engine.add_node(veh)
     requester = generate_keypair("req")
     veh.access_set.append((requester.public, veh.keys.current.public))
@@ -431,8 +432,9 @@ def test_record_and_anchor_timers_accumulate_and_anchor_periodically():
     engine = make_engine(default_delay=1.0)
     obm = Sink("obm")
     engine.add_node(obm)
-    veh = make_vehicle(engine, record_interval=1.0, anchor_interval=5.0,
-                       record_categories=("speed",))
+    veh = make_vehicle(engine, VehicleSpec("veh", "obm", record_interval=1.0,
+                                           anchor_interval=5.0,
+                                           record_categories=("speed",)))
     veh.start(engine)
     engine.run(max_time=20.5)
     assert len(veh.in_vehicle_storage) == 20
