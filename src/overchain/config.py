@@ -6,10 +6,15 @@ parameters, actor roster, background traffic phases, a script of timed
 directives, and the expectations the report is checked against. The loader
 rejects unknown keys and reports every problem with its field path; YAML
 syntax errors carry the line number from the parser.
+
+Each setting is one dataclass field: its annotation is the checked type,
+``_at_least``/``_above`` its bound, its default what a missing or null key keeps.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -36,28 +41,36 @@ class ConfigError(ValueError):
     lines (or the YAML parser's line/column for syntax errors)."""
 
 
+def _at_least(low, default):
+    return field(default=default, metadata={"bound": (low, False)})
+
+
+def _above(low, default):
+    return field(default=default, metadata={"bound": (low, True)})
+
+
 # -- dataclasses ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    managers: int = 4
-    default_delay: float = 5.0
-    jitter: float = 0.0
+    managers: int = _at_least(1, default=4)
+    default_delay: float = _above(0.0, default=5.0)
+    jitter: float = _at_least(0.0, default=0.0)
     links: tuple = ()  # (node_a, node_b, one_way_delay)
 
 
 @dataclass(frozen=True)
 class LedgerConfig:
-    block_size: int = 10
-    block_period: float = 10.0
-    min_check_fraction: float = 0.1
-    trust_ramp: int = 5
-    utilization_low: float = 0.5
-    utilization_high: float = 1.0
-    period_min: float = 1.0
-    period_max: float = 120.0
-    pending_timeout: float = 60.0
+    block_size: int = _at_least(1, default=10)
+    block_period: float = _above(0.0, default=10.0)
+    min_check_fraction: float = _at_least(0.0, default=0.1)
+    trust_ramp: int = _at_least(1, default=5)
+    utilization_low: float = _at_least(0.0, default=0.5)
+    utilization_high: float = _at_least(0.0, default=1.0)
+    period_min: float = _above(0.0, default=1.0)
+    period_max: float = _above(0.0, default=120.0)
+    pending_timeout: float = _at_least(0.0, default=60.0)
     notify_requires_certificate: bool = True
 
 
@@ -65,17 +78,17 @@ class LedgerConfig:
 class VehicleSpec:
     vehicle_id: str
     obm: str
-    record_interval: float = 0.0
-    anchor_interval: float = 0.0
-    backup_interval: float = 0.0
-    probe_interval: float = 0.0
-    handover_threshold: float = 1e9
-    handover_improvement: float = 0.8
-    probe_samples: int = 3
-    candidate_obms: tuple = ()
+    record_interval: float = _at_least(0.0, default=0.0)
+    anchor_interval: float = _at_least(0.0, default=0.0)
+    backup_interval: float = _at_least(0.0, default=0.0)
+    probe_interval: float = _at_least(0.0, default=0.0)
+    handover_threshold: float = _at_least(0.0, default=1e9)
+    handover_improvement: float = _at_least(0.0, default=0.8)
+    probe_samples: int = _at_least(1, default=3)
+    candidate_obms: tuple[str, ...] = ()
     rotate_keys: bool = False
-    record_categories: tuple = ("location", "speed")
-    upload_categories: tuple = ()
+    record_categories: tuple[str, ...] = ("location", "speed")
+    upload_categories: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -86,10 +99,14 @@ class ServiceSpec:
 
 @dataclass(frozen=True)
 class TrafficPhase:
-    start: float
-    stop: float
-    pairs: int
-    interval: float
+    start: float = _at_least(0.0, default=0.0)
+    stop: Optional[float] = None  # None: one round of transactions, at start
+    pairs: int = _at_least(0, default=0)
+    interval: float = _above(0.0, default=1.0)
+
+    def __post_init__(self) -> None:
+        if self.stop is None:
+            object.__setattr__(self, "stop", self.start)
 
 
 @dataclass(frozen=True)
@@ -101,17 +118,17 @@ class Directive:
 
 @dataclass(frozen=True)
 class Expectation:
-    metric: str
-    op: str
-    value: Any
-    tol: float = 0.0
+    metric: str = ""
+    op: str = "eq"
+    value: Any = None
+    tol: float = _at_least(0.0, default=0.0)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
     seed: int = 0
-    duration: float = 100.0
+    duration: float = _above(0.0, default=100.0)
     description: str = ""
     network: NetworkConfig = field(default_factory=NetworkConfig)
     ledger: LedgerConfig = field(default_factory=LedgerConfig)
@@ -132,134 +149,137 @@ class ScenarioConfig:
 
 # -- checked readers --------------------------------------------------------------
 
+# Each directive's parameters: name -> (type, default); ``...`` marks a required
+# one, None an optional one. Numbers are counts or times, so none may be negative.
 _DIRECTIVES = {
-    "publish_update": {"provider": str, "ecu": str, "version": str, "body": str},
-    "tamper_cloud_object": {"version": str, "object": str},
-    "start_ddos": {"attackers": int, "tx_per_attacker": int, "target": str,
-                   "interval": float, "keyed_attackers": int},
-    "open_account": {"vehicle": str, "owner": str},
-    "close_account": {"vehicle": str},
-    "trigger_accident": {"vehicle": str, "tamper": bool, "claim_delay": float},
-    "move_vehicle": {"vehicle": str, "links": dict},
-    "impersonate_provider": {"ecu": str, "version": str},
-    "impersonate_oem": {"ecu": str, "version": str},
-}
-
-_DIRECTIVE_REQUIRED = {
-    "publish_update": {"ecu", "version"},
-    "tamper_cloud_object": set(),  # one of version/object, checked separately
-    "start_ddos": {"attackers", "tx_per_attacker", "target", "interval"},
-    "open_account": {"vehicle", "owner"},
-    "close_account": {"vehicle"},
-    "trigger_accident": {"vehicle"},
-    "move_vehicle": {"vehicle", "links"},
-    "impersonate_provider": {"ecu", "version"},
-    "impersonate_oem": {"ecu", "version"},
+    "publish_update": {"provider": (str, None), "ecu": (str, ...), "version": (str, ...),
+                       "body": (str, None)},
+    "tamper_cloud_object": {"version": (str, None), "object": (str, None)},
+    "start_ddos": {"attackers": (int, ...), "tx_per_attacker": (int, ...),
+                   "target": (str, ...), "interval": (float, ...),
+                   "keyed_attackers": (int, 0)},
+    "open_account": {"vehicle": (str, ...), "owner": (str, ...)},
+    "close_account": {"vehicle": (str, ...)},
+    "trigger_accident": {"vehicle": (str, ...), "tamper": (bool, False),
+                         "claim_delay": (float, 0.0)},
+    "move_vehicle": {"vehicle": (str, ...), "links": (dict, ...)},
+    "impersonate_provider": {"ecu": (str, ...), "version": (str, ...)},
+    "impersonate_oem": {"ecu": (str, ...), "version": (str, ...)},
 }
 
 _OPS = {"eq", "ne", "ge", "le", "gt", "lt", "between"}
+
+_NAMES = tuple[str, ...]  # read from a YAML list of strings
+# The types the reader checks, and how an error names each one.
+_EXPECTED = {int: "an integer", float: "a number", str: "a string",
+             bool: "true/false", _NAMES: "a list of strings", list: "a list",
+             dict: "a mapping"}
+
+
+@functools.cache
+def _plan(cls) -> tuple:
+    """(name, type, bound) of each field of ``cls`` whose type the reader checks."""
+    hints = typing.get_type_hints(cls)
+    plan = []
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if typing.get_origin(kind) is typing.Union:  # Optional[X]
+            kind = typing.get_args(kind)[0]
+        if kind in _EXPECTED:
+            plan.append((f.name, kind, f.metadata.get("bound")))
+    return tuple(plan)
+
+
+class _Section(dict):
+    """A mapping from the scenario file that records the keys read with ``get``."""
+
+    read: set
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
 
 
 class _Checker:
     def __init__(self) -> None:
         self.problems: list[str] = []
+        self.sections: list[tuple[str, _Section]] = []
 
     def fail(self, path: str, message: str) -> None:
         self.problems.append(f"{path}: {message}")
 
-    def mapping(self, obj, path: str, allowed: set[str]) -> dict:
-        if obj is None:
-            return {}
-        if not isinstance(obj, dict):
-            self.fail(path, f"expected a mapping, got {type(obj).__name__}")
-            return {}
-        for key in obj:
-            if key not in allowed:
-                self.fail(f"{path}.{key}", "unknown key")
-        return obj
+    def value(self, obj, path: str, kind, bound=None, default=None):
+        """``obj`` if it has type ``kind`` (a key of ``_EXPECTED``), else
+        ``default``; a ``(low, strict)`` bound is checked and reported."""
+        if kind == _NAMES:
+            ok = isinstance(obj, list) and all(isinstance(v, str) for v in obj)
+        else:
+            ok = (isinstance(obj, (int, float) if kind is float else kind)
+                  and (kind is bool or not isinstance(obj, bool)))
+        if not ok:
+            self.fail(path, f"expected {_EXPECTED[kind]}, got {type(obj).__name__}")
+            return default
+        if bound is not None:
+            low, strict = bound
+            if obj < low or (strict and obj == low):
+                self.fail(path, f"must be {'greater than' if strict else 'at least'} {low}")
+        return float(obj) if kind is float else tuple(obj) if kind == _NAMES else obj
 
-    def number(self, obj, path: str, default, *, minimum=None, strict_min=False):
-        if obj is None:
-            return default
-        if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-            self.fail(path, f"expected a number, got {type(obj).__name__}")
-            return default
-        value = float(obj)
-        if minimum is not None and (value < minimum or (strict_min and value == minimum)):
-            bound = "greater than" if strict_min else "at least"
-            self.fail(path, f"must be {bound} {minimum}")
-        return value
+    def read(self, raw: dict, key, path: str, kind, bound=None, default=None):
+        """``raw[key]`` checked as ``value`` does; missing or null gives
+        ``default``, and is reported when ``default`` is ``...`` (required)."""
+        obj, where = raw.get(key), f"{path}.{key}" if path else key
+        fallback = None if default is ... else default
+        if obj is not None:
+            return self.value(obj, where, kind, bound, fallback)
+        if default is ...:
+            self.fail(where, "required")
+        return fallback
 
-    def integer(self, obj, path: str, default, *, minimum=None):
-        if obj is None:
-            return default
-        if isinstance(obj, bool) or not isinstance(obj, int):
-            self.fail(path, f"expected an integer, got {type(obj).__name__}")
-            return default
-        if minimum is not None and obj < minimum:
-            self.fail(path, f"must be at least {minimum}")
-        return obj
+    def mapping(self, obj, path: str) -> _Section:
+        """The section at ``path``; ``finish`` reports the keys no reader asked for."""
+        section = _Section({} if obj is None else self.value(obj, path, dict, default={}))
+        section.read = set()
+        self.sections.append((path, section))
+        return section
 
-    def text(self, obj, path: str, default=""):
-        if obj is None:
-            return default
-        if not isinstance(obj, str):
-            self.fail(path, f"expected a string, got {type(obj).__name__}")
-            return default
-        return obj
+    def build(self, cls, raw: dict, path: str, base=None, **given):
+        """``cls`` from the section ``raw``, reading each field of its plan not in
+        ``given``. A missing, null or ill-typed key, or a None in ``given``, keeps
+        ``base``'s value, or the class default when ``base`` is None."""
+        values = {name: v for name, v in given.items() if v is not None}
+        for name, kind, bound in _plan(cls):
+            if name not in given:
+                value = self.read(raw, name, path, kind, bound)
+                if value is not None:
+                    values[name] = value
+        return cls(**values) if base is None else dataclasses.replace(base, **values)
 
-    def flag(self, obj, path: str, default: bool) -> bool:
-        if obj is None:
-            return default
-        if not isinstance(obj, bool):
-            self.fail(path, f"expected true/false, got {type(obj).__name__}")
-            return default
-        return obj
+    def finish(self) -> None:
+        for path, section in self.sections:
+            for key in section:
+                if key not in section.read:
+                    self.fail(f"{path or '<root>'}.{key}", "unknown key")
+        if self.problems:
+            raise ConfigError("\n".join(self.problems))
 
 
 def _parse_network(check: _Checker, obj) -> NetworkConfig:
-    raw = check.mapping(obj, "network", {"managers", "default_delay", "jitter", "links"})
-    default = NetworkConfig()
-    managers = check.integer(raw.get("managers"), "network.managers", default.managers,
-                             minimum=1)
-    default_delay = check.number(raw.get("default_delay"), "network.default_delay",
-                                 default.default_delay, minimum=0.0, strict_min=True)
-    jitter = check.number(raw.get("jitter"), "network.jitter", default.jitter, minimum=0.0)
+    raw = check.mapping(obj, "network")
     links = []
-    raw_links = raw.get("links") or []
-    if not isinstance(raw_links, list):
-        check.fail("network.links", "expected a list of [node, node, delay]")
-        raw_links = []
-    for i, entry in enumerate(raw_links):
+    for i, entry in enumerate(check.read(raw, "links", "network", list, default=[])):
         path = f"network.links[{i}]"
         if (not isinstance(entry, (list, tuple)) or len(entry) != 3
                 or not isinstance(entry[0], str) or not isinstance(entry[1], str)):
             check.fail(path, "expected [node_a, node_b, delay]")
             continue
-        delay = check.number(entry[2], f"{path}.delay", 1.0, minimum=0.0, strict_min=True)
+        delay = check.value(entry[2], f"{path}.delay", float, (0.0, True))
         links.append((entry[0], entry[1], delay))
-    return NetworkConfig(managers, default_delay, jitter, tuple(links))
+    return check.build(NetworkConfig, raw, "network", links=tuple(links))
 
 
 def _parse_ledger(check: _Checker, obj) -> LedgerConfig:
-    raw = check.mapping(obj, "ledger", {f.name for f in dataclasses.fields(LedgerConfig)})
-    default = LedgerConfig()
-
-    def read(reader, name: str, **bounds):
-        return reader(raw.get(name), f"ledger.{name}", getattr(default, name), **bounds)
-
-    cfg = LedgerConfig(
-        block_size=read(check.integer, "block_size", minimum=1),
-        block_period=read(check.number, "block_period", minimum=0.0, strict_min=True),
-        min_check_fraction=read(check.number, "min_check_fraction", minimum=0.0),
-        trust_ramp=read(check.integer, "trust_ramp", minimum=1),
-        utilization_low=read(check.number, "utilization_low", minimum=0.0),
-        utilization_high=read(check.number, "utilization_high", minimum=0.0),
-        period_min=read(check.number, "period_min", minimum=0.0, strict_min=True),
-        period_max=read(check.number, "period_max", minimum=0.0, strict_min=True),
-        pending_timeout=read(check.number, "pending_timeout", minimum=0.0),
-        notify_requires_certificate=read(check.flag, "notify_requires_certificate"),
-    )
+    cfg = check.build(LedgerConfig, check.mapping(obj, "ledger"), "ledger")
     if cfg.min_check_fraction > 1.0:
         check.fail("ledger.min_check_fraction", "must be at most 1.0")
     if cfg.utilization_low > cfg.utilization_high:
@@ -269,82 +289,43 @@ def _parse_ledger(check: _Checker, obj) -> LedgerConfig:
     return cfg
 
 
-def _parse_vehicle_fields(check: _Checker, raw: dict, path: str,
-                          base: dict, manager_ids: list[str]) -> dict:
-    out = dict(base)
-    for key, value in raw.items():
-        if key == "obm":
-            obm = check.text(value, f"{path}.obm", out["obm"])
-            if obm and obm not in manager_ids:
-                check.fail(f"{path}.obm", f"unknown manager '{obm}'")
-            out["obm"] = obm
-        elif key in ("record_interval", "anchor_interval", "backup_interval",
-                     "probe_interval", "handover_threshold", "handover_improvement"):
-            out[key] = check.number(value, f"{path}.{key}", out[key], minimum=0.0)
-        elif key == "probe_samples":
-            out[key] = check.integer(value, f"{path}.{key}", out[key], minimum=1)
-        elif key == "rotate_keys":
-            out[key] = check.flag(value, f"{path}.{key}", out[key])
-        elif key == "candidate_obms":
-            if value == "all":
-                out[key] = tuple(manager_ids)
-            elif isinstance(value, list) and all(isinstance(v, str) for v in value):
-                for v in value:
-                    if v not in manager_ids:
-                        check.fail(f"{path}.candidate_obms", f"unknown manager '{v}'")
-                out[key] = tuple(value)
-            else:
-                check.fail(f"{path}.candidate_obms",
-                           "expected 'all' or a list of manager ids")
-        elif key in ("record_categories", "upload_categories"):
-            if isinstance(value, list) and all(isinstance(v, str) for v in value):
-                out[key] = tuple(value)
-            else:
-                check.fail(f"{path}.{key}", "expected a list of category names")
-        else:
-            check.fail(f"{path}.{key}", "unknown key")
-    return out
+def _parse_vehicle(check: _Checker, obj, path: str, base: VehicleSpec,
+                   manager_ids: list[str]) -> VehicleSpec:
+    """``base`` with the fields the template or override at ``path`` sets."""
+    raw = check.mapping(obj, path)
+    given = {"vehicle_id": base.vehicle_id}
+    if raw.get("candidate_obms") == "all":
+        given["candidate_obms"] = tuple(manager_ids)
+    spec = check.build(VehicleSpec, raw, path, base, **given)
+    if spec.obm and spec.obm != base.obm and spec.obm not in manager_ids:
+        check.fail(f"{path}.obm", f"unknown manager '{spec.obm}'")
+    for v in spec.candidate_obms:
+        if v not in manager_ids:
+            check.fail(f"{path}.candidate_obms", f"unknown manager '{v}'")
+    return spec
 
 
 def _parse_vehicles(check: _Checker, obj, manager_ids: list[str]) -> tuple:
-    raw = check.mapping(obj, "actors.vehicles", {"count", "template", "overrides"})
-    count = check.integer(raw.get("count"), "actors.vehicles.count", 0, minimum=0)
-    template_raw = raw.get("template") or {}
-    if not isinstance(template_raw, dict):
-        check.fail("actors.vehicles.template", "expected a mapping")
-        template_raw = {}
-    base = {f.name: f.default for f in dataclasses.fields(VehicleSpec)
-            if f.default is not dataclasses.MISSING}
-    base["obm"] = "round_robin"
-    if template_raw.get("obm") == "round_robin":
-        template_raw = dict(template_raw)
-        template_raw.pop("obm")
-    template = _parse_vehicle_fields(check, template_raw, "actors.vehicles.template",
-                                     base, manager_ids)
-
-    overrides_raw = raw.get("overrides") or {}
-    if not isinstance(overrides_raw, dict):
-        check.fail("actors.vehicles.overrides", "expected a mapping of vehicle id")
-        overrides_raw = {}
+    raw = check.mapping(obj, "actors.vehicles")
+    count = check.read(raw, "count", "actors.vehicles", int, (0, False), default=0)
+    template = _parse_vehicle(check, raw.get("template"), "actors.vehicles.template",
+                              VehicleSpec("", "round_robin"), manager_ids)
+    overrides = check.read(raw, "overrides", "actors.vehicles", dict, default={})
     vehicle_ids = [f"veh{i}" for i in range(count)]
-    for vid in overrides_raw:
+    for vid in overrides:
         if vid not in vehicle_ids:
             check.fail(f"actors.vehicles.overrides.{vid}", "unknown vehicle id")
 
     specs = []
     for i, vid in enumerate(vehicle_ids):
-        fields_ = dict(template)
-        override = overrides_raw.get(vid)
-        if isinstance(override, dict):
-            fields_ = _parse_vehicle_fields(
-                check, override, f"actors.vehicles.overrides.{vid}", fields_,
-                manager_ids)
-        elif override is not None:
-            check.fail(f"actors.vehicles.overrides.{vid}", "expected a mapping")
-        obm = fields_.pop("obm")
+        obm = template.obm
         if obm == "round_robin":
             obm = manager_ids[i % len(manager_ids)]
-        specs.append(VehicleSpec(vehicle_id=vid, obm=obm, **fields_))
+        spec = VehicleSpec(**{**vars(template), "vehicle_id": vid, "obm": obm})
+        if vid in overrides:
+            spec = _parse_vehicle(check, overrides[vid],
+                                  f"actors.vehicles.overrides.{vid}", spec, manager_ids)
+        specs.append(spec)
     return tuple(specs)
 
 
@@ -352,115 +333,75 @@ def _parse_service(check: _Checker, obj, path: str, default_id: str,
                    manager_ids: list[str]):
     if obj is None:
         return None
-    raw = check.mapping(obj, path, {"id", "obm"})
-    sid = check.text(raw.get("id"), f"{path}.id", default_id)
-    obm = check.text(raw.get("obm"), f"{path}.obm", manager_ids[0])
-    if obm not in manager_ids:
-        check.fail(f"{path}.obm", f"unknown manager '{obm}'")
-    return ServiceSpec(sid, obm)
+    raw = check.mapping(obj, path)
+    spec = ServiceSpec(check.read(raw, "id", path, str, default=default_id),
+                       check.read(raw, "obm", path, str, default=manager_ids[0]))
+    if spec.obm not in manager_ids:
+        check.fail(f"{path}.obm", f"unknown manager '{spec.obm}'")
+    return spec
 
 
 def _parse_actors(check: _Checker, obj, manager_ids: list[str]):
-    raw = check.mapping(obj, "actors",
-                        {"oem", "providers", "insurer", "attacker", "vehicles"})
-    oem = _parse_service(check, raw.get("oem"), "actors.oem", "oem", manager_ids)
-    insurer = _parse_service(check, raw.get("insurer"), "actors.insurer",
-                             "insurer", manager_ids)
-    attacker = _parse_service(check, raw.get("attacker"), "actors.attacker",
-                              "attacker", manager_ids)
-    providers = []
-    raw_providers = raw.get("providers") or []
-    if not isinstance(raw_providers, list):
-        check.fail("actors.providers", "expected a list")
-        raw_providers = []
-    for i, entry in enumerate(raw_providers):
-        spec = _parse_service(check, entry, f"actors.providers[{i}]",
-                              f"provider{i}", manager_ids)
-        if spec is not None:
-            providers.append(spec)
+    raw = check.mapping(obj, "actors")
+    oem, insurer, attacker = (
+        _parse_service(check, raw.get(role), f"actors.{role}", role, manager_ids)
+        for role in ("oem", "insurer", "attacker"))
+    providers = tuple(
+        _parse_service(check, entry, f"actors.providers[{i}]", f"provider{i}", manager_ids)
+        for i, entry in enumerate(check.read(raw, "providers", "actors", list, default=[]))
+        if entry is not None)
     if providers and oem is None:
         check.fail("actors.providers", "software providers require actors.oem")
     vehicles = _parse_vehicles(check, raw.get("vehicles"), manager_ids)
-    return oem, tuple(providers), insurer, attacker, vehicles
+    return oem, providers, insurer, attacker, vehicles
 
 
 def _parse_traffic(check: _Checker, obj, vehicle_count: int) -> tuple:
-    raw = check.mapping(obj, "traffic", {"phases"})
-    phases_raw = raw.get("phases") or []
-    if not isinstance(phases_raw, list):
-        check.fail("traffic.phases", "expected a list")
-        phases_raw = []
+    raw = check.mapping(obj, "traffic")
     phases = []
-    for i, entry in enumerate(phases_raw):
+    for i, entry in enumerate(check.read(raw, "phases", "traffic", list, default=[])):
         path = f"traffic.phases[{i}]"
-        phase = check.mapping(entry, path, {"start", "stop", "pairs", "interval"})
-        start = check.number(phase.get("start"), f"{path}.start", 0.0, minimum=0.0)
-        stop = check.number(phase.get("stop"), f"{path}.stop", start)
-        pairs = check.integer(phase.get("pairs"), f"{path}.pairs", 0, minimum=0)
-        interval = check.number(phase.get("interval"), f"{path}.interval",
-                                1.0, minimum=0.0, strict_min=True)
-        if stop < start:
+        phase = check.build(TrafficPhase, check.mapping(entry, path), path)
+        if phase.stop < phase.start:
             check.fail(f"{path}.stop", "must not precede start")
-        if pairs * 2 > vehicle_count:
+        if phase.pairs * 2 > vehicle_count:
             check.fail(f"{path}.pairs",
-                       f"needs {pairs * 2} vehicles, roster has {vehicle_count}")
-        phases.append(TrafficPhase(start, stop, pairs, interval))
+                       f"needs {phase.pairs * 2} vehicles, roster has {vehicle_count}")
+        phases.append(phase)
     return tuple(phases)
 
 
-def _parse_script(check: _Checker, obj, known_ids: dict, duration: float) -> tuple:
-    if obj is None:
-        return ()
-    if not isinstance(obj, list):
-        check.fail("script", "expected a list of directives")
-        return ()
+def _parse_script(check: _Checker, entries: list, known_ids: dict,
+                  duration: float) -> tuple:
     directives = []
-    for i, entry in enumerate(obj):
+    for i, entry in enumerate(entries):
         path = f"script[{i}]"
-        if not isinstance(entry, dict):
-            check.fail(path, "expected a mapping")
+        if check.value(entry, path, dict) is None:
             continue
         action = entry.get("do")
         if action not in _DIRECTIVES:
             check.fail(f"{path}.do", f"unknown directive '{action}'")
             continue
-        at = check.number(entry.get("at"), f"{path}.at", 0.0, minimum=0.0)
+        at = check.read(entry, "at", path, float, (0.0, False), default=0.0)
         if at > duration:
             check.fail(f"{path}.at", f"past scenario duration {duration}")
-        allowed = _DIRECTIVES[action]
-        params = {}
-        for key, value in entry.items():
-            if key in ("at", "do"):
-                continue
-            if key not in allowed:
+        table = _DIRECTIVES[action]
+        for key in entry:
+            if key not in table and key not in ("at", "do"):
                 check.fail(f"{path}.{key}", f"unknown key for {action}")
-                continue
-            expected = allowed[key]
-            if expected is float:
-                params[key] = check.number(value, f"{path}.{key}", 0.0)
-            elif expected is int:
-                params[key] = check.integer(value, f"{path}.{key}", 0, minimum=0)
-            elif expected is bool:
-                params[key] = check.flag(value, f"{path}.{key}", False)
-            elif expected is dict:
-                if not isinstance(value, dict):
-                    check.fail(f"{path}.{key}", "expected a mapping")
-                else:
-                    params[key] = value
-            else:
-                params[key] = check.text(value, f"{path}.{key}")
-        missing = _DIRECTIVE_REQUIRED[action] - params.keys()
-        if missing:
-            check.fail(path, f"{action} missing required keys: {sorted(missing)}")
-        if action == "tamper_cloud_object" and not ({"version", "object"} & params.keys()):
+        params = {key: check.read(entry, key, path, kind,
+                                  (0, False) if kind in (int, float) else None, default)
+                  for key, (kind, default) in table.items()}
+        if action == "tamper_cloud_object" and params["version"] is None \
+                and params["object"] is None:
             check.fail(path, "tamper_cloud_object needs 'version' or 'object'")
 
         # referential checks
         for key in ("vehicle", "target"):
-            if key in params and params[key] not in known_ids["vehicles"]:
+            if params.get(key) is not None and params[key] not in known_ids["vehicles"]:
                 check.fail(f"{path}.{key}", f"unknown vehicle '{params[key]}'")
         if action == "publish_update":
-            provider = params.get("provider")
+            provider = params["provider"]
             if provider is None:
                 if len(known_ids["providers"]) == 1:
                     params["provider"] = known_ids["providers"][0]
@@ -479,63 +420,50 @@ def _parse_script(check: _Checker, obj, known_ids: dict, duration: float) -> tup
                 check.fail(path, f"{action} requires an attacker in the roster")
             if known_ids["oem"] is None:
                 check.fail(path, f"{action} requires an oem in the roster")
-        if action == "move_vehicle":
-            for node in params.get("links", {}):
+        if action == "move_vehicle" and params["links"] is not None:
+            for node in params["links"]:
                 if node not in known_ids["managers"]:
                     check.fail(f"{path}.links.{node}", "unknown manager")
+            params["links"] = {node: check.value(delay, f"{path}.links.{node}", float,
+                                                 (0.0, True))
+                               for node, delay in params["links"].items()}
         directives.append(Directive(at, action, params))
     return tuple(sorted(directives, key=lambda d: d.at))
 
 
-def _parse_expectations(check: _Checker, obj) -> tuple:
-    if obj is None:
-        return ()
-    if not isinstance(obj, list):
-        check.fail("expectations", "expected a list")
-        return ()
+def _parse_expectations(check: _Checker, entries: list) -> tuple:
     out = []
-    for i, entry in enumerate(obj):
+    for i, entry in enumerate(entries):
         path = f"expectations[{i}]"
-        raw = check.mapping(entry, path, {"metric", "op", "value", "tol"})
-        metric = check.text(raw.get("metric"), f"{path}.metric")
-        if not metric:
+        raw = check.mapping(entry, path)
+        expectation = check.build(Expectation, raw, path, value=raw.get("value"))
+        if not expectation.metric:
             check.fail(f"{path}.metric", "required")
-        op = check.text(raw.get("op"), f"{path}.op", "eq")
-        if op not in _OPS:
-            check.fail(f"{path}.op", f"unknown comparison '{op}'")
-        value = raw.get("value")
-        if op == "between":
+        if expectation.op not in _OPS:
+            check.fail(f"{path}.op", f"unknown comparison '{expectation.op}'")
+        value = expectation.value
+        if expectation.op == "between":
             if (not isinstance(value, list) or len(value) != 2
                     or not all(isinstance(v, (int, float)) for v in value)):
                 check.fail(f"{path}.value", "'between' takes [low, high]")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            check.fail(f"{path}.value", "expected a number")
-        tol = check.number(raw.get("tol"), f"{path}.tol", 0.0, minimum=0.0)
-        out.append(Expectation(metric, op, value, tol))
+        else:
+            check.value(value, f"{path}.value", float)
+        out.append(expectation)
     return tuple(out)
-
-
-_TOP_KEYS = {"name", "description", "seed", "duration", "network", "ledger",
-             "cloud", "actors", "traffic", "script", "expectations"}
 
 
 def parse_scenario(obj: Any, *, default_name: str = "scenario") -> ScenarioConfig:
     """Validate a parsed YAML document and build the ScenarioConfig."""
-    check = _Checker()
-    raw = check.mapping(obj, "<root>", _TOP_KEYS)
     if not isinstance(obj, dict):
-        raise ConfigError("\n".join(check.problems))
-
-    name = check.text(raw.get("name"), "name", default_name)
-    description = check.text(raw.get("description"), "description")
-    seed = check.integer(raw.get("seed"), "seed", 0)
-    duration = check.number(raw.get("duration"), "duration", 100.0,
-                            minimum=0.0, strict_min=True)
+        raise ConfigError(f"<root>: expected a mapping, got {type(obj).__name__}")
+    check = _Checker()
+    raw = check.mapping(obj, "")
+    cloud = check.mapping(raw.get("cloud"), "cloud")
+    head = check.build(ScenarioConfig, raw, "", ScenarioConfig(default_name),
+                       retain_closed_objects=check.read(
+                           cloud, "retain_closed_objects", "cloud", bool))
     network = _parse_network(check, raw.get("network"))
     ledger = _parse_ledger(check, raw.get("ledger"))
-    cloud_raw = check.mapping(raw.get("cloud"), "cloud", {"retain_closed_objects"})
-    retain = check.flag(cloud_raw.get("retain_closed_objects"),
-                        "cloud.retain_closed_objects", True)
 
     manager_ids = [f"obm{i}" for i in range(max(network.managers, 1))]
     oem, providers, insurer, attacker, vehicles = _parse_actors(
@@ -564,22 +492,21 @@ def parse_scenario(obj: Any, *, default_name: str = "scenario") -> ScenarioConfi
                 check.fail(f"network.links[{i}]", f"unknown node '{node}'")
 
     traffic = _parse_traffic(check, raw.get("traffic"), len(vehicles))
-    script = _parse_script(check, raw.get("script"), known_ids, duration)
-    expectations = _parse_expectations(check, raw.get("expectations"))
+    script = _parse_script(check, check.read(raw, "script", "", list, default=[]),
+                           known_ids, head.duration)
+    expectations = _parse_expectations(
+        check, check.read(raw, "expectations", "", list, default=[]))
 
     for i, phase in enumerate(traffic):
-        if phase.stop > duration:
+        if phase.stop > head.duration:
             check.fail(f"traffic.phases[{i}].stop",
-                       f"extends past duration {duration}")
+                       f"extends past duration {head.duration}")
 
-    if check.problems:
-        raise ConfigError("\n".join(check.problems))
-    return ScenarioConfig(
-        name=name, seed=seed, duration=duration, description=description,
-        network=network, ledger=ledger, retain_closed_objects=retain,
-        oem=oem, providers=providers, insurer=insurer, attacker=attacker,
-        vehicles=vehicles, traffic=traffic, script=script,
-        expectations=expectations)
+    check.finish()
+    return dataclasses.replace(
+        head, network=network, ledger=ledger, oem=oem, providers=providers,
+        insurer=insurer, attacker=attacker, vehicles=vehicles, traffic=traffic,
+        script=script, expectations=expectations)
 
 
 def load_scenario(path: str | Path, *, seed_override: Optional[int] = None

@@ -142,7 +142,6 @@ class BlockManager(BaseActor):
 
         self.drops = {"invalid": 0, "duplicate": 0, "no_match": 0}
         self.delivered_count = 0
-        self.blocks_appended = 0
         self._window_count = 0
         self._last_tick_at = 0.0
 
@@ -348,7 +347,6 @@ class BlockManager(BaseActor):
         for tx in block.transactions:
             del self.pool[tx.t_id]
         append_block(self.chain, block)
-        self.blocks_appended += 1
         engine.trace.emit(engine.now, self.node_id, "block_formed",
                           block_id=block.block_id.hex(), height=block.height,
                           n_tx=len(block.transactions), flush=flush)
@@ -390,7 +388,6 @@ class BlockManager(BaseActor):
                               fault=verdict.fault.value)
             return
         append_block(self.chain, block)
-        self.blocks_appended += 1
         rec = self.trust.record_valid(block.generator_pk)
         for tx in block.transactions:
             self.pool.pop(tx.t_id, None)

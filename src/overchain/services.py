@@ -232,16 +232,11 @@ class Oem(BaseActor):
         self.cloud_account = cloud_account
         self.approvals: list[tuple[str, str]] = []  # (pending tid, final tid)
         self.rejections: list[tuple[str, str]] = []  # (pending tid, reason)
-        self.observed_finals: list[str] = []
 
     def on_payload(self, engine, payload) -> None:
         if isinstance(payload, DeliverTx):
-            tx = payload.tx
-            if tx.fully_signed:
-                if tx.pk_2 == self.keypair.public or tx.pk_1 == self.keypair.public:
-                    self.observed_finals.append(tx.t_id.hex())
-                return
-            self.approve(engine, tx)
+            if not payload.tx.fully_signed:
+                self.approve(engine, payload.tx)
         else:
             super().on_payload(engine, payload)
 

@@ -30,8 +30,6 @@ from .ledger import (
 from .messages import BaseActor, DeliverTx, Timer, TxMessage, UpdateNotice
 from .swformat import parse_sw_binary
 
-RECORD_CATEGORIES = ("location", "braking", "speed", "maintenance", "other")
-
 
 @dataclass(frozen=True)
 class StorageRecord:
@@ -141,8 +139,6 @@ class Vehicle(BaseActor):
         elif timer.kind == "probe":
             self.evaluate_handover(engine)
             self._again(engine, "probe", self.spec.probe_interval)
-        elif timer.kind == "accident":
-            self.trigger_accident(engine, **timer.data)
         elif timer.kind == "claim":
             self._send_claim(engine, **timer.data)
         else:

@@ -37,9 +37,10 @@ class TrafficDriver(BaseActor):
     pairs; pair k is (veh{2k}, veh{2k+1}) with the even vehicle requesting.
     Each transaction chains to the requester's most recent completed one."""
 
-    def __init__(self, node_id: str, vehicles: dict[str, Vehicle]):
+    def __init__(self, node_id: str, vehicles: dict[str, Vehicle], phases: tuple):
         super().__init__(node_id)
         self.vehicles = vehicles
+        self.phases = phases
         self.sent = 0
 
     def start_phase(self, engine, index: int, phase: TrafficPhase) -> None:
@@ -50,7 +51,7 @@ class TrafficDriver(BaseActor):
         if timer.kind != "traffic":
             return
         phase_index = timer.data["phase"]
-        phase = self._phases[phase_index]
+        phase = self.phases[phase_index]
         if engine.now > phase.stop:
             return
         for pair in range(phase.pairs):
@@ -58,9 +59,6 @@ class TrafficDriver(BaseActor):
         if engine.now + phase.interval <= phase.stop:
             engine.schedule(phase.interval, self.node_id,
                             Timer("traffic", {"phase": phase_index}))
-
-    def attach_phases(self, phases) -> None:
-        self._phases = list(phases)
 
     def _shoot(self, engine, pair: int) -> None:
         requester = self.vehicles[f"veh{2 * pair}"]
@@ -196,11 +194,12 @@ class ScenarioDriver(BaseActor):
 
     def _do_publish_update(self, engine, params: dict) -> None:
         provider = self.world.providers[params["provider"]]
-        body = params["body"].encode() if "body" in params else None
-        provider.publish_update(engine, params["ecu"], params["version"], body)
+        body = params["body"]
+        provider.publish_update(engine, params["ecu"], params["version"],
+                                None if body is None else body.encode())
 
     def _do_tamper_cloud_object(self, engine, params: dict) -> None:
-        object_id = params.get("object")
+        object_id = params["object"]
         if object_id is None:
             version = params["version"]
             for provider in self.world.providers.values():
@@ -229,7 +228,7 @@ class ScenarioDriver(BaseActor):
             atk = Attacker(f"atk{self._ddos_seq}", homes[i % len(homes)],
                            f"{world.config.name}:{world.config.seed}")
             engine.add_node(atk)
-            if i < params.get("keyed_attackers", 0):
+            if i < params["keyed_attackers"]:
                 home = next(m for m in world.managers
                             if m.node_id == target_obm)
                 home.upload_key_pair(engine.trace, engine.now,
@@ -257,16 +256,15 @@ class ScenarioDriver(BaseActor):
     def _do_trigger_accident(self, engine, params: dict) -> None:
         vehicle = self.world.vehicles[params["vehicle"]]
         vehicle.trigger_accident(engine, insurer_id=self.world.insurer.node_id,
-                                 claim_delay=params.get("claim_delay", 0.0),
-                                 tamper=params.get("tamper", False))
+                                 claim_delay=params["claim_delay"],
+                                 tamper=params["tamper"])
 
     def _do_move_vehicle(self, engine, params: dict) -> None:
         vehicle_id = params["vehicle"]
         for obm, delay in params["links"].items():
-            engine.links.set_link(vehicle_id, obm, float(delay))
+            engine.links.set_link(vehicle_id, obm, delay)
         engine.trace.emit(engine.now, self.node_id, "vehicle_moved",
-                          vehicle=vehicle_id,
-                          links={k: float(v) for k, v in params["links"].items()})
+                          vehicle=vehicle_id, links=params["links"])
 
     def _do_impersonate_provider(self, engine, params: dict) -> None:
         self.world.attacker.forge_publish(engine, params["ecu"], params["version"],
@@ -397,8 +395,7 @@ def build_world(config: ScenarioConfig) -> World:
         by_id[b.obm_id].upload_key_pair(engine.trace, 0.0, b.node_id, a_pk, b_pk)
         by_id[a.obm_id].upload_key_pair(engine.trace, 0.0, a.node_id, b_pk, a_pk)
 
-    world.traffic = TrafficDriver("traffic", world.vehicles)
-    world.traffic.attach_phases(config.traffic)
+    world.traffic = TrafficDriver("traffic", world.vehicles, config.traffic)
     engine.add_node(world.traffic)
     world.driver = ScenarioDriver("driver", world)
     engine.add_node(world.driver)

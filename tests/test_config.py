@@ -1,5 +1,6 @@
 """Scenario configuration loading: schema validation, field-path errors,
 referential checks, and file handling."""
+import dataclasses
 import pickle
 import textwrap
 
@@ -8,9 +9,11 @@ import pytest
 from overchain.cli import bundled_scenarios
 from overchain.config import (
     ConfigError,
+    Expectation,
     LedgerConfig,
     NetworkConfig,
     ServiceSpec,
+    TrafficPhase,
     VehicleSpec,
     load_scenario,
     parse_scenario,
@@ -104,6 +107,59 @@ def test_expectations_parse_ops_and_tol():
     ]))
     assert cfg.expectations[0].op == "between"
     assert cfg.expectations[1].op == "eq" and cfg.expectations[1].tol == 0.5
+
+
+# A non-default legal value for every field the reader fills; a field missing
+# here fails its case below.
+LEGAL = {
+    "managers": 5, "default_delay": 2.5, "jitter": 0.5,
+    "block_size": 11, "block_period": 12.5, "min_check_fraction": 0.25,
+    "trust_ramp": 6, "utilization_low": 0.75, "utilization_high": 2.0,
+    "period_min": 2.0, "period_max": 240.0, "pending_timeout": 30.0,
+    "notify_requires_certificate": False,
+    "obm": "obm2", "record_interval": 1.5, "anchor_interval": 2.5,
+    "backup_interval": 3.5, "probe_interval": 4.5, "handover_threshold": 60.0,
+    "handover_improvement": 0.5, "probe_samples": 4, "candidate_obms": ["obm1"],
+    "rotate_keys": True, "record_categories": ["braking"],
+    "upload_categories": ["speed"],
+    "start": 1.0, "stop": 2.0, "pairs": 1, "interval": 2.0,
+    "metric": "traffic.sent", "op": "ge", "value": 3, "tol": 0.5,
+}
+
+# (dataclass, section path, fields read elsewhere, document holding the section)
+SECTIONS = [
+    (NetworkConfig, "network", {"links"}, lambda v: minimal(network=v)),
+    (LedgerConfig, "ledger", set(), lambda v: minimal(ledger=v)),
+    (VehicleSpec, "actors.vehicles.template", {"vehicle_id"},
+     lambda v: minimal(actors={"vehicles": {"count": 2, "template": v}})),
+    (TrafficPhase, "traffic.phases[0]", set(),
+     lambda v: minimal(actors={"vehicles": {"count": 2}}, traffic={"phases": [v]})),
+    (Expectation, "expectations[0]", set(),
+     lambda v: minimal(expectations=[{"metric": "m", "value": 1, **v}])),
+]
+
+
+def parsed_section(cls, config):
+    return {NetworkConfig: config.network, LedgerConfig: config.ledger,
+            VehicleSpec: config.vehicles[0] if config.vehicles else None,
+            TrafficPhase: config.traffic[0] if config.traffic else None,
+            Expectation: config.expectations[0] if config.expectations else None}[cls]
+
+
+@pytest.mark.parametrize("cls, path, name, document", [
+    pytest.param(cls, path, f.name, document, id=f"{cls.__name__}.{f.name}")
+    for cls, path, skip, document in SECTIONS
+    for f in dataclasses.fields(cls) if f.name not in skip
+])
+def test_every_field_is_read_and_type_checked(cls, path, name, document):
+    legal = LEGAL[name]
+    expected = tuple(legal) if isinstance(legal, list) else legal
+    default = getattr(parsed_section(cls, parse_scenario(document({}))), name)
+    assert expected != default
+    assert getattr(parsed_section(cls, parse_scenario(document({name: legal}))),
+                   name) == expected
+    wrong = 7 if isinstance(legal, (str, list)) else "seven"
+    assert f"{path}.{name}: expected " in problems_of(document({name: wrong}))
 
 
 # -- schema errors with field paths ------------------------------------------------
@@ -229,6 +285,46 @@ def test_traffic_phase_bounds():
     assert "traffic.phases[0].stop: must not precede start" in msg
     assert "traffic.phases[1].stop: extends past duration 50.0" in msg
     assert "traffic.phases[2].pairs: needs 8 vehicles, roster has 2" in msg
+
+
+def test_null_link_delay_rejected():
+    msg = problems_of(minimal(network={"links": [["obm0", "obm1", None]]}))
+    assert "network.links[0].delay: expected a number" in msg
+
+
+def test_move_vehicle_link_delays_checked_and_stored_as_floats():
+    def script(links):
+        return minimal(actors={"vehicles": {"count": 1}}, script=[
+            {"at": 1.0, "do": "move_vehicle", "vehicle": "veh0", "links": links}])
+
+    assert "script[0].links.obm0: expected a number" in problems_of(script({"obm0": "fast"}))
+    assert "script[0].links.obm1: must be greater than 0" in problems_of(
+        script({"obm1": -2.0})).replace("0.0", "0")
+    links = parse_scenario(script({"obm0": 3, "obm1": 2.5})).script[0].params["links"]
+    assert links == {"obm0": 3.0, "obm1": 2.5}
+    assert all(type(delay) is float for delay in links.values())
+
+
+def test_directive_times_not_negative_and_defaults_filled():
+    def script(*directives):
+        return minimal(actors={"insurer": {}, "vehicles": {"count": 1}},
+                       script=list(directives))
+
+    ddos = {"at": 1.0, "do": "start_ddos", "attackers": 1, "tx_per_attacker": 2,
+            "target": "veh0"}
+    msg = problems_of(script(
+        dict(ddos, interval=-1.0),
+        {"at": 1.0, "do": "trigger_accident", "vehicle": "veh0", "claim_delay": -5.0}))
+    assert "script[0].interval: must be at least 0" in msg
+    assert "script[1].claim_delay: must be at least 0" in msg
+
+    cfg = parse_scenario(script(
+        dict(ddos, interval=0.0),
+        {"at": 2.0, "do": "trigger_accident", "vehicle": "veh0"}))
+    assert cfg.script[0].params["interval"] == 0.0
+    assert cfg.script[0].params["keyed_attackers"] == 0
+    assert cfg.script[1].params["claim_delay"] == 0.0
+    assert cfg.script[1].params["tamper"] is False
 
 
 def test_unknown_directive_and_params():
