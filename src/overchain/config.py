@@ -297,7 +297,7 @@ def _parse_vehicle(check: _Checker, obj, path: str, base: VehicleSpec,
     if raw.get("candidate_obms") == "all":
         given["candidate_obms"] = tuple(manager_ids)
     spec = check.build(VehicleSpec, raw, path, base, **given)
-    if spec.obm and spec.obm != base.obm and spec.obm not in manager_ids:
+    if spec.obm != base.obm and spec.obm not in manager_ids:
         check.fail(f"{path}.obm", f"unknown manager '{spec.obm}'")
     for v in spec.candidate_obms:
         if v not in manager_ids:

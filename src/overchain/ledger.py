@@ -130,7 +130,7 @@ class Transaction:
             return TxVerdict(False, TxFault.BAD_SIGNATURE, "sig_2 invalid")
         return TxVerdict(True)
 
-    @property
+    @cached_property
     def fully_signed(self) -> bool:
         return self.kind is TxKind.SINGLE or self.sig_2 is not None
 

@@ -221,11 +221,11 @@ class BlockManager(BaseActor):
     def receive_transaction(self, engine, tx: Transaction, origin_member: Optional[str]) -> None:
         tid = tx.t_id
         if tid in self.seen_tids or tid in self.waiting:
-            self._drop(engine, tx, "duplicate", "")
+            self._drop(engine, tid.hex(), "duplicate", "")
             return
         verdict = check_integrity(tx)
         if not verdict.ok:
-            self._drop(engine, tx, "invalid", verdict.detail)
+            self._drop(engine, tid.hex(), "invalid", verdict.detail)
             return
         if not self._predecessor_known(tx):
             self.waiting[tid] = (tx, origin_member, engine.now + self.ledger.pending_timeout)
@@ -237,26 +237,27 @@ class BlockManager(BaseActor):
         p = tx.p_t_id
         return p == ZERO_DIGEST or p in self.chain.tx_index or p in self.pool
 
-    def _drop(self, engine, tx: Transaction, reason: str, detail: str) -> None:
+    def _drop(self, engine, tid_hex: str, reason: str, detail: str) -> None:
         self.drops[reason] += 1
         engine.trace.emit(engine.now, self.node_id, "tx_dropped",
-                          t_id=tx.t_id.hex(), reason=reason, detail=detail)
+                          t_id=tid_hex, reason=reason, detail=detail)
 
     def _admit(self, engine, tx: Transaction, origin_member: Optional[str]) -> None:
         self.seen_tids.add(tx.t_id)
+        tid_hex = tx.t_id.hex()
         sinks = 0
 
         if tx.fully_signed:
             self.pool[tx.t_id] = tx
             self._window_count += 1
             engine.trace.emit(engine.now, self.node_id, "tx_pooled",
-                              t_id=tx.t_id.hex(), origin="member" if origin_member else "peer")
+                              t_id=tid_hex, origin="member" if origin_member else "peer")
             sinks += 1
 
         for entry in self.key_list.matches(tx.pk_1, tx.pk_2):
             self.delivered_count += 1
             engine.trace.emit(engine.now, self.node_id, "tx_delivered",
-                              t_id=tx.t_id.hex(), member=entry.member_id,
+                              t_id=tid_hex, member=entry.member_id,
                               pending=not tx.fully_signed)
             engine.send(self.node_id, entry.member_id, DeliverTx(tx, self.node_id))
             sinks += 1
@@ -265,7 +266,7 @@ class BlockManager(BaseActor):
             self._notify_update(engine, tx)
 
         if origin_member is not None and self.peers:
-            engine.trace.emit(engine.now, self.node_id, "tx_broadcast", t_id=tx.t_id.hex())
+            engine.trace.emit(engine.now, self.node_id, "tx_broadcast", t_id=tid_hex)
             for peer in self.peers:
                 engine.send(self.node_id, peer, TxMessage(tx, origin_member=None))
             sinks += 1
@@ -273,23 +274,24 @@ class BlockManager(BaseActor):
         if sinks == 0:
             # terminal: nothing consumed it and it has nowhere further to go
             self.seen_tids.discard(tx.t_id)
-            self._drop(engine, tx, "no_match", "")
+            self._drop(engine, tid_hex, "no_match", "")
             return
 
         if tx.fully_signed:
             self._unpark(engine, tx.t_id)
 
     def _notify_update(self, engine, tx: Transaction) -> None:
+        tid_hex = tx.t_id.hex()
         if self.ledger.notify_requires_certificate:
             cert = self.certified.get(tx.pk_2)
             if cert is None or self.ca_pk is None or not verify_certificate(cert, self.ca_pk):
                 engine.trace.emit(engine.now, self.node_id, "notify_suppressed",
-                                  t_id=tx.t_id.hex(), reason="uncertified_countersigner")
+                                  t_id=tid_hex, reason="uncertified_countersigner")
                 return
         for member_id, kind in self.members.items():
             if kind == "vehicle":
                 engine.trace.emit(engine.now, self.node_id, "update_notified",
-                                  t_id=tx.t_id.hex(), member=member_id)
+                                  t_id=tid_hex, member=member_id)
                 engine.send(self.node_id, member_id, UpdateNotice(tx, self.node_id))
 
     def _unpark(self, engine, new_tid: Digest) -> None:
@@ -297,9 +299,10 @@ class BlockManager(BaseActor):
         ready = [tid for tid, (tx, _, _) in self.waiting.items() if tx.p_t_id == new_tid]
         for tid in ready:
             tx, origin, _ = self.waiting.pop(tid)
-            engine.trace.emit(engine.now, self.node_id, "tx_unparked", t_id=tid.hex())
+            tid_hex = tid.hex()
+            engine.trace.emit(engine.now, self.node_id, "tx_unparked", t_id=tid_hex)
             if tid in self.seen_tids or tid in self.chain.tx_index:
-                self._drop(engine, tx, "duplicate", "arrived via block first")
+                self._drop(engine, tid_hex, "duplicate", "arrived via block first")
                 continue
             self._admit(engine, tx, origin)
 
@@ -307,8 +310,8 @@ class BlockManager(BaseActor):
         stale = [tid for tid, (_, _, deadline) in self.waiting.items()
                  if expire_all or deadline <= engine.now]
         for tid in stale:
-            tx, _, _ = self.waiting.pop(tid)
-            self._drop(engine, tx, "invalid", "missing_predecessor")
+            del self.waiting[tid]
+            self._drop(engine, tid.hex(), "invalid", "missing_predecessor")
 
     # -- block generation and validation -----------------------------------------
 

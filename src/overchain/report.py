@@ -26,6 +26,26 @@ __all__ = [
 
 
 def parse_trace(text: str) -> list[dict]:
+    """The records of a JSON-lines trace, one per non-blank line.
+
+    All lines are decoded in one ``json.loads`` call over them joined as one
+    array, in which a line that is one JSON value decodes exactly as it does
+    alone. When that call raises, or does not give one JSON object per line,
+    each line is decoded on its own, so a malformed line raises the error it
+    raises alone.
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
+    count = len(lines)
+    joined = "[" + ",".join(lines) + "]"
+    del lines  # drop the per-line copies before the records are built
+    try:
+        records = json.loads(joined)
+    except (ValueError, RecursionError):  # the array nests each line one level deeper
+        records = None
+    del joined
+    if (records is not None and len(records) == count
+            and set(map(type, records)) <= {dict}):
+        return records
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 

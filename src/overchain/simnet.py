@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from random import Random
 from typing import Any, Optional
 
@@ -18,9 +18,17 @@ from typing import Any, Optional
 # structured trace
 # ---------------------------------------------------------------------------
 
-# One encoder for every record; ``json.dumps`` with these separators builds a
-# new ``JSONEncoder`` per call and encodes the same bytes.
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+# The C encoder that ``JSONEncoder(separators=(",", ":")).encode`` builds on
+# every call, built once with the same arguments, so a record encodes to the
+# same bytes. No circular-reference markers: emitters pass plain values that
+# cannot contain themselves, and a shared markers dict would keep stale ids
+# after an encode that raised.
+_encode_chunks = c_make_encoder(
+    None,                        # markers
+    JSONEncoder().default,       # raises TypeError for an unencodable value
+    encode_basestring_ascii,     # ensure_ascii
+    None, ":", ",",              # indent, key and item separators
+    False, False, True)          # sort_keys, skipkeys, allow_nan
 
 
 class Trace:
@@ -36,7 +44,7 @@ class Trace:
     def emit(self, t: float, actor: str, event: str, **fields: Any) -> None:
         record = {"t": t, "actor": actor, "event": event}
         record.update(fields)
-        self.lines.append(_encode(record))
+        self.lines.append("".join(_encode_chunks(record, 0)))
 
     def text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
@@ -88,6 +96,7 @@ class Engine:
         self._queue: list[tuple[float, int, str, Any]] = []
         self._seq = 0
         self._rngs: dict[str, Random] = {}
+        self._link_rngs: dict[str, Random] = {}  # sender -> its "link:" stream
         self._request_seq = 0
 
     # -- nodes and randomness ------------------------------------------------
@@ -119,8 +128,10 @@ class Engine:
 
     def send(self, sender: str, target: str, payload: Any) -> None:
         """Network send: delivery after the sampled link delay."""
-        delay = self.links.sample(sender, target, self.rng(f"link:{sender}"))
-        self._push(self.now + delay, target, payload)
+        rng = self._link_rngs.get(sender)
+        if rng is None:
+            rng = self._link_rngs[sender] = self.rng(f"link:{sender}")
+        self._push(self.now + self.links.sample(sender, target, rng), target, payload)
 
     def schedule(self, delay: float, target: str, payload: Any) -> None:
         """Local timer on the target node (no network hop)."""

@@ -224,6 +224,14 @@ def test_unknown_manager_in_vehicle_override():
     assert "unknown manager 'obm9'" in msg
 
 
+def test_empty_manager_in_vehicle_template_or_override_rejected():
+    msg = problems_of(minimal(actors={"vehicles": {"count": 1, "template": {"obm": ""}}}))
+    assert "actors.vehicles.template.obm: unknown manager ''" in msg
+    msg = problems_of(minimal(
+        actors={"vehicles": {"count": 1, "overrides": {"veh0": {"obm": ""}}}}))
+    assert "actors.vehicles.overrides.veh0.obm: unknown manager ''" in msg
+
+
 def test_unknown_override_id():
     msg = problems_of(minimal(
         actors={"vehicles": {"count": 1, "overrides": {"veh7": {}}}}))

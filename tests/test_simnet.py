@@ -1,4 +1,9 @@
-"""Event engine: ordering, determinism, link schedules, probes, quiescence."""
+"""Event engine: ordering, determinism, link schedules, probes, quiescence,
+and the trace's record encoding."""
+import enum
+import json
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from overchain.messages import AppRequest, BaseActor, Timer
@@ -121,6 +126,61 @@ def test_trace_lines_deterministic():
         tr.emit(1.5, "n", "evt", value=3, name="x")
     assert t1.lines == t2.lines
     assert t1.lines[0] == '{"t":1.5,"actor":"n","event":"evt","value":3,"name":"x"}'
+
+
+class Tag(str, enum.Enum):
+    RED = "red"
+
+
+def dumps(t, actor, event, **fields) -> str:
+    return json.dumps({"t": t, "actor": actor, "event": event, **fields},
+                      separators=(",", ":"))
+
+
+# Field sets whose encoding must equal ``json.dumps`` with compact separators.
+EMIT_FIELDS = [
+    {"floats": [0.1, 1e-07, 1e16, -0.0, 0.0, 2.5e-300, 1.7976931348623157e308]},
+    {"specials": [float("nan"), float("inf"), float("-inf")]},
+    {"yes": True, "no": False, "nothing": None, "int": -(2 ** 70), "zero": 0},
+    {"nested": {"a": [1, [2, {"b": None}], {}], "c": {"d": []}}, "pair": (1, "x")},
+    {"tag": Tag.RED, "tags": [Tag.RED], "by_tag": {Tag.RED: 1}},
+    {"keys": {1: "int", 2.5: "float", True: "bool", None: "none"}},
+    {"text": "h\u00e9llo \u2713 \U0001F600 \u2028", "control": "\x00\x1f\x7f\n\t\"\\/"},
+    {},
+]
+
+
+@pytest.mark.parametrize("fields", EMIT_FIELDS)
+def test_emit_encodes_like_json_dumps(fields):
+    trace = Trace()
+    trace.emit(1.5, "n\u00e9", "evt", **fields)
+    assert trace.lines == [dumps(1.5, "n\u00e9", "evt", **fields)]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@given(st.floats(), st.text(), st.dictionaries(st.text(), json_values, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_emit_encodes_any_record_like_json_dumps(t, actor, fields):
+    fields = {k: v for k, v in fields.items() if k not in ("t", "actor", "event")}
+    trace = Trace()
+    trace.emit(t, actor, "evt", **fields)
+    assert trace.lines == [dumps(t, actor, "evt", **fields)]
+
+
+def test_unencodable_value_raises_and_the_next_emit_is_unaffected():
+    trace = Trace()
+    items = [1, object()]
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        trace.emit(0.0, "n", "bad", items=items)
+    assert trace.lines == []
+    items[1] = 2  # the list the failed encode was inside, now encodable
+    trace.emit(1.0, "n", "good", items=items, again=items)
+    assert trace.lines == ['{"t":1.0,"actor":"n","event":"good","items":[1,2],"again":[1,2]}']
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0, max_value=100, allow_nan=False),
