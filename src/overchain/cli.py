@@ -12,6 +12,7 @@ Exit codes: 0 all expectations pass, 1 at least one expectation failed,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
@@ -112,19 +113,43 @@ def _cmd_report(args) -> int:
     except OSError as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return 2
+    config = None
     if args.config:
         try:
             config = _load(args.config, None)
         except ConfigError as exc:
             print(f"configuration error:\n{exc}", file=sys.stderr)
             return 2
-        report = build_report(text, config)
-    else:
-        from .report import ScenarioReport
-        metrics = compute_metrics(parse_trace(text))
-        report = ScenarioReport(Path(args.trace).stem, 0, metrics, (), True)
+    try:
+        if config is not None:
+            report = build_report(text, config)
+        else:
+            from .report import ScenarioReport
+            metrics = compute_metrics(parse_trace(text))
+            report = ScenarioReport(Path(args.trace).stem, 0, metrics, (), True)
+    except (ValueError, TypeError):  # a malformed line, or a record that is no object
+        problem = _bad_trace_line(text)
+        if problem is None:
+            raise
+        print(problem, file=sys.stderr)
+        return 2
     sys.stdout.write(_render(report, args.format))
     return 0 if report.passed else 1
+
+
+def _bad_trace_line(text: str) -> Optional[str]:
+    """``trace line N: ...`` for the first non-blank line of ``text`` that is
+    not one JSON object, with lines numbered from 1; None if every line is."""
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return f"trace line {number}: column {exc.colno}: {exc.msg}"
+        if not isinstance(record, dict):
+            return f"trace line {number}: not a JSON object"
+    return None
 
 
 def _cmd_list(_args) -> int:

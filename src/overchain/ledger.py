@@ -61,12 +61,14 @@ class PayloadTag(str, Enum):
 
 def _verify_once(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
     """``verify``, remembered on the signature object for the exact message and
-    key bytes, so a countersigned copy reuses its pending copy's sig_1 verdict."""
+    key bytes, so a countersigned copy reuses its pending copy's sig_1 verdict.
+    A verdict still pending in the verifier helper is waited for, then kept."""
     verdicts = signature._verdicts
     key = (message, public_key)
     ok = verdicts.get(key)
-    if ok is None:
-        ok = verdicts[key] = verify(message, signature, public_key)
+    if ok is not True and ok is not False:
+        ok = verdicts[key] = (verify(message, signature, public_key) if ok is None
+                              else ok.result())
     return ok
 
 
@@ -263,7 +265,7 @@ class Block:
 
     @cached_property
     def _generator_sig_ok(self) -> bool:
-        return verify(self._signing_body, self.generator_signature, self.generator_pk)
+        return _verify_once(self._signing_body, self.generator_signature, self.generator_pk)
 
     def compute_block_id(self) -> Digest:
         return digest(self.signing_body())
@@ -402,9 +404,13 @@ def form_block(
         generator_signature=Signature(b"\x00" * 64),
     )
     body = draft.signing_body()
-    return dataclasses.replace(
+    block = dataclasses.replace(
         draft, block_id=digest(body), generator_signature=generator.sign(body)
     )
+    # The block's signing bytes are the draft's; share them with the pending
+    # verdict, which ``sign`` keyed by them, instead of building a second copy.
+    block.__dict__["_signing_body"] = body
+    return block
 
 
 def schedule_block_turn(period_index: int, manager_ids: Sequence[str]) -> str:

@@ -1,9 +1,19 @@
-"""Primitive-level checks: signing, digests, certificates, canonical bytes, rotation."""
+"""Primitive-level checks: signing, digests, certificates, canonical bytes,
+rotation, and the verifier helper."""
 import hashlib
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import overchain
+from overchain import crypto, ledger
 from overchain.crypto import (
     DIGEST_SIZE,
     PUBLIC_KEY_SIZE,
@@ -136,6 +146,7 @@ def test_sign_verify_round_trip_and_tamper():
     assert not verify(msg, s, generate_keypair("other").public)
     flipped = Signature(bytes([s[0] ^ 1]) + s[1:])
     assert not verify(msg, flipped, kp.public)
+    assert verify(msg, kp.sign(bytearray(msg)), kp.public)  # any bytes-like message
 
 
 @given(st.binary(max_size=256), st.integers(min_value=0, max_value=2**32))
@@ -156,6 +167,132 @@ def test_bit_flip_breaks_signature_property(message, seed, data):
     mutated = bytearray(message)
     mutated[pos] ^= 1 << bit
     assert not verify(bytes(mutated), sig, kp.public)
+
+
+# ---------------------------------------------------------------------------
+# verifier helper
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is forked")
+
+
+def run_cli(*args, timeout=120):
+    src = str(Path(overchain.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+@needs_fork
+def test_helper_answers_each_triple_with_the_verdict_of_verify():
+    kp, other = generate_keypair("helper"), generate_keypair("helper-other")
+    big = bytes(range(256)) * 1024  # 256 KiB: one frame spans several pipe reads
+    good, big_sig = kp.sign(b"good"), kp.sign(big)
+    triples = [
+        (b"good", good, kp.public),
+        (b"bad", good, kp.public),  # signature of another message
+        (b"good", Signature(bytes([good[0] ^ 1]) + good[1:]), kp.public),
+        (b"good", good, other.public),
+        (b"good", good, PublicKey(b"\xff" * PUBLIC_KEY_SIZE)),  # not a curve point
+        (big, big_sig, kp.public),
+        (big[:-1] + b"!", big_sig, kp.public),
+        (b"", kp.sign(b""), kp.public),
+    ]
+    helper = crypto._Helper()
+    try:
+        pending = [helper.submit(*triple) for triple in triples]
+        assert [p.result() for p in pending] == [verify(*t) for t in triples] \
+            == [True, False, False, False, False, True, False, True]
+    finally:
+        helper.close()
+        os.waitpid(helper.pid, 0)
+
+
+def test_sign_never_sets_a_verdict_by_itself():
+    kp = generate_keypair("pending")
+    stored = kp.sign(b"message")._verdicts.get((b"message", kp.public))
+    if crypto._helper is None:  # no helper here: ledger verifies in-process
+        assert stored is None
+    else:
+        assert isinstance(stored, crypto._Pending) and stored.result() is True
+
+
+def test_signature_pickles_with_its_pending_verdict_verified_on_load():
+    kp = generate_keypair("pickled")
+    sig = kp.sign(b"message")
+    copy = pickle.loads(pickle.dumps(sig))
+    assert copy == sig
+    assert copy._verdicts in ({}, {(b"message", kp.public): True})  # {}: no helper here
+
+
+@needs_fork
+def test_killed_helper_raises_instead_of_hanging(monkeypatch):
+    helper = crypto._Helper()
+    monkeypatch.setattr(crypto, "_helper", helper)
+    kp = generate_keypair("killed")
+    before = kp.sign(b"before")
+    assert ledger._verify_once(b"before", before, kp.public)
+    os.kill(helper.pid, signal.SIGKILL)
+    with pytest.raises(RuntimeError, match=rf"process {helper.pid} exited with status -9"):
+        ledger._verify_once(b"after", kp.sign(b"after"), kp.public)
+    with pytest.raises(RuntimeError, match="status -9"):
+        kp.sign(b"later")
+    helper.close()
+
+
+@needs_fork
+def test_verdict_pending_at_a_fork_is_verified_in_the_child(monkeypatch):
+    helper = crypto._Helper()
+    monkeypatch.setattr(crypto, "_helper", helper)
+    os.kill(helper.pid, signal.SIGSTOP)  # the verdict cannot arrive before the fork
+    try:
+        kp = generate_keypair("inherited")
+        good = kp.sign(b"good")
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                if (crypto._helper is None and helper.inherited
+                        and ledger._verify_once(b"good", good, kp.public)
+                        and not ledger._verify_once(b"bad", good, kp.public)):
+                    status = 0
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+    finally:
+        os.kill(helper.pid, signal.SIGCONT)
+    assert ledger._verify_once(b"good", good, kp.public)  # the parent's helper still answers
+    helper.close()
+    os.waitpid(helper.pid, 0)
+
+
+def test_parallel_jobs_forked_from_a_process_with_a_helper_match_serial():
+    # The parent signs first, so its helper runs when the pool forks workers.
+    scenarios = '"wrsu_happy_path", "wrsu_tampered", "--format", "json"'
+    outputs = []
+    for jobs in ("2", "1"):
+        proc = run_cli("-c", "import sys; "
+                       "from overchain.crypto import generate_keypair; "
+                       "generate_keypair('parent').sign(b'start the helper'); "
+                       "from overchain.cli import main; "
+                       f"sys.exit(main(['run', {scenarios}, '--jobs', '{jobs}']))")
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] and '"wrsu_tampered"' in outputs[0]
+
+
+def test_run_raises_no_fork_deprecation_warning():
+    # Python 3.12+ warns when a process with threads forks.
+    proc = run_cli("-W", "error::DeprecationWarning", "-m", "overchain.cli",
+                   "run", "wrsu_happy_path")
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

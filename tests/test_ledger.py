@@ -14,7 +14,7 @@ import dataclasses
 
 import pytest
 
-from overchain import ledger
+from overchain import crypto, ledger
 from overchain.crypto import ZERO_DIGEST, digest, generate_keypair
 from overchain.ledger import (
     Block,
@@ -509,15 +509,30 @@ def test_cached_verdicts_leave_value_semantics_alone():
             assert tx.sig_1.hex() == twin.sig_1.hex()
 
 
-def test_backend_verify_runs_once_per_signature(monkeypatch):
+def counted_verify(monkeypatch):
+    """Count backend verifies wherever they run: the signatures ``sign`` hands
+    to the verifier helper, which verifies each one, and the signatures passed
+    to ``ledger.verify`` in-process."""
     calls = []
-    real_verify = ledger.verify
+    real_verify, real_submit = ledger.verify, crypto._submit
 
     def counting_verify(message, signature, public_key):
         calls.append(signature)
         return real_verify(message, signature, public_key)
 
+    def counting_submit(message, signature, public_key):
+        pending = real_submit(message, signature, public_key)
+        if pending is not None:  # None: no helper runs, so ledger.verify will
+            calls.append(signature)
+        return pending
+
     monkeypatch.setattr(ledger, "verify", counting_verify)
+    monkeypatch.setattr(crypto, "_submit", counting_submit)
+    return calls
+
+
+def test_backend_verify_runs_once_per_signature(monkeypatch):
+    calls = counted_verify(monkeypatch)
     tx = countersign(pending(payload=b"counted"), BOB)
     for _ in range(3):
         assert check_integrity(tx).ok
@@ -530,20 +545,10 @@ def test_backend_verify_runs_once_per_signature(monkeypatch):
         verdict = validate_block(blk, chain, TrustTable(), sample_seed=1)
         # the simulated effort is still counted on every validation
         assert verdict.ok and verdict.verification_count == 4
-    assert calls == [blk.generator_signature] + [t.sig_1 for t in blk.transactions]
-
-
-def counted_verify(monkeypatch):
-    """Count backend verifies: the signatures passed to ``ledger.verify``."""
-    calls = []
-    real_verify = ledger.verify
-
-    def counting_verify(message, signature, public_key):
-        calls.append(signature)
-        return real_verify(message, signature, public_key)
-
-    monkeypatch.setattr(ledger, "verify", counting_verify)
-    return calls
+    # the helper sees the transactions' signatures first, in-process
+    # validation the generator's first: the same signatures, each once
+    assert sorted(calls) == sorted([blk.generator_signature]
+                                   + [t.sig_1 for t in blk.transactions])
 
 
 def test_countersigned_copy_reuses_the_pending_sig_1_verdict(monkeypatch):
@@ -557,11 +562,11 @@ def test_countersigned_copy_reuses_the_pending_sig_1_verdict(monkeypatch):
 
 
 def test_signature_verdict_is_kept_per_message_and_key(monkeypatch):
+    other_body = single(payload=b"other").signing_body()  # signed before counting
     calls = counted_verify(monkeypatch)
     tx = single(payload=b"keyed")
     body = tx.signing_body()
     assert ledger._verify_once(body, tx.sig_1, ALICE.public)
-    other_body = single(payload=b"other").signing_body()
     assert not ledger._verify_once(other_body, tx.sig_1, ALICE.public)
     assert not ledger._verify_once(body, tx.sig_1, BOB.public)
     assert calls == [tx.sig_1] * 3

@@ -342,6 +342,24 @@ def test_cli_report_missing_trace_exits_two(capsys):
     assert "cannot read trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_line, message", [
+    ('{"t":1,"event":', "trace line 3: column 16: Expecting value"),
+    ("[1,2]", "trace line 3: not a JSON object"),
+])
+def test_cli_report_names_the_bad_trace_line_and_exits_two(tiny_config, tmp_path, capsys,
+                                                          bad_line, message):
+    good = tmp_path / "good.jsonl"
+    assert main(["run", str(tiny_config), "--trace", str(good)]) == 0
+    lines = good.read_text().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines[:1] + [""] + [bad_line] + lines[1:]) + "\n")
+    capsys.readouterr()
+    for extra in ([], ["--config", str(tiny_config)]):
+        assert main(["report", str(bad), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message and captured.out == ""
+
+
 def test_cli_parallel_jobs(tiny_config, tmp_path, capsys):
     other = tmp_path / "tiny2.yaml"
     other.write_text(TINY.replace("name: tiny", "name: tiny2"))
