@@ -127,7 +127,7 @@ def _cmd_report(args) -> int:
             from .report import ScenarioReport
             metrics = compute_metrics(parse_trace(text))
             report = ScenarioReport(Path(args.trace).stem, 0, metrics, (), True)
-    except (ValueError, TypeError):  # a malformed line, or a record that is no object
+    except (ValueError, TypeError, KeyError):  # a malformed line, or a bad record
         problem = _bad_trace_line(text)
         if problem is None:
             raise
@@ -139,7 +139,8 @@ def _cmd_report(args) -> int:
 
 def _bad_trace_line(text: str) -> Optional[str]:
     """``trace line N: ...`` for the first non-blank line of ``text`` that is
-    not one JSON object, with lines numbered from 1; None if every line is."""
+    not one JSON object, or whose record lacks a field ``compute_metrics``
+    reads, with lines numbered from 1; None if every line is sound."""
     for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -149,6 +150,10 @@ def _bad_trace_line(text: str) -> Optional[str]:
             return f"trace line {number}: column {exc.colno}: {exc.msg}"
         if not isinstance(record, dict):
             return f"trace line {number}: not a JSON object"
+        try:  # every field compute_metrics reads is the record's own
+            compute_metrics([record])
+        except KeyError as exc:
+            return f"trace line {number}: no field {exc.args[0]!r}"
     return None
 
 

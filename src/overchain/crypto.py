@@ -73,6 +73,11 @@ class _FixedBytes(bytes):
     def __repr__(self) -> str:  # keep traces and test output readable
         return f"{type(self).__name__}({self.hex()[:12]}…)"
 
+    def __reduce__(self):
+        # A copy carries the bytes only: no backend key object, which cannot be
+        # pickled, and no signature verdicts, so a loaded copy verifies afresh.
+        return type(self), (bytes(self),)
+
     # Plain-bytes view, kept only for perfbench/tracer.py; the package itself
     # passes these values wherever bytes are expected.
     data = property(bytes)
@@ -107,10 +112,10 @@ class Signature(_FixedBytes):
     SIZE = SIGNATURE_SIZE
 
     @cached_property
-    def _verdicts(self) -> dict[tuple[bytes, bytes], bool | _Pending]:
+    def _verdicts(self) -> dict[tuple[bytes, bytes], bool | tuple[_Helper, int]]:
         """``verify`` results for this object, keyed by (message, public key
-        bytes). ``KeyPair.sign`` stores a ``_Pending`` verdict here, which
-        ``ledger._verify_once`` resolves."""
+        bytes). ``KeyPair.sign`` stores a pending verdict here, the helper and
+        the triple's index in its answers; only ``verified`` reads them."""
         return {}
 
 
@@ -154,6 +159,23 @@ def verify(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
         return False
 
 
+def verified(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
+    """``verify``, remembered on the signature object for the exact message and
+    key bytes, so every node handed the same signature checks it once. A verdict
+    still pending in this process's helper is waited for, then kept; one pending
+    in the helper of a process this one was forked from is verified here."""
+    verdicts = signature._verdicts
+    key = (message, public_key)
+    ok = verdicts.get(key)
+    if ok is not True and ok is not False:
+        if ok is not None and ok[0] is _helper:
+            ok = _helper.answer(ok[1])
+        else:
+            ok = verify(message, signature, public_key)
+        verdicts[key] = ok
+    return ok
+
+
 # ---------------------------------------------------------------------------
 # verifier helper
 # ---------------------------------------------------------------------------
@@ -162,39 +184,11 @@ def verify(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
 # cannot overlap verification with the simulation; a second process can. The
 # first ``KeyPair.sign`` of a process forks one helper. Every signature that
 # process makes goes to the helper with its exact message and key, and the
-# helper runs ``verify`` on it. The signature keeps a ``_Pending`` verdict,
-# which is read back only when a node first needs it. A verdict is never
+# helper runs ``verify`` on it. The signature keeps a pending verdict, which
+# ``verified`` reads back only when a node first needs it. A verdict is never
 # taken from the act of signing: every one comes from ``verify``.
 
 _FRAME_HEADER = struct.Struct(">I")  # message length; signature and key follow
-
-
-class _Pending:
-    """A verdict the helper has not returned yet, with the triple it checks;
-    ``seq`` is its place in the helper's answers."""
-
-    __slots__ = ("message", "signature", "public_key", "helper", "seq")
-
-    def __init__(self, message: bytes, signature: Signature, public_key: PublicKey,
-                 helper: _Helper, seq: int):
-        self.message = message
-        self.signature = signature
-        self.public_key = public_key
-        self.helper = helper
-        self.seq = seq
-
-    def result(self) -> bool:
-        """The helper's verdict, waiting for it if it has not arrived. In a
-        process forked before it arrived, ``verify`` runs here instead."""
-        helper = self.helper
-        while len(helper.answers) <= self.seq:
-            if helper.inherited:
-                return verify(self.message, self.signature, self.public_key)
-            helper.receive(block=True)
-        return helper.answers[self.seq] == 1
-
-    def __reduce__(self):  # another process cannot read this one's helper
-        return verify, (self.message, self.signature, self.public_key)
 
 
 class _Helper:
@@ -217,10 +211,9 @@ class _Helper:
         self.answers = bytearray()
         self._sent = 0
         self._failure: Optional[str] = None
-        self.inherited = False  # True in a process forked from the owner
 
-    def submit(self, message: bytes, signature: Signature,
-               public_key: PublicKey) -> _Pending:
+    def submit(self, message: bytes, signature: Signature, public_key: PublicKey) -> int:
+        """Send one triple; returns its index in ``answers``."""
         # Taking the ready verdicts first keeps the verdict pipe from filling
         # while this process writes, so neither side can block the other.
         self.receive(block=False)
@@ -234,9 +227,14 @@ class _Helper:
         except BaseException:  # a frame cut short would misalign every later one
             self._failure = "a frame to the signature verifier process was cut short"
             raise
-        pending = _Pending(message, signature, public_key, self, self._sent)
         self._sent += 1
-        return pending
+        return self._sent - 1
+
+    def answer(self, index: int) -> bool:
+        """The verdict for the ``index``-th triple, waiting for it to arrive."""
+        while len(self.answers) <= index:
+            self.receive(block=True)
+        return self.answers[index] == 1
 
     def receive(self, block: bool) -> None:
         """Take the verdicts the helper has written; with ``block``, wait
@@ -304,11 +302,13 @@ _helper: Optional[_Helper] = None
 _helper_tried = False  # whether this process has decided to start one
 
 
-def _submit(message: bytes, signature: Signature, public_key: PublicKey) -> Optional[_Pending]:
-    """Send one triple to this process's helper, starting it on first use.
-    None where no helper runs: without ``os.fork`` or ``os.sched_getaffinity``,
-    on one usable core, or when other threads run, since a forked child gets
-    only the forking thread and could wait forever on a lock another held."""
+def _submit(message: bytes, signature: Signature,
+            public_key: PublicKey) -> Optional[tuple[_Helper, int]]:
+    """Send one triple to this process's helper, starting it on first use, and
+    return its pending verdict. None where no helper runs: without ``os.fork``
+    or ``os.sched_getaffinity``, on one usable core, or when other threads run,
+    since a forked child gets only the forking thread and could wait forever on
+    a lock another held."""
     global _helper, _helper_tried
     if _helper is None:
         if _helper_tried:
@@ -318,16 +318,15 @@ def _submit(message: bytes, signature: Signature, public_key: PublicKey) -> Opti
                 or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1):
             return None
         _helper = _Helper()
-    return _helper.submit(message, signature, public_key)
+    return _helper, _helper.submit(message, signature, public_key)
 
 
 def _forget_helper() -> None:
     """In a forked child: drop the parent's helper, whose pipes are the parent's.
-    Its pending verdicts are then settled in-process; a first ``sign`` here
-    starts this process's own helper."""
+    ``verified`` then settles its pending verdicts in-process; a first ``sign``
+    here starts this process's own helper."""
     global _helper, _helper_tried
     if _helper is not None:
-        _helper.inherited = True
         _helper.close()
     _helper, _helper_tried = None, False
 
@@ -360,7 +359,7 @@ def issue_certificate(ca: KeyPair, identity: str, subject_pk: PublicKey) -> Cert
 
 def verify_certificate(cert: Certificate, ca_pk: PublicKey) -> bool:
     body = _certificate_body(cert.subject_identity, cert.subject_pk)
-    return verify(body, cert.ca_signature, ca_pk)
+    return verified(body, cert.ca_signature, ca_pk)
 
 
 # ---------------------------------------------------------------------------

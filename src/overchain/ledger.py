@@ -9,14 +9,14 @@ list through ``p_t_id`` starting from the all-zero digest.
 Blocks are generated on a fixed round-robin turn schedule (no proof-of-work)
 and receivers verify only a trust-dependent fraction of block contents.
 
-Transactions and blocks are frozen, so each caches its signature verdict on
-first use (a block also its signing bytes, id check and dump line): every node
-that is handed the same object reuses it. A tampered copy
-(``dataclasses.replace``) is a new value and is checked afresh. Each
-``Signature`` also keeps its Ed25519 results by exact message and key bytes, so
-a countersigned copy, which shares its pending copy's ``sig_1`` object, does not
-verify ``sig_1`` again. ``BlockVerdict.verification_count`` still counts the
-simulated sample.
+Transactions and blocks are frozen, so each caches its checks on first use (a
+transaction its integrity verdict, a block its signing bytes, id check and dump
+line): every node that is handed the same object reuses them. A tampered copy
+(``dataclasses.replace``) is a new value and is checked afresh. Signature
+verdicts are kept only by ``crypto.verified``, on each ``Signature`` by exact
+message and key bytes, so a countersigned copy, which shares its pending copy's
+``sig_1`` object, does not verify ``sig_1`` again.
+``BlockVerdict.verification_count`` still counts the simulated sample.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from .crypto import (
     Signature,
     canonical_join,
     digest,
-    verify,
+    verified,
 )
 
 
@@ -58,19 +58,6 @@ class PayloadTag(str, Enum):
 # ---------------------------------------------------------------------------
 # transactions
 # ---------------------------------------------------------------------------
-
-def _verify_once(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
-    """``verify``, remembered on the signature object for the exact message and
-    key bytes, so a countersigned copy reuses its pending copy's sig_1 verdict.
-    A verdict still pending in the verifier helper is waited for, then kept."""
-    verdicts = signature._verdicts
-    key = (message, public_key)
-    ok = verdicts.get(key)
-    if ok is not True and ok is not False:
-        ok = verdicts[key] = (verify(message, signature, public_key) if ok is None
-                              else ok.result())
-    return ok
-
 
 @dataclass(frozen=True)
 class Transaction:
@@ -126,9 +113,9 @@ class Transaction:
         if self.t_id != self.compute_t_id():
             return TxVerdict(False, TxFault.MALFORMED, "t_id does not match contents")
         body = self.signing_body()
-        if not _verify_once(body, self.sig_1, self.pk_1):
+        if not verified(body, self.sig_1, self.pk_1):
             return TxVerdict(False, TxFault.BAD_SIGNATURE, "sig_1 invalid")
-        if self.sig_2 is not None and not _verify_once(body, self.sig_2, self.pk_2):
+        if self.sig_2 is not None and not verified(body, self.sig_2, self.pk_2):
             return TxVerdict(False, TxFault.BAD_SIGNATURE, "sig_2 invalid")
         return TxVerdict(True)
 
@@ -262,10 +249,6 @@ class Block:
         ]
         fields.extend(tx.wire_bytes() for tx in self.transactions)
         return canonical_join(*fields)
-
-    @cached_property
-    def _generator_sig_ok(self) -> bool:
-        return _verify_once(self._signing_body, self.generator_signature, self.generator_pk)
 
     def compute_block_id(self) -> Digest:
         return digest(self.signing_body())
@@ -509,7 +492,7 @@ def validate_block(
         or not block.transactions
     ):
         return BlockVerdict(False, BlockFault.BROKEN_LINKAGE)
-    if not block._generator_sig_ok:
+    if not verified(block.signing_body(), block.generator_signature, block.generator_pk):
         return BlockVerdict(False, BlockFault.BAD_GENERATOR_SIG)
 
     n = len(block.transactions)
@@ -547,7 +530,7 @@ def verify_chain(chain: Chain) -> bool:
             return False
         if not block._id_ok:
             return False
-        if not block._generator_sig_ok:
+        if not verified(block.signing_body(), block.generator_signature, block.generator_pk):
             return False
         for tx in block.transactions:
             if not tx.fully_signed:

@@ -25,15 +25,8 @@ from .ledger import (
     countersign,
 )
 from .messages import AppRequest, BaseActor, DeliverTx, TxMessage
-from .swformat import build_sw_binary
+from .swformat import build_sw_binary, sw_object_id
 from .vehicle import StorageRecord, storage_digest
-
-SW_OBJECT_PREFIX = "sw/"
-
-
-def sw_object_id(payload_digest: Digest) -> str:
-    """Content-addressed cloud object id for an update binary."""
-    return SW_OBJECT_PREFIX + payload_digest.hex()
 
 
 class CloudStore(BaseActor):

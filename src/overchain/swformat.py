@@ -1,11 +1,20 @@
 """Self-describing container format for update binaries stored in the cloud:
-a magic tag plus length-prefixed target ECU name, version string, and body.
+a magic tag plus length-prefixed target ECU name, version string, and body;
+and the cloud object id each binary is stored under.
 """
 from __future__ import annotations
 
 import struct
 
+from .crypto import Digest
+
 MAGIC = b"SWUP"
+SW_OBJECT_PREFIX = "sw/"  # cloud object ids and the account ACLs that reach them
+
+
+def sw_object_id(payload_digest: Digest) -> str:
+    """Content-addressed cloud object id for an update binary."""
+    return SW_OBJECT_PREFIX + payload_digest.hex()
 
 
 def build_sw_binary(ecu: str, version: str, body: bytes) -> bytes:

@@ -28,7 +28,7 @@ from .ledger import (
     countersign,
 )
 from .messages import BaseActor, DeliverTx, Timer, TxMessage, UpdateNotice
-from .swformat import parse_sw_binary
+from .swformat import parse_sw_binary, sw_object_id
 
 
 @dataclass(frozen=True)
@@ -303,7 +303,7 @@ class Vehicle(BaseActor):
                            sw_digest=tx.payload_digest.hex())
 
         self.cloud_call(engine, self.cloud_id, self.cloud_account, "cloud_get",
-                        {"object": f"sw/{tx.payload_digest.hex()}"}, on_download)
+                        {"object": sw_object_id(tx.payload_digest)}, on_download)
 
     # -- deliveries -------------------------------------------------------------------
 

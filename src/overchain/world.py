@@ -26,7 +26,7 @@ from .manager import BlockManager
 from .messages import BaseActor, Timer, TxMessage
 from .services import CloudStore, Insurer, Oem, SwProvider
 from .simnet import Engine, LinkModel, Trace
-from .swformat import build_sw_binary
+from .swformat import SW_OBJECT_PREFIX, build_sw_binary
 from .vehicle import Vehicle
 
 __all__ = ["World", "build_world", "run_scenario"]
@@ -332,7 +332,7 @@ def build_world(config: ScenarioConfig) -> World:
         oem_key = generate_keypair(f"{seed}:key:{oem_id}")
         cert = issue_certificate(ca, oem_id, oem_key.public)
         account_key = generate_keypair(f"{seed}:cloud:{oem_id}")
-        cloud.create_account(f"{oem_id}-acct", account_key.public, ["sw/"])
+        cloud.create_account(f"{oem_id}-acct", account_key.public, [SW_OBJECT_PREFIX])
         world.oem = Oem(oem_id, oem_key, config.oem.obm, cloud_id="cloud",
                         cloud_account=(f"{oem_id}-acct", account_key))
         engine.add_node(world.oem)
@@ -344,7 +344,7 @@ def build_world(config: ScenarioConfig) -> World:
         pid = spec.service_id
         provider_key = generate_keypair(f"{seed}:key:{pid}")
         account_key = generate_keypair(f"{seed}:cloud:{pid}")
-        cloud.create_account(f"{pid}-acct", account_key.public, ["sw/"])
+        cloud.create_account(f"{pid}-acct", account_key.public, [SW_OBJECT_PREFIX])
         provider = SwProvider(pid, provider_key, spec.obm, cloud_id="cloud",
                               cloud_account=(f"{pid}-acct", account_key),
                               oem_pk=oem_key.public)
@@ -374,7 +374,7 @@ def build_world(config: ScenarioConfig) -> World:
     for spec in config.vehicles:
         vid = spec.vehicle_id
         account_key = generate_keypair(f"{seed}:cloud:{vid}")
-        cloud.create_account(f"{vid}-acct", account_key.public, ["sw/"])
+        cloud.create_account(f"{vid}-acct", account_key.public, [SW_OBJECT_PREFIX])
         vehicle = Vehicle(
             spec, KeyRing(f"{seed}:key:{vid}", rotate_per_interaction=spec.rotate_keys),
             oem_pk=oem_key.public if oem_key else None,

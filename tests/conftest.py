@@ -1,9 +1,11 @@
 """Shared fixtures: each bundled scenario is executed at most once per test
-session and the (config, world, trace, report) tuple is cached for reuse."""
+session and the (config, world, trace, report) tuple is cached for reuse; and
+a count of backend signature verifies."""
 from dataclasses import dataclass
 
 import pytest
 
+from overchain import crypto
 from overchain.cli import bundled_scenarios
 from overchain.config import ScenarioConfig, load_scenario
 from overchain.report import ScenarioReport, build_report
@@ -39,3 +41,26 @@ def bundled():
 
     get.names = tuple(paths)
     return get
+
+
+@pytest.fixture
+def counted_verify(monkeypatch):
+    """The signature of every backend verify, wherever it runs: each one that
+    ``sign`` hands to the verifier helper, which verifies it, and each one
+    passed to ``crypto.verify`` in-process."""
+    calls = []
+    real_verify, real_submit = crypto.verify, crypto._submit
+
+    def counting_verify(message, signature, public_key):
+        calls.append(signature)
+        return real_verify(message, signature, public_key)
+
+    def counting_submit(message, signature, public_key):
+        pending = real_submit(message, signature, public_key)
+        if pending is not None:  # None: no helper runs, so crypto.verify will
+            calls.append(signature)
+        return pending
+
+    monkeypatch.setattr(crypto, "verify", counting_verify)
+    monkeypatch.setattr(crypto, "_submit", counting_submit)
+    return calls

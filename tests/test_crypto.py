@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import overchain
-from overchain import crypto, ledger
+from overchain import crypto
 from overchain.crypto import (
     DIGEST_SIZE,
     PUBLIC_KEY_SIZE,
@@ -29,6 +29,7 @@ from overchain.crypto import (
     digest,
     generate_keypair,
     issue_certificate,
+    verified,
     verify,
     verify_certificate,
 )
@@ -119,6 +120,13 @@ def test_value_type_data_is_plain_bytes(cls, size):
     assert type(cls(raw).data) is bytes and cls(raw).data == raw
 
 
+def test_public_key_pickles_after_it_has_verified():
+    kp = generate_keypair("pickled-key")
+    assert verify(b"message", kp.sign(b"message"), kp.public)  # caches the backend key
+    copy = pickle.loads(pickle.dumps(kp.public))
+    assert type(copy) is PublicKey and copy == kp.public and vars(copy) == {}
+
+
 # ---------------------------------------------------------------------------
 # key pairs and signatures
 # ---------------------------------------------------------------------------
@@ -201,8 +209,9 @@ def test_helper_answers_each_triple_with_the_verdict_of_verify():
     ]
     helper = crypto._Helper()
     try:
-        pending = [helper.submit(*triple) for triple in triples]
-        assert [p.result() for p in pending] == [verify(*t) for t in triples] \
+        indices = [helper.submit(*triple) for triple in triples]
+        assert indices == list(range(len(triples)))
+        assert [helper.answer(i) for i in indices] == [verify(*t) for t in triples] \
             == [True, False, False, False, False, True, False, True]
     finally:
         helper.close()
@@ -212,18 +221,25 @@ def test_helper_answers_each_triple_with_the_verdict_of_verify():
 def test_sign_never_sets_a_verdict_by_itself():
     kp = generate_keypair("pending")
     stored = kp.sign(b"message")._verdicts.get((b"message", kp.public))
-    if crypto._helper is None:  # no helper here: ledger verifies in-process
+    if crypto._helper is None:  # no helper here: ``verified`` verifies in-process
         assert stored is None
     else:
-        assert isinstance(stored, crypto._Pending) and stored.result() is True
+        helper, index = stored
+        assert helper is crypto._helper and helper.answer(index) is True
 
 
-def test_signature_pickles_with_its_pending_verdict_verified_on_load():
+def test_signature_pickles_as_its_bytes_and_verifies_afresh_on_load():
     kp = generate_keypair("pickled")
-    sig = kp.sign(b"message")
-    copy = pickle.loads(pickle.dumps(sig))
-    assert copy == sig
-    assert copy._verdicts in ({}, {(b"message", kp.public): True})  # {}: no helper here
+    pending, resolved = kp.sign(b"message"), kp.sign(b"resolved")
+    assert verified(b"resolved", resolved, kp.public)
+    assert not verified(b"other", resolved, kp.public)
+    for sig, message in ((pending, b"message"), (resolved, b"resolved")):
+        copy = pickle.loads(pickle.dumps(sig))
+        assert type(copy) is Signature and copy == sig
+        assert copy._verdicts == {}  # neither a pending nor a settled verdict travels
+        assert verified(message, copy, kp.public)
+        assert not verified(b"other", copy, kp.public)
+        assert copy._verdicts == {(message, kp.public): True, (b"other", kp.public): False}
 
 
 @needs_fork
@@ -232,10 +248,10 @@ def test_killed_helper_raises_instead_of_hanging(monkeypatch):
     monkeypatch.setattr(crypto, "_helper", helper)
     kp = generate_keypair("killed")
     before = kp.sign(b"before")
-    assert ledger._verify_once(b"before", before, kp.public)
+    assert verified(b"before", before, kp.public)
     os.kill(helper.pid, signal.SIGKILL)
     with pytest.raises(RuntimeError, match=rf"process {helper.pid} exited with status -9"):
-        ledger._verify_once(b"after", kp.sign(b"after"), kp.public)
+        verified(b"after", kp.sign(b"after"), kp.public)
     with pytest.raises(RuntimeError, match="status -9"):
         kp.sign(b"later")
     helper.close()
@@ -253,9 +269,9 @@ def test_verdict_pending_at_a_fork_is_verified_in_the_child(monkeypatch):
         if pid == 0:
             status = 1
             try:
-                if (crypto._helper is None and helper.inherited
-                        and ledger._verify_once(b"good", good, kp.public)
-                        and not ledger._verify_once(b"bad", good, kp.public)):
+                if (crypto._helper is None
+                        and verified(b"good", good, kp.public)
+                        and not verified(b"bad", good, kp.public)):
                     status = 0
             finally:
                 os._exit(status)
@@ -268,7 +284,7 @@ def test_verdict_pending_at_a_fork_is_verified_in_the_child(monkeypatch):
         assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
     finally:
         os.kill(helper.pid, signal.SIGCONT)
-    assert ledger._verify_once(b"good", good, kp.public)  # the parent's helper still answers
+    assert verified(b"good", good, kp.public)  # the parent's helper still answers
     helper.close()
     os.waitpid(helper.pid, 0)
 
@@ -305,6 +321,13 @@ def test_certificate_issue_and_verify():
     cert = issue_certificate(ca, "oem-1", subject.public)
     assert verify_certificate(cert, ca.public)
     assert not verify_certificate(cert, generate_keypair("rogue-ca").public)
+
+
+def test_certificate_reads_its_signature_verdict(counted_verify):
+    ca, subject = generate_keypair("ca"), generate_keypair("counted")
+    cert = issue_certificate(ca, "counted-1", subject.public)
+    assert verify_certificate(cert, ca.public) and verify_certificate(cert, ca.public)
+    assert counted_verify == [cert.ca_signature]  # one backend verify, wherever it ran
 
 
 def test_certificate_single_bit_tamper_fails():

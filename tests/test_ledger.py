@@ -14,8 +14,7 @@ import dataclasses
 
 import pytest
 
-from overchain import crypto, ledger
-from overchain.crypto import ZERO_DIGEST, digest, generate_keypair
+from overchain.crypto import ZERO_DIGEST, digest, generate_keypair, verified
 from overchain.ledger import (
     Block,
     BlockFault,
@@ -492,7 +491,8 @@ def test_cached_verdicts_leave_value_semantics_alone():
     chain = build_sample_chain()
     fresh = Chain.from_dump_lines(chain.dump_lines())  # same values, nothing cached
     assert verify_chain(chain)
-    assert "_generator_sig_ok" in vars(chain.blocks[0])
+    block = chain.blocks[0]
+    assert block.generator_signature._verdicts[(block.signing_body(), block.generator_pk)] is True
     assert "_id_ok" in vars(chain.blocks[0])
     assert "_integrity" in vars(chain.blocks[0].transactions[0])
     assert "_verdicts" in vars(chain.blocks[0].transactions[0].sig_1)
@@ -509,30 +509,8 @@ def test_cached_verdicts_leave_value_semantics_alone():
             assert tx.sig_1.hex() == twin.sig_1.hex()
 
 
-def counted_verify(monkeypatch):
-    """Count backend verifies wherever they run: the signatures ``sign`` hands
-    to the verifier helper, which verifies each one, and the signatures passed
-    to ``ledger.verify`` in-process."""
-    calls = []
-    real_verify, real_submit = ledger.verify, crypto._submit
-
-    def counting_verify(message, signature, public_key):
-        calls.append(signature)
-        return real_verify(message, signature, public_key)
-
-    def counting_submit(message, signature, public_key):
-        pending = real_submit(message, signature, public_key)
-        if pending is not None:  # None: no helper runs, so ledger.verify will
-            calls.append(signature)
-        return pending
-
-    monkeypatch.setattr(ledger, "verify", counting_verify)
-    monkeypatch.setattr(crypto, "_submit", counting_submit)
-    return calls
-
-
-def test_backend_verify_runs_once_per_signature(monkeypatch):
-    calls = counted_verify(monkeypatch)
+def test_backend_verify_runs_once_per_signature(counted_verify):
+    calls = counted_verify
     tx = countersign(pending(payload=b"counted"), BOB)
     for _ in range(3):
         assert check_integrity(tx).ok
@@ -551,8 +529,8 @@ def test_backend_verify_runs_once_per_signature(monkeypatch):
                                    + [t.sig_1 for t in blk.transactions])
 
 
-def test_countersigned_copy_reuses_the_pending_sig_1_verdict(monkeypatch):
-    calls = counted_verify(monkeypatch)
+def test_countersigned_copy_reuses_the_pending_sig_1_verdict(counted_verify):
+    calls = counted_verify
     half = pending(payload=b"countersigned")
     assert check_integrity(half).ok
     done = countersign(half, BOB)
@@ -561,17 +539,18 @@ def test_countersigned_copy_reuses_the_pending_sig_1_verdict(monkeypatch):
     assert calls == [half.sig_1, done.sig_2]
 
 
-def test_signature_verdict_is_kept_per_message_and_key(monkeypatch):
-    other_body = single(payload=b"other").signing_body()  # signed before counting
-    calls = counted_verify(monkeypatch)
+def test_signature_verdict_is_kept_per_message_and_key(counted_verify):
+    calls = counted_verify
+    other_body = single(payload=b"other").signing_body()
+    calls.clear()  # count from the signature under test on
     tx = single(payload=b"keyed")
     body = tx.signing_body()
-    assert ledger._verify_once(body, tx.sig_1, ALICE.public)
-    assert not ledger._verify_once(other_body, tx.sig_1, ALICE.public)
-    assert not ledger._verify_once(body, tx.sig_1, BOB.public)
+    assert verified(body, tx.sig_1, ALICE.public)
+    assert not verified(other_body, tx.sig_1, ALICE.public)
+    assert not verified(body, tx.sig_1, BOB.public)
     assert calls == [tx.sig_1] * 3
     # every verdict, true or false, is kept for its exact message and key
-    assert ledger._verify_once(body, tx.sig_1, ALICE.public)
-    assert not ledger._verify_once(other_body, tx.sig_1, ALICE.public)
-    assert not ledger._verify_once(body, tx.sig_1, BOB.public)
+    assert verified(body, tx.sig_1, ALICE.public)
+    assert not verified(other_body, tx.sig_1, ALICE.public)
+    assert not verified(body, tx.sig_1, BOB.public)
     assert len(calls) == 3

@@ -345,6 +345,9 @@ def test_cli_report_missing_trace_exits_two(capsys):
 @pytest.mark.parametrize("bad_line, message", [
     ('{"t":1,"event":', "trace line 3: column 16: Expecting value"),
     ("[1,2]", "trace line 3: not a JSON object"),
+    ("{}", "trace line 3: no field 'event'"),
+    ('{"t":1,"actor":"obm0","event":"tx_dropped","t_id":"00"}',
+     "trace line 3: no field 'reason'"),
 ])
 def test_cli_report_names_the_bad_trace_line_and_exits_two(tiny_config, tmp_path, capsys,
                                                           bad_line, message):

@@ -26,9 +26,9 @@ from overchain.ledger import (
 )
 from overchain.manager import BlockManager
 from overchain.messages import BaseActor, TxMessage
-from overchain.services import CloudStore, Insurer, Oem, SwProvider, sw_object_id
+from overchain.services import CloudStore, Insurer, Oem, SwProvider
 from overchain.simnet import Engine, LinkModel, Trace
-from overchain.swformat import build_sw_binary, parse_sw_binary
+from overchain.swformat import build_sw_binary, parse_sw_binary, sw_object_id
 from overchain.vehicle import StorageRecord, Vehicle, storage_digest
 
 

@@ -31,9 +31,9 @@ from overchain.ledger import (
 )
 from overchain.manager import BlockManager
 from overchain.messages import AppRequest, BaseActor, DeliverTx, UpdateNotice
-from overchain.services import CloudStore, sw_object_id
+from overchain.services import CloudStore
 from overchain.simnet import Engine, LinkModel, Trace
-from overchain.swformat import build_sw_binary
+from overchain.swformat import build_sw_binary, sw_object_id
 from overchain.vehicle import (
     StorageRecord,
     Vehicle,
