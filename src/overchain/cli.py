@@ -21,7 +21,14 @@ from pathlib import Path
 from typing import Optional
 
 from .config import ConfigError, ScenarioConfig, load_scenario
-from .report import build_report, compute_metrics, parse_trace, render_json, render_plain
+from .report import (
+    ScenarioReport,
+    build_report,
+    compute_metrics,
+    evaluate_expectations,
+    render_json,
+    render_plain,
+)
 from .world import run_scenario
 
 __all__ = ["main"]
@@ -113,26 +120,25 @@ def _cmd_report(args) -> int:
     except OSError as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return 2
-    config = None
+    config = ScenarioConfig(Path(args.trace).stem)  # no expectations
     if args.config:
         try:
             config = _load(args.config, None)
         except ConfigError as exc:
             print(f"configuration error:\n{exc}", file=sys.stderr)
             return 2
-    try:
-        if config is not None:
-            report = build_report(text, config)
-        else:
-            from .report import ScenarioReport
-            metrics = compute_metrics(parse_trace(text))
-            report = ScenarioReport(Path(args.trace).stem, 0, metrics, (), True)
+    try:  # line by line: parse_trace's one call can merge malformed lines
+        metrics = compute_metrics(
+            [json.loads(line) for line in text.splitlines() if line.strip()])
     except (ValueError, TypeError, KeyError):  # a malformed line, or a bad record
         problem = _bad_trace_line(text)
         if problem is None:
             raise
         print(problem, file=sys.stderr)
         return 2
+    results = tuple(evaluate_expectations(metrics, config.expectations))
+    report = ScenarioReport(config.name, config.seed, metrics, results,
+                            all(r.passed for r in results))
     sys.stdout.write(_render(report, args.format))
     return 0 if report.passed else 1
 
@@ -140,7 +146,8 @@ def _cmd_report(args) -> int:
 def _bad_trace_line(text: str) -> Optional[str]:
     """``trace line N: ...`` for the first non-blank line of ``text`` that is
     not one JSON object, or whose record lacks a field ``compute_metrics``
-    reads, with lines numbered from 1; None if every line is sound."""
+    reads or holds one of a type it cannot use, with lines numbered from 1;
+    None if every line is sound."""
     for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -154,6 +161,8 @@ def _bad_trace_line(text: str) -> Optional[str]:
             compute_metrics([record])
         except KeyError as exc:
             return f"trace line {number}: no field {exc.args[0]!r}"
+        except (TypeError, ValueError) as exc:
+            return f"trace line {number}: {exc}"
     return None
 
 

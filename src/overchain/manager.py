@@ -259,7 +259,7 @@ class BlockManager(BaseActor):
             engine.trace.emit(engine.now, self.node_id, "tx_delivered",
                               t_id=tid_hex, member=entry.member_id,
                               pending=not tx.fully_signed)
-            engine.send(self.node_id, entry.member_id, DeliverTx(tx, self.node_id))
+            engine.send(self.node_id, entry.member_id, DeliverTx(tx))
             sinks += 1
 
         if tx.fully_signed and tx.payload_tag is PayloadTag.SW_UPDATE:
@@ -292,7 +292,7 @@ class BlockManager(BaseActor):
             if kind == "vehicle":
                 engine.trace.emit(engine.now, self.node_id, "update_notified",
                                   t_id=tid_hex, member=member_id)
-                engine.send(self.node_id, member_id, UpdateNotice(tx, self.node_id))
+                engine.send(self.node_id, member_id, UpdateNotice(tx))
 
     def _unpark(self, engine, new_tid: Digest) -> None:
         """Admit any parked transactions whose predecessor just became known."""
@@ -354,7 +354,7 @@ class BlockManager(BaseActor):
                           block_id=block.block_id.hex(), height=block.height,
                           n_tx=len(block.transactions), flush=flush)
         for peer in self.peers:
-            engine.send(self.node_id, peer, BlockMessage(block, self.node_id))
+            engine.send(self.node_id, peer, BlockMessage(block))
         for tx in block.transactions:
             self._unpark(engine, tx.t_id)
         return True
@@ -370,7 +370,7 @@ class BlockManager(BaseActor):
         engine.trace.emit(engine.now, self.node_id, "corrupt_block_emitted",
                           height=block.height, period=period_index)
         for peer in self.peers:
-            engine.send(self.node_id, peer, BlockMessage(block, self.node_id))
+            engine.send(self.node_id, peer, BlockMessage(block))
 
     def on_block(self, engine, block: Block) -> None:
         sample_seed = engine.rng(f"validate:{self.node_id}").getrandbits(64)

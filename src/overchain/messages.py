@@ -20,7 +20,6 @@ class TxMessage:
 @dataclass(frozen=True)
 class BlockMessage:
     block: Block
-    sender: str
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,6 @@ class DeliverTx:
     countersign request."""
 
     tx: Transaction
-    from_manager: str
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,6 @@ class UpdateNotice:
     """Manager-to-member announcement of a fully signed software update."""
 
     tx: Transaction
-    from_manager: str
 
 
 @dataclass(frozen=True)

@@ -223,8 +223,6 @@ class Oem(BaseActor):
         self.obm_id = obm_id
         self.cloud_id = cloud_id
         self.cloud_account = cloud_account
-        self.approvals: list[tuple[str, str]] = []  # (pending tid, final tid)
-        self.rejections: list[tuple[str, str]] = []  # (pending tid, reason)
 
     def on_payload(self, engine, payload) -> None:
         if isinstance(payload, DeliverTx):
@@ -234,7 +232,6 @@ class Oem(BaseActor):
             super().on_payload(engine, payload)
 
     def _reject(self, engine, tx: Transaction, reason: str) -> None:
-        self.rejections.append((tx.t_id.hex(), reason))
         engine.trace.emit(engine.now, self.node_id, "approval_rejected",
                           t_id=tx.t_id.hex(), reason=reason)
 
@@ -262,7 +259,6 @@ class Oem(BaseActor):
                 self._reject(eng, pending, "DigestMismatch")
                 return
             final = countersign(pending, self.keypair)
-            self.approvals.append((pending.t_id.hex(), final.t_id.hex()))
             eng.trace.emit(eng.now, self.node_id, "approved",
                            pending_t_id=pending.t_id.hex(),
                            t_id=final.t_id.hex())
@@ -287,7 +283,6 @@ class Insurer(BaseActor):
         self.cloud_id = cloud_id
         self.registry: dict[str, str] = {}  # account id -> owner identity
         self.pk_db: dict[str, PublicKey] = {}  # account id -> account pk
-        self.verdicts: list[tuple[str, str]] = []  # (account, verdict)
         self._account_seq = 0
 
     def open_account(self, engine, vehicle_id: str, owner_identity: str) -> str:
@@ -331,7 +326,6 @@ class Insurer(BaseActor):
 
         def on_anchor(eng, resp):
             verdict = self._verdict(account_id, records, resp["tx"])
-            self.verdicts.append((account_id, verdict))
             eng.trace.emit(eng.now, self.node_id, "claim_verified",
                            account=account_id, anchor_t_id=data["anchor_tid"],
                            verdict=verdict)

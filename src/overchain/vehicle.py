@@ -99,13 +99,7 @@ class Vehicle(BaseActor):
         self.access_set: list[tuple[PublicKey, PublicKey]] = []
 
         self.last_anchor_tid: dict[PublicKey, Digest] = {}  # per signing key
-        self.anchored_digests: dict[str, str] = {}  # anchor t_id hex -> store digest hex
-        self.last_anchor_tx: Optional[Transaction] = None
-        self.received_txs: list[Transaction] = []
-        self.update_outcomes: list[tuple[str, str]] = []  # (t_id hex, outcome)
-        self.claim_results: list[str] = []
-        self.upload_errors: list[str] = []
-        self.handover_count = 0
+        self.last_final_tid: dict[PublicKey, Digest] = {}  # pk_1 -> last final t_id
         self.stop_at = float("inf")  # periodic timers stop after this time
         self._handover_in_flight = False
         self._record_seq = 0
@@ -185,23 +179,22 @@ class Vehicle(BaseActor):
     def submit(self, engine, tx: Transaction) -> None:
         engine.send(self.node_id, self.obm_id, TxMessage(tx, origin_member=self.node_id))
 
-    def anchor_storage(self, engine) -> Transaction:
+    def _submit_anchor(self, engine, store_digest: Digest, tag: PayloadTag) -> Transaction:
+        """Submit an anchor of ``store_digest`` under the anchor key, chained
+        on that key's previous anchor."""
         key = self._anchor_key()
-        store_digest = storage_digest(self.in_vehicle_storage)
-        tx = build_transaction(
-            TxKind.SINGLE,
-            self.last_anchor_tid.get(key.public, ZERO_DIGEST),
-            store_digest,
-            PayloadTag.STORAGE_ANCHOR,
-            key,
-        )
+        previous = self.last_anchor_tid.get(key.public, ZERO_DIGEST)
+        tx = build_transaction(TxKind.SINGLE, previous, store_digest, tag, key)
         self.last_anchor_tid[key.public] = tx.t_id
-        self.anchored_digests[tx.t_id.hex()] = store_digest.hex()
-        self.last_anchor_tx = tx
+        self.submit(engine, tx)
+        return tx
+
+    def anchor_storage(self, engine) -> Transaction:
+        store_digest = storage_digest(self.in_vehicle_storage)
+        tx = self._submit_anchor(engine, store_digest, PayloadTag.STORAGE_ANCHOR)
         engine.trace.emit(engine.now, self.node_id, "anchor",
                           t_id=tx.t_id.hex(), n_records=len(self.in_vehicle_storage),
                           store_digest=store_digest.hex())
-        self.submit(engine, tx)
         return tx
 
     def transfer_to_backup(self, engine) -> Optional[Transaction]:
@@ -210,21 +203,11 @@ class Vehicle(BaseActor):
         moved = len(self.in_vehicle_storage)
         self.backup_store.extend(self.in_vehicle_storage)
         self.in_vehicle_storage.clear()
-        key = self._anchor_key()
-        backup_digest = storage_digest(self.backup_store)
-        tx = build_transaction(
-            TxKind.SINGLE,
-            self.last_anchor_tid.get(key.public, ZERO_DIGEST),
-            backup_digest,
-            PayloadTag.BACKUP_ANCHOR,
-            key,
-        )
-        self.last_anchor_tid[key.public] = tx.t_id
-        self.anchored_digests[tx.t_id.hex()] = backup_digest.hex()
+        tx = self._submit_anchor(engine, storage_digest(self.backup_store),
+                                 PayloadTag.BACKUP_ANCHOR)
         engine.trace.emit(engine.now, self.node_id, "backup",
                           t_id=tx.t_id.hex(), moved=moved,
                           backup_total=len(self.backup_store))
-        self.submit(engine, tx)
         return tx
 
     # -- cloud access (challenge-response each time; no session caching) -----------
@@ -235,7 +218,6 @@ class Vehicle(BaseActor):
 
         def done(eng, resp):
             if "error" in resp:
-                self.upload_errors.append(resp["error"])
                 eng.trace.emit(eng.now, self.node_id, "upload_rejected",
                                object=object_id, error=resp["error"])
             else:
@@ -257,7 +239,6 @@ class Vehicle(BaseActor):
             super().on_payload(engine, payload)
 
     def _reject_update(self, engine, tx: Transaction, reason: str) -> None:
-        self.update_outcomes.append((tx.t_id.hex(), reason))
         engine.trace.emit(engine.now, self.node_id, "update_rejected",
                           t_id=tx.t_id.hex(), reason=reason)
 
@@ -296,7 +277,6 @@ class Vehicle(BaseActor):
                 self._reject_update(eng, tx, "invalid")
                 return
             self.installed_sw[ecu] = (version, tx.payload_digest.hex())
-            self.update_outcomes.append((tid, "installed"))
             eng.trace.emit(eng.now, self.node_id, "update_verified", t_id=tid)
             eng.trace.emit(eng.now, self.node_id, "installed",
                            ecu=ecu, version=version,
@@ -315,7 +295,8 @@ class Vehicle(BaseActor):
         return pairs
 
     def _on_delivered(self, engine, tx: Transaction) -> None:
-        self.received_txs.append(tx)
+        if tx.fully_signed:
+            self.last_final_tid[tx.pk_1] = tx.t_id
         engine.trace.emit(engine.now, self.node_id, "tx_received",
                           t_id=tx.t_id.hex(), pending=not tx.fully_signed)
         if tx.kind is TxKind.MULTI and tx.sig_2 is None:
@@ -361,7 +342,6 @@ class Vehicle(BaseActor):
 
         def on_joined(eng, resp):
             self.obm_id = new_obm  # connect before break
-            self.handover_count += 1
             eng.trace.emit(eng.now, self.node_id, "handover",
                            old=old_obm, new=new_obm,
                            delays={k: round(v, 6) for k, v in delays.items()})
@@ -401,7 +381,6 @@ class Vehicle(BaseActor):
         account_id = self.insurance_account[0] if self.insurance_account else ""
 
         def on_verdict(eng, resp):
-            self.claim_results.append(resp["verdict"])
             eng.trace.emit(eng.now, self.node_id, "claim_result",
                            anchor_t_id=anchor_tid, verdict=resp["verdict"])
 

@@ -64,11 +64,7 @@ class TrafficDriver(BaseActor):
         requester = self.vehicles[f"veh{2 * pair}"]
         partner = self.vehicles[f"veh{2 * pair + 1}"]
         req_key = requester.keys.interaction_key()
-        previous = ZERO_DIGEST
-        for tx in reversed(requester.received_txs):
-            if tx.fully_signed and tx.pk_1 == req_key.public:
-                previous = tx.t_id
-                break
+        previous = requester.last_final_tid.get(req_key.public, ZERO_DIGEST)
         self.sent += 1
         payload = digest(f"traffic:{pair}:{self.sent}".encode())
         tx = build_transaction(TxKind.MULTI, previous, payload,

@@ -1,15 +1,25 @@
 """Shared fixtures: each bundled scenario is executed at most once per test
 session and the (config, world, trace, report) tuple is cached for reuse; and
-a count of backend signature verifies."""
+a count of backend signature verifies. Also ``trace_records``, the one way
+tests read an actor's outcomes: from the trace, as the report does."""
 from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
 from overchain import crypto
 from overchain.cli import bundled_scenarios
 from overchain.config import ScenarioConfig, load_scenario
-from overchain.report import ScenarioReport, build_report
+from overchain.report import ScenarioReport, build_report, parse_trace
 from overchain.world import World, run_scenario
+
+
+def trace_records(trace_text: str, *events: str,
+                  actor: Optional[str] = None) -> list[dict]:
+    """The records of ``trace_text`` whose event is one of ``events`` (and
+    whose actor is ``actor``, when given), in trace order."""
+    return [r for r in parse_trace(trace_text)
+            if r["event"] in events and (actor is None or r["actor"] == actor)]
 
 
 @dataclass

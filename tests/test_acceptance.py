@@ -29,9 +29,7 @@ from overchain.world import run_scenario
 
 import dataclasses
 
-
-def events(run, name):
-    return [l for l in parse_trace(run.trace_text) if l["event"] == name]
+from conftest import trace_records
 
 
 # -- 1: a published update reaches every vehicle and every ledger copy ---------------
@@ -39,16 +37,16 @@ def events(run, name):
 
 def test_criterion_01_update_installs_fleet_wide_with_digest_equality(bundled):
     run = bundled("wrsu_happy_path")
-    published = events(run, "published")
+    published = trace_records(run.trace_text, "published")
     assert len(published) == 1
     published_digest = published[0]["object"].split("/", 1)[1]
 
-    installed = events(run, "installed")
+    installed = trace_records(run.trace_text, "installed")
     assert len(installed) == 20
     assert len({l["actor"] for l in installed}) == 20
     assert all(l["sw_digest"] == published_digest for l in installed)
 
-    final_tid = Digest.fromhex(events(run, "approved")[0]["t_id"])
+    final_tid = Digest.fromhex(trace_records(run.trace_text, "approved")[0]["t_id"])
     for manager in run.world.managers:
         assert final_tid in manager.chain.tx_index, manager.node_id
     print(f"\n  installs 20/20, digest {published_digest[:12]}…, "
@@ -61,7 +59,7 @@ def test_criterion_01_update_installs_fleet_wide_with_digest_equality(bundled):
 def test_criterion_02_tampered_binary_installs_nowhere(bundled):
     run = bundled("wrsu_tampered")
     assert run.metrics["installs"] == 0
-    rejected = events(run, "update_rejected")
+    rejected = trace_records(run.trace_text, "update_rejected")
     assert len(rejected) == 20
     assert all(l["reason"] == "HashMismatch" for l in rejected)
     assert len({l["actor"] for l in rejected}) == 20
@@ -77,7 +75,7 @@ def test_criterion_03_impersonation_yields_no_countersignature(bundled):
     assert run.metrics["attack"]["forged_finals"] == 1
     assert run.metrics["installs"] == 0
     assert run.metrics["approvals"] == 0
-    assert run.world.oem.approvals == []
+    assert trace_records(run.trace_text, "approved") == []
     assert run.metrics["rejections"]["NotFromMyOem"] == 20
     print("\n  forged submissions 2, OEM countersignatures 0, installs 0, "
           "vehicle refusals 20")
@@ -217,14 +215,15 @@ def test_criterion_08_single_handover_migrates_keys_without_duplicates(bundled):
 
 def test_criterion_09_claims_follow_anchored_evidence(bundled):
     run = bundled("insurance")
-    outcomes = {l["actor"]: l["verdict"] for l in events(run, "claim_result")}
+    outcomes = {l["actor"]: l["verdict"]
+                for l in trace_records(run.trace_text, "claim_result")}
     assert outcomes == {"veh0": "accepted", "veh1": "DigestMismatch"}
 
-    closed_at = next(l["t"] for l in events(run, "account_closed"))
-    veh2_rejects = [l for l in events(run, "upload_rejected")
+    closed_at = next(l["t"] for l in trace_records(run.trace_text, "account_closed"))
+    veh2_rejects = [l for l in trace_records(run.trace_text, "upload_rejected")
                     if l["actor"] == "veh2" and l["error"] == "UnknownAccount"]
     assert veh2_rejects and all(l["t"] >= closed_at for l in veh2_rejects)
-    veh2_uploads = [l for l in events(run, "record_uploaded")
+    veh2_uploads = [l for l in trace_records(run.trace_text, "record_uploaded")
                     if l["actor"] == "veh2"]
     assert veh2_uploads and all(l["t"] < closed_at for l in veh2_uploads)
     print(f"\n  honest claim accepted, tampered claim DigestMismatch, "

@@ -348,6 +348,15 @@ def test_cli_report_missing_trace_exits_two(capsys):
     ("{}", "trace line 3: no field 'event'"),
     ('{"t":1,"actor":"obm0","event":"tx_dropped","t_id":"00"}',
      "trace line 3: no field 'reason'"),
+    ('{"event":[]}', "trace line 3: unhashable type: 'list'"),
+    ('{"t":1,"actor":"obm0","event":"block_validated","ok":true,"generator":"obm1",'
+     '"height":1,"verification_count":"x"}',
+     "trace line 3: unsupported operand type(s) for +: 'int' and 'str'"),
+    # malformed lines that one decode of the whole trace would merge into
+    # three sound records
+    ('{"t":0,"actor":"a","event":"x","n":[1\n2]}\n'
+     '{"t":1,"actor":"a","event":"y"},{"t":2,"actor":"a","event":"z"}',
+     "trace line 3: column 38: Expecting ',' delimiter"),
 ])
 def test_cli_report_names_the_bad_trace_line_and_exits_two(tiny_config, tmp_path, capsys,
                                                           bad_line, message):

@@ -31,6 +31,8 @@ from overchain.simnet import Engine, LinkModel, Trace
 from overchain.swformat import build_sw_binary, parse_sw_binary, sw_object_id
 from overchain.vehicle import StorageRecord, Vehicle, storage_digest
 
+from conftest import trace_records
+
 
 class Sink(BaseActor):
     def __init__(self, node_id: str):
@@ -271,13 +273,25 @@ def oem_world():
     return engine, cloud, obm, oem, pending, provider_key
 
 
+def approvals(engine) -> list[tuple[str, str]]:
+    """(pending t_id, final t_id) for each countersignature, from the trace."""
+    return [(r["pending_t_id"], r["t_id"])
+            for r in trace_records(engine.trace.text(), "approved")]
+
+
+def approval_rejections(engine) -> list[tuple[str, str]]:
+    """(t_id, reason) for each refused approval, from the trace."""
+    return [(r["t_id"], r["reason"])
+            for r in trace_records(engine.trace.text(), "approval_rejected")]
+
+
 def test_oem_countersigns_after_independent_rehash():
     engine, cloud, obm, oem, pending, provider_key = oem_world()
     oem.approve(engine, pending)
     engine.run()
     [msg] = obm.got
     final = msg.tx
-    assert oem.approvals == [(pending.t_id.hex(), final.t_id.hex())]
+    assert approvals(engine) == [(pending.t_id.hex(), final.t_id.hex())]
     assert final.fully_signed and final.t_id != pending.t_id
     assert final.payload_digest == pending.payload_digest
     assert check_integrity(final).ok
@@ -290,7 +304,7 @@ def test_oem_rejects_when_cloud_object_differs_from_digest():
     oem.approve(engine, pending)
     engine.run()
     assert obm.got == []
-    assert oem.rejections == [(pending.t_id.hex(), "DigestMismatch")]
+    assert approval_rejections(engine) == [(pending.t_id.hex(), "DigestMismatch")]
 
 
 def test_oem_rejects_when_cloud_object_is_missing():
@@ -298,7 +312,7 @@ def test_oem_rejects_when_cloud_object_is_missing():
     cloud.objects.clear()
     oem.approve(engine, pending)
     engine.run()
-    assert oem.rejections == [(pending.t_id.hex(), "DigestMismatch")]
+    assert approval_rejections(engine) == [(pending.t_id.hex(), "DigestMismatch")]
 
 
 def test_oem_rejects_forged_provider_signature():
@@ -308,7 +322,7 @@ def test_oem_rejects_forged_provider_signature():
     oem.approve(engine, forged)
     engine.run()
     assert obm.got == []
-    assert oem.rejections == [(forged.t_id.hex(), "BadProviderSignature")]
+    assert approval_rejections(engine) == [(forged.t_id.hex(), "BadProviderSignature")]
 
 
 def test_oem_ignores_updates_addressed_elsewhere():
@@ -318,14 +332,14 @@ def test_oem_ignores_updates_addressed_elsewhere():
                               recipient_pk=generate_keypair("someone").public)
     oem.approve(engine, other)
     engine.run()
-    assert oem.rejections == [(other.t_id.hex(), "NotAddressedToMe")]
+    assert approval_rejections(engine) == [(other.t_id.hex(), "NotAddressedToMe")]
 
     wrong_tag = build_transaction(TxKind.MULTI, ZERO_DIGEST, pending.payload_digest,
                                   PayloadTag.GENERIC, provider_key,
                                   recipient_pk=oem.keypair.public)
     oem.approve(engine, wrong_tag)
     engine.run()
-    assert (wrong_tag.t_id.hex(), "NotAddressedToMe") in oem.rejections
+    assert (wrong_tag.t_id.hex(), "NotAddressedToMe") in approval_rejections(engine)
 
 
 def test_oem_leaves_already_final_transactions_alone():
@@ -333,7 +347,8 @@ def test_oem_leaves_already_final_transactions_alone():
     final = countersign(pending, oem.keypair)
     oem.approve(engine, final)
     engine.run()
-    assert oem.approvals == [] and oem.rejections == [] and obm.got == []
+    assert approvals(engine) == [] and approval_rejections(engine) == []
+    assert obm.got == []
 
 
 # -- insurer ---------------------------------------------------------------------------
@@ -386,27 +401,32 @@ def run_claim(*, tamper=False, skip_commit=False, foreign_key=False):
     return engine, manager, insurer, veh
 
 
+def claim_results(engine) -> list[str]:
+    """The verdict each claim brought back to the vehicle, from the trace."""
+    return [r["verdict"] for r in trace_records(engine.trace.text(), "claim_result")]
+
+
 def test_honest_claim_is_accepted_against_committed_anchor():
     engine, manager, insurer, veh = run_claim()
-    assert veh.claim_results == ["accepted"]
-    assert insurer.verdicts[-1][1] == "accepted"
+    assert claim_results(engine) == ["accepted"]
+    assert trace_records(engine.trace.text(), "claim_verified")[-1]["verdict"] == "accepted"
     assert manager.chain.height == 1
 
 
 def test_tampered_records_fail_digest_comparison():
-    _, _, insurer, veh = run_claim(tamper=True)
-    assert veh.claim_results == ["DigestMismatch"]
+    engine, _, _, _ = run_claim(tamper=True)
+    assert claim_results(engine) == ["DigestMismatch"]
 
 
 def test_claim_without_committed_anchor_is_rejected():
-    _, manager, _, veh = run_claim(skip_commit=True)
-    assert veh.claim_results == ["AnchorNotFound"]
+    engine, manager, _, _ = run_claim(skip_commit=True)
+    assert claim_results(engine) == ["AnchorNotFound"]
     assert manager.chain.height == 0
 
 
 def test_claim_signed_by_unregistered_key_is_rejected():
-    _, _, _, veh = run_claim(foreign_key=True)
-    assert veh.claim_results == ["KeyNotRegistered"]
+    engine, _, _, _ = run_claim(foreign_key=True)
+    assert claim_results(engine) == ["KeyNotRegistered"]
 
 
 def test_closed_account_surfaces_on_next_vehicle_upload():
@@ -421,12 +441,13 @@ def test_closed_account_surfaces_on_next_vehicle_upload():
     veh.in_vehicle_storage.append(record)
     veh._upload_record(engine, record)
     engine.run()
-    assert veh.upload_errors == []
+    assert trace_records(engine.trace.text(), "upload_rejected") == []
     insurer.close_account(engine, account_id)
     engine.run()
     veh._upload_record(engine, record)
     engine.run()
-    assert veh.upload_errors == ["UnknownAccount"]
+    assert [r["error"] for r in trace_records(engine.trace.text(), "upload_rejected")] \
+        == ["UnknownAccount"]
 
 
 # -- two-vehicle update walkthrough ------------------------------------------------------
@@ -498,7 +519,7 @@ def test_update_walkthrough_single_cycle():
     # 1. binary stored under its content address
     assert cloud.objects[sw_object_id(digest(blob))] == blob
     # 2-3. pending routed to the manufacturer, exactly one approval back
-    [(pending_tid, final_tid)] = oem.approvals
+    [(pending_tid, final_tid)] = approvals(engine)
     # 4. the pool holds the final tx, nothing was dropped anywhere
     assert [tx.t_id.hex() for tx in manager.pool.values()] == [final_tid]
     assert manager.drops == {"invalid": 0, "duplicate": 0, "no_match": 0}
@@ -506,7 +527,9 @@ def test_update_walkthrough_single_cycle():
     expected = ("2.0", digest(blob).hex())
     assert veh1.installed_sw == {"ecu0": expected}
     assert veh2.installed_sw == {"ecu0": expected}
-    assert veh1.update_outcomes == [(final_tid, "installed")]
+    assert [(r["event"], r["t_id"]) for r in trace_records(
+        engine.trace.text(), "update_verified", "update_rejected", actor="veh1")] \
+        == [("update_verified", final_tid)]
     # 6. the scheduled turn commits it; a lookup then succeeds
     manager.tick(engine, period_index=0, turn_id="obm0")
     engine.run()

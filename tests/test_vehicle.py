@@ -15,6 +15,7 @@ import pytest
 from overchain.config import VehicleSpec
 from overchain.crypto import (
     ZERO_DIGEST,
+    Digest,
     KeyRing,
     canonical_join,
     digest,
@@ -40,6 +41,8 @@ from overchain.vehicle import (
     prove_storage_integrity,
     storage_digest,
 )
+
+from conftest import trace_records
 
 
 class Sink(BaseActor):
@@ -222,51 +225,59 @@ def wrsu_fixture(*, tamper=False, remove_object=False, wrong_oem=False,
         oem_pk=generate_keypair("other-oem").public if wrong_oem else oem.public,
         cloud_account=None if drop_account else ("veh-acct", veh_account),
     )
-    engine.send("obm", "veh", UpdateNotice(tx, "obm"))
+    engine.send("obm", "veh", UpdateNotice(tx))
     engine.run()
     return engine, veh, tx
+
+
+def update_outcomes(engine) -> list[tuple[str, str]]:
+    """(t_id, "installed" or the refusal reason) for each update the trace
+    shows settled, in order."""
+    return [(r["t_id"], r.get("reason", "installed"))
+            for r in trace_records(engine.trace.text(),
+                                   "update_verified", "update_rejected")]
 
 
 def test_authentic_update_is_installed_with_matching_digest():
     engine, veh, tx = wrsu_fixture()
     assert veh.installed_sw == {"ecu0": ("2.0", tx.payload_digest.hex())}
-    assert veh.update_outcomes == [(tx.t_id.hex(), "installed")]
+    assert update_outcomes(engine) == [(tx.t_id.hex(), "installed")]
     assert '"event":"installed"' in engine.trace.text()
 
 
 def test_tampered_cloud_binary_is_rejected_as_hash_mismatch():
-    _, veh, tx = wrsu_fixture(tamper=True)
+    engine, veh, tx = wrsu_fixture(tamper=True)
     assert veh.installed_sw == {}
-    assert veh.update_outcomes == [(tx.t_id.hex(), "HashMismatch")]
+    assert update_outcomes(engine) == [(tx.t_id.hex(), "HashMismatch")]
 
 
 def test_update_from_foreign_oem_is_rejected():
-    _, veh, tx = wrsu_fixture(wrong_oem=True)
+    engine, veh, tx = wrsu_fixture(wrong_oem=True)
     assert veh.installed_sw == {}
-    assert veh.update_outcomes == [(tx.t_id.hex(), "NotFromMyOem")]
+    assert update_outcomes(engine) == [(tx.t_id.hex(), "NotFromMyOem")]
 
 
 def test_missing_cloud_object_is_reported():
-    _, veh, tx = wrsu_fixture(remove_object=True)
-    assert veh.update_outcomes == [(tx.t_id.hex(), "DownloadMissing")]
+    engine, _, tx = wrsu_fixture(remove_object=True)
+    assert update_outcomes(engine) == [(tx.t_id.hex(), "DownloadMissing")]
 
 
 def test_vehicle_without_cloud_account_cannot_verify():
-    _, veh, tx = wrsu_fixture(drop_account=True)
-    assert veh.update_outcomes == [(tx.t_id.hex(), "CloudAuthFailed")]
+    engine, _, tx = wrsu_fixture(drop_account=True)
+    assert update_outcomes(engine) == [(tx.t_id.hex(), "CloudAuthFailed")]
 
 
 def test_half_signed_update_notice_is_rejected_as_invalid():
-    _, veh, tx = wrsu_fixture(make_pending=True)
+    engine, veh, tx = wrsu_fixture(make_pending=True)
     assert veh.installed_sw == {}
-    assert veh.update_outcomes == [(tx.t_id.hex(), "invalid")]
+    assert update_outcomes(engine) == [(tx.t_id.hex(), "invalid")]
 
 
 def test_duplicate_update_notice_is_ignored():
     engine, veh, tx = wrsu_fixture()
-    engine.send("obm", "veh", UpdateNotice(tx, "obm"))
+    engine.send("obm", "veh", UpdateNotice(tx))
     engine.run()
-    assert veh.update_outcomes == [(tx.t_id.hex(), "installed")]
+    assert update_outcomes(engine) == [(tx.t_id.hex(), "installed")]
 
 
 # -- deliveries and countersigning ---------------------------------------------------------
@@ -281,7 +292,7 @@ def test_delivered_pending_multisig_addressed_to_vehicle_is_countersigned():
     pending = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(b"offer"),
                                 PayloadTag.GENERIC, requester,
                                 recipient_pk=veh.keys.current.public)
-    engine.send("obm", "veh", DeliverTx(pending, "obm"))
+    engine.send("obm", "veh", DeliverTx(pending))
     engine.run()
     finals = [m.tx for m in obm.got]
     assert len(finals) == 1 and finals[0].fully_signed
@@ -298,9 +309,11 @@ def test_delivered_pending_for_unknown_key_is_recorded_but_not_signed():
     pending = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(b"x"),
                                 PayloadTag.GENERIC, stranger[0],
                                 recipient_pk=stranger[1].public)
-    engine.send("obm", "veh", DeliverTx(pending, "obm"))
+    engine.send("obm", "veh", DeliverTx(pending))
     engine.run()
-    assert [t.t_id for t in veh.received_txs] == [pending.t_id]
+    received = trace_records(engine.trace.text(), "tx_received")
+    assert [r["t_id"] for r in received] == [pending.t_id.hex()]
+    assert veh.last_final_tid == {}  # a pending transaction is not final
     assert obm.got == []
 
 
@@ -335,7 +348,8 @@ def test_handover_crosses_to_closer_manager_and_migrates_keys():
     engine, (m0, m1), veh, requester = handover_world(20.0, 4.0)
     veh.evaluate_handover(engine)
     engine.run()
-    assert veh.obm_id == "obm1" and veh.handover_count == 1
+    assert veh.obm_id == "obm1"
+    assert len(trace_records(engine.trace.text(), "handover", actor="veh")) == 1
     assert "veh" in m1.members and "veh" not in m0.members
     assert m0.key_list.entries_for("veh") == []
     assert len(m1.key_list.entries_for("veh")) == 1
@@ -349,15 +363,19 @@ def test_handover_crosses_to_closer_manager_and_migrates_keys():
     engine.send("obm1", "obm1", TxMessage(pending, origin_member="tester"))
     engine.run()
     # the pending arrives, the vehicle countersigns, and the final echoes back
-    assert veh.received_txs[0].t_id == pending.t_id
-    assert len(veh.received_txs) == 2 and veh.received_txs[1].fully_signed
+    received = trace_records(engine.trace.text(), "tx_received", actor="veh")
+    assert received[0]["t_id"] == pending.t_id.hex()
+    assert len(received) == 2 and not received[1]["pending"]
+    # the echoed final is what the requester's next transaction chains on
+    assert veh.last_final_tid == {requester.public: Digest.fromhex(received[1]["t_id"])}
 
 
 def test_handover_skipped_when_all_candidates_above_threshold():
     engine, (m0, m1), veh, _ = handover_world(300.0, 250.0, threshold=100.0)
     veh.evaluate_handover(engine)
     engine.run()
-    assert veh.obm_id == "obm0" and veh.handover_count == 0
+    assert veh.obm_id == "obm0"
+    assert trace_records(engine.trace.text(), "handover", actor="veh") == []
     assert '"reason":"all_above_threshold"' in engine.trace.text()
 
 
@@ -366,7 +384,8 @@ def test_handover_skipped_inside_hysteresis_band():
     engine, (m0, m1), veh, _ = handover_world(10.0, 9.0)
     veh.evaluate_handover(engine)
     engine.run()
-    assert veh.obm_id == "obm0" and veh.handover_count == 0
+    assert veh.obm_id == "obm0"
+    assert trace_records(engine.trace.text(), "handover", actor="veh") == []
     assert '"reason":"hysteresis"' in engine.trace.text()
 
 
@@ -374,7 +393,8 @@ def test_current_manager_best_means_no_action():
     engine, _, veh, _ = handover_world(4.0, 20.0)
     veh.evaluate_handover(engine)
     engine.run()
-    assert veh.obm_id == "obm0" and veh.handover_count == 0
+    assert veh.obm_id == "obm0"
+    assert trace_records(engine.trace.text(), "handover", actor="veh") == []
     assert '"event":"handover_skipped"' not in engine.trace.text()
 
 
@@ -402,11 +422,13 @@ def test_accident_anchors_snapshot_then_files_claim():
     veh.in_vehicle_storage.append(StorageRecord(1.0, "speed", b"swerve"))
     veh.trigger_accident(engine, insurer_id="insurer", claim_delay=5.0)
     engine.run()
-    assert veh.claim_results == ["accepted"]
+    text = engine.trace.text()
+    assert [r["verdict"] for r in trace_records(text, "claim_result")] == ["accepted"]
     claim = insurer.claims[0]
-    assert claim["anchor_tid"] == veh.last_anchor_tx.t_id.hex()
-    assert storage_digest([StorageRecord.from_json_obj(r) for r in claim["records"]]) \
-        == veh.last_anchor_tx.payload_digest
+    [anchor] = trace_records(text, "anchor")
+    assert claim["anchor_tid"] == anchor["t_id"]
+    filed = [StorageRecord.from_json_obj(r) for r in claim["records"]]
+    assert storage_digest(filed).hex() == anchor["store_digest"]
 
 
 def test_tampered_claim_alters_one_record_only_in_the_filed_copy():
@@ -422,7 +444,8 @@ def test_tampered_claim_alters_one_record_only_in_the_filed_copy():
     filed = [StorageRecord.from_json_obj(r) for r in insurer.claims[0]["records"]]
     assert filed[0].payload != original.payload
     assert veh.in_vehicle_storage == [original]  # local store untouched
-    assert veh.claim_results == ["DigestMismatch"]
+    assert [r["verdict"] for r in trace_records(engine.trace.text(), "claim_result")] \
+        == ["DigestMismatch"]
 
 
 # -- timer-driven behavior -----------------------------------------------------------------
@@ -438,7 +461,8 @@ def test_record_and_anchor_timers_accumulate_and_anchor_periodically():
     veh.start(engine)
     engine.run(max_time=20.5)
     assert len(veh.in_vehicle_storage) == 20
-    # the t=20 anchor message is still in flight at the cutoff; count on the vehicle
-    assert len(veh.anchored_digests) == 4
+    # the t=20 anchor message is still in flight at the cutoff; count the
+    # vehicle's own anchor records
+    assert len(trace_records(engine.trace.text(), "anchor", "backup")) == 4
     timestamps = [r.timestamp for r in veh.in_vehicle_storage]
     assert timestamps == sorted(timestamps)
