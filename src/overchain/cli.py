@@ -12,7 +12,6 @@ Exit codes: 0 all expectations pass, 1 at least one expectation failed,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
@@ -21,14 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .config import ConfigError, ScenarioConfig, load_scenario
-from .report import (
-    ScenarioReport,
-    build_report,
-    compute_metrics,
-    evaluate_expectations,
-    render_json,
-    render_plain,
-)
+from .report import TraceError, build_report, read_report, render_json, render_plain
 from .world import run_scenario
 
 __all__ = ["main"]
@@ -70,9 +62,8 @@ def _cmd_run(args) -> int:
         print(f"configuration error:\n{exc}", file=sys.stderr)
         return 2
 
-    trace_target: Optional[Path] = Path(args.trace) if args.trace else None
-    if trace_target and len(configs) > 1:
-        trace_target.mkdir(parents=True, exist_ok=True)
+    trace: Optional[Path] = Path(args.trace) if args.trace else None
+    in_dir = trace is not None and (len(configs) > 1 or trace.is_dir())
 
     formats = repeat(args.format)
     if args.jobs > 1 and len(configs) > 1:
@@ -83,12 +74,16 @@ def _cmd_run(args) -> int:
 
     all_passed = True
     for name, passed, trace_text, rendered in results:
+        if trace:  # before the report, so a path that fails prints no report
+            try:
+                if in_dir:
+                    trace.mkdir(parents=True, exist_ok=True)
+                (trace / f"{name}.trace.jsonl" if in_dir else trace).write_text(trace_text)
+            except OSError as exc:
+                print(f"cannot write trace: {exc}", file=sys.stderr)
+                return 2
         sys.stdout.write(rendered)
         all_passed &= passed
-        if trace_target:
-            out = (trace_target / f"{name}.trace.jsonl"
-                   if len(configs) > 1 else trace_target)
-            out.write_text(trace_text)
     return 0 if all_passed else 1
 
 
@@ -116,8 +111,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_report(args) -> int:
     try:
-        text = Path(args.trace).read_text()
-    except OSError as exc:
+        text = Path(args.trace).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return 2
     config = ScenarioConfig(Path(args.trace).stem)  # no expectations
@@ -127,43 +122,13 @@ def _cmd_report(args) -> int:
         except ConfigError as exc:
             print(f"configuration error:\n{exc}", file=sys.stderr)
             return 2
-    try:  # line by line: parse_trace's one call can merge malformed lines
-        metrics = compute_metrics(
-            [json.loads(line) for line in text.splitlines() if line.strip()])
-    except (ValueError, TypeError, KeyError):  # a malformed line, or a bad record
-        problem = _bad_trace_line(text)
-        if problem is None:
-            raise
-        print(problem, file=sys.stderr)
+    try:
+        report = read_report(text, config)
+    except TraceError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    results = tuple(evaluate_expectations(metrics, config.expectations))
-    report = ScenarioReport(config.name, config.seed, metrics, results,
-                            all(r.passed for r in results))
     sys.stdout.write(_render(report, args.format))
     return 0 if report.passed else 1
-
-
-def _bad_trace_line(text: str) -> Optional[str]:
-    """``trace line N: ...`` for the first non-blank line of ``text`` that is
-    not one JSON object, or whose record lacks a field ``compute_metrics``
-    reads or holds one of a type it cannot use, with lines numbered from 1;
-    None if every line is sound."""
-    for number, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return f"trace line {number}: column {exc.colno}: {exc.msg}"
-        if not isinstance(record, dict):
-            return f"trace line {number}: not a JSON object"
-        try:  # every field compute_metrics reads is the record's own
-            compute_metrics([record])
-        except KeyError as exc:
-            return f"trace line {number}: no field {exc.args[0]!r}"
-        except (TypeError, ValueError) as exc:
-            return f"trace line {number}: {exc}"
-    return None
 
 
 def _cmd_list(_args) -> int:
@@ -184,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     run_p.add_argument("--trace", default=None,
-                       help="write the trace here (a directory when "
-                            "running several scenarios)")
+                       help="write the trace to this file, or as NAME.trace.jsonl "
+                            "into this directory if it is one or several scenarios run")
     run_p.add_argument("--format", choices=("plain", "json"), default="plain")
     run_p.add_argument("--jobs", type=int, default=1,
                        help="run scenarios in parallel processes")

@@ -514,11 +514,11 @@ def load_scenario(path: str | Path, *, seed_override: Optional[int] = None
     """Read, parse, and validate one scenario file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()  # PyYAML detects the encoding and rejects a bad one
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        obj = yaml.safe_load(text)
+        obj = yaml.safe_load(data)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "unknown position"

@@ -16,13 +16,19 @@ from .config import Expectation, ScenarioConfig
 __all__ = [
     "ExpectationResult",
     "ScenarioReport",
+    "TraceError",
     "build_report",
     "compute_metrics",
     "evaluate_expectations",
     "parse_trace",
+    "read_report",
     "render_json",
     "render_plain",
 ]
+
+
+class TraceError(ValueError):
+    """A bad trace line, named as ``trace line N: …`` (numbered from 1)."""
 
 
 def parse_trace(text: str) -> list[dict]:
@@ -31,8 +37,7 @@ def parse_trace(text: str) -> list[dict]:
     All lines are decoded in one ``json.loads`` call over them joined as one
     array, in which a line that is one JSON value decodes exactly as it does
     alone. When that call raises, or does not give one JSON object per line,
-    each line is decoded on its own, so a malformed line raises the error it
-    raises alone.
+    ``_read_lines`` decodes each line alone and raises on the first bad one.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     count = len(lines)
@@ -46,7 +51,25 @@ def parse_trace(text: str) -> list[dict]:
     if (records is not None and len(records) == count
             and set(map(type, records)) <= {dict}):
         return records
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    return _read_lines(text)[1]
+
+
+def _read_lines(text: str) -> tuple[list[int], list[dict]]:
+    """Numbers and records of the non-blank lines, each decoded on its own."""
+    numbers, records = [], []
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceError(f"trace line {number}: column {exc.colno}: {exc.msg}") from exc
+            except RecursionError as exc:
+                raise TraceError(f"trace line {number}: nested too deeply") from exc
+            if not isinstance(record, dict):
+                raise TraceError(f"trace line {number}: not a JSON object")
+            numbers.append(number)
+            records.append(record)
+    return numbers, records
 
 
 # Reason strings each counter family can produce.  Pre-seeding them with zeros
@@ -337,7 +360,31 @@ class ScenarioReport:
 
 
 def build_report(trace_text: str, config: ScenarioConfig) -> ScenarioReport:
-    metrics = compute_metrics(parse_trace(trace_text))
+    return _report(parse_trace(trace_text), config)
+
+
+def read_report(text: str, config: ScenarioConfig) -> ScenarioReport:
+    """The report of a trace from outside the program; ``TraceError`` names a bad
+    line, or the record ending the shortest prefix ``compute_metrics`` fails on."""
+    numbers, records = _read_lines(text)
+    try:
+        return _report(records, config)
+    except (KeyError, TypeError, ValueError) as exc:
+        error = exc
+    low, high = 0, len(records)  # records[:high] fails; records[:low] does not
+    while high - low > 1:
+        middle = (low + high) // 2
+        try:
+            compute_metrics(records[:middle])
+            low = middle
+        except (KeyError, TypeError, ValueError) as exc:
+            high, error = middle, exc
+    problem = f"no field {error.args[0]!r}" if isinstance(error, KeyError) else error
+    raise TraceError(f"trace line {numbers[high - 1]}: {problem}") from error
+
+
+def _report(records: list[dict], config: ScenarioConfig) -> ScenarioReport:
+    metrics = compute_metrics(records)
     results = tuple(evaluate_expectations(metrics, config.expectations))
     passed = all(r.passed for r in results)
     return ScenarioReport(config.name, config.seed, metrics, results, passed)

@@ -387,6 +387,14 @@ def test_yaml_syntax_error_carries_position(tmp_path):
     assert "YAML syntax error at line" in str(err.value)
 
 
+def test_file_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("name: café\n".encode("latin-1"))
+    with pytest.raises(ConfigError) as err:
+        load_scenario(path)
+    assert "latin1.yaml: YAML syntax error" in str(err.value)
+
+
 def test_missing_file_reports_path(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_scenario(tmp_path / "absent.yaml")

@@ -307,10 +307,12 @@ def test_cli_validate_reports_invalid(tmp_path, capsys):
     good.write_text(TINY)
     bad = tmp_path / "bad.yaml"
     bad.write_text("duration: nope\n")
-    assert main(["validate", str(good), str(bad)]) == 2
+    latin1 = tmp_path / "latin1.yaml"
+    latin1.write_bytes("name: café\n".encode("latin-1"))
+    assert main(["validate", str(good), str(bad), str(latin1)]) == 2
     captured = capsys.readouterr()
     assert "ok" in captured.out
-    assert "INVALID" in captured.err
+    assert captured.err.count("INVALID") == 2
 
 
 def test_cli_seed_override_and_json_format(tiny_config, capsys):
@@ -357,6 +359,7 @@ def test_cli_report_missing_trace_exits_two(capsys):
     ('{"t":0,"actor":"a","event":"x","n":[1\n2]}\n'
      '{"t":1,"actor":"a","event":"y"},{"t":2,"actor":"a","event":"z"}',
      "trace line 3: column 38: Expecting ',' delimiter"),
+    pytest.param("[" * 100000, "trace line 3: nested too deeply", id="nested_too_deeply"),
 ])
 def test_cli_report_names_the_bad_trace_line_and_exits_two(tiny_config, tmp_path, capsys,
                                                           bad_line, message):
@@ -370,6 +373,46 @@ def test_cli_report_names_the_bad_trace_line_and_exits_two(tiny_config, tmp_path
         assert main(["report", str(bad), *extra]) == 2
         captured = capsys.readouterr()
         assert captured.err.strip() == message and captured.out == ""
+
+
+def test_cli_report_names_a_record_that_clashes_with_an_earlier_one(tmp_path, capsys):
+    # each record is sound alone; sorting both periods of obm0 fails
+    rows = [{"t": t, "actor": "obm0", "event": "throughput", "period": period,
+             "rate": 1.0, "utilization": 0.5, "band": [0.5, 1.0]}
+            for t, period in ((10.0, 1), (20.0, "2"))]
+    trace = tmp_path / "clash.jsonl"
+    trace.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert main(["report", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "trace line 2: '<' not supported between instances of 'str' and 'int'\n")
+
+
+def test_cli_report_trace_not_utf8_exits_two(tmp_path, capsys):
+    trace = tmp_path / "utf16.jsonl"
+    trace.write_bytes(b"\xff\xfe{}\n")
+    assert main(["report", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cannot read trace: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_run_writes_the_trace_into_an_existing_directory(tiny_config, tmp_path, capsys):
+    assert main(["run", str(tiny_config), "--trace", str(tmp_path)]) == 0
+    assert "scenario tiny " in capsys.readouterr().out
+    trace = tmp_path / "tiny.trace.jsonl"
+    assert main(["report", str(trace), "--config", str(tiny_config)]) == 0
+
+
+def test_cli_run_unwritable_trace_exits_two(tiny_config, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for target, configs in ((blocker / "t.jsonl", [str(tiny_config)]),
+                            (blocker / "dir", [str(tiny_config)] * 2)):
+        assert main(["run", *configs, "--trace", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("cannot write trace: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_cli_parallel_jobs(tiny_config, tmp_path, capsys):
