@@ -64,21 +64,27 @@ def _cmd_run(args) -> int:
 
     trace: Optional[Path] = Path(args.trace) if args.trace else None
     in_dir = trace is not None and (len(configs) > 1 or trace.is_dir())
+    files = [f"{config.name}.trace.jsonl" for config in configs]
+    if in_dir and len(set(files)) < len(files):
+        duplicate = next(name for name in files if files.count(name) > 1)
+        print(f"configuration error:\ntwo scenarios would write {trace / duplicate}",
+              file=sys.stderr)
+        return 2
 
-    formats = repeat(args.format)
+    jobs = (configs, repeat(args.format), repeat(trace is not None))
     if args.jobs > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_job_entry, configs, formats))
+            results = list(pool.map(_job_entry, *jobs))
     else:
-        results = list(map(_job_entry, configs, formats))
+        results = list(map(_job_entry, *jobs))
 
     all_passed = True
-    for name, passed, trace_text, rendered in results:
+    for file, (passed, trace_text, rendered) in zip(files, results):
         if trace:  # before the report, so a path that fails prints no report
             try:
                 if in_dir:
                     trace.mkdir(parents=True, exist_ok=True)
-                (trace / f"{name}.trace.jsonl" if in_dir else trace).write_text(trace_text)
+                (trace / file if in_dir else trace).write_text(trace_text)
             except OSError as exc:
                 print(f"cannot write trace: {exc}", file=sys.stderr)
                 return 2
@@ -87,11 +93,11 @@ def _cmd_run(args) -> int:
     return 0 if all_passed else 1
 
 
-def _job_entry(config: ScenarioConfig, format_: str):
-    world = run_scenario(config)
-    trace_text = world.engine.trace.text()
+def _job_entry(config: ScenarioConfig, format_: str, keep_trace: bool):
+    # the world is not held through the report: a collection may free it
+    trace_text = run_scenario(config).engine.trace.text()
     report = build_report(trace_text, config)
-    return config.name, report.passed, trace_text, _render(report, format_)
+    return report.passed, trace_text if keep_trace else None, _render(report, format_)
 
 
 def _cmd_validate(args) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from .config import Expectation, ScenarioConfig
 
@@ -31,38 +31,49 @@ class TraceError(ValueError):
     """A bad trace line, named as ``trace line N: …`` (numbered from 1)."""
 
 
-def parse_trace(text: str) -> list[dict]:
-    """The records of a JSON-lines trace, one per non-blank line.
+_CHUNK = 1 << 16  # characters of trace per json.loads call in parse_trace
 
-    All lines are decoded in one ``json.loads`` call over them joined as one
-    array, in which a line that is one JSON value decodes exactly as it does
-    alone. When that call raises, or does not give one JSON object per line,
-    ``_read_lines`` decodes each line alone and raises on the first bad one.
+
+def parse_trace(text: str) -> Iterator[dict]:
+    """The records of a JSON-lines trace, one per non-blank line, decoded a
+    piece of about ``_CHUNK`` characters at a time, so no more than one piece's
+    records are built before they are used.
+
+    Each piece ends just after a ``"\\n"``, so it holds whole lines. Its lines
+    are decoded in one ``json.loads`` call over them joined as one array, in
+    which a line that is one JSON value decodes exactly as it does alone. When
+    that call raises, or does not give one JSON object per line, ``_read_lines``
+    decodes each line of the piece alone and raises on the first bad one.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    count = len(lines)
-    joined = "[" + ",".join(lines) + "]"
-    del lines  # drop the per-line copies before the records are built
-    try:
-        records = json.loads(joined)
-    except (ValueError, RecursionError):  # the array nests each line one level deeper
-        records = None
-    del joined
-    if (records is not None and len(records) == count
-            and set(map(type, records)) <= {dict}):
-        return records
-    return _read_lines(text)[1]
+    start, offset = 0, 0  # offset: the lines in earlier pieces, blank ones too
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        piece = text[start:end]
+        lines = piece.splitlines()
+        body = [line for line in lines if line.strip()]
+        try:
+            records = json.loads("[" + ",".join(body) + "]")
+        except (ValueError, RecursionError):  # the array nests each line one level deeper
+            records = None
+        if (records is None or len(records) != len(body)
+                or not set(map(type, records)) <= {dict}):
+            records = _read_lines(piece, offset)[1]
+        yield from records
+        start, offset = end, offset + len(lines)
 
 
-def _read_lines(text: str) -> tuple[list[int], list[dict]]:
-    """Numbers and records of the non-blank lines, each decoded on its own."""
+def _read_lines(text: str, offset: int = 0) -> tuple[list[int], list[dict]]:
+    """Numbers and records of the non-blank lines, each decoded on its own;
+    ``offset`` lines come before ``text``."""
     numbers, records = [], []
-    for number, line in enumerate(text.splitlines(), 1):
+    for number, line in enumerate(text.splitlines(), offset + 1):
         if line.strip():
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceError(f"trace line {number}: column {exc.colno}: {exc.msg}") from exc
+            except ValueError as exc:  # e.g. an integer over the digit limit
+                raise TraceError(f"trace line {number}: {exc}") from exc
             except RecursionError as exc:
                 raise TraceError(f"trace line {number}: nested too deeply") from exc
             if not isinstance(record, dict):
@@ -146,7 +157,7 @@ def _dtm_metrics(throughput: dict) -> dict:
     }
 
 
-def compute_metrics(lines: list[dict]) -> dict:
+def compute_metrics(lines: Iterable[dict]) -> dict:
     traffic_recipient: dict[str, str] = {}
     attack_target_obm: dict[str, str] = {}
     delivered_traffic: Counter = Counter()
@@ -383,7 +394,7 @@ def read_report(text: str, config: ScenarioConfig) -> ScenarioReport:
     raise TraceError(f"trace line {numbers[high - 1]}: {problem}") from error
 
 
-def _report(records: list[dict], config: ScenarioConfig) -> ScenarioReport:
+def _report(records: Iterable[dict], config: ScenarioConfig) -> ScenarioReport:
     metrics = compute_metrics(records)
     results = tuple(evaluate_expectations(metrics, config.expectations))
     passed = all(r.passed for r in results)

@@ -194,7 +194,7 @@ def test_criterion_08_single_handover_migrates_keys_without_duplicates(bundled):
     assert old.key_list.entries_for("veh0") == []
     assert "veh0" not in old.members
 
-    lines = parse_trace(run.trace_text)
+    lines = list(parse_trace(run.trace_text))
     handover_at = next(l["t"] for l in lines if l["event"] == "handover")
     after = {l["t_id"] for l in lines
              if l["event"] == "traffic_tx" and l["sender"] == "veh0"

@@ -126,7 +126,7 @@ def test_corrupt_generator_is_rejected_and_chains_stay_equal():
     world.engine.run()
     world.driver.finalize(world.engine)
 
-    lines = parse_trace(world.engine.trace.text())
+    lines = list(parse_trace(world.engine.trace.text()))
     metrics = compute_metrics(lines)
 
     emitted = [l for l in lines if l["event"] == "corrupt_block_emitted"]
@@ -188,7 +188,7 @@ def test_committed_anchors_match_recomputed_storage_digests(bundled):
 
 def test_flood_transactions_never_reach_pools_or_chains(bundled):
     run = bundled("ddos_flood")
-    lines = parse_trace(run.trace_text)
+    lines = list(parse_trace(run.trace_text))
     attack_tids = {l["t_id"] for l in lines if l["event"] == "attack_tx"}
     assert len(attack_tids) == 1000
 
@@ -388,6 +388,15 @@ def test_cli_report_names_a_record_that_clashes_with_an_earlier_one(tmp_path, ca
         "trace line 2: '<' not supported between instances of 'str' and 'int'\n")
 
 
+def test_cli_report_integer_over_the_digit_limit_exits_two(tmp_path, capsys):
+    trace = tmp_path / "huge.jsonl"
+    trace.write_text('{"t":' + "7" * 5000 + "}\n")
+    assert main(["report", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("trace line 1: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_report_trace_not_utf8_exits_two(tmp_path, capsys):
     trace = tmp_path / "utf16.jsonl"
     trace.write_bytes(b"\xff\xfe{}\n")
@@ -405,14 +414,29 @@ def test_cli_run_writes_the_trace_into_an_existing_directory(tiny_config, tmp_pa
 
 
 def test_cli_run_unwritable_trace_exits_two(tiny_config, tmp_path, capsys):
+    other = tmp_path / "tiny2.yaml"
+    other.write_text(TINY.replace("name: tiny", "name: tiny2"))
     blocker = tmp_path / "file"
     blocker.write_text("")
     for target, configs in ((blocker / "t.jsonl", [str(tiny_config)]),
-                            (blocker / "dir", [str(tiny_config)] * 2)):
+                            (blocker / "dir", [str(tiny_config), str(other)])):
         assert main(["run", *configs, "--trace", str(target)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("cannot write trace: ")
         assert captured.err.count("\n") == 1
+
+
+def test_cli_run_two_scenarios_of_one_name_into_a_directory_exits_two(
+        tiny_config, tmp_path, capsys):
+    other = tmp_path / "other.yaml"
+    other.write_text(TINY)  # another file, the same scenario name
+    for configs in ([tiny_config] * 2, [tiny_config, other]):
+        target = tmp_path / "traces"
+        assert main(["run", *map(str, configs), "--trace", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"configuration error:\ntwo scenarios would write {target / 'tiny.trace.jsonl'}\n")
+        assert not target.exists()
 
 
 def test_cli_parallel_jobs(tiny_config, tmp_path, capsys):
