@@ -36,13 +36,16 @@ PUBLIC_KEY_SIZE = 32
 SIGNATURE_SIZE = 64
 
 
+_U32 = struct.Struct(">I")  # the length before each joined field and each helper frame
+
+
 def canonical_join(*fields: bytes) -> bytes:
     """Concatenate fields, each prefixed by its u32 big-endian length."""
-    out = bytearray()
+    parts = []
     for field in fields:
-        out += struct.pack(">I", len(field))
-        out += field
-    return bytes(out)
+        parts.append(_U32.pack(len(field)))
+        parts.append(field)
+    return b"".join(parts)
 
 
 def _seed_bytes(seed: int | str | bytes) -> bytes:
@@ -141,13 +144,17 @@ class KeyPair:
     def __repr__(self) -> str:
         return f"KeyPair(public={self.public!r})"
 
+    def __reduce__(self):  # a copy carries no backend key object, which cannot be pickled
+        return KeyPair, (self.public, self.secret)
+
 
 def generate_keypair(seed: int | str | bytes) -> KeyPair:
     """Derive a key pair deterministically from an arbitrary seed."""
     secret = hashlib.sha256(canonical_join(b"keypair", _seed_bytes(seed))).digest()
     private = Ed25519PrivateKey.from_private_bytes(secret)
-    public = PublicKey(private.public_key().public_bytes_raw())
-    return KeyPair(public=public, secret=secret)
+    keypair = KeyPair(public=PublicKey(private.public_key().public_bytes_raw()), secret=secret)
+    keypair.__dict__["_backend"] = private  # derived once: ``sign`` uses this key
+    return keypair
 
 
 def verify(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
@@ -188,9 +195,6 @@ def verified(message: bytes, signature: Signature, public_key: PublicKey) -> boo
 # ``verified`` reads back only when a node first needs it. A verdict is never
 # taken from the act of signing: every one comes from ``verify``.
 
-_FRAME_HEADER = struct.Struct(">I")  # message length; signature and key follow
-
-
 class _Helper:
     """One forked verifier process and the two pipes to it. Triples go out as
     frames (u32 big-endian message length, message, signature, public key);
@@ -217,7 +221,7 @@ class _Helper:
         # Taking the ready verdicts first keeps the verdict pipe from filling
         # while this process writes, so neither side can block the other.
         self.receive(block=False)
-        frame = memoryview(_FRAME_HEADER.pack(len(message)) + message
+        frame = memoryview(_U32.pack(len(message)) + message
                            + signature + public_key)
         try:
             while frame:
@@ -280,13 +284,13 @@ def _serve(triples: int, verdicts: int) -> NoReturn:
         while chunk := os.read(triples, 1 << 16):
             buf += chunk
             start = 0
-            while len(buf) - start >= _FRAME_HEADER.size:
-                sig_at = start + _FRAME_HEADER.size + _FRAME_HEADER.unpack_from(buf, start)[0]
+            while len(buf) - start >= _U32.size:
+                sig_at = start + _U32.size + _U32.unpack_from(buf, start)[0]
                 key_at = sig_at + SIGNATURE_SIZE
                 end = key_at + PUBLIC_KEY_SIZE
                 if end > len(buf):
                     break
-                ok = verify(bytes(buf[start + _FRAME_HEADER.size:sig_at]),
+                ok = verify(bytes(buf[start + _U32.size:sig_at]),
                             Signature(buf[sig_at:key_at]), PublicKey(buf[key_at:end]))
                 os.write(verdicts, b"\x01" if ok else b"\x00")
                 start = end

@@ -77,23 +77,12 @@ class Transaction:
 
     def signing_body(self) -> bytes:
         """Bytes covered by sig_1 and (for multisig) sig_2."""
-        fields = [self.p_t_id, self.payload_digest, self.pk_1]
-        if self.pk_2 is not None:
-            fields.append(self.pk_2)
-        return canonical_join(*fields)
+        return _signing_body(self.p_t_id, self.payload_digest, self.pk_1, self.pk_2)
 
     def body_bytes(self) -> bytes:
         """Canonical serialization of every field except t_id."""
-        return canonical_join(
-            self.p_t_id,
-            self.kind.value.encode(),
-            self.pk_1,
-            self.sig_1,
-            self.pk_2 or b"",
-            self.sig_2 or b"",
-            self.payload_digest,
-            self.payload_tag.value.encode(),
-        )
+        return _body_bytes(self.p_t_id, self.kind, self.pk_1, self.sig_1, self.pk_2,
+                           self.sig_2, self.payload_digest, self.payload_tag)
 
     def compute_t_id(self) -> Digest:
         return digest(self.body_bytes())
@@ -151,6 +140,22 @@ class Transaction:
         )
 
 
+def _signing_body(p_t_id, payload_digest, pk_1, pk_2) -> bytes:
+    if pk_2 is None:
+        return canonical_join(p_t_id, payload_digest, pk_1)
+    return canonical_join(p_t_id, payload_digest, pk_1, pk_2)
+
+
+def _body_bytes(p_t_id, kind, pk_1, sig_1, pk_2, sig_2, payload_digest, payload_tag) -> bytes:
+    return canonical_join(p_t_id, kind.value.encode(), pk_1, sig_1, pk_2 or b"",
+                          sig_2 or b"", payload_digest, payload_tag.value.encode())
+
+
+def _sealed(*fields) -> Transaction:
+    """The transaction of ``fields`` (every field but t_id, in order) and its t_id."""
+    return Transaction(digest(_body_bytes(*fields)), *fields)
+
+
 def build_transaction(
     kind: TxKind,
     p_t_id: Digest,
@@ -164,19 +169,9 @@ def build_transaction(
         raise ValueError("multisig transaction needs a recipient public key")
     if kind is TxKind.SINGLE and recipient_pk is not None:
         raise ValueError("single-sig transaction cannot carry a recipient key")
-    draft = Transaction(
-        t_id=ZERO_DIGEST,
-        p_t_id=p_t_id,
-        kind=kind,
-        pk_1=generator.public,
-        sig_1=Signature(b"\x00" * 64),
-        pk_2=recipient_pk,
-        sig_2=None,
-        payload_digest=payload_digest,
-        payload_tag=payload_tag,
-    )
-    signed = dataclasses.replace(draft, sig_1=generator.sign(draft.signing_body()))
-    return dataclasses.replace(signed, t_id=signed.compute_t_id())
+    pk_1 = generator.public
+    sig_1 = generator.sign(_signing_body(p_t_id, payload_digest, pk_1, recipient_pk))
+    return _sealed(p_t_id, kind, pk_1, sig_1, recipient_pk, None, payload_digest, payload_tag)
 
 
 def countersign(tx: Transaction, recipient: KeyPair) -> Transaction:
@@ -187,8 +182,9 @@ def countersign(tx: Transaction, recipient: KeyPair) -> Transaction:
         raise ValueError("transaction is already fully signed")
     if tx.pk_2 != recipient.public:
         raise ValueError("countersigner key does not match the addressed pk_2")
-    completed = dataclasses.replace(tx, sig_2=recipient.sign(tx.signing_body()))
-    return dataclasses.replace(completed, t_id=completed.compute_t_id())
+    sig_2 = recipient.sign(tx.signing_body())
+    return _sealed(tx.p_t_id, tx.kind, tx.pk_1, tx.sig_1, tx.pk_2, sig_2,
+                   tx.payload_digest, tx.payload_tag)
 
 
 class TxFault(str, Enum):

@@ -267,8 +267,9 @@ class BlockManager(BaseActor):
 
         if origin_member is not None and self.peers:
             engine.trace.emit(engine.now, self.node_id, "tx_broadcast", t_id=tid_hex)
+            relay = TxMessage(tx, origin_member=None)  # frozen, so one serves every peer
             for peer in self.peers:
-                engine.send(self.node_id, peer, TxMessage(tx, origin_member=None))
+                engine.send(self.node_id, peer, relay)
             sinks += 1
 
         if sinks == 0:
@@ -296,6 +297,8 @@ class BlockManager(BaseActor):
 
     def _unpark(self, engine, new_tid: Digest) -> None:
         """Admit any parked transactions whose predecessor just became known."""
+        if not self.waiting:
+            return
         ready = [tid for tid, (tx, _, _) in self.waiting.items() if tx.p_t_id == new_tid]
         for tid in ready:
             tx, origin, _ = self.waiting.pop(tid)

@@ -42,12 +42,11 @@ class Trace:
         self.lines: list[str] = []
 
     def emit(self, t: float, actor: str, event: str, **fields: Any) -> None:
-        record = {"t": t, "actor": actor, "event": event}
-        record.update(fields)
+        record = {"t": t, "actor": actor, "event": event, **fields}
         self.lines.append("".join(_encode_chunks(record, 0)))
 
     def text(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
+        return "\n".join([*self.lines, ""])  # each line ends in a newline
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +159,14 @@ class Engine:
         Returns True when the run went quiescent (no pending events); False if
         ``max_time`` was hit first with events still pending.
         """
-        while self._queue:
-            at, _, target, payload = self._queue[0]
-            if max_time is not None and at > max_time:
+        queue, nodes, pop = self._queue, self.nodes, heapq.heappop
+        while queue:
+            if max_time is not None and queue[0][0] > max_time:
                 return False
-            heapq.heappop(self._queue)
-            self.now = max(self.now, at)
-            self.nodes[target].handle(self, payload)
+            at, _, target, payload = pop(queue)
+            if at > self.now:
+                self.now = at
+            nodes[target].handle(self, payload)
         return True
 
     @property

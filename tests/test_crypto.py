@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings, strategies as st
 
 import overchain
@@ -137,6 +138,19 @@ def test_keypair_deterministic_from_seed():
     c = generate_keypair("node-2")
     assert a.public == b.public and a.secret == b.secret
     assert a.public != c.public
+
+
+def test_derived_key_pair_keeps_its_backend_key_and_signs_as_the_secret_does():
+    ring = KeyRing("kept-backend")
+    for kp in (generate_keypair("kept-backend"), ring.current, ring.rotate()):
+        backend = vars(kp)["_backend"]  # set at derivation, before any sign
+        assert backend.public_key().public_bytes_raw() == kp.public
+        from_secret = Ed25519PrivateKey.from_private_bytes(kp.secret)
+        for message in (b"", b"kept"):
+            assert kp.sign(message) == from_secret.sign(message)
+        copy = pickle.loads(pickle.dumps(kp))  # the backend key object stays behind
+        assert copy == kp and "_backend" not in vars(copy)
+        assert copy.sign(b"kept") == kp.sign(b"kept")
 
 
 def test_seed_types():

@@ -14,7 +14,15 @@ import dataclasses
 
 import pytest
 
-from overchain.crypto import ZERO_DIGEST, digest, generate_keypair, verified
+from overchain import crypto
+from overchain.crypto import (
+    SIGNATURE_SIZE,
+    ZERO_DIGEST,
+    Signature,
+    digest,
+    generate_keypair,
+    verified,
+)
 from overchain.ledger import (
     Block,
     BlockFault,
@@ -93,6 +101,41 @@ def test_countersign_recomputes_t_id_and_completes():
     assert full.t_id != tx.t_id            # identifier covers the second signature
     assert full.p_t_id == tx.p_t_id        # generator's chain pointer unchanged
     assert full.t_id == full.compute_t_id()
+
+
+def reference_build(kind, p_t_id, payload_digest, tag, generator, recipient_pk=None):
+    """``build_transaction`` the long way: a zero-filled draft, a copy that
+    adds sig_1, then a copy that adds the t_id of that copy."""
+    draft = Transaction(ZERO_DIGEST, p_t_id, kind, generator.public,
+                        Signature(bytes(SIGNATURE_SIZE)), recipient_pk, None,
+                        payload_digest, tag)
+    signed = dataclasses.replace(draft, sig_1=generator.sign(draft.signing_body()))
+    return dataclasses.replace(signed, t_id=signed.compute_t_id())
+
+
+def reference_countersign(tx, recipient):
+    completed = dataclasses.replace(tx, sig_2=recipient.sign(tx.signing_body()))
+    return dataclasses.replace(completed, t_id=completed.compute_t_id())
+
+
+@pytest.mark.parametrize("shape", ["single", "multi_pending", "multi_countersigned"])
+def test_builders_equal_the_draft_and_copy_construction(shape):
+    args = (digest(b"parent"), digest(shape.encode()), PayloadTag.SW_UPDATE, ALICE)
+    if shape == "single":
+        tx, ref = build_transaction(TxKind.SINGLE, *args), reference_build(TxKind.SINGLE, *args)
+    else:
+        tx = build_transaction(TxKind.MULTI, *args, recipient_pk=BOB.public)
+        ref = reference_build(TxKind.MULTI, *args, recipient_pk=BOB.public)
+        if shape == "multi_countersigned":
+            tx, ref = countersign(tx, BOB), reference_countersign(ref, BOB)
+    assert tx == ref  # Ed25519 signing is deterministic: every field is equal
+    signers = [(tx.sig_1, tx.pk_1)] + ([(tx.sig_2, tx.pk_2)] if tx.sig_2 else [])
+    if crypto._helper is not None:
+        # each verdict is still pending, under the exact bytes _integrity recomputes
+        for signature, public_key in signers:
+            helper, _ = signature._verdicts[(tx.signing_body(), public_key)]
+            assert helper is crypto._helper
+    assert check_integrity(tx).ok and check_integrity(ref).ok
 
 
 def test_countersign_requires_matching_recipient():

@@ -28,6 +28,8 @@ from overchain.manager import BlockManager, KeyList, KeyListEntry
 from overchain.messages import BaseActor, DeliverTx, TxMessage, UpdateNotice
 from overchain.simnet import Engine, LinkModel, Trace
 
+from conftest import trace_records
+
 
 class Sink(BaseActor):
     """Records every payload delivered to it."""
@@ -142,13 +144,33 @@ def test_upload_key_pair_requires_membership():
 
 def test_member_transaction_is_pooled_and_replicated_to_peers():
     engine, managers = build_world(3, block_size=1)
+    relayed = []  # (receiving peer, message)
+    for m in managers[1:]:
+        def recording(engine, payload, node_id=m.node_id, real=m.on_payload):
+            relayed.append((node_id, payload))
+            real(engine, payload)
+        m.on_payload = recording
     _, tx = single_tx("gen")
-    engine.send("obm0", "obm0", TxMessage(tx, origin_member="veh"))
+    # no peer holds an access entry for it, and it cannot be pooled yet
+    unmatched = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(b"unmatched"),
+                                  PayloadTag.GENERIC, generate_keypair("um-gen"),
+                                  recipient_pk=generate_keypair("um-rcp").public)
+    for sent in (tx, unmatched):
+        engine.send("obm0", "obm0", TxMessage(sent, origin_member="veh"))
     engine.run()
     for m in managers:
         assert [t.t_id for t in m.pool.values()] == [tx.t_id]
     # only the first-hop manager counts a member origin; relays never re-relay
-    assert engine.trace.text().count('"event":"tx_broadcast"') == 1
+    assert engine.trace.text().count('"event":"tx_broadcast"') == 2
+    assert [(node_id, type(msg), msg.tx, msg.origin_member) for node_id, msg in relayed] \
+        == [(node_id, TxMessage, sent, None) for sent in (tx, unmatched)
+            for node_id in ("obm1", "obm2")]
+    for node_id in ("obm1", "obm2"):
+        outcomes = [(r["event"], r["t_id"], r.get("origin"), r.get("reason"))
+                    for r in trace_records(engine.trace.text(), "tx_pooled", "tx_dropped",
+                                           actor=node_id)]
+        assert outcomes == [("tx_pooled", tx.t_id.hex(), "peer", None),
+                            ("tx_dropped", unmatched.t_id.hex(), None, "no_match")]
 
 
 def test_key_pair_match_delivers_to_member_in_either_orientation():

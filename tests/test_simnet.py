@@ -128,6 +128,14 @@ def test_trace_lines_deterministic():
     assert t1.lines[0] == '{"t":1.5,"actor":"n","event":"evt","value":3,"name":"x"}'
 
 
+def test_trace_text_ends_every_line_with_a_newline():
+    trace = Trace()
+    assert trace.text() == ""
+    for i in range(3):
+        trace.emit(float(i), "n", "evt", i=i)
+        assert trace.text() == "\n".join(trace.lines) + "\n"
+
+
 class Tag(str, enum.Enum):
     RED = "red"
 
