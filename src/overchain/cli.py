@@ -65,6 +65,10 @@ def _cmd_run(args) -> int:
     trace: Optional[Path] = Path(args.trace) if args.trace else None
     in_dir = trace is not None and (len(configs) > 1 or trace.is_dir())
     files = [f"{config.name}.trace.jsonl" for config in configs]
+    if in_dir and trace.exists() and not trace.is_dir():
+        print(f"configuration error:\n{trace} is not a directory, "
+              f"and {len(configs)} scenarios write their traces into one", file=sys.stderr)
+        return 2
     if in_dir and len(set(files)) < len(files):
         duplicate = next(name for name in files if files.count(name) > 1)
         print(f"configuration error:\ntwo scenarios would write {trace / duplicate}",
@@ -73,7 +77,8 @@ def _cmd_run(args) -> int:
 
     jobs = (configs, repeat(args.format), repeat(trace is not None))
     if args.jobs > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a forked pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(configs))) as pool:
             results = list(pool.map(_job_entry, *jobs))
     else:
         results = list(map(_job_entry, *jobs))

@@ -7,7 +7,7 @@ numbers reconcile exactly with the events that produced them.
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
 
@@ -95,7 +95,7 @@ _UPLOAD_ERRORS = ("UnknownAccount", "BadProof", "NoSession", "AccessDenied", "No
 _SKIP_REASONS = ("all_above_threshold", "hysteresis")
 
 
-def _zero_filled(counter: Counter, keys: tuple) -> dict:
+def _zero_filled(counter: dict, keys: tuple) -> dict:
     merged = {key: 0 for key in keys}
     merged.update(counter)
     return dict(sorted(merged.items()))
@@ -158,73 +158,112 @@ def _dtm_metrics(throughput: dict) -> dict:
 
 
 def compute_metrics(lines: Iterable[dict]) -> dict:
+    """The metrics of a trace's records, read in one forward pass: every record
+    counts towards its event, and the event's entry in ``handlers``, if it has
+    one, moves the metrics that read the record's fields."""
+    # Plain-dict tallies: ``d[k] = d.get(k, 0) + 1`` on an exact dict is what
+    # the interpreter runs fastest, and most records are only counted.
     traffic_recipient: dict[str, str] = {}
     attack_target_obm: dict[str, str] = {}
-    delivered_traffic: Counter = Counter()
-    installs_by_version: Counter = Counter()
-    rejections: Counter = Counter()
-    drops_total: Counter = Counter()
-    drops_by_manager: dict[str, Counter] = defaultdict(Counter)
-    deliveries = Counter()
-    attack = Counter()
-    claims: Counter = Counter()
-    upload_errors: Counter = Counter()
-    handover_skipped: Counter = Counter()
-    counts: Counter = Counter()
-    blocks_formed: Counter = Counter()
-    validated: dict[str, dict[int, list]] = defaultdict(lambda: defaultdict(list))
-    throughput: dict[str, list] = defaultdict(list)
+    delivered_traffic: dict[str, int] = {}
+    installs_by_version: dict = {}
+    rejections: dict = {}
+    drops_total: dict = {}
+    drops_by_manager: dict[str, dict] = {}
+    deliveries: dict = {}
+    attack = {"sent": 0, "delivered": 0, "dropped": 0, "dropped_at_target_obm": 0}
+    claims: dict = {}
+    upload_errors: dict = {}
+    handover_skipped: dict = {}
+    counts: dict = {}
+    blocks_formed: dict = {}
+    validated: dict[str, dict[int, list]] = {}
+    throughput: dict[str, list] = {}
     summaries: dict[str, dict] = {}
     scenario_end: Optional[dict] = None
 
+    # One handler per event that moves more than its count.  Each reads its
+    # fields in one fixed order, so a record missing several names the first.
+    def tally(counter: dict, field: str):
+        def on_record(line):
+            key = line[field]
+            counter[key] = counter.get(key, 0) + 1
+        return on_record
+
+    def on_traffic_tx(line):
+        traffic_recipient[line["t_id"]] = line["recipient"]
+
+    def on_attack_tx(line):
+        attack_target_obm[line["t_id"]] = line["target_obm"]
+        attack["sent"] += 1
+
+    def on_tx_delivered(line):
+        kind = "pending" if line["pending"] else "final"
+        deliveries[kind] = deliveries.get(kind, 0) + 1
+        tid = line["t_id"]
+        if line["pending"] and traffic_recipient.get(tid) == line["member"]:
+            delivered_traffic[tid] = delivered_traffic.get(tid, 0) + 1
+        if tid in attack_target_obm:
+            attack["delivered"] += 1
+
+    def on_tx_dropped(line):
+        reason = line["reason"]
+        drops_total[reason] = drops_total.get(reason, 0) + 1
+        actor = line["actor"]
+        by_reason = drops_by_manager.get(actor)
+        if by_reason is None:
+            by_reason = drops_by_manager[actor] = {}
+        by_reason[reason] = by_reason.get(reason, 0) + 1
+        tid = line["t_id"]
+        if tid in attack_target_obm:
+            attack["dropped"] += 1
+            if attack_target_obm[tid] == actor:
+                attack["dropped_at_target_obm"] += 1
+
+    def on_block_validated(line):
+        if line["ok"]:
+            validated.setdefault(line["generator"], {}).setdefault(
+                line["height"], []).append(line["verification_count"])
+
+    def on_throughput(line):
+        throughput.setdefault(line["actor"], []).append(line)
+
+    def on_manager_summary(line):
+        summaries[line["actor"]] = line
+
+    def on_scenario_end(line):
+        nonlocal scenario_end
+        scenario_end = line
+
+    handlers = {
+        "traffic_tx": on_traffic_tx,
+        "attack_tx": on_attack_tx,
+        "tx_delivered": on_tx_delivered,
+        "tx_dropped": on_tx_dropped,
+        "installed": tally(installs_by_version, "version"),
+        "update_rejected": tally(rejections, "reason"),
+        "approval_rejected": tally(rejections, "reason"),
+        "claim_verified": tally(claims, "verdict"),
+        "upload_rejected": tally(upload_errors, "error"),
+        "handover_skipped": tally(handover_skipped, "reason"),
+        "block_formed": tally(blocks_formed, "actor"),
+        "block_validated": on_block_validated,
+        "throughput": on_throughput,
+        "manager_summary": on_manager_summary,
+        "scenario_end": on_scenario_end,
+    }
+    handler_for = handlers.get
     for line in lines:
         event = line["event"]
-        if event == "traffic_tx":
-            traffic_recipient[line["t_id"]] = line["recipient"]
-        elif event == "attack_tx":
-            attack_target_obm[line["t_id"]] = line["target_obm"]
-            attack["sent"] += 1
-        elif event == "tx_delivered":
-            deliveries["pending" if line["pending"] else "final"] += 1
-            tid = line["t_id"]
-            if line["pending"] and traffic_recipient.get(tid) == line["member"]:
-                delivered_traffic[tid] += 1
-            if tid in attack_target_obm:
-                attack["delivered"] += 1
-        elif event == "tx_dropped":
-            drops_total[line["reason"]] += 1
-            drops_by_manager[line["actor"]][line["reason"]] += 1
-            tid = line["t_id"]
-            if tid in attack_target_obm:
-                attack["dropped"] += 1
-                if attack_target_obm[tid] == line["actor"]:
-                    attack["dropped_at_target_obm"] += 1
-        elif event == "installed":
-            installs_by_version[line["version"]] += 1
-        elif event in ("update_rejected", "approval_rejected"):
-            rejections[line["reason"]] += 1
-        elif event == "claim_verified":
-            claims[line["verdict"]] += 1
-        elif event == "upload_rejected":
-            upload_errors[line["error"]] += 1
-        elif event == "handover_skipped":
-            handover_skipped[line["reason"]] += 1
-        elif event == "block_formed":
-            blocks_formed[line["actor"]] += 1
-        elif event == "block_validated" and line["ok"]:
-            validated[line["generator"]][line["height"]].append(
-                line["verification_count"])
-        elif event == "throughput":
-            throughput[line["actor"]].append(line)
-        elif event == "manager_summary":
-            summaries[line["actor"]] = line
-        elif event == "scenario_end":
-            scenario_end = line
-        counts[event] += 1
+        counts[event] = counts.get(event, 0) + 1
+        handler = handler_for(event)
+        if handler is not None:
+            handler(line)
+    counts = Counter(counts)  # 0 for an event the trace does not hold
 
     traffic_sent = len(traffic_recipient)
-    traffic_done = sum(1 for tid in traffic_recipient if delivered_traffic[tid] >= 1)
-    duplicates = sum(1 for tid in traffic_recipient if delivered_traffic[tid] > 1)
+    traffic_done = sum(1 for tid in traffic_recipient if delivered_traffic.get(tid, 0) >= 1)
+    duplicates = sum(1 for tid in traffic_recipient if delivered_traffic.get(tid, 0) > 1)
 
     heights = {m: s["blocks"] for m, s in sorted(summaries.items())}
     digests = {s["chain_digest"] for s in summaries.values()}
@@ -256,10 +295,7 @@ def compute_metrics(lines: Iterable[dict]) -> dict:
             "duplicate_deliveries": duplicates,
         },
         "attack": {
-            "sent": attack["sent"],
-            "delivered": attack["delivered"],
-            "dropped": attack["dropped"],
-            "dropped_at_target_obm": attack["dropped_at_target_obm"],
+            **attack,
             "forged_publishes": counts["forged_publish"],
             "forged_finals": counts["forged_final"],
         },

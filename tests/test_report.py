@@ -2,7 +2,9 @@
 line on its own gives, at every piece size, and a bad line raises a
 ``TraceError`` that names the first line whose own decode fails;
 ``build_report`` holds less than the trace text; ``read_report`` reports a
-trace as ``build_report`` does."""
+trace as ``build_report`` does; each event ``compute_metrics`` handles moves
+its metrics, and a record missing the first field its handler reads is named
+by ``read_report``."""
 import json
 import sys
 import tracemalloc
@@ -11,6 +13,7 @@ import pytest
 
 from overchain import report
 from overchain.cli import bundled_scenarios
+from overchain.config import ScenarioConfig
 from overchain.report import TraceError, build_report, parse_trace, read_report, render_json
 
 
@@ -126,3 +129,127 @@ def test_every_call_decodes_afresh():
     first, second = list(parse_trace(text)), list(parse_trace(text))
     assert first == second
     assert first[0] is not second[0]
+
+
+def rec(event: str, **fields) -> dict:
+    return {"t": 0.0, "actor": "obm0", "event": event, **fields}
+
+
+def leaves(node, prefix: str = "") -> dict:
+    """Each metric of ``node`` by its dotted path."""
+    out = {}
+    for key, value in node.items():
+        if isinstance(value, dict):
+            out.update(leaves(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+def moved(before: list, record: dict) -> dict:
+    """The metrics that ``record``, read after ``before``, sets or changes."""
+    old = leaves(report.compute_metrics(before))
+    new = leaves(report.compute_metrics([*before, record]))
+    assert set(old) <= set(new)
+    return {path: value for path, value in new.items() if old.get(path, object()) != value}
+
+
+_VALIDATED = [rec("block_validated", ok=True, generator="obm1", height=height,
+                  verification_count=6) for height in range(1, 9)]
+
+# One case per handled event: the records read before it, the record, the first
+# field its handler reads, and every metric it moves.
+HANDLED = [
+    ("traffic_tx", [], rec("traffic_tx", t_id="t1", recipient="v1"), "recipient",
+     {"traffic.sent": 1, "traffic.success": 0.0}),
+    ("attack_tx", [], rec("attack_tx", t_id="a1", target_obm="obm0"), "target_obm",
+     {"attack.sent": 1}),
+    ("tx_delivered", [rec("traffic_tx", t_id="t1", recipient="v1"),
+                      rec("attack_tx", t_id="t1", target_obm="obm0")],
+     rec("tx_delivered", pending=True, t_id="t1", member="v1"), "pending",
+     {"deliveries.pending": 1, "traffic.delivered": 1, "traffic.success": 1.0,
+      "attack.delivered": 1}),
+    ("tx_dropped", [rec("attack_tx", t_id="a1", target_obm="obm0")],
+     rec("tx_dropped", reason="no_match", t_id="a1"), "reason",
+     {"drops.no_match": 1, "drops_by_manager.obm0.no_match": 1, "attack.dropped": 1,
+      "attack.dropped_at_target_obm": 1}),
+    ("installed", [], rec("installed", version="v2"), "version",
+     {"installs": 1, "installs_by_version.v2": 1}),
+    ("update_rejected", [], rec("update_rejected", reason="HashMismatch"), "reason",
+     {"rejections.HashMismatch": 1}),
+    ("approval_rejected", [], rec("approval_rejected", reason="NotFromMyOem"), "reason",
+     {"rejections.NotFromMyOem": 1}),
+    ("claim_verified", [], rec("claim_verified", verdict="AnchorNotFound"), "verdict",
+     {"claims.verdicts.AnchorNotFound": 1}),
+    ("upload_rejected", [], rec("upload_rejected", error="BadProof"), "error",
+     {"cloud.upload_errors.BadProof": 1}),
+    ("handover_skipped", [], rec("handover_skipped", reason="hysteresis"), "reason",
+     {"handover.skipped.hysteresis": 1}),
+    ("block_formed", [], rec("block_formed", height=1), "actor",
+     {"blocks.per_generator.obm0": 1, "blocks.min_per_generator": 1}),
+    ("block_validated", _VALIDATED,
+     rec("block_validated", ok=True, generator="obm1", height=9, verification_count=3), "ok",
+     {"verification.first_third_mean.obm1": 6.0, "verification.final_third_mean.obm1": 5.0,
+      "verification.ratio.obm1": 0.833333, "verification.max_ratio": 0.833333}),
+    ("throughput", [],
+     rec("throughput", period=1, rate=2.0, utilization=0.9, band=[0.4, 0.6]), "actor",
+     {"dtm.utilization.obm0": [0.9], "dtm.max_out_of_band_run": 1, "dtm.final_in_band": 0}),
+    ("manager_summary", [],
+     rec("manager_summary", blocks=5, chain_digest="d0", sw_finals=2, pool_depth=3,
+         waiting=1), "actor",
+     {"chain.heights.obm0": 5, "blocks.height_min": 5, "blocks.height_max": 5,
+      "chain.residual_pool_max": 3, "chain.residual_waiting_max": 1,
+      "chain.sw_finals_min": 2, "chain.sw_finals_max": 2}),
+    ("scenario_end", [], rec("scenario_end", all_valid=True, chains_equal=True), "all_valid",
+     {"chain.all_valid": 1, "chain.equal": 1}),
+]
+
+
+def test_every_handled_event_has_a_case():
+    assert len({event for event, *_ in HANDLED}) == len(HANDLED) == 15
+
+
+@pytest.mark.parametrize("event, before, record, first_field, metrics", HANDLED,
+                         ids=[case[0] for case in HANDLED])
+def test_handled_event_moves_its_metrics(event, before, record, first_field, metrics):
+    assert record["event"] == event
+    assert moved(before, record) == metrics
+
+
+@pytest.mark.parametrize("event, before, record, first_field, metrics", HANDLED,
+                         ids=[case[0] for case in HANDLED])
+def test_handled_event_without_its_first_field_names_the_record(
+        event, before, record, first_field, metrics):
+    record = {key: value for key, value in record.items() if key != first_field}
+    text = "".join(json.dumps(r) + "\n" for r in [rec("tx_pooled"), *before, record])
+    with pytest.raises(TraceError) as err:
+        read_report(text, ScenarioConfig("hand_made"))
+    assert str(err.value) == f"trace line {len(before) + 2}: no field {first_field!r}"
+
+
+def test_block_validated_that_failed_moves_no_metric():
+    assert moved(_VALIDATED, rec("block_validated", ok=False, generator="obm1",
+                                 height=9, verification_count=3)) == {}
+
+
+@pytest.mark.parametrize("event, path", [
+    ("installed", "installs"), ("published", "publishes"),
+    ("publish_failed", "publish_failures"), ("approved", "approvals"),
+    ("update_notified", "notifications"), ("notify_suppressed", "notifications_suppressed"),
+    ("tx_pooled", "pooled"), ("tx_parked", "parked"), ("tx_unparked", "unparked"),
+    ("anchor", "anchors"), ("backup", "backups"), ("countersigned", "countersigns"),
+    ("forged_publish", "attack.forged_publishes"), ("forged_final", "attack.forged_finals"),
+    ("claim_filed", "claims.filed"), ("record_uploaded", "cloud.uploads"),
+    ("cloud_denied", "cloud.denied"), ("cloud_tampered", "cloud.tampered"),
+    ("account_created", "cloud.accounts_created"), ("account_closed", "cloud.accounts_closed"),
+    ("handover", "handover.count"), ("probe", "handover.probes"),
+    ("block_rejected", "blocks.rejected"),
+])
+def test_counted_event_moves_its_count(event, path):
+    records = [rec(event, version="v2")] * 3
+    assert leaves(report.compute_metrics(records))[path] == 3
+
+
+@pytest.mark.parametrize("event", ["tx_received", "tx_broadcast", "no_such_event"])
+def test_event_with_no_metric_moves_none(event):
+    assert moved([], rec(event)) == {}

@@ -7,6 +7,7 @@ import struct
 
 import pytest
 
+from overchain import cli
 from overchain.cli import bundled_scenarios, main
 from overchain.config import LedgerConfig, load_scenario, parse_scenario
 from overchain.crypto import ZERO_DIGEST, digest, generate_keypair
@@ -437,6 +438,48 @@ def test_cli_run_two_scenarios_of_one_name_into_a_directory_exits_two(
         assert captured.out == "" and captured.err == (
             f"configuration error:\ntwo scenarios would write {target / 'tiny.trace.jsonl'}\n")
         assert not target.exists()
+
+
+def test_cli_run_several_scenarios_into_an_existing_file_exits_two_before_running(
+        tiny_config, tmp_path, monkeypatch, capsys):
+    other = tmp_path / "tiny2.yaml"
+    other.write_text(TINY.replace("name: tiny", "name: tiny2"))
+    target = tmp_path / "traces.jsonl"
+    target.write_text("kept\n")
+    ran = []
+    monkeypatch.setattr(cli, "_job_entry", lambda *job: ran.append(job))
+    assert main(["run", str(tiny_config), str(other), "--trace", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"configuration error:\n{target} is not a directory, "
+        "and 2 scenarios write their traces into one\n")
+    assert ran == [] and target.read_text() == "kept\n"
+
+
+def test_cli_run_jobs_start_no_more_workers_than_scenarios(
+        tiny_config, tmp_path, monkeypatch, capsys):
+    other = tmp_path / "tiny2.yaml"
+    other.write_text(TINY.replace("name: tiny", "name: tiny2"))
+    sizes = []
+
+    class RecordingExecutor:  # records the pool size, runs the jobs in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    assert main(["run", str(tiny_config), str(other), "--jobs", "64"]) == 0
+    assert sizes == [2]
+    out = capsys.readouterr().out
+    assert "scenario tiny " in out and "scenario tiny2 " in out
 
 
 def test_cli_parallel_jobs(tiny_config, tmp_path, capsys):
