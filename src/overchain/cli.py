@@ -69,6 +69,14 @@ def _cmd_run(args) -> int:
         print(f"configuration error:\n{trace} is not a directory, "
               f"and {len(configs)} scenarios write their traces into one", file=sys.stderr)
         return 2
+    if trace is not None:
+        # checked before running; mkdir below makes a trace directory's missing parents
+        parent = trace if in_dir else trace.parent
+        while in_dir and not parent.exists() and parent != parent.parent:
+            parent = parent.parent
+        if not parent.is_dir():
+            print(f"cannot write trace: no directory {parent}", file=sys.stderr)
+            return 2
     if in_dir and len(set(files)) < len(files):
         duplicate = next(name for name in files if files.count(name) > 1)
         print(f"configuration error:\ntwo scenarios would write {trace / duplicate}",

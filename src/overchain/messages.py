@@ -1,8 +1,9 @@
-"""Payload types delivered through the simulated network, plus a small
+"""Payload types delivered through the simulated network, among them a
+``Timer(action, args)`` that carries the method it runs, plus a small
 request/response helper shared by all actors."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .ledger import Block, Transaction
@@ -40,8 +41,10 @@ class UpdateNotice:
 
 @dataclass(frozen=True)
 class Timer:
-    kind: str
-    data: dict = field(default_factory=dict)
+    """A local timer; on delivery its node runs ``action(engine, *args)``."""
+
+    action: Callable
+    args: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,9 @@ class AppResponse:
 class BaseActor:
     """Shared actor behavior: request/response correlation and dispatch.
 
-    Subclasses implement ``on_timer`` / ``on_request`` / ``on_payload`` as
-    needed. Replies to in-flight requests resume the continuation captured at
-    send time, in delivery order.
+    A ``Timer`` runs the action it carries. Subclasses implement
+    ``on_request`` / ``on_payload`` as needed. Replies to in-flight requests
+    resume the continuation captured at send time, in delivery order.
     """
 
     def __init__(self, node_id: str):
@@ -89,7 +92,7 @@ class BaseActor:
         elif isinstance(payload, AppRequest):
             self.on_request(engine, payload)
         elif isinstance(payload, Timer):
-            self.on_timer(engine, payload)
+            payload.action(engine, *payload.args)
         else:
             self.on_payload(engine, payload)
 
@@ -122,9 +125,6 @@ class BaseActor:
 
     def on_request(self, engine, request: AppRequest) -> None:
         raise NotImplementedError(f"{self.node_id} cannot serve {request.kind!r}")
-
-    def on_timer(self, engine, timer: Timer) -> None:
-        raise NotImplementedError(f"{self.node_id} has no timer {timer.kind!r}")
 
     def on_payload(self, engine, payload) -> None:
         raise NotImplementedError(f"{self.node_id} cannot handle {type(payload).__name__}")

@@ -367,8 +367,8 @@ def evaluate_expectations(metrics: dict, expectations) -> list[ExpectationResult
             results.append(ExpectationResult(exp.metric, exp.op, exp.value,
                                              None, False, "metric not found"))
             continue
-        if not isinstance(actual, (int, float)) or isinstance(actual, bool):
-            actual = int(actual) if isinstance(actual, bool) else actual
+        if isinstance(actual, bool):
+            actual = int(actual)
         ok, note = _compare(actual, exp)
         results.append(ExpectationResult(exp.metric, exp.op, exp.value,
                                          actual, ok, note))

@@ -108,35 +108,20 @@ class Vehicle(BaseActor):
     # -- timers ----------------------------------------------------------------
 
     def start(self, engine) -> None:
-        for kind, interval in (("record", self.spec.record_interval),
-                               ("anchor", self.spec.anchor_interval),
-                               ("backup", self.spec.backup_interval),
-                               ("probe", self.spec.probe_interval)):
+        for action, interval in ((self.append_records, self.spec.record_interval),
+                                 (self.anchor_storage, self.spec.anchor_interval),
+                                 (self.transfer_to_backup, self.spec.backup_interval),
+                                 (self.evaluate_handover, self.spec.probe_interval)):
             if interval > 0:
-                engine.schedule(interval, self.node_id, Timer(kind, {}))
+                engine.schedule(interval, self.node_id,
+                                Timer(self._every, (action, interval)))
 
-    def _again(self, engine, kind: str, interval: float) -> None:
-        """Reschedule a periodic timer unless it would land past stop_at."""
+    def _every(self, engine, action, interval: float) -> None:
+        """Run ``action`` now and again every ``interval`` up to stop_at."""
+        action(engine)
         if engine.now + interval <= self.stop_at:
-            engine.schedule(interval, self.node_id, Timer(kind, {}))
-
-    def on_timer(self, engine, timer: Timer) -> None:
-        if timer.kind == "record":
-            self.append_records(engine)
-            self._again(engine, "record", self.spec.record_interval)
-        elif timer.kind == "anchor":
-            self.anchor_storage(engine)
-            self._again(engine, "anchor", self.spec.anchor_interval)
-        elif timer.kind == "backup":
-            self.transfer_to_backup(engine)
-            self._again(engine, "backup", self.spec.backup_interval)
-        elif timer.kind == "probe":
-            self.evaluate_handover(engine)
-            self._again(engine, "probe", self.spec.probe_interval)
-        elif timer.kind == "claim":
-            self._send_claim(engine, **timer.data)
-        else:
-            super().on_timer(engine, timer)
+            engine.schedule(interval, self.node_id,
+                            Timer(self._every, (action, interval)))
 
     # -- provisioning -----------------------------------------------------------
 
@@ -364,12 +349,8 @@ class Vehicle(BaseActor):
         engine.trace.emit(engine.now, self.node_id, "accident",
                           anchor_t_id=anchor.t_id.hex(), n_records=len(snapshot),
                           tamper=tamper)
-        engine.schedule(max(claim_delay, 0.0), self.node_id, Timer("claim", {
-            "insurer_id": insurer_id,
-            "anchor_tid": anchor.t_id.hex(),
-            "records": snapshot,
-            "tamper": tamper,
-        }))
+        engine.schedule(max(claim_delay, 0.0), self.node_id, Timer(
+            self._send_claim, (insurer_id, anchor.t_id.hex(), snapshot, tamper)))
 
     def _send_claim(self, engine, insurer_id: str, anchor_tid: str,
                     records: list, tamper: bool) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .config import Directive, ScenarioConfig, TrafficPhase
+from .config import ScenarioConfig, TrafficPhase
 from .crypto import ZERO_DIGEST, KeyRing, digest, generate_keypair, issue_certificate
 from .ledger import (
     PayloadTag,
@@ -37,28 +37,18 @@ class TrafficDriver(BaseActor):
     pairs; pair k is (veh{2k}, veh{2k+1}) with the even vehicle requesting.
     Each transaction chains to the requester's most recent completed one."""
 
-    def __init__(self, node_id: str, vehicles: dict[str, Vehicle], phases: tuple):
+    def __init__(self, node_id: str, vehicles: dict[str, Vehicle]):
         super().__init__(node_id)
         self.vehicles = vehicles
-        self.phases = phases
         self.sent = 0
 
-    def start_phase(self, engine, index: int, phase: TrafficPhase) -> None:
-        engine.schedule_at(phase.start, self.node_id,
-                           Timer("traffic", {"phase": index}))
-
-    def on_timer(self, engine, timer: Timer) -> None:
-        if timer.kind != "traffic":
-            return
-        phase_index = timer.data["phase"]
-        phase = self.phases[phase_index]
+    def _round(self, engine, phase: TrafficPhase) -> None:
         if engine.now > phase.stop:
             return
         for pair in range(phase.pairs):
             self._shoot(engine, pair)
         if engine.now + phase.interval <= phase.stop:
-            engine.schedule(phase.interval, self.node_id,
-                            Timer("traffic", {"phase": phase_index}))
+            engine.schedule(phase.interval, self.node_id, Timer(self._round, (phase,)))
 
     def _shoot(self, engine, pair: int) -> None:
         requester = self.vehicles[f"veh{2 * pair}"]
@@ -92,19 +82,15 @@ class Attacker(BaseActor):
         engine.send(self.node_id, self.obm_id,
                     TxMessage(tx, origin_member=self.node_id))
 
-    def on_timer(self, engine, timer: Timer) -> None:
-        if timer.kind != "flood":
-            return
-        data = timer.data
+    def flood(self, engine, target: str, target_obm: str, target_pk) -> None:
+        """One unauthorized transaction toward ``target``'s key."""
         self.shots += 1
         tx = build_transaction(
             TxKind.MULTI, ZERO_DIGEST,
             digest(f"{self.node_id}:flood:{self.shots}".encode()),
-            PayloadTag.GENERIC, self.keypair,
-            recipient_pk=data["target_pk"])
+            PayloadTag.GENERIC, self.keypair, recipient_pk=target_pk)
         engine.trace.emit(engine.now, self.node_id, "attack_tx",
-                          t_id=tx.t_id.hex(), target=data["target"],
-                          target_obm=data["target_obm"])
+                          t_id=tx.t_id.hex(), target=target, target_obm=target_obm)
         self._submit(engine, tx)
 
     def forge_publish(self, engine, ecu: str, version: str, oem_pk) -> None:
@@ -157,19 +143,14 @@ class ScenarioDriver(BaseActor):
         cfg = self.world.config
         first = cfg.ledger.block_period
         if first <= cfg.duration:
-            engine.schedule_at(first, self.node_id, Timer("period", {"index": 0}))
-        for i, directive in enumerate(cfg.script):
-            engine.schedule_at(directive.at, self.node_id,
-                               Timer("directive", {"index": i}))
-        if self.world.traffic is not None:
-            for p, phase in enumerate(cfg.traffic):
-                self.world.traffic.start_phase(engine, p, phase)
-
-    def on_timer(self, engine, timer: Timer) -> None:
-        if timer.kind == "period":
-            self._period(engine, timer.data["index"])
-        elif timer.kind == "directive":
-            self._directive(engine, self.world.config.script[timer.data["index"]])
+            engine.schedule_at(first, self.node_id, Timer(self._period, (0,)))
+        for d in cfg.script:
+            engine.schedule_at(d.at, self.node_id,
+                               Timer(getattr(self, f"_do_{d.action}"), (d.params,)))
+        traffic = self.world.traffic  # build_world always makes one
+        for phase in cfg.traffic:
+            engine.schedule_at(phase.start, traffic.node_id,
+                               Timer(traffic._round, (phase,)))
 
     def _period(self, engine, index: int) -> None:
         managers = self.world.managers
@@ -180,13 +161,9 @@ class ScenarioDriver(BaseActor):
         turn_manager = next(m for m in managers if m.node_id == turn)
         next_at = engine.now + turn_manager.throughput.block_period
         if next_at <= self.world.config.duration:
-            engine.schedule_at(next_at, self.node_id,
-                               Timer("period", {"index": index + 1}))
+            engine.schedule_at(next_at, self.node_id, Timer(self._period, (index + 1,)))
 
     # -- scripted directives -------------------------------------------------------
-
-    def _directive(self, engine, directive: Directive) -> None:
-        getattr(self, f"_do_{directive.action}")(engine, directive.params)
 
     def _do_publish_update(self, engine, params: dict) -> None:
         provider = self.world.providers[params["provider"]]
@@ -232,10 +209,8 @@ class ScenarioDriver(BaseActor):
                                      target_pk)
             interval = params["interval"]
             for shot in range(params["tx_per_attacker"]):
-                engine.schedule(shot * interval, atk.node_id,
-                                Timer("flood", {"target": target.node_id,
-                                                "target_obm": target_obm,
-                                                "target_pk": target_pk}))
+                engine.schedule(shot * interval, atk.node_id, Timer(
+                    atk.flood, (target.node_id, target_obm, target_pk)))
 
     def _do_open_account(self, engine, params: dict) -> None:
         self.world.insurer.open_account(engine, params["vehicle"], params["owner"])
@@ -391,7 +366,7 @@ def build_world(config: ScenarioConfig) -> World:
         by_id[b.obm_id].upload_key_pair(engine.trace, 0.0, b.node_id, a_pk, b_pk)
         by_id[a.obm_id].upload_key_pair(engine.trace, 0.0, a.node_id, b_pk, a_pk)
 
-    world.traffic = TrafficDriver("traffic", world.vehicles, config.traffic)
+    world.traffic = TrafficDriver("traffic", world.vehicles)
     engine.add_node(world.traffic)
     world.driver = ScenarioDriver("driver", world)
     engine.add_node(world.driver)

@@ -4,7 +4,7 @@ line on its own gives, at every piece size, and a bad line raises a
 ``build_report`` holds less than the trace text; ``read_report`` reports a
 trace as ``build_report`` does; each event ``compute_metrics`` handles moves
 its metrics, and a record missing the first field its handler reads is named
-by ``read_report``."""
+by ``read_report``; every expectation op holds on its side of each bound."""
 import json
 import sys
 import tracemalloc
@@ -13,8 +13,16 @@ import pytest
 
 from overchain import report
 from overchain.cli import bundled_scenarios
-from overchain.config import ScenarioConfig
-from overchain.report import TraceError, build_report, parse_trace, read_report, render_json
+from overchain.config import Expectation, ScenarioConfig
+from overchain.report import (
+    ExpectationResult,
+    TraceError,
+    build_report,
+    evaluate_expectations,
+    parse_trace,
+    read_report,
+    render_json,
+)
 
 
 def piece_sizes(monkeypatch):
@@ -253,3 +261,44 @@ def test_counted_event_moves_its_count(event, path):
 @pytest.mark.parametrize("event", ["tx_received", "tx_broadcast", "no_such_event"])
 def test_event_with_no_metric_moves_none(event):
     assert moved([], rec(event)) == {}
+
+
+# With tol 0.5, x.5 sits on a widened bound and x.25/x.75 on either side of
+# it; every value is exact in binary. gt and lt take no tolerance.
+@pytest.mark.parametrize("metrics, op, value, actual, passed, note", [
+    ({"m": {"x": 5}}, "eq", 5, 5, True, ""),
+    ({"m": {"x": 5.5}}, "eq", 5, 5.5, True, ""),
+    ({"m": {"x": 4.5}}, "eq", 5, 4.5, True, ""),
+    ({"m": {"x": 5.75}}, "eq", 5, 5.75, False, ""),
+    ({"m": {"x": 4.25}}, "eq", 5, 4.25, False, ""),
+    ({"m": {"x": 5.75}}, "ne", 5, 5.75, True, ""),
+    ({"m": {"x": 4.25}}, "ne", 5, 4.25, True, ""),
+    ({"m": {"x": 5.5}}, "ne", 5, 5.5, False, ""),
+    ({"m": {"x": 4.5}}, "ne", 5, 4.5, False, ""),
+    ({"m": {"x": 4.5}}, "ge", 5, 4.5, True, ""),
+    ({"m": {"x": 4.25}}, "ge", 5, 4.25, False, ""),
+    ({"m": {"x": 5.5}}, "le", 5, 5.5, True, ""),
+    ({"m": {"x": 5.75}}, "le", 5, 5.75, False, ""),
+    ({"m": {"x": 5.25}}, "gt", 5, 5.25, True, ""),
+    ({"m": {"x": 5}}, "gt", 5, 5, False, ""),
+    ({"m": {"x": 4.75}}, "gt", 5, 4.75, False, ""),
+    ({"m": {"x": 4.75}}, "lt", 5, 4.75, True, ""),
+    ({"m": {"x": 5}}, "lt", 5, 5, False, ""),
+    ({"m": {"x": 5.25}}, "lt", 5, 5.25, False, ""),
+    ({"m": {"x": 2}}, "between", [1, 3], 2, True, ""),
+    ({"m": {"x": 0.5}}, "between", [1, 3], 0.5, True, ""),
+    ({"m": {"x": 3.5}}, "between", [1, 3], 3.5, True, ""),
+    ({"m": {"x": 0.25}}, "between", [1, 3], 0.25, False, ""),
+    ({"m": {"x": 3.75}}, "between", [1, 3], 3.75, False, ""),
+    ({"m": {"x": True}}, "eq", 1, 1, True, ""),
+    ({"m": {"x": False}}, "ge", 1, 0, False, ""),
+    ({"m": {"x": "5"}}, "eq", 5, "5", False, "not a number: '5'"),
+    ({"m": {"x": None}}, "eq", 5, None, False, "not a number: None"),
+    ({"m": {}}, "eq", 5, None, False, "metric not found"),
+    ({"m": 5}, "eq", 5, None, False, "metric not found"),
+])
+def test_expectation_ops(metrics, op, value, actual, passed, note):
+    exp = Expectation("m.x", op, value, tol=0.5)
+    [result] = evaluate_expectations(metrics, [exp])
+    assert result == ExpectationResult("m.x", op, value, actual, passed, note)
+    assert type(result.actual) is type(actual)

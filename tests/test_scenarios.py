@@ -414,17 +414,31 @@ def test_cli_run_writes_the_trace_into_an_existing_directory(tiny_config, tmp_pa
     assert main(["report", str(trace), "--config", str(tiny_config)]) == 0
 
 
-def test_cli_run_unwritable_trace_exits_two(tiny_config, tmp_path, capsys):
+def test_cli_run_unwritable_trace_exits_two(tiny_config, tmp_path, monkeypatch, capsys):
     other = tmp_path / "tiny2.yaml"
     other.write_text(TINY.replace("name: tiny", "name: tiny2"))
     blocker = tmp_path / "file"
     blocker.write_text("")
+    ran = []
+    monkeypatch.setattr(cli, "run_scenario", ran.append)
     for target, configs in ((blocker / "t.jsonl", [str(tiny_config)]),
-                            (blocker / "dir", [str(tiny_config), str(other)])):
+                            (blocker / "dir", [str(tiny_config), str(other)]),
+                            (blocker / "a" / "dir", [str(tiny_config), str(other)]),
+                            (tmp_path / "missing" / "t.jsonl", [str(tiny_config)])):
         assert main(["run", *configs, "--trace", str(target)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("cannot write trace: ")
         assert captured.err.count("\n") == 1
+        assert ran == [] and not (tmp_path / "missing").exists()
+
+
+def test_cli_run_makes_a_missing_trace_directory(tiny_config, tmp_path, capsys):
+    other = tmp_path / "tiny2.yaml"
+    other.write_text(TINY.replace("name: tiny", "name: tiny2"))
+    target = tmp_path / "a" / "b"
+    assert main(["run", str(tiny_config), str(other), "--trace", str(target)]) == 0
+    assert sorted(p.name for p in target.iterdir()) == [
+        "tiny.trace.jsonl", "tiny2.trace.jsonl"]
 
 
 def test_cli_run_two_scenarios_of_one_name_into_a_directory_exits_two(

@@ -456,13 +456,20 @@ def test_record_and_anchor_timers_accumulate_and_anchor_periodically():
     obm = Sink("obm")
     engine.add_node(obm)
     veh = make_vehicle(engine, VehicleSpec("veh", "obm", record_interval=1.0,
-                                           anchor_interval=5.0,
+                                           anchor_interval=5.0, backup_interval=7.0,
                                            record_categories=("speed",)))
+    veh.stop_at = 20.0
     veh.start(engine)
-    engine.run(max_time=20.5)
-    assert len(veh.in_vehicle_storage) == 20
-    # the t=20 anchor message is still in flight at the cutoff; count the
-    # vehicle's own anchor records
-    assert len(trace_records(engine.trace.text(), "anchor", "backup")) == 4
-    timestamps = [r.timestamp for r in veh.in_vehicle_storage]
-    assert timestamps == sorted(timestamps)
+    # every periodic timer stops at stop_at, so the queue drains long before 100
+    assert engine.run(max_time=100.0)
+    timestamps = [r.timestamp for r in veh.backup_store + veh.in_vehicle_storage]
+    assert timestamps == [float(t) for t in range(1, 21)]
+    anchors = trace_records(engine.trace.text(), "anchor", "backup")
+    assert [(r["t"], r["event"]) for r in anchors] == [
+        (5.0, "anchor"), (7.0, "backup"), (10.0, "anchor"), (14.0, "backup"),
+        (15.0, "anchor"), (20.0, "anchor")]
+    # a backup was queued a period before the record of its own instant
+    assert [(r["moved"], r["backup_total"]) for r in anchors
+            if r["event"] == "backup"] == [(6, 6), (7, 13)]
+    assert len(veh.in_vehicle_storage) == 7
+    assert len(obm.got) == 6  # one anchor transaction each, all delivered
