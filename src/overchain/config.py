@@ -59,6 +59,20 @@ class NetworkConfig:
     jitter: float = _at_least(0.0, default=0.0)
     links: tuple = ()  # (node_a, node_b, one_way_delay)
 
+    @property
+    def period_floor(self) -> float:
+        """The shortest block period that cannot fork: the worst manager-to-manager
+        base delay at full jitter, so each block reaches every manager before the
+        next turn. Only ``obm``-``obm`` links count, and ``move_vehicle`` changes
+        only vehicle links, so the floor is fixed for the run."""
+        ids = {f"obm{i}" for i in range(self.managers)}
+        base = {frozenset((a, b)): delay for a, b, delay in self.links
+                if a != b and a in ids and b in ids}
+        worst = max(base.values(), default=0.0)
+        if len(base) < len(ids) * (len(ids) - 1) // 2:  # some pair keeps the default
+            worst = max(worst, self.default_delay)
+        return worst * (1.0 + self.jitter)
+
 
 @dataclass(frozen=True)
 class LedgerConfig:
@@ -274,11 +288,12 @@ def _parse_network(check: _Checker, obj) -> NetworkConfig:
             check.fail(path, "expected [node_a, node_b, delay]")
             continue
         delay = check.value(entry[2], f"{path}.delay", float, (0.0, True))
-        links.append((entry[0], entry[1], delay))
+        if delay is not None:
+            links.append((entry[0], entry[1], delay))
     return check.build(NetworkConfig, raw, "network", links=tuple(links))
 
 
-def _parse_ledger(check: _Checker, obj) -> LedgerConfig:
+def _parse_ledger(check: _Checker, obj, network: NetworkConfig) -> LedgerConfig:
     cfg = check.build(LedgerConfig, check.mapping(obj, "ledger"), "ledger")
     if cfg.min_check_fraction > 1.0:
         check.fail("ledger.min_check_fraction", "must be at most 1.0")
@@ -286,6 +301,11 @@ def _parse_ledger(check: _Checker, obj) -> LedgerConfig:
         check.fail("ledger.utilization_low", "must not exceed utilization_high")
     if cfg.period_min > cfg.period_max:
         check.fail("ledger.period_min", "must not exceed period_max")
+    floor = network.period_floor
+    for name in ("block_period", "period_max"):
+        if getattr(cfg, name) < floor:
+            check.fail(f"ledger.{name}", f"must be at least {floor:g}, the worst "
+                       "manager-to-manager delay with jitter; a shorter period forks")
     return cfg
 
 
@@ -305,7 +325,9 @@ def _parse_vehicle(check: _Checker, obj, path: str, base: VehicleSpec,
     return spec
 
 
-def _parse_vehicles(check: _Checker, obj, manager_ids: list[str]) -> tuple:
+def _parse_vehicles(check: _Checker, obj, manager_ids: list[str]) -> tuple[tuple, dict]:
+    """The vehicle specs, and the path of the ``rotate_keys`` that turns rotation
+    on for each vehicle that rotates its keys."""
     raw = check.mapping(obj, "actors.vehicles")
     count = check.read(raw, "count", "actors.vehicles", int, (0, False), default=0)
     template = _parse_vehicle(check, raw.get("template"), "actors.vehicles.template",
@@ -316,17 +338,22 @@ def _parse_vehicles(check: _Checker, obj, manager_ids: list[str]) -> tuple:
         if vid not in vehicle_ids:
             check.fail(f"actors.vehicles.overrides.{vid}", "unknown vehicle id")
 
-    specs = []
+    specs, rotating = [], {}
     for i, vid in enumerate(vehicle_ids):
         obm = template.obm
         if obm == "round_robin":
             obm = manager_ids[i % len(manager_ids)]
         spec = VehicleSpec(**{**vars(template), "vehicle_id": vid, "obm": obm})
+        source = "actors.vehicles.template"
         if vid in overrides:
+            if isinstance(overrides[vid], dict) and "rotate_keys" in overrides[vid]:
+                source = f"actors.vehicles.overrides.{vid}"
             spec = _parse_vehicle(check, overrides[vid],
                                   f"actors.vehicles.overrides.{vid}", spec, manager_ids)
+        if spec.rotate_keys:
+            rotating[vid] = f"{source}.rotate_keys"
         specs.append(spec)
-    return tuple(specs)
+    return tuple(specs), rotating
 
 
 def _parse_service(check: _Checker, obj, path: str, default_id: str,
@@ -352,11 +379,11 @@ def _parse_actors(check: _Checker, obj, manager_ids: list[str]):
         if entry is not None)
     if providers and oem is None:
         check.fail("actors.providers", "software providers require actors.oem")
-    vehicles = _parse_vehicles(check, raw.get("vehicles"), manager_ids)
-    return oem, providers, insurer, attacker, vehicles
+    vehicles, rotating = _parse_vehicles(check, raw.get("vehicles"), manager_ids)
+    return oem, providers, insurer, attacker, vehicles, rotating
 
 
-def _parse_traffic(check: _Checker, obj, vehicle_count: int) -> tuple:
+def _parse_traffic(check: _Checker, obj, vehicle_count: int, rotating: dict) -> tuple:
     raw = check.mapping(obj, "traffic")
     phases = []
     for i, entry in enumerate(check.read(raw, "phases", "traffic", list, default=[])):
@@ -368,6 +395,13 @@ def _parse_traffic(check: _Checker, obj, vehicle_count: int) -> tuple:
             check.fail(f"{path}.pairs",
                        f"needs {phase.pairs * 2} vehicles, roster has {vehicle_count}")
         phases.append(phase)
+    # build_world uploads each pair's key-list entries once, with the first keys,
+    # so a pair vehicle that rotates would have every later transaction dropped
+    pair_ids = {f"veh{i}" for i in range(2 * max((p.pairs for p in phases), default=0))}
+    for vid, path in rotating.items():
+        if vid in pair_ids:
+            check.fail(path, f"{vid} is in a traffic pair; key rotation is not yet "
+                       "supported for traffic vehicles")
     return tuple(phases)
 
 
@@ -463,10 +497,10 @@ def parse_scenario(obj: Any, *, default_name: str = "scenario") -> ScenarioConfi
                        retain_closed_objects=check.read(
                            cloud, "retain_closed_objects", "cloud", bool))
     network = _parse_network(check, raw.get("network"))
-    ledger = _parse_ledger(check, raw.get("ledger"))
+    ledger = _parse_ledger(check, raw.get("ledger"), network)
 
     manager_ids = [f"obm{i}" for i in range(max(network.managers, 1))]
-    oem, providers, insurer, attacker, vehicles = _parse_actors(
+    oem, providers, insurer, attacker, vehicles, rotating = _parse_actors(
         check, raw.get("actors"), manager_ids)
 
     known_ids = {
@@ -491,7 +525,7 @@ def parse_scenario(obj: Any, *, default_name: str = "scenario") -> ScenarioConfi
             if node not in node_ids:
                 check.fail(f"network.links[{i}]", f"unknown node '{node}'")
 
-    traffic = _parse_traffic(check, raw.get("traffic"), len(vehicles))
+    traffic = _parse_traffic(check, raw.get("traffic"), len(vehicles), rotating)
     script = _parse_script(check, check.read(raw, "script", "", list, default=[]),
                            known_ids, head.duration)
     expectations = _parse_expectations(
@@ -517,12 +551,20 @@ def load_scenario(path: str | Path, *, seed_override: Optional[int] = None
         data = path.read_bytes()  # PyYAML detects the encoding and rejects a bad one
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    # LibYAML scans and parses when PyYAML was built with it; PyYAML's own safe
+    # constructor builds the values either way, so both loaders give the same
+    # objects and reject the same input at the same place.
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        obj = yaml.safe_load(data)
+        obj = yaml.load(data, Loader=loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
-        where = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "unknown position"
-        problem = getattr(exc, "problem", str(exc))
+        if mark is not None:
+            where, problem = f"line {mark.line + 1}, column {mark.column + 1}", exc.problem
+        elif isinstance(exc, yaml.reader.ReaderError):  # a bad encoding or character
+            where, problem = f"position {exc.position}", exc.reason
+        else:
+            where, problem = "unknown position", str(exc)
         raise ConfigError(f"{path}: YAML syntax error at {where}: {problem}") from exc
     config = parse_scenario(obj, default_name=path.stem)
     if seed_override is not None:

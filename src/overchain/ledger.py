@@ -550,7 +550,8 @@ class ThroughputState:
 
     Utilization is observed_rate * block_period / (block_size * manager_count);
     outside the dead band the period is scaled multiplicatively back toward
-    the nearest band edge and clamped to [period_min, period_max].
+    the nearest band edge and clamped to [max(period_min, floor), period_max].
+    ``floor`` is the network's shortest fork-free period (``NetworkConfig.period_floor``).
     """
 
     block_period: float
@@ -559,6 +560,7 @@ class ThroughputState:
     utilization_high: float
     period_min: float
     period_max: float
+    floor: float = 0.0
 
     def utilization(self, observed_rate: float, manager_count: int) -> float:
         return observed_rate * self.block_period / (self.block_size * manager_count)
@@ -572,5 +574,6 @@ class ThroughputState:
             self.block_period *= self.utilization_high / u
         elif u < self.utilization_low:
             self.block_period *= self.utilization_low / u
-        self.block_period = min(self.period_max, max(self.period_min, self.block_period))
+        self.block_period = min(self.period_max,
+                                max(self.period_min, self.floor, self.block_period))
         return u

@@ -279,10 +279,12 @@ def build_world(config: ScenarioConfig) -> World:
     engine = Engine(seed=seed, links=links, trace=Trace())
 
     ca = generate_keypair(f"{seed}:ca")
+    floor = config.network.period_floor
     managers = []
     for node_id in config.manager_ids:
         manager = BlockManager(node_id, generate_keypair(f"{seed}:key:{node_id}"),
                                config.ledger, ca_pk=ca.public)
+        manager.throughput.floor = floor
         managers.append(manager)
         engine.add_node(manager)
     for manager in managers:

@@ -5,6 +5,7 @@ import pickle
 import textwrap
 
 import pytest
+import yaml
 
 from overchain.cli import bundled_scenarios
 from overchain.config import (
@@ -300,6 +301,54 @@ def test_null_link_delay_rejected():
     assert "network.links[0].delay: expected a number" in msg
 
 
+# -- settings that can only fork or fail ---------------------------------------------
+
+
+def test_period_floor_is_the_worst_manager_link_at_full_jitter():
+    def floor(managers, links, vehicles=0):
+        return parse_scenario(minimal(
+            network={"managers": managers, "default_delay": 2.0, "jitter": 0.5,
+                     "links": links},
+            actors={"vehicles": {"count": vehicles}})).network.period_floor
+
+    # obm1-obm2 keeps the default 2.0; the long vehicle link does not count
+    assert floor(3, [["obm0", "obm1", 4.0], ["veh0", "obm0", 30.0]], vehicles=1) == 6.0
+    # every manager pair has its own link, so the default does not count
+    assert floor(3, [["obm0", "obm1", 1.0], ["obm2", "obm0", 1.0],
+                     ["obm1", "obm2", 1.5]]) == 2.25
+    assert floor(1, []) == 0.0  # no peer to wait for
+
+
+def test_block_period_and_period_max_below_the_floor_rejected():
+    network = {"managers": 2, "default_delay": 5.0, "jitter": 0.5}
+    msg = problems_of(minimal(network=network,
+                              ledger={"block_period": 7.0, "period_max": 7.4}))
+    assert "ledger.block_period: must be at least 7.5, the worst" in msg
+    assert "ledger.period_max: must be at least 7.5, the worst" in msg
+    # at the floor is legal, and period_min may stay below it
+    ledger = parse_scenario(minimal(network=network, ledger={
+        "block_period": 7.5, "period_min": 1.0, "period_max": 7.5})).ledger
+    assert (ledger.block_period, ledger.period_min, ledger.period_max) == (7.5, 1.0, 7.5)
+
+
+def test_rotating_keys_on_a_traffic_vehicle_rejected():
+    def document(vehicles):
+        return minimal(actors={"vehicles": {"count": 6, **vehicles}}, traffic={"phases": [
+            {"start": 0.0, "pairs": 1}, {"start": 10.0, "pairs": 2}]})
+
+    unsupported = "key rotation is not yet supported for traffic vehicles"
+    msg = problems_of(document({"overrides": {"veh3": {"rotate_keys": True}}}))
+    assert f"actors.vehicles.overrides.veh3.rotate_keys: veh3 is in a traffic pair; " \
+           f"{unsupported}" in msg
+    msg = problems_of(document({"template": {"rotate_keys": True},
+                                "overrides": {"veh1": {"rotate_keys": False}}}))
+    assert [line.split(" is in")[0] for line in msg.splitlines()] == [
+        f"actors.vehicles.template.rotate_keys: veh{i}" for i in (0, 2, 3)]
+    # veh4 is outside every pair
+    config = parse_scenario(document({"overrides": {"veh4": {"rotate_keys": True}}}))
+    assert [v.rotate_keys for v in config.vehicles] == [False] * 4 + [True, False]
+
+
 def test_move_vehicle_link_delays_checked_and_stored_as_floats():
     def script(links):
         return minimal(actors={"vehicles": {"count": 1}}, script=[
@@ -392,7 +441,96 @@ def test_file_that_is_not_utf8_is_a_config_error(tmp_path):
     path.write_bytes("name: café\n".encode("latin-1"))
     with pytest.raises(ConfigError) as err:
         load_scenario(path)
-    assert "latin1.yaml: YAML syntax error" in str(err.value)
+    assert f"{path}: YAML syntax error at position 9: " in str(err.value)
+    assert "\n" not in str(err.value)
+
+
+# Input that both loaders reject, and where they report it.
+MALFORMED_YAML = {
+    "truncated_flow": (b"name: x\nledger: {block_size: [\n", "line 3, column 1"),
+    "tab_indent": (b"name: x\nledger:\n\tblock_size: 3\n", "line 3, column 1"),
+    "latin1_byte": ("name: caf\xe9\n".encode("latin-1"), "position 9"),
+    "control_character": (b"name: x\ndescription: a\x01b\n", "position 22"),
+    "nul": (b"name: x\x00\n", "position 7"),
+    "long_key": (b"name: x\n" + b"k" * 1100 + b": 1\n", "line 2, column 1101"),
+    "python_object": (b"name: !!python/object:os.system x\n", "line 1, column 7"),
+}
+
+
+@pytest.fixture(params=["CSafeLoader", "SafeLoader"])
+def loader(request, monkeypatch):
+    """``load_scenario`` parses with LibYAML, or with PyYAML's pure-Python
+    loader, as it does where PyYAML was built without LibYAML."""
+    if request.param == "SafeLoader":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not yaml.__with_libyaml__:
+        pytest.skip("PyYAML was built without LibYAML")
+    return request.param
+
+
+def spy_on(monkeypatch, name: str) -> list:
+    """Replace ``yaml.<name>`` by a subclass that notes each document it loads."""
+    used = []
+
+    class Spy(getattr(yaml, name)):
+        def __init__(self, stream):
+            used.append(name)
+            super().__init__(stream)
+
+    monkeypatch.setattr(yaml, name, Spy)
+    return used
+
+
+@pytest.mark.parametrize("case", MALFORMED_YAML)
+def test_malformed_yaml_is_rejected_at_the_same_place_by_both_loaders(loader, case,
+                                                                       tmp_path):
+    data, where = MALFORMED_YAML[case]
+    path = tmp_path / f"{case}.yaml"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as err:
+        load_scenario(path)
+    assert str(err.value).startswith(f"{path}: YAML syntax error at {where}: ")
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without LibYAML")
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_bundled_scenario_parses_the_same_under_both_loaders(name):
+    path = bundled_scenarios()[name]
+    libyaml, python = (
+        parse_scenario(yaml.load(path.read_bytes(), Loader=loader), default_name=name)
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader))
+    assert libyaml == python
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without LibYAML")
+@pytest.mark.parametrize("data", [
+    b"a: 1\na: 2\n",  # the later duplicate wins
+    b"x: &k {v: [1, 2]}\ny: *k\n",
+    b"n: 123456789012345678901234567890\n",
+    b"v: [yes, No, on, OFF, 0x1f, 0o17, 017, 1_000, 1:30, .inf, -.Inf, ~, 2.5e3]\n",
+    "name: \u00fc\n".encode("utf-16"),  # with a byte-order mark
+])
+def test_both_loaders_read_the_same_values(data):
+    assert yaml.load(data, Loader=yaml.CSafeLoader) == yaml.load(data, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without LibYAML")
+def test_load_scenario_parses_with_libyaml(tmp_path, monkeypatch):
+    used = spy_on(monkeypatch, "CSafeLoader")
+    path = tmp_path / "tiny.yaml"
+    path.write_text("duration: 25.0\n")
+    assert load_scenario(path).duration == 25.0
+    assert used == ["CSafeLoader"]
+
+
+def test_load_scenario_falls_back_to_the_python_loader(tmp_path, monkeypatch):
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    used = spy_on(monkeypatch, "SafeLoader")
+    path = tmp_path / "tiny.yaml"
+    path.write_text("duration: 25.0\nnetwork: {managers: 2}\n")
+    assert load_scenario(path).network.managers == 2
+    assert used == ["SafeLoader"]
 
 
 def test_missing_file_reports_path(tmp_path):

@@ -425,6 +425,16 @@ def test_throughput_clamped_to_bounds():
     assert tp2.block_period == 120.0
 
 
+def test_throughput_never_shrinks_below_the_network_floor():
+    tp = make_tp()
+    tp.floor = 7.5  # above period_min: the floor binds
+    tp.adjust(observed_rate=4000.0, manager_count=4)
+    assert tp.block_period == 7.5
+    tp.floor = 0.5  # below period_min: period_min binds
+    tp.adjust(observed_rate=4000.0, manager_count=4)
+    assert tp.block_period == 1.0
+
+
 # ---------------------------------------------------------------------------
 # chain verification and tamper evidence
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from overchain.ledger import PayloadTag, TxKind, build_transaction, countersign
 from overchain.report import build_report, compute_metrics, parse_trace
 from overchain.world import build_world, run_scenario
 
+from conftest import trace_records
+
 NAMES = tuple(bundled_scenarios())
 
 
@@ -150,6 +152,30 @@ def test_corrupt_generator_is_rejected_and_chains_stay_equal():
     assert metrics["chain"]["equal"] == 1
     assert metrics["chain"]["all_valid"] == 1
     assert len(set(metrics["chain"]["heights"].values())) == 1
+
+
+# -- the period floor keeps chains equal under legal timing ------------------------------
+
+
+def test_period_floor_keeps_chains_equal_under_load():
+    # Overload shrinks the block period; below the manager-to-manager delay at
+    # full jitter, these runs forked with 304 and 4,344 rejected blocks.
+    for managers, jitter, pairs, stop, floor in [(2, 0.0, 15, 100.0, 5.0),
+                                                 (4, 0.5, 20, 180.0, 7.5)]:
+        config = parse_scenario({
+            "name": "fork", "seed": 3, "duration": stop + 20.0,
+            "network": {"managers": managers, "default_delay": 5.0, "jitter": jitter},
+            "actors": {"vehicles": {"count": 2 * pairs}},
+            "traffic": {"phases": [
+                {"start": 0.0, "stop": stop, "pairs": pairs, "interval": 1.0}]},
+        })
+        assert config.network.period_floor == floor
+        trace_text = run_scenario(config).engine.trace.text()
+        metrics = compute_metrics(parse_trace(trace_text))
+        assert metrics["chain"]["equal"] == 1
+        assert metrics["blocks"]["rejected"] == 0
+        periods = [r["block_period"] for r in trace_records(trace_text, "throughput")]
+        assert min(periods) == floor  # the floor, not period_min 1.0, binds
 
 
 # -- anchoring soundness, recomputed independently --------------------------------------
