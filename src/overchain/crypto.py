@@ -1,6 +1,6 @@
 """Signature, digest, and certificate primitives shared by the ledger and actors.
 
-Every signed or hashed structure in the package serializes through
+Every signed or hashed structure in the package has the layout of
 ``canonical_join`` (length-prefixed field concatenation), so byte layouts are
 unambiguous and no two distinct field sequences collide.
 
@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import operator
 import os
+import select
 import signal
 import struct
 import sys
@@ -137,8 +139,8 @@ class KeyPair:
         message = bytes(message)  # a key of the verdict dict; no copy when already bytes
         signature = Signature(self._backend.sign(message))
         pending = _submit(message, signature, self.public)
-        if pending is not None:
-            signature._verdicts[(message, self.public)] = pending
+        if pending is not None:  # a new object: skip ``cached_property``'s lock
+            signature.__dict__["_verdicts"] = {(message, self.public): pending}
         return signature
 
     def __repr__(self) -> str:
@@ -157,13 +159,22 @@ def generate_keypair(seed: int | str | bytes) -> KeyPair:
     return keypair
 
 
-def verify(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
-    """True iff the signature is valid; never raises on bad input."""
+def _valid(message, signature, public_key, backend) -> bool:
+    """Ed25519 verify with the key object ``backend(public_key)``: False, never
+    an exception, on bad input such as a key that is not a curve point."""
     try:
-        public_key._backend.verify(signature, message)
+        backend(public_key).verify(signature, message)
         return True
     except (InvalidSignature, ValueError):
         return False
+
+
+_key_of = operator.attrgetter("_backend")  # a ``PublicKey``'s cached key object
+
+
+def verify(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
+    """True iff the signature is valid; never raises on bad input."""
+    return _valid(message, signature, public_key, _key_of)
 
 
 def verified(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
@@ -199,7 +210,14 @@ class _Helper:
     """One forked verifier process and the two pipes to it. Triples go out as
     frames (u32 big-endian message length, message, signature, public key);
     verdicts come back as one byte each (1 valid, 0 not), in the same order,
-    and ``answers`` keeps them all: one byte per signature this process made."""
+    and ``answers`` keeps those read so far, one byte per triple, in order.
+
+    Verdicts are read only when needed: by ``answer``, for one not yet read,
+    and by ``submit``, before a frame that could leave ``PIPE_BUF`` of them
+    unread. A pipe holds at least ``PIPE_BUF`` bytes, so the helper always has
+    room for the verdict of every frame it has been sent. It never blocks on
+    the verdict pipe, so it goes on reading frames and every write of
+    ``submit`` completes: neither process can block the other."""
 
     def __init__(self) -> None:
         triples_in, self._triples = os.pipe()
@@ -211,16 +229,19 @@ class _Helper:
             _serve(triples_in, verdicts_out)
         os.close(triples_in)
         os.close(verdicts_out)
-        os.set_blocking(self._verdicts, False)
         self.answers = bytearray()
         self._sent = 0
         self._failure: Optional[str] = None
 
     def submit(self, message: bytes, signature: Signature, public_key: PublicKey) -> int:
         """Send one triple; returns its index in ``answers``."""
-        # Taking the ready verdicts first keeps the verdict pipe from filling
-        # while this process writes, so neither side can block the other.
-        self.receive(block=False)
+        if self._failure is not None:
+            raise RuntimeError(self._failure)
+        # Reading here keeps at most PIPE_BUF - 1 verdicts unread, this frame's
+        # included, so the helper can answer this frame without blocking and
+        # so goes on draining the write below.
+        if self._sent - len(self.answers) >= select.PIPE_BUF - 1:
+            self.receive()
         frame = memoryview(_U32.pack(len(message)) + message
                            + signature + public_key)
         try:
@@ -237,24 +258,15 @@ class _Helper:
     def answer(self, index: int) -> bool:
         """The verdict for the ``index``-th triple, waiting for it to arrive."""
         while len(self.answers) <= index:
-            self.receive(block=True)
+            self.receive()
         return self.answers[index] == 1
 
-    def receive(self, block: bool) -> None:
-        """Take the verdicts the helper has written; with ``block``, wait
-        until it has written at least one more."""
+    def receive(self) -> None:
+        """Wait until the helper has written at least one verdict not yet read,
+        then take every one it has written. Call it only while one is due."""
         if self._failure is not None:
             raise RuntimeError(self._failure)
-        try:
-            answers = os.read(self._verdicts, 1 << 16)
-        except BlockingIOError:
-            if not block:
-                return
-            os.set_blocking(self._verdicts, True)
-            try:
-                answers = os.read(self._verdicts, 1 << 16)
-            finally:
-                os.set_blocking(self._verdicts, False)
+        answers = os.read(self._verdicts, 1 << 16)
         if not answers:
             self._fail()
         self.answers += answers
@@ -274,8 +286,10 @@ class _Helper:
 
 
 def _serve(triples: int, verdicts: int) -> NoReturn:
-    """The helper's loop: verify each framed triple in order and answer it;
-    exit when every writer has closed the triple pipe."""
+    """The helper's loop: verify each framed triple in order, straight from the
+    frame's bytes, and answer it; exit when every writer has closed the triple
+    pipe. It keeps no decoded keys: it outlives a run when the process goes on
+    to another, and nothing may be remembered from one run to the next."""
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
@@ -290,8 +304,8 @@ def _serve(triples: int, verdicts: int) -> NoReturn:
                 end = key_at + PUBLIC_KEY_SIZE
                 if end > len(buf):
                     break
-                ok = verify(bytes(buf[start + _U32.size:sig_at]),
-                            Signature(buf[sig_at:key_at]), PublicKey(buf[key_at:end]))
+                ok = _valid(buf[start + _U32.size:sig_at], buf[sig_at:key_at],
+                            bytes(buf[key_at:end]), Ed25519PublicKey.from_public_bytes)
                 os.write(verdicts, b"\x01" if ok else b"\x00")
                 start = end
             del buf[:start]

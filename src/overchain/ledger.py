@@ -31,6 +31,8 @@ from functools import cached_property
 from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .crypto import (
+    DIGEST_SIZE,
+    SIGNATURE_SIZE,
     ZERO_DIGEST,
     Digest,
     KeyPair,
@@ -106,7 +108,7 @@ class Transaction:
             return TxVerdict(False, TxFault.BAD_SIGNATURE, "sig_1 invalid")
         if self.sig_2 is not None and not verified(body, self.sig_2, self.pk_2):
             return TxVerdict(False, TxFault.BAD_SIGNATURE, "sig_2 invalid")
-        return TxVerdict(True)
+        return _TX_OK
 
     @cached_property
     def fully_signed(self) -> bool:
@@ -140,15 +142,24 @@ class Transaction:
         )
 
 
+# ``canonical_join``'s layout, written out: every field but the optional pk_2
+# and sig_2 has a fixed length, so its u32 length prefix is a constant.
+_LEN_0, _LEN_32, _LEN_64 = (struct.pack(">I", n) for n in (0, DIGEST_SIZE, SIGNATURE_SIZE))
+_KIND_FIELD = {kind: canonical_join(kind.value.encode()) for kind in TxKind}
+_TAG_FIELD = {tag: canonical_join(tag.value.encode()) for tag in PayloadTag}
+
+
 def _signing_body(p_t_id, payload_digest, pk_1, pk_2) -> bytes:
     if pk_2 is None:
-        return canonical_join(p_t_id, payload_digest, pk_1)
-    return canonical_join(p_t_id, payload_digest, pk_1, pk_2)
+        return b"".join((_LEN_32, p_t_id, _LEN_32, payload_digest, _LEN_32, pk_1))
+    return b"".join((_LEN_32, p_t_id, _LEN_32, payload_digest, _LEN_32, pk_1, _LEN_32, pk_2))
 
 
 def _body_bytes(p_t_id, kind, pk_1, sig_1, pk_2, sig_2, payload_digest, payload_tag) -> bytes:
-    return canonical_join(p_t_id, kind.value.encode(), pk_1, sig_1, pk_2 or b"",
-                          sig_2 or b"", payload_digest, payload_tag.value.encode())
+    return b"".join((_LEN_32, p_t_id, _KIND_FIELD[kind], _LEN_32, pk_1, _LEN_64, sig_1,
+                     _LEN_32 if pk_2 else _LEN_0, pk_2 or b"",
+                     _LEN_64 if sig_2 else _LEN_0, sig_2 or b"",
+                     _LEN_32, payload_digest, _TAG_FIELD[payload_tag]))
 
 
 def _sealed(*fields) -> Transaction:
@@ -200,6 +211,9 @@ class TxVerdict:
     detail: str = ""
 
 
+_TX_OK = TxVerdict(True)  # frozen, so every passing check returns this one
+
+
 def check_integrity(tx: Transaction) -> TxVerdict:
     """Structural and signature checks that need no chain context."""
     return tx._integrity
@@ -217,7 +231,7 @@ def validate_transaction(
         return verdict
     if tx.p_t_id != ZERO_DIGEST and tx.p_t_id not in chain.tx_index and tx.p_t_id not in known:
         return TxVerdict(False, TxFault.MISSING_PREDECESSOR, "p_t_id unknown")
-    return TxVerdict(True)
+    return _TX_OK
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +508,19 @@ def validate_block(
     n = len(block.transactions)
     k = checks_for_trust(trust.score(block.generator_pk), n, trust.min_check_fraction)
     sample = sorted(random.Random(sample_seed).sample(range(n), k))
-    ids = [tx.t_id for tx in block.transactions]
+    transactions = block.transactions
+    known: set[Digest] = set()  # the ids of transactions[:i], grown along the sample
+    before = 0
 
     executed = 0
     for i in sample:
-        tx = block.transactions[i]
+        known.update(tx.t_id for tx in transactions[before:i])
+        before = i
+        tx = transactions[i]
         executed += 1
         if not tx.fully_signed:
             return BlockVerdict(False, BlockFault.BAD_TRANSACTION, i, executed)
-        verdict = validate_transaction(tx, chain, known=set(ids[:i]))
+        verdict = validate_transaction(tx, chain, known=known)
         if not verdict.ok:
             return BlockVerdict(False, BlockFault.BAD_TRANSACTION, i, executed)
     return BlockVerdict(True, verification_count=executed)

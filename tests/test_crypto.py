@@ -232,6 +232,33 @@ def test_helper_answers_each_triple_with_the_verdict_of_verify():
         os.waitpid(helper.pid, 0)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="F_SETPIPE_SZ is Linux's")
+def test_unread_verdicts_never_block_submit_on_a_one_page_pipe():
+    import fcntl
+    import select
+    kp = generate_keypair("one-page")
+    good = kp.sign(b"good")
+    triples = [(b"good", good, kp.public), (b"bad", good, kp.public)]
+    expected = [verify(*t) for t in triples]
+    count = 2 * select.PIPE_BUF + 3  # without reads, the helper would stop after PIPE_BUF
+
+    def hang(signum, frame):
+        raise TimeoutError("submit and the helper blocked each other")
+
+    helper = crypto._Helper()
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        fcntl.fcntl(helper._verdicts, fcntl.F_SETPIPE_SZ, os.sysconf("SC_PAGE_SIZE"))
+        indices = [helper.submit(*triples[i % 2]) for i in range(count)]
+        assert [helper.answer(i) for i in indices] == [expected[i % 2] for i in range(count)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        helper.close()  # the helper then exits, whether it was reading or writing
+        os.waitpid(helper.pid, 0)
+
+
 def test_sign_never_sets_a_verdict_by_itself():
     kp = generate_keypair("pending")
     stored = kp.sign(b"message")._verdicts.get((b"message", kp.public))

@@ -19,6 +19,7 @@ from overchain.crypto import (
     SIGNATURE_SIZE,
     ZERO_DIGEST,
     Signature,
+    canonical_join,
     digest,
     generate_keypair,
     verified,
@@ -136,6 +137,38 @@ def test_builders_equal_the_draft_and_copy_construction(shape):
             helper, _ = signature._verdicts[(tx.signing_body(), public_key)]
             assert helper is crypto._helper
     assert check_integrity(tx).ok and check_integrity(ref).ok
+
+
+def joined_fields(data):
+    """Split ``canonical_join`` output back into its fields."""
+    fields, at = [], 0
+    while at < len(data):
+        size = int.from_bytes(data[at:at + 4], "big")
+        fields.append(data[at + 4:at + 4 + size])
+        at += 4 + size
+    return fields
+
+
+@pytest.mark.parametrize("shape", ["single", "multi_pending", "multi_countersigned"])
+@pytest.mark.parametrize("tag", list(PayloadTag))
+def test_transaction_layouts_equal_canonical_join_of_their_fields(shape, tag):
+    args = (digest(b"parent"), digest(shape.encode()), tag, ALICE)
+    if shape == "single":
+        tx = build_transaction(TxKind.SINGLE, *args)
+    else:
+        tx = build_transaction(TxKind.MULTI, *args, recipient_pk=BOB.public)
+        if shape == "multi_countersigned":
+            tx = countersign(tx, BOB)
+    signed = {"p_t_id": tx.p_t_id, "payload_digest": tx.payload_digest, "pk_1": tx.pk_1}
+    if tx.pk_2 is not None:
+        signed["pk_2"] = tx.pk_2
+    body = {"p_t_id": tx.p_t_id, "kind": tx.kind.value.encode(), "pk_1": tx.pk_1,
+            "sig_1": tx.sig_1, "pk_2": tx.pk_2 or b"", "sig_2": tx.sig_2 or b"",
+            "payload_digest": tx.payload_digest, "payload_tag": tx.payload_tag.value.encode()}
+    for layout, fields in ((tx.signing_body(), signed), (tx.body_bytes(), body)):
+        # field by field first, so a failure names the field that slipped
+        assert dict(zip(fields, joined_fields(layout))) == fields
+        assert layout == canonical_join(*fields.values())
 
 
 def test_countersign_requires_matching_recipient():
