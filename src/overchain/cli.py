@@ -156,6 +156,16 @@ def _cmd_list(_args) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="overchain",
@@ -171,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the trace to this file, or as NAME.trace.jsonl "
                             "into this directory if it is one or several scenarios run")
     run_p.add_argument("--format", choices=("plain", "json"), default="plain")
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="run scenarios in parallel processes")
+    run_p.add_argument("--jobs", type=_jobs, default=1,
+                       help="run scenarios in this many parallel processes (at least 1)")
     run_p.set_defaults(func=_cmd_run)
 
     val_p = sub.add_parser("validate", help="validate configuration files")

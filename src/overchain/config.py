@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -224,7 +225,9 @@ class _Checker:
 
     def value(self, obj, path: str, kind, bound=None, default=None):
         """``obj`` if it has type ``kind`` (a key of ``_EXPECTED``), else
-        ``default``; a ``(low, strict)`` bound is checked and reported."""
+        ``default``; a ``(low, strict)`` bound is checked and reported. A
+        ``float`` must be finite: ``.nan``, ``.inf`` or an integer past a
+        float's range is reported and gives ``default``."""
         if kind == _NAMES:
             ok = isinstance(obj, list) and all(isinstance(v, str) for v in obj)
         else:
@@ -233,11 +236,19 @@ class _Checker:
         if not ok:
             self.fail(path, f"expected {_EXPECTED[kind]}, got {type(obj).__name__}")
             return default
+        if kind is float:
+            try:
+                obj = float(obj)
+            except OverflowError:
+                obj = math.inf
+            if not math.isfinite(obj):
+                self.fail(path, "must be a finite number")
+                return default
         if bound is not None:
             low, strict = bound
             if obj < low or (strict and obj == low):
                 self.fail(path, f"must be {'greater than' if strict else 'at least'} {low}")
-        return float(obj) if kind is float else tuple(obj) if kind == _NAMES else obj
+        return tuple(obj) if kind == _NAMES else obj
 
     def read(self, raw: dict, key, path: str, kind, bound=None, default=None):
         """``raw[key]`` checked as ``value`` does; missing or null gives
@@ -480,6 +491,9 @@ def _parse_expectations(check: _Checker, entries: list) -> tuple:
             if (not isinstance(value, list) or len(value) != 2
                     or not all(isinstance(v, (int, float)) for v in value)):
                 check.fail(f"{path}.value", "'between' takes [low, high]")
+            else:
+                for j, v in enumerate(value):
+                    check.value(v, f"{path}.value[{j}]", float)
         else:
             check.value(value, f"{path}.value", float)
         out.append(expectation)

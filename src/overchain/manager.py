@@ -189,10 +189,9 @@ class BlockManager(BaseActor):
         if request.kind == "join_cluster":
             member = request.sender
             self.add_member(member, request.data.get("member_kind", "vehicle"))
-            for req_hex, member_hex in request.data.get("entries", []):
-                self.upload_key_pair(
-                    engine.trace, engine.now, member,
-                    PublicKey.fromhex(req_hex), PublicKey.fromhex(member_hex))
+            for requester_pk, member_pk in request.data.get("entries", []):
+                self.upload_key_pair(engine.trace, engine.now, member,
+                                     requester_pk, member_pk)
             engine.trace.emit(engine.now, self.node_id, "member_joined", member=member)
             self.reply(engine, request, {"ok": True})
         elif request.kind == "leave_cluster":
@@ -203,16 +202,14 @@ class BlockManager(BaseActor):
             self.reply(engine, request, {"ok": True})
         elif request.kind == "upload_keys":
             added = 0
-            for req_hex, member_hex in request.data.get("entries", []):
-                if self.upload_key_pair(
-                        engine.trace, engine.now, request.sender,
-                        PublicKey.fromhex(req_hex), PublicKey.fromhex(member_hex)):
+            for requester_pk, member_pk in request.data.get("entries", []):
+                if self.upload_key_pair(engine.trace, engine.now, request.sender,
+                                        requester_pk, member_pk):
                     added += 1
             self.reply(engine, request, {"ok": request.sender in self.members,
                                          "added": added})
         elif request.kind == "chain_lookup":
-            tx = self.chain.get_tx(Digest.fromhex(request.data["t_id"]))
-            self.reply(engine, request, {"tx": tx.to_json_obj() if tx else None})
+            self.reply(engine, request, {"tx": self.chain.get_tx(request.data["t_id"])})
         else:
             super().on_request(engine, request)
 

@@ -49,46 +49,43 @@ class Timer:
 
 @dataclass(frozen=True)
 class AppRequest:
-    request_id: int
+    """A request; the reply carries ``then``, the sender's continuation, back."""
+
     sender: str
     kind: str
     data: dict
+    then: Callable
 
 
 @dataclass(frozen=True)
 class AppResponse:
-    request_id: int
-    kind: str
+    """A reply; on delivery its node runs ``then(engine, data)``."""
+
     data: dict
+    then: Callable
 
 
 class BaseActor:
-    """Shared actor behavior: request/response correlation and dispatch.
+    """Shared actor behavior: request/response and dispatch.
 
-    A ``Timer`` runs the action it carries. Subclasses implement
-    ``on_request`` / ``on_payload`` as needed. Replies to in-flight requests
-    resume the continuation captured at send time, in delivery order.
+    A ``Timer`` runs the action it carries, and an ``AppResponse`` the
+    continuation its request carried. Subclasses implement ``on_request`` /
+    ``on_payload`` as needed.
     """
 
     def __init__(self, node_id: str):
         self.node_id = node_id
-        self._continuations: dict[int, Callable] = {}
 
     def send_request(self, engine, target: str, kind: str, data: dict,
-                     then: Callable) -> int:
-        request_id = engine.next_request_id()
-        self._continuations[request_id] = then
-        engine.send(self.node_id, target, AppRequest(request_id, self.node_id, kind, data))
-        return request_id
+                     then: Callable) -> None:
+        engine.send(self.node_id, target, AppRequest(self.node_id, kind, data, then))
 
     def reply(self, engine, request: AppRequest, data: dict) -> None:
-        engine.send(self.node_id, request.sender, AppResponse(request.request_id, request.kind, data))
+        engine.send(self.node_id, request.sender, AppResponse(data, request.then))
 
     def handle(self, engine, payload) -> None:
         if isinstance(payload, AppResponse):
-            cont = self._continuations.pop(payload.request_id, None)
-            if cont is not None:
-                cont(engine, payload.data)
+            payload.then(engine, payload.data)
         elif isinstance(payload, AppRequest):
             self.on_request(engine, payload)
         elif isinstance(payload, Timer):
@@ -107,10 +104,10 @@ class BaseActor:
             if "error" in resp:
                 then(eng, resp)
                 return
-            proof = account_key.sign(bytes.fromhex(resp["nonce"]))
+            nonce = resp["nonce"]
             self.send_request(eng, cloud_id, "cloud_proof",
-                              {"account": account_id, "nonce": resp["nonce"],
-                               "proof": proof.hex()},
+                              {"account": account_id, "nonce": nonce,
+                               "proof": account_key.sign(nonce)},
                               on_session)
 
         def on_session(eng, resp):

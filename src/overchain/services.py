@@ -11,7 +11,6 @@ from .crypto import (
     Digest,
     KeyPair,
     PublicKey,
-    Signature,
     digest,
     generate_keypair,
     verify,
@@ -26,7 +25,7 @@ from .ledger import (
 )
 from .messages import AppRequest, BaseActor, DeliverTx, TxMessage
 from .swformat import build_sw_binary, sw_object_id
-from .vehicle import StorageRecord, storage_digest
+from .vehicle import storage_digest
 
 
 class CloudStore(BaseActor):
@@ -39,7 +38,7 @@ class CloudStore(BaseActor):
         self.accounts: dict[str, PublicKey] = {}
         self.acl: dict[str, set[str]] = {}
         self.retain_closed_objects = retain_closed_objects
-        self._nonces: dict[str, set[str]] = {}  # account -> outstanding challenges
+        self._nonces: dict[str, set[bytes]] = {}  # account -> outstanding challenges
         self._sessions: dict[str, str] = {}
         self._session_seq = 0
 
@@ -88,21 +87,20 @@ class CloudStore(BaseActor):
         if account_id not in self.accounts:
             return {"error": "UnknownAccount"}
         nonce = engine.rng(f"cloud:{self.node_id}").getrandbits(256).to_bytes(32, "big")
-        self._nonces.setdefault(account_id, set()).add(nonce.hex())
-        return {"nonce": nonce.hex()}
+        self._nonces.setdefault(account_id, set()).add(nonce)
+        return {"nonce": nonce}
 
     def _proof(self, engine, data: dict) -> dict:
         account_id = data["account"]
         pk = self.accounts.get(account_id)
         if pk is None:
             return {"error": "UnknownAccount"}
-        nonce_hex = data.get("nonce", "")
+        nonce = data.get("nonce")
         outstanding = self._nonces.get(account_id, set())
-        if nonce_hex not in outstanding:
+        if nonce not in outstanding:
             return {"error": "BadProof"}
-        outstanding.discard(nonce_hex)
-        if not verify(bytes.fromhex(nonce_hex),
-                      Signature(bytes.fromhex(data["proof"])), pk):
+        outstanding.discard(nonce)
+        if not verify(nonce, data["proof"], pk):
             return {"error": "BadProof"}
         self._session_seq += 1
         session = f"session-{self._session_seq}"
@@ -123,7 +121,7 @@ class CloudStore(BaseActor):
             engine.trace.emit(engine.now, self.node_id, "cloud_denied",
                               account=account_id, object=object_id, op="put")
             return {"error": "AccessDenied"}
-        self.objects[object_id] = bytes.fromhex(data["data"])
+        self.objects[object_id] = data["data"]
         engine.trace.emit(engine.now, self.node_id, "cloud_put",
                           account=account_id, object=object_id,
                           size=len(self.objects[object_id]))
@@ -141,11 +139,10 @@ class CloudStore(BaseActor):
         blob = self.objects.get(object_id)
         if blob is None:
             return {"error": "NotFound"}
-        return {"data": blob.hex()}
+        return {"data": blob}
 
     def _admin_create(self, engine, data: dict) -> dict:
-        self.create_account(data["account"], PublicKey.fromhex(data["pk"]),
-                            data.get("acl", []))
+        self.create_account(data["account"], data["pk"], data.get("acl", []))
         engine.trace.emit(engine.now, self.node_id, "account_created",
                           account=data["account"])
         return {"ok": True}
@@ -198,7 +195,7 @@ class SwProvider(BaseActor):
                      TxMessage(pending, origin_member=self.node_id))
 
         self.cloud_call(engine, self.cloud_id, self.cloud_account, "cloud_put",
-                        {"object": object_id, "data": blob.hex()}, on_stored)
+                        {"object": object_id, "data": blob}, on_stored)
 
     def on_payload(self, engine, payload) -> None:
         if isinstance(payload, DeliverTx):
@@ -254,8 +251,7 @@ class Oem(BaseActor):
             if "error" in resp:
                 self._reject(eng, pending, "DigestMismatch")
                 return
-            blob = bytes.fromhex(resp["data"])
-            if digest(blob) != pending.payload_digest:
+            if digest(resp["data"]) != pending.payload_digest:
                 self._reject(eng, pending, "DigestMismatch")
                 return
             final = countersign(pending, self.keypair)
@@ -298,12 +294,12 @@ class Insurer(BaseActor):
             self.send_request(eng, vehicle_id, "provision_insurance", {
                 "account": account_id,
                 "secret_seed": f"{self.node_id}:account:{account_id}",
-                "insurer_pk": self.keypair.public.hex(),
+                "insurer_pk": self.keypair.public,
             }, lambda e, r: None)
 
         self.send_request(engine, self.cloud_id, "admin_create_account", {
             "account": account_id,
-            "pk": account_key.public.hex(),
+            "pk": account_key.public,
             "acl": [f"{account_id}/"],
         }, on_created)
         return account_id
@@ -321,23 +317,21 @@ class Insurer(BaseActor):
             super().on_request(engine, request)
             return
         data = request.data
-        account_id = data["account"]
-        records = [StorageRecord.from_json_obj(r) for r in data["records"]]
+        account_id, anchor_tid = data["account"], data["anchor_tid"]
 
         def on_anchor(eng, resp):
-            verdict = self._verdict(account_id, records, resp["tx"])
+            verdict = self._verdict(account_id, data["records"], resp["tx"])
             eng.trace.emit(eng.now, self.node_id, "claim_verified",
-                           account=account_id, anchor_t_id=data["anchor_tid"],
+                           account=account_id, anchor_t_id=anchor_tid.hex(),
                            verdict=verdict)
             self.reply(eng, request, {"verdict": verdict})
 
         self.send_request(engine, self.obm_id, "chain_lookup",
-                          {"t_id": data["anchor_tid"]}, on_anchor)
+                          {"t_id": anchor_tid}, on_anchor)
 
-    def _verdict(self, account_id: str, records, tx_obj) -> str:
-        if tx_obj is None:
+    def _verdict(self, account_id: str, records, anchor: Optional[Transaction]) -> str:
+        if anchor is None:
             return "AnchorNotFound"
-        anchor = Transaction.from_json_obj(tx_obj)
         registered_pk = self.pk_db.get(account_id)
         if registered_pk is None or anchor.pk_1 != registered_pk:
             return "KeyNotRegistered"

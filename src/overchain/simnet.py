@@ -96,7 +96,6 @@ class Engine:
         self._seq = 0
         self._rngs: dict[str, Random] = {}
         self._link_rngs: dict[str, Random] = {}  # sender -> its "link:" stream
-        self._request_seq = 0
 
     # -- nodes and randomness ------------------------------------------------
 
@@ -112,10 +111,6 @@ class Engine:
             rng = Random(int.from_bytes(material, "big"))
             self._rngs[stream] = rng
         return rng
-
-    def next_request_id(self) -> int:
-        self._request_seq += 1
-        return self._request_seq
 
     # -- scheduling ----------------------------------------------------------
 

@@ -4,6 +4,7 @@ update verification and installation, and insurance claim filing.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,13 +43,6 @@ class StorageRecord:
     def wire_bytes(self) -> bytes:
         return canonical_join(
             repr(self.timestamp).encode(), self.category.encode(), self.payload)
-
-    def to_json_obj(self) -> list:
-        return [self.timestamp, self.category, self.payload.hex()]
-
-    @staticmethod
-    def from_json_obj(obj) -> "StorageRecord":
-        return StorageRecord(float(obj[0]), str(obj[1]), bytes.fromhex(obj[2]))
 
 
 def storage_digest(records) -> Digest:
@@ -103,7 +97,7 @@ class Vehicle(BaseActor):
         self.stop_at = float("inf")  # periodic timers stop after this time
         self._handover_in_flight = False
         self._record_seq = 0
-        self._handled_updates: set[str] = set()
+        self._handled_updates: set[Digest] = set()
 
     # -- timers ----------------------------------------------------------------
 
@@ -129,7 +123,7 @@ class Vehicle(BaseActor):
         if request.kind == "provision_insurance":
             account_id = request.data["account"]
             account_key = generate_keypair(request.data["secret_seed"])
-            insurer_pk = PublicKey.fromhex(request.data["insurer_pk"])
+            insurer_pk = request.data["insurer_pk"]
             self.insurance_account = (account_id, account_key)
             pair = (insurer_pk, account_key.public)
             if pair not in self.access_set:
@@ -137,7 +131,7 @@ class Vehicle(BaseActor):
             engine.trace.emit(engine.now, self.node_id, "insurance_provisioned",
                               account=account_id)
             self.send_request(engine, self.obm_id, "upload_keys", {
-                "entries": [(insurer_pk.hex(), account_key.public.hex())],
+                "entries": [pair],
             }, lambda eng, resp: None)
             self.reply(engine, request, {"ok": True})
         else:
@@ -210,7 +204,7 @@ class Vehicle(BaseActor):
                                object=object_id, category=record.category)
 
         self.cloud_call(engine, self.cloud_id, self.insurance_account, "cloud_put",
-                        {"object": object_id, "data": record.wire_bytes().hex()},
+                        {"object": object_id, "data": record.wire_bytes()},
                         done)
 
     # -- software update client -----------------------------------------------------
@@ -228,10 +222,10 @@ class Vehicle(BaseActor):
                           t_id=tx.t_id.hex(), reason=reason)
 
     def handle_update_notification(self, engine, tx: Transaction) -> None:
-        tid = tx.t_id.hex()
-        if tid in self._handled_updates:
+        if tx.t_id in self._handled_updates:
             return
-        self._handled_updates.add(tid)
+        self._handled_updates.add(tx.t_id)
+        tid = tx.t_id.hex()
         engine.trace.emit(engine.now, self.node_id, "update_received", t_id=tid)
         verdict = check_integrity(tx)
         if not (verdict.ok and tx.fully_signed and tx.payload_tag is PayloadTag.SW_UPDATE):
@@ -252,7 +246,7 @@ class Vehicle(BaseActor):
             if error is not None:
                 self._reject_update(eng, tx, "CloudAuthFailed")
                 return
-            blob = bytes.fromhex(resp["data"])
+            blob = resp["data"]
             if digest(blob) != tx.payload_digest:
                 self._reject_update(eng, tx, "HashMismatch")
                 return
@@ -323,7 +317,7 @@ class Vehicle(BaseActor):
     def _start_handover(self, engine, new_obm: str, delays: dict) -> None:
         self._handover_in_flight = True
         old_obm = self.obm_id
-        entries = [(req.hex(), mine.hex()) for req, mine in self.access_set]
+        entries = list(self.access_set)
 
         def on_joined(eng, resp):
             self.obm_id = new_obm  # connect before break
@@ -344,32 +338,32 @@ class Vehicle(BaseActor):
                          tamper: bool = False) -> None:
         """Accident handling: snapshot the store, anchor it, then file a claim
         referencing that anchor once it has had time to reach the chain."""
-        snapshot = [r.to_json_obj() for r in self.in_vehicle_storage]
+        snapshot = list(self.in_vehicle_storage)
         anchor = self.anchor_storage(engine)
         engine.trace.emit(engine.now, self.node_id, "accident",
                           anchor_t_id=anchor.t_id.hex(), n_records=len(snapshot),
                           tamper=tamper)
         engine.schedule(max(claim_delay, 0.0), self.node_id, Timer(
-            self._send_claim, (insurer_id, anchor.t_id.hex(), snapshot, tamper)))
+            self._send_claim, (insurer_id, anchor.t_id, snapshot, tamper)))
 
-    def _send_claim(self, engine, insurer_id: str, anchor_tid: str,
-                    records: list, tamper: bool) -> None:
-        claimed = [list(r) for r in records]
-        if tamper and claimed:
-            altered = bytearray(bytes.fromhex(claimed[0][2]))
-            altered[0] ^= 0x01
-            claimed[0][2] = bytes(altered).hex()
+    def _send_claim(self, engine, insurer_id: str, anchor_tid: Digest,
+                    records: list[StorageRecord], tamper: bool) -> None:
+        if tamper and records:  # ``records`` is this claim's own snapshot
+            first = records[0]
+            altered = bytes([first.payload[0] ^ 0x01]) + first.payload[1:]
+            records[0] = dataclasses.replace(first, payload=altered)
         account_id = self.insurance_account[0] if self.insurance_account else ""
+        tid_hex = anchor_tid.hex()
 
         def on_verdict(eng, resp):
             eng.trace.emit(eng.now, self.node_id, "claim_result",
-                           anchor_t_id=anchor_tid, verdict=resp["verdict"])
+                           anchor_t_id=tid_hex, verdict=resp["verdict"])
 
         engine.trace.emit(engine.now, self.node_id, "claim_filed",
-                          anchor_t_id=anchor_tid, n_records=len(claimed),
+                          anchor_t_id=tid_hex, n_records=len(records),
                           tampered=tamper)
         self.send_request(engine, insurer_id, "file_claim", {
             "account": account_id,
             "anchor_tid": anchor_tid,
-            "records": claimed,
+            "records": records,
         }, on_verdict)

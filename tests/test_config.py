@@ -13,12 +13,14 @@ from overchain.config import (
     Expectation,
     LedgerConfig,
     NetworkConfig,
+    ScenarioConfig,
     ServiceSpec,
     TrafficPhase,
     VehicleSpec,
     load_scenario,
     parse_scenario,
 )
+from overchain.config import _plan
 
 
 def minimal(**extra):
@@ -161,6 +163,42 @@ def test_every_field_is_read_and_type_checked(cls, path, name, document):
                    name) == expected
     wrong = 7 if isinstance(legal, (str, list)) else "seven"
     assert f"{path}.{name}: expected " in problems_of(document({name: wrong}))
+
+
+def non_finite_cases():
+    """(path, document) with a number that is not finite, or too large for a
+    float, at ``path``: every float field ``_plan`` reads, plus numbers read
+    elsewhere."""
+    sections = [*SECTIONS, (ScenarioConfig, "", set(), lambda v: minimal(**v))]
+    for cls, section, _, document in sections:
+        for name, kind, _ in _plan(cls):
+            if kind is float:
+                path = f"{section}.{name}" if section else name
+                for spelling in (".nan", ".inf", "-.inf"):
+                    yield pytest.param(path, document({name: yaml.safe_load(spelling)}),
+                                       id=f"{path}={spelling}")
+    inf = yaml.safe_load(".inf")
+    yield pytest.param("script[0].at", minimal(
+        actors={"vehicles": {"count": 1}},
+        script=[{"at": yaml.safe_load(".nan"), "do": "start_ddos", "attackers": 1,
+                 "tx_per_attacker": 1, "target": "veh0", "interval": 1.0}]),
+        id="script.at=.nan")
+    yield pytest.param("network.links[0].delay",
+                       minimal(network={"links": [["obm0", "obm1", inf]]}),
+                       id="links.delay=.inf")
+    yield pytest.param("expectations[0].value",
+                       minimal(expectations=[{"metric": "m", "value": inf}]),
+                       id="expectations.value=.inf")
+    yield pytest.param("expectations[0].value[1]", minimal(expectations=[
+        {"metric": "m", "op": "between", "value": [0, inf]}]),
+        id="expectations.value.between=.inf")
+    yield pytest.param("duration", yaml.safe_load("name: t\nduration: " + "7" * 401),
+                       id="duration=401-digit-integer")
+
+
+@pytest.mark.parametrize("path, document", non_finite_cases())
+def test_numbers_must_be_finite(path, document):
+    assert f"{path}: must be a finite number" in problems_of(document)
 
 
 # -- schema errors with field paths ------------------------------------------------

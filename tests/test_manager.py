@@ -462,12 +462,13 @@ def test_chain_lookup_finds_stored_transaction():
     m.tick(engine, 0, m.node_id)
     engine.run()
 
-    asker.ask(engine, m.node_id, "chain_lookup", {"t_id": tx.t_id.hex()})
-    asker.ask(engine, m.node_id, "chain_lookup", {"t_id": digest(b"absent").hex()})
+    asker.ask(engine, m.node_id, "chain_lookup", {"t_id": tx.t_id})
+    asker.ask(engine, m.node_id, "chain_lookup", {"t_id": digest(b"absent")})
     engine.run()
     found, missing = asker.responses
-    assert found["tx"]["t_id"] == tx.t_id.hex()
-    assert missing["tx"] is None
+    assert found == {"tx": tx}
+    assert found["tx"] is m.chain.blocks[-1].transactions[0]  # the stored object itself
+    assert missing == {"tx": None}
 
 
 def test_join_and_leave_cluster_manage_membership_and_keys():
@@ -477,12 +478,13 @@ def test_join_and_leave_cluster_manage_membership_and_keys():
     req, member = generate_keypair("r"), generate_keypair("m")
     veh.ask(engine, m.node_id, "join_cluster", {
         "member_kind": "vehicle",
-        "entries": [(req.public.hex(), member.public.hex())],
+        "entries": [(req.public, member.public)],
     })
     engine.run()
     assert veh.responses == [{"ok": True}]
     assert m.members == {"veh9": "vehicle"}
-    assert len(m.key_list.entries_for("veh9")) == 1
+    assert m.key_list.entries_for("veh9") == [
+        KeyListEntry(req.public, member.public, "veh9")]
 
     veh.ask(engine, m.node_id, "leave_cluster", {})
     engine.run()

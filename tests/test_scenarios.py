@@ -322,6 +322,16 @@ def test_cli_run_missing_file_exits_two(capsys):
     assert "no such file or bundled scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_run_jobs_below_one_is_a_usage_error(tiny_config, capsys, jobs):
+    with pytest.raises(SystemExit) as exited:
+        main(["run", str(tiny_config), "--jobs", jobs])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --jobs: must be at least 1, got {jobs}" in captured.err
+    assert captured.out == ""  # refused before any scenario ran
+
+
 def test_cli_run_accepts_bundled_names(capsys):
     # resolution only: validate is enough to prove the name lookup works
     assert main(["validate", "insurance", "handover"]) == 0

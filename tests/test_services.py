@@ -96,19 +96,19 @@ def test_sw_binary_rejects_malformed_input(mangle):
 
 def test_cloud_put_get_round_trip():
     engine, cloud, caller = cloud_world()
-    caller.call(engine, "cloud", "cloud_put", {"object": "acct/r1", "data": "beef"})
+    caller.call(engine, "cloud", "cloud_put", {"object": "acct/r1", "data": b"\xbe\xef"})
     caller.call(engine, "cloud", "cloud_get", {"object": "acct/r1"})
     engine.run()
-    assert caller.responses == [{"ok": True}, {"data": "beef"}]
+    assert caller.responses == [{"ok": True}, {"data": b"\xbe\xef"}]
     assert cloud.objects["acct/r1"] == b"\xbe\xef"
 
 
 def test_cloud_acl_exact_entry_and_prefix_entry():
     engine, cloud, caller = cloud_world()
-    caller.call(engine, "cloud", "cloud_put", {"object": "shared-note", "data": "00"})
-    caller.call(engine, "cloud", "cloud_put", {"object": "acct/deep/path", "data": "01"})
-    caller.call(engine, "cloud", "cloud_put", {"object": "shared-note/sub", "data": "02"})
-    caller.call(engine, "cloud", "cloud_put", {"object": "other/r1", "data": "03"})
+    caller.call(engine, "cloud", "cloud_put", {"object": "shared-note", "data": b"\x00"})
+    caller.call(engine, "cloud", "cloud_put", {"object": "acct/deep/path", "data": b"\x01"})
+    caller.call(engine, "cloud", "cloud_put", {"object": "shared-note/sub", "data": b"\x02"})
+    caller.call(engine, "cloud", "cloud_put", {"object": "other/r1", "data": b"\x03"})
     engine.run()
     assert caller.responses == [
         {"ok": True}, {"ok": True},
@@ -152,7 +152,7 @@ def test_cloud_ops_without_session_are_refused():
     raw = Raw()
     engine.add_node(raw)
     raw.send_request(engine, "cloud", "cloud_put",
-                     {"object": "acct/r1", "data": "00", "session": "session-99"},
+                     {"object": "acct/r1", "data": b"\x00", "session": "session-99"},
                      lambda e, r: setattr(raw, "resp", r))
     engine.run()
     assert raw.resp == {"error": "NoSession"}
@@ -160,7 +160,7 @@ def test_cloud_ops_without_session_are_refused():
 
 def test_closed_account_fails_auth_and_loses_sessions():
     engine, cloud, caller = cloud_world()
-    caller.call(engine, "cloud", "cloud_put", {"object": "acct/r1", "data": "aa"})
+    caller.call(engine, "cloud", "cloud_put", {"object": "acct/r1", "data": b"\xaa"})
     engine.run()
     assert cloud.close_account("acct") is True
     assert cloud.close_account("acct") is False
@@ -174,7 +174,7 @@ def test_closed_account_fails_auth_and_loses_sessions():
 
 def test_closing_account_can_purge_its_objects():
     engine, cloud, caller = cloud_world(retain_closed_objects=False)
-    caller.call(engine, "cloud", "cloud_put", {"object": "acct/r1", "data": "aa"})
+    caller.call(engine, "cloud", "cloud_put", {"object": "acct/r1", "data": b"\xaa"})
     engine.run()
     cloud.objects["sw/unrelated"] = b"keep"
     cloud.close_account("acct")
@@ -186,7 +186,7 @@ def test_cloud_nonces_are_deterministic_per_seed():
     texts = []
     for _ in range(2):
         engine, cloud, caller = cloud_world()
-        caller.call(engine, "cloud", "cloud_put", {"object": "acct/r1", "data": "aa"})
+        caller.call(engine, "cloud", "cloud_put", {"object": "acct/r1", "data": b"\xaa"})
         engine.run()
         texts.append(engine.trace.text())
     assert texts[0] == texts[1]

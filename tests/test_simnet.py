@@ -116,6 +116,27 @@ def test_request_response_round_trip():
     assert results == [(4.0, {"echo": 7})]
 
 
+def test_replies_arriving_in_reverse_order_reach_their_own_continuations():
+    class Echo(BaseActor):
+        def on_request(self, engine, request: AppRequest):
+            self.reply(engine, request, {"server": self.node_id, **request.data})
+
+    links = LinkModel(default_delay=1.0)
+    links.set_link("client", "far", 10.0)
+    engine = Engine(3, links)
+    caller = Recorder("client")
+    for node in (Echo("far"), Echo("near"), caller):
+        engine.add_node(node)
+    results = []
+    for server, value in (("far", 1), ("near", 2)):  # far first; its reply lands last
+        caller.send_request(engine, server, "ping", {"value": value},
+                            lambda eng, data, server=server:
+                            results.append((server, eng.now, data)))
+    engine.run()
+    assert results == [("near", 2.0, {"server": "near", "value": 2}),
+                       ("far", 20.0, {"server": "far", "value": 1})]
+
+
 def test_trace_lines_deterministic():
     t1, t2 = Trace(), Trace()
     for tr in (t1, t2):

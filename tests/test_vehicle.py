@@ -426,9 +426,9 @@ def test_accident_anchors_snapshot_then_files_claim():
     assert [r["verdict"] for r in trace_records(text, "claim_result")] == ["accepted"]
     claim = insurer.claims[0]
     [anchor] = trace_records(text, "anchor")
-    assert claim["anchor_tid"] == anchor["t_id"]
-    filed = [StorageRecord.from_json_obj(r) for r in claim["records"]]
-    assert storage_digest(filed).hex() == anchor["store_digest"]
+    assert claim["anchor_tid"].hex() == anchor["t_id"]
+    assert claim["records"] == [StorageRecord(1.0, "speed", b"swerve")]
+    assert storage_digest(claim["records"]).hex() == anchor["store_digest"]
 
 
 def test_tampered_claim_alters_one_record_only_in_the_filed_copy():
@@ -441,8 +441,8 @@ def test_tampered_claim_alters_one_record_only_in_the_filed_copy():
     veh.in_vehicle_storage.append(original)
     veh.trigger_accident(engine, insurer_id="insurer", claim_delay=0.0, tamper=True)
     engine.run()
-    filed = [StorageRecord.from_json_obj(r) for r in insurer.claims[0]["records"]]
-    assert filed[0].payload != original.payload
+    # the first payload byte flipped: "s" (0x73) becomes "r" (0x72)
+    assert insurer.claims[0]["records"] == [StorageRecord(1.0, "speed", b"rwerve")]
     assert veh.in_vehicle_storage == [original]  # local store untouched
     assert [r["verdict"] for r in trace_records(engine.trace.text(), "claim_result")] \
         == ["DigestMismatch"]
