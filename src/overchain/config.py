@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import re
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -190,6 +191,30 @@ _EXPECTED = {int: "an integer", float: "a number", str: "a string",
              bool: "true/false", _NAMES: "a list of strings", list: "a list",
              dict: "a mapping"}
 
+# YAML 1.1 reads a number with an exponent only with a dot before it and a
+# sign in it: ``1.0e+12`` is a float, ``1.0e12`` and ``1e+12`` are strings.
+_EXPONENT = re.compile(r"([-+]?)([0-9_]*)(\.[0-9_]*)?[eE]([-+]?)([0-9]+)")
+
+
+def _number_text(text: str) -> str:
+    """For a string that ``float()`` reads, `` 'text'`` and, when it is an
+    exponent form YAML 1.1 reads as a string, how to write it; else ''."""
+    try:
+        float(text)
+    except ValueError:
+        return ""
+    match = _EXPONENT.fullmatch(text)
+    if match is None:
+        return f" {text!r}"
+    sign, whole, fraction, exponent_sign, exponent = match.groups()
+    missing = [what for what, present in (("a dot", fraction),
+                                          ("a signed exponent", exponent_sign))
+               if not present]
+    if not missing:
+        return f" {text!r}"
+    fixed = f"{sign}{whole or '0'}{fraction or '.0'}e{exponent_sign or '+'}{exponent}"
+    return f" {text!r} (YAML 1.1 needs {' and '.join(missing)}, e.g. {fixed})"
+
 
 @functools.cache
 def _plan(cls) -> tuple:
@@ -227,14 +252,17 @@ class _Checker:
         """``obj`` if it has type ``kind`` (a key of ``_EXPECTED``), else
         ``default``; a ``(low, strict)`` bound is checked and reported. A
         ``float`` must be finite: ``.nan``, ``.inf`` or an integer past a
-        float's range is reported and gives ``default``."""
+        float's range is reported and gives ``default``. A string in its place
+        that reads as a number is quoted in the report, with its YAML 1.1
+        spelling when it has an exponent."""
         if kind == _NAMES:
             ok = isinstance(obj, list) and all(isinstance(v, str) for v in obj)
         else:
             ok = (isinstance(obj, (int, float) if kind is float else kind)
                   and (kind is bool or not isinstance(obj, bool)))
         if not ok:
-            self.fail(path, f"expected {_EXPECTED[kind]}, got {type(obj).__name__}")
+            shown = _number_text(obj) if kind is float and isinstance(obj, str) else ""
+            self.fail(path, f"expected {_EXPECTED[kind]}, got {type(obj).__name__}{shown}")
             return default
         if kind is float:
             try:

@@ -399,7 +399,11 @@ class KeyRing:
         self._used = False
         self.rotate_per_interaction = rotate_per_interaction
         self.history: list[KeyPair] = []
-        self.current = self._derive(0)
+
+    @cached_property
+    def current(self) -> KeyPair:
+        """The key in use: key ``n`` after ``n`` rotations, derived on first read."""
+        return self._derive(self._counter)
 
     def _derive(self, counter: int) -> KeyPair:
         return generate_keypair(canonical_join(self._seed, str(counter).encode()))

@@ -406,13 +406,14 @@ class BlockManager(BaseActor):
     # -- reporting ----------------------------------------------------------------
 
     def emit_summary(self, engine) -> str:
-        """Emit ``manager_summary`` and return the chain text it digested."""
-        chain_text = "\n".join(self.chain.dump_lines())
+        """Emit ``manager_summary`` and return its ``chain_digest``, the hex
+        SHA-256 of the chain's text."""
+        chain_digest = _digest("\n".join(self.chain.dump_lines()).encode()).hex()
         sw_finals = sum(1 for tx in self.chain.all_transactions()
                         if tx.payload_tag is PayloadTag.SW_UPDATE and tx.fully_signed)
         engine.trace.emit(engine.now, self.node_id, "manager_summary",
                           pool_depth=len(self.pool), waiting=len(self.waiting),
                           blocks=self.chain.height, delivered=self.delivered_count,
                           drops=dict(self.drops), sw_finals=sw_finals,
-                          chain_digest=_digest(chain_text.encode()).hex())
-        return chain_text
+                          chain_digest=chain_digest)
+        return chain_digest

@@ -412,8 +412,11 @@ def build_report(trace_text: str, config: ScenarioConfig) -> ScenarioReport:
 
 def read_report(text: str, config: ScenarioConfig) -> ScenarioReport:
     """The report of a trace from outside the program; ``TraceError`` names a bad
-    line, or the record ending the shortest prefix ``compute_metrics`` fails on."""
+    line, or the record ending the shortest prefix ``compute_metrics`` fails on,
+    or says that the trace has no records."""
     numbers, records = _read_lines(text)
+    if not records:  # every run writes records: an all-zero report would be made up
+        raise TraceError("trace has no records")
     try:
         return _report(records, config)
     except (KeyError, TypeError, ValueError) as exc:

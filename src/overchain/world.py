@@ -4,12 +4,21 @@ clock, and the end-of-run drain — producing a trace the report reads.
 
 Node naming is fixed by the builder: managers are ``obm0..obmN-1``, vehicles
 ``veh0..vehM-1``, the object store is ``cloud``; service ids come from the
-roster. All key material derives from ``<scenario seed>:key:<node>`` so runs
-are reproducible from the config alone.
+roster. All key material derives from ``<scenario seed>:key:<node>`` (and
+``:cloud:<node>`` for cloud accounts) so runs are reproducible from the config
+alone.
+
+A run derives only the keys it can use. ``build_world`` derives the CA's,
+each manager's and service's key, the roster attacker's first key and the
+OEM's and providers' cloud-account keys. A vehicle's own cloud account only
+downloads the OEM's updates, so it exists only in a scenario with an OEM. A
+``KeyRing``'s current key and an attacker's second key are derived on first
+use, and a ``start_ddos`` attacker's keys when the directive runs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .config import ScenarioConfig, TrafficPhase
@@ -74,9 +83,14 @@ class Attacker(BaseActor):
     def __init__(self, node_id: str, obm_id: str, seed: str):
         super().__init__(node_id)
         self.obm_id = obm_id
+        self._seed = seed
         self.keypair = generate_keypair(f"{seed}:key:{node_id}")
-        self.second_keypair = generate_keypair(f"{seed}:key:{node_id}:2")
         self.shots = 0
+
+    @cached_property
+    def second_keypair(self):
+        """The key that countersigns ``forge_final``'s forgery, derived on first use."""
+        return generate_keypair(f"{self._seed}:key:{self.node_id}:2")
 
     def _submit(self, engine, tx) -> None:
         engine.send(self.node_id, self.obm_id,
@@ -346,12 +360,14 @@ def build_world(config: ScenarioConfig) -> World:
 
     for spec in config.vehicles:
         vid = spec.vehicle_id
-        account_key = generate_keypair(f"{seed}:cloud:{vid}")
-        cloud.create_account(f"{vid}-acct", account_key.public, [SW_OBJECT_PREFIX])
+        cloud_account = None
+        if oem_key is not None:  # the account only downloads the OEM's updates
+            account_key = generate_keypair(f"{seed}:cloud:{vid}")
+            cloud.create_account(f"{vid}-acct", account_key.public, [SW_OBJECT_PREFIX])
+            cloud_account = (f"{vid}-acct", account_key)
         vehicle = Vehicle(
             spec, KeyRing(f"{seed}:key:{vid}", rotate_per_interaction=spec.rotate_keys),
-            oem_pk=oem_key.public if oem_key else None,
-            cloud_account=(f"{vid}-acct", account_key))
+            oem_pk=oem_key.public if oem_key else None, cloud_account=cloud_account)
         world.vehicles[vid] = vehicle
         engine.add_node(vehicle)
         by_id[spec.obm].add_member(vid, "vehicle")

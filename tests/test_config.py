@@ -531,6 +531,33 @@ def test_malformed_yaml_is_rejected_at_the_same_place_by_both_loaders(loader, ca
     assert "\n" not in str(err.value)
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("duration: 1.0e12", "duration: expected a number, got str '1.0e12' "
+     "(YAML 1.1 needs a signed exponent, e.g. 1.0e+12)"),
+    ("duration: 1e+12", "duration: expected a number, got str '1e+12' "
+     "(YAML 1.1 needs a dot, e.g. 1.0e+12)"),
+    ("network: {jitter: 5E-1}", "network.jitter: expected a number, got str '5E-1' "
+     "(YAML 1.1 needs a dot, e.g. 5.0e-1)"),
+    ("ledger: {block_period: .5e1}", "ledger.block_period: expected a number, "
+     "got str '.5e1' (YAML 1.1 needs a signed exponent, e.g. 0.5e+1)"),
+    ("duration: 3e2", "duration: expected a number, got str '3e2' "
+     "(YAML 1.1 needs a dot and a signed exponent, e.g. 3.0e+2)"),
+    ("duration: '120'", "duration: expected a number, got str '120'"),
+    ("duration: soon", "duration: expected a number, got str"),
+])
+def test_number_that_yaml_reads_as_a_string_is_shown_with_its_fix(loader, tmp_path,
+                                                                  text, problem):
+    path = tmp_path / "exponent.yaml"
+    path.write_text(f"name: exponent\n{text}\n")
+    with pytest.raises(ConfigError) as err:
+        load_scenario(path)
+    assert str(err.value) == problem
+    if "e.g. " in problem:  # the spelling given is one this loader reads as that number
+        fixed = problem.rpartition("e.g. ")[2].rstrip(")")
+        loaded = yaml.load(f"v: {fixed}", getattr(yaml, loader))["v"]
+        assert loaded == float(text.split()[-1].strip("}"))
+
+
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without LibYAML")
 @pytest.mark.parametrize("name", bundled_scenarios())
 def test_bundled_scenario_parses_the_same_under_both_loaders(name):

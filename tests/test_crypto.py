@@ -421,6 +421,34 @@ def test_explicit_rotate_retires_key():
     assert ring.current is second
 
 
+def test_keyring_derives_each_key_on_first_use(monkeypatch):
+    derived = []
+    real = crypto.generate_keypair
+    monkeypatch.setattr(crypto, "generate_keypair",
+                        lambda seed: derived.append(seed) or real(seed))
+    # the public keys KeyRing("veh-9") gave when it derived key 0 in __init__
+    keys = [PublicKey(bytes.fromhex(h)) for h in (
+        "a871eca1af832c7b4d95bf0b8445ae21a5612ecc9be952745c6ab6c1fd93b463",
+        "02b207b70a78970ce4c65d3e88e77f265717207b038bafaefec303cc7ded1b98",
+        "400ac9a03c3ad6c78e146ea23140e2f8db68ae1ceb76596b3f17cba9e071f37f")]
+
+    ring = KeyRing("veh-9")
+    assert derived == []
+    assert ring.current.public == keys[0] and ring.current is ring.current
+    assert len(derived) == 1
+    assert ring.rotate().public == keys[1]
+    assert ring.all_public_keys() == keys[:2] and len(derived) == 2
+
+    rotating = KeyRing("veh-9", rotate_per_interaction=True)
+    assert derived[2:] == []
+    assert [rotating.interaction_key().public for _ in range(3)] == keys
+    assert rotating.all_public_keys() == keys and len(derived) == 5
+
+    unread = KeyRing("veh-9")  # a rotation first retires key 0, as it always did
+    assert unread.rotate().public == keys[1]
+    assert unread.all_public_keys() == keys[:2] and len(derived) == 7
+
+
 def test_keyring_deterministic():
     a, b = KeyRing("same-seed"), KeyRing("same-seed")
     a.rotate(), b.rotate()

@@ -80,6 +80,12 @@ def test_read_report_renders_as_build_report(bundled, name):
             == render_json(build_report(run.trace_text, run.config)))
 
 
+@pytest.mark.parametrize("text", ["", "\n", "\n  \r\n\t\n"])
+def test_read_report_of_a_trace_without_records_raises(text):
+    with pytest.raises(TraceError, match=r"^trace has no records$"):
+        read_report(text, ScenarioConfig("empty"))
+
+
 @pytest.mark.parametrize("text", [
     "",
     "\n\n  \n",

@@ -7,13 +7,15 @@ import struct
 
 import pytest
 
-from overchain import cli
+from overchain import cli, crypto
+from overchain import vehicle as vehicle_mod
+from overchain import world as world_mod
 from overchain.cli import bundled_scenarios, main
 from overchain.config import LedgerConfig, load_scenario, parse_scenario
 from overchain.crypto import ZERO_DIGEST, digest, generate_keypair
-from overchain.ledger import PayloadTag, TxKind, build_transaction, countersign
+from overchain.ledger import Chain, PayloadTag, TxKind, build_transaction, countersign
 from overchain.report import build_report, compute_metrics, parse_trace
-from overchain.world import build_world, run_scenario
+from overchain.world import Attacker, build_world, run_scenario
 
 from conftest import trace_records
 
@@ -152,6 +154,90 @@ def test_corrupt_generator_is_rejected_and_chains_stay_equal():
     assert metrics["chain"]["equal"] == 1
     assert metrics["chain"]["all_valid"] == 1
     assert len(set(metrics["chain"]["heights"].values())) == 1
+
+
+def test_a_manager_with_a_different_chain_makes_chains_unequal():
+    config = byzantine_config()
+    world = build_world(config)
+    world.driver.start(world.engine)
+    world.engine.run(max_time=config.duration)
+    world.engine.run()
+    short = world.managers[3]  # a sound prefix of the chain the others hold
+    short.chain = Chain.from_dump_lines(short.chain.dump_lines()[:-1])
+    world.driver.finalize(world.engine)
+
+    text = world.engine.trace.text()
+    digests = {r["actor"]: r["chain_digest"]
+               for r in trace_records(text, "manager_summary")}
+    assert digests["obm0"] == digests["obm1"] == digests["obm2"] != digests["obm3"]
+    assert [m.emit_summary(world.engine) for m in world.managers] == \
+        [digests[m.node_id] for m in world.managers]
+    (end,) = trace_records(text, "scenario_end")
+    assert end["chains_equal"] is False and end["all_valid"] is True
+
+
+# -- key material is derived only where a run uses it -----------------------------------
+
+
+@pytest.fixture
+def derived_seeds(monkeypatch):
+    """The seed of every ``generate_keypair`` call, wherever it is bound."""
+    seeds = []
+    real = crypto.generate_keypair
+
+    def counting(seed):
+        seeds.append(seed)
+        return real(seed)
+
+    for module in (crypto, world_mod, vehicle_mod):
+        monkeypatch.setattr(module, "generate_keypair", counting)
+    return seeds
+
+
+@pytest.mark.parametrize("name, at_build, in_run", [
+    ("trust_trend", 11, 11),  # 45 and 45 when every key was derived at build
+    ("ddos_flood", 25, 35),  # 45 and 65
+    ("full_demo", 45, 45),  # 49 and 49
+])
+def test_build_world_derives_only_the_keys_a_run_uses(derived_seeds, name,
+                                                       at_build, in_run):
+    config = load_scenario(bundled_scenarios()[name])
+    world = build_world(config)
+    assert len(derived_seeds) == at_build
+    world.driver.start(world.engine)
+    world.engine.run(max_time=config.duration)
+    world.engine.run()
+    world.driver.finalize(world.engine)
+    assert len(derived_seeds) == in_run
+    assert len(set(derived_seeds)) == in_run  # no key is derived twice
+
+
+def test_vehicles_have_cloud_accounts_only_with_an_oem():
+    for name, has_oem in (("trust_trend", False), ("ddos_flood", False),
+                          ("full_demo", True), ("wrsu_happy_path", True)):
+        world = build_world(load_scenario(bundled_scenarios()[name]))
+        assert (world.oem is not None) == has_oem
+        for vid, vehicle in world.vehicles.items():
+            if has_oem:
+                assert vehicle.cloud_account[0] == f"{vid}-acct"
+                assert world.cloud.accounts[f"{vid}-acct"] == \
+                    vehicle.cloud_account[1].public
+            else:
+                assert vehicle.cloud_account is None
+        vehicle_accounts = [a for a in world.cloud.accounts
+                            if a.startswith("veh") and a.endswith("-acct")]
+        assert len(vehicle_accounts) == (len(world.vehicles) if has_oem else 0)
+
+
+def test_attacker_derives_its_second_key_on_first_use(derived_seeds):
+    attacker = Attacker("atk1", "obm0", "s:1")
+    assert derived_seeds == ["s:1:key:atk1"]
+    second = attacker.second_keypair
+    assert attacker.second_keypair is second
+    assert derived_seeds == ["s:1:key:atk1", "s:1:key:atk1:2"]
+    # the key the attacker derived in __init__ before it was derived on use
+    assert second.public.hex() == \
+        "79cdcf371b4b8c8826f9f70f4aab631126c7d7f1d037e203617655645a6c906e"
 
 
 # -- the period floor keeps chains equal under legal timing ------------------------------
@@ -432,6 +518,15 @@ def test_cli_report_integer_over_the_digit_limit_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("trace line 1: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["", "\n\n  \n"])
+def test_cli_report_trace_without_records_exits_two(tmp_path, capsys, text):
+    trace = tmp_path / "empty.jsonl"
+    trace.write_text(text)
+    assert main(["report", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "trace has no records\n"
 
 
 def test_cli_report_trace_not_utf8_exits_two(tmp_path, capsys):
