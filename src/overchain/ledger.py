@@ -536,7 +536,8 @@ def append_block(chain: Chain, block: Block) -> None:
 
 
 def verify_chain(chain: Chain) -> bool:
-    """Full audit: linkage, identifiers, and every signature must hold."""
+    """Full audit: linkage, identifiers, and every signature must hold, and
+    no transaction may appear twice."""
     prev = ZERO_DIGEST
     seen: set[Digest] = set()
     for h, block in enumerate(chain.blocks):
@@ -547,7 +548,7 @@ def verify_chain(chain: Chain) -> bool:
         if not verified(block.signing_body(), block.generator_signature, block.generator_pk):
             return False
         for tx in block.transactions:
-            if not tx.fully_signed:
+            if not tx.fully_signed or tx.t_id in seen:
                 return False
             if not check_integrity(tx).ok:
                 return False

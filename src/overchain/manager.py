@@ -7,9 +7,10 @@ Routing summary for an arriving transaction:
   - already seen                                        -> dropped (duplicate)
   - predecessor not yet known                           -> parked until it is
   - key-pair matches an access entry                    -> delivered to member
-  - fully signed                                        -> pooled for a block
+  - fully signed, not yet in the chain                  -> pooled for a block
   - origin is a cluster member                          -> broadcast to peers
   - relayed, no match, not poolable                     -> dropped (no_match)
+  - relayed, no match, already in the chain             -> dropped (duplicate)
 A fully signed software-update transaction additionally notifies vehicle
 members, gated on the countersigner holding a verifiable certificate.
 """
@@ -175,43 +176,33 @@ class BlockManager(BaseActor):
     def generator_name(self, pk: PublicKey) -> str:
         return self.manager_names.get(pk, pk.hex()[:12])
 
-    # -- dispatch ---------------------------------------------------------------
+    # -- requests ---------------------------------------------------------------
 
-    def on_payload(self, engine, payload) -> None:
-        if isinstance(payload, TxMessage):
-            self.receive_transaction(engine, payload.tx, payload.origin_member)
-        elif isinstance(payload, BlockMessage):
-            self.on_block(engine, payload.block)
-        else:
-            super().on_payload(engine, payload)
+    def serve_join_cluster(self, engine, request: AppRequest) -> dict:
+        member = request.sender
+        self.add_member(member, request.data.get("member_kind", "vehicle"))
+        for requester_pk, member_pk in request.data.get("entries", []):
+            self.upload_key_pair(engine.trace, engine.now, member, requester_pk, member_pk)
+        engine.trace.emit(engine.now, self.node_id, "member_joined", member=member)
+        return {"ok": True}
 
-    def on_request(self, engine, request: AppRequest) -> None:
-        if request.kind == "join_cluster":
-            member = request.sender
-            self.add_member(member, request.data.get("member_kind", "vehicle"))
-            for requester_pk, member_pk in request.data.get("entries", []):
-                self.upload_key_pair(engine.trace, engine.now, member,
-                                     requester_pk, member_pk)
-            engine.trace.emit(engine.now, self.node_id, "member_joined", member=member)
-            self.reply(engine, request, {"ok": True})
-        elif request.kind == "leave_cluster":
-            member = request.sender
-            self.remove_member_keys(engine.trace, engine.now, member)
-            self.remove_member(member)
-            engine.trace.emit(engine.now, self.node_id, "member_left", member=member)
-            self.reply(engine, request, {"ok": True})
-        elif request.kind == "upload_keys":
-            added = 0
-            for requester_pk, member_pk in request.data.get("entries", []):
-                if self.upload_key_pair(engine.trace, engine.now, request.sender,
-                                        requester_pk, member_pk):
-                    added += 1
-            self.reply(engine, request, {"ok": request.sender in self.members,
-                                         "added": added})
-        elif request.kind == "chain_lookup":
-            self.reply(engine, request, {"tx": self.chain.get_tx(request.data["t_id"])})
-        else:
-            super().on_request(engine, request)
+    def serve_leave_cluster(self, engine, request: AppRequest) -> dict:
+        member = request.sender
+        self.remove_member_keys(engine.trace, engine.now, member)
+        self.remove_member(member)
+        engine.trace.emit(engine.now, self.node_id, "member_left", member=member)
+        return {"ok": True}
+
+    def serve_upload_keys(self, engine, request: AppRequest) -> dict:
+        added = 0
+        for requester_pk, member_pk in request.data.get("entries", []):
+            if self.upload_key_pair(engine.trace, engine.now, request.sender,
+                                    requester_pk, member_pk):
+                added += 1
+        return {"ok": request.sender in self.members, "added": added}
+
+    def serve_chain_lookup(self, engine, request: AppRequest) -> dict:
+        return {"tx": self.chain.get_tx(request.data["t_id"])}
 
     # -- transaction admission and routing ---------------------------------------
 
@@ -243,8 +234,9 @@ class BlockManager(BaseActor):
         self.seen_tids.add(tx.t_id)
         tid_hex = tx.t_id.hex()
         sinks = 0
+        committed = tx.t_id in self.chain.tx_index  # a block brought it before this copy
 
-        if tx.fully_signed:
+        if tx.fully_signed and not committed:
             self.pool[tx.t_id] = tx
             self._window_count += 1
             engine.trace.emit(engine.now, self.node_id, "tx_pooled",
@@ -272,7 +264,10 @@ class BlockManager(BaseActor):
         if sinks == 0:
             # terminal: nothing consumed it and it has nowhere further to go
             self.seen_tids.discard(tx.t_id)
-            self._drop(engine, tid_hex, "no_match", "")
+            if committed:
+                self._drop(engine, tid_hex, "duplicate", "arrived via block first")
+            else:
+                self._drop(engine, tid_hex, "no_match", "")
             return
 
         if tx.fully_signed:
@@ -299,11 +294,7 @@ class BlockManager(BaseActor):
         ready = [tid for tid, (tx, _, _) in self.waiting.items() if tx.p_t_id == new_tid]
         for tid in ready:
             tx, origin, _ = self.waiting.pop(tid)
-            tid_hex = tid.hex()
-            engine.trace.emit(engine.now, self.node_id, "tx_unparked", t_id=tid_hex)
-            if tid in self.seen_tids or tid in self.chain.tx_index:
-                self._drop(engine, tid_hex, "duplicate", "arrived via block first")
-                continue
+            engine.trace.emit(engine.now, self.node_id, "tx_unparked", t_id=tid.hex())
             self._admit(engine, tx, origin)
 
     def expire_waiting(self, engine, expire_all: bool = False) -> None:

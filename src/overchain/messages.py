@@ -1,6 +1,15 @@
-"""Payload types delivered through the simulated network, among them a
-``Timer(action, args)`` that carries the method it runs, plus a small
-request/response helper shared by all actors."""
+"""Payload types delivered through the simulated network, plus a small
+request/response helper shared by all actors.
+
+Each payload says what its delivery runs: ``payload.deliver(node, engine)``
+calls one method of the receiving node, so an actor needs no dispatch of its
+own. A ``TxMessage`` runs ``receive_transaction``, a ``BlockMessage``
+``on_block``, a ``DeliverTx`` ``on_delivered`` and an ``UpdateNotice``
+``handle_update_notification``. A ``Timer`` runs the action it carries and
+an ``AppResponse`` the continuation its request carried. An ``AppRequest``
+of kind ``k`` runs the node's ``serve_k(engine, request)``, whose returned
+dict is the reply (None means the handler replies later itself).
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -17,10 +26,16 @@ class TxMessage:
     tx: Transaction
     origin_member: Optional[str]
 
+    def deliver(self, node, engine) -> None:
+        node.receive_transaction(engine, self.tx, self.origin_member)
+
 
 @dataclass(frozen=True)
 class BlockMessage:
     block: Block
+
+    def deliver(self, node, engine) -> None:
+        node.on_block(engine, self.block)
 
 
 @dataclass(frozen=True)
@@ -31,12 +46,18 @@ class DeliverTx:
 
     tx: Transaction
 
+    def deliver(self, node, engine) -> None:
+        node.on_delivered(engine, self.tx)
+
 
 @dataclass(frozen=True)
 class UpdateNotice:
     """Manager-to-member announcement of a fully signed software update."""
 
     tx: Transaction
+
+    def deliver(self, node, engine) -> None:
+        node.handle_update_notification(engine, self.tx)
 
 
 @dataclass(frozen=True)
@@ -45,6 +66,9 @@ class Timer:
 
     action: Callable
     args: tuple = ()
+
+    def deliver(self, node, engine) -> None:
+        self.action(engine, *self.args)
 
 
 @dataclass(frozen=True)
@@ -56,6 +80,14 @@ class AppRequest:
     data: dict
     then: Callable
 
+    def deliver(self, node, engine) -> None:
+        serve = getattr(node, f"serve_{self.kind}", None)
+        if serve is None:
+            raise NotImplementedError(f"{node.node_id} cannot serve {self.kind!r}")
+        reply = serve(engine, self)
+        if reply is not None:
+            node.reply(engine, self, reply)
+
 
 @dataclass(frozen=True)
 class AppResponse:
@@ -64,17 +96,23 @@ class AppResponse:
     data: dict
     then: Callable
 
+    def deliver(self, node, engine) -> None:
+        self.then(engine, self.data)
+
 
 class BaseActor:
-    """Shared actor behavior: request/response and dispatch.
+    """Shared actor behavior: delivery, request/response and cloud calls.
 
-    A ``Timer`` runs the action it carries, and an ``AppResponse`` the
-    continuation its request carried. Subclasses implement ``on_request`` /
-    ``on_payload`` as needed.
+    ``handle`` only delivers the payload, which runs the method the payload
+    names (see the module docstring). A request of kind ``k`` is served by a
+    ``serve_k`` method; a node without one raises ``NotImplementedError``.
     """
 
     def __init__(self, node_id: str):
         self.node_id = node_id
+
+    def handle(self, engine, payload) -> None:
+        payload.deliver(self, engine)
 
     def send_request(self, engine, target: str, kind: str, data: dict,
                      then: Callable) -> None:
@@ -82,16 +120,6 @@ class BaseActor:
 
     def reply(self, engine, request: AppRequest, data: dict) -> None:
         engine.send(self.node_id, request.sender, AppResponse(data, request.then))
-
-    def handle(self, engine, payload) -> None:
-        if isinstance(payload, AppResponse):
-            payload.then(engine, payload.data)
-        elif isinstance(payload, AppRequest):
-            self.on_request(engine, payload)
-        elif isinstance(payload, Timer):
-            payload.action(engine, *payload.args)
-        else:
-            self.on_payload(engine, payload)
 
     def cloud_call(self, engine, cloud_id: str, account, kind: str, data: dict,
                    then: Callable) -> None:
@@ -119,9 +147,3 @@ class BaseActor:
 
         self.send_request(engine, cloud_id, "cloud_auth",
                           {"account": account_id}, on_nonce)
-
-    def on_request(self, engine, request: AppRequest) -> None:
-        raise NotImplementedError(f"{self.node_id} cannot serve {request.kind!r}")
-
-    def on_payload(self, engine, payload) -> None:
-        raise NotImplementedError(f"{self.node_id} cannot handle {type(payload).__name__}")

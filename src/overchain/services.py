@@ -23,7 +23,7 @@ from .ledger import (
     check_integrity,
     countersign,
 )
-from .messages import AppRequest, BaseActor, DeliverTx, TxMessage
+from .messages import AppRequest, BaseActor, TxMessage
 from .swformat import build_sw_binary, sw_object_id
 from .vehicle import storage_digest
 
@@ -68,29 +68,16 @@ class CloudStore(BaseActor):
 
     # -- request protocol ---------------------------------------------------------
 
-    def on_request(self, engine, request: AppRequest) -> None:
-        handler = {
-            "cloud_auth": self._auth,
-            "cloud_proof": self._proof,
-            "cloud_put": self._put,
-            "cloud_get": self._get,
-            "admin_create_account": self._admin_create,
-            "admin_close_account": self._admin_close,
-        }.get(request.kind)
-        if handler is None:
-            super().on_request(engine, request)
-            return
-        self.reply(engine, request, handler(engine, request.data))
-
-    def _auth(self, engine, data: dict) -> dict:
-        account_id = data["account"]
+    def serve_cloud_auth(self, engine, request: AppRequest) -> dict:
+        account_id = request.data["account"]
         if account_id not in self.accounts:
             return {"error": "UnknownAccount"}
         nonce = engine.rng(f"cloud:{self.node_id}").getrandbits(256).to_bytes(32, "big")
         self._nonces.setdefault(account_id, set()).add(nonce)
         return {"nonce": nonce}
 
-    def _proof(self, engine, data: dict) -> dict:
+    def serve_cloud_proof(self, engine, request: AppRequest) -> dict:
+        data = request.data
         account_id = data["account"]
         pk = self.accounts.get(account_id)
         if pk is None:
@@ -112,7 +99,8 @@ class CloudStore(BaseActor):
     def _session_account(self, data: dict) -> Optional[str]:
         return self._sessions.get(data.get("session", ""))
 
-    def _put(self, engine, data: dict) -> dict:
+    def serve_cloud_put(self, engine, request: AppRequest) -> dict:
+        data = request.data
         account_id = self._session_account(data)
         if account_id is None:
             return {"error": "NoSession"}
@@ -127,7 +115,8 @@ class CloudStore(BaseActor):
                           size=len(self.objects[object_id]))
         return {"ok": True}
 
-    def _get(self, engine, data: dict) -> dict:
+    def serve_cloud_get(self, engine, request: AppRequest) -> dict:
+        data = request.data
         account_id = self._session_account(data)
         if account_id is None:
             return {"error": "NoSession"}
@@ -141,16 +130,18 @@ class CloudStore(BaseActor):
             return {"error": "NotFound"}
         return {"data": blob}
 
-    def _admin_create(self, engine, data: dict) -> dict:
+    def serve_admin_create_account(self, engine, request: AppRequest) -> dict:
+        data = request.data
         self.create_account(data["account"], data["pk"], data.get("acl", []))
         engine.trace.emit(engine.now, self.node_id, "account_created",
                           account=data["account"])
         return {"ok": True}
 
-    def _admin_close(self, engine, data: dict) -> dict:
-        existed = self.close_account(data["account"])
+    def serve_admin_close_account(self, engine, request: AppRequest) -> dict:
+        account_id = request.data["account"]
+        existed = self.close_account(account_id)
         engine.trace.emit(engine.now, self.node_id, "account_closed",
-                          account=data["account"], existed=existed)
+                          account=account_id, existed=existed)
         return {"ok": True, "existed": existed}
 
 
@@ -197,16 +188,12 @@ class SwProvider(BaseActor):
         self.cloud_call(engine, self.cloud_id, self.cloud_account, "cloud_put",
                         {"object": object_id, "data": blob}, on_stored)
 
-    def on_payload(self, engine, payload) -> None:
-        if isinstance(payload, DeliverTx):
-            tx = payload.tx
-            if tx.fully_signed and tx.pk_1 == self.keypair.public:
-                # countersign feedback: the recipient recomputed the final id
-                self.last_final_tid = tx.t_id
-                engine.trace.emit(engine.now, self.node_id, "final_observed",
-                                  t_id=tx.t_id.hex())
-        else:
-            super().on_payload(engine, payload)
+    def on_delivered(self, engine, tx: Transaction) -> None:
+        if tx.fully_signed and tx.pk_1 == self.keypair.public:
+            # countersign feedback: the recipient recomputed the final id
+            self.last_final_tid = tx.t_id
+            engine.trace.emit(engine.now, self.node_id, "final_observed",
+                              t_id=tx.t_id.hex())
 
 
 class Oem(BaseActor):
@@ -221,12 +208,9 @@ class Oem(BaseActor):
         self.cloud_id = cloud_id
         self.cloud_account = cloud_account
 
-    def on_payload(self, engine, payload) -> None:
-        if isinstance(payload, DeliverTx):
-            if not payload.tx.fully_signed:
-                self.approve(engine, payload.tx)
-        else:
-            super().on_payload(engine, payload)
+    def on_delivered(self, engine, tx: Transaction) -> None:
+        if not tx.fully_signed:
+            self.approve(engine, tx)
 
     def _reject(self, engine, tx: Transaction, reason: str) -> None:
         engine.trace.emit(engine.now, self.node_id, "approval_rejected",
@@ -312,10 +296,8 @@ class Insurer(BaseActor):
         self.send_request(engine, self.cloud_id, "admin_close_account",
                           {"account": account_id}, on_closed)
 
-    def on_request(self, engine, request: AppRequest) -> None:
-        if request.kind != "file_claim":
-            super().on_request(engine, request)
-            return
+    def serve_file_claim(self, engine, request: AppRequest) -> None:
+        """Reply only once the anchor's ``chain_lookup`` has answered."""
         data = request.data
         account_id, anchor_tid = data["account"], data["anchor_tid"]
 

@@ -28,7 +28,7 @@ from .ledger import (
     check_integrity,
     countersign,
 )
-from .messages import BaseActor, DeliverTx, Timer, TxMessage, UpdateNotice
+from .messages import AppRequest, BaseActor, Timer, TxMessage
 from .swformat import parse_sw_binary, sw_object_id
 
 
@@ -119,23 +119,20 @@ class Vehicle(BaseActor):
 
     # -- provisioning -----------------------------------------------------------
 
-    def on_request(self, engine, request) -> None:
-        if request.kind == "provision_insurance":
-            account_id = request.data["account"]
-            account_key = generate_keypair(request.data["secret_seed"])
-            insurer_pk = request.data["insurer_pk"]
-            self.insurance_account = (account_id, account_key)
-            pair = (insurer_pk, account_key.public)
-            if pair not in self.access_set:
-                self.access_set.append(pair)
-            engine.trace.emit(engine.now, self.node_id, "insurance_provisioned",
-                              account=account_id)
-            self.send_request(engine, self.obm_id, "upload_keys", {
-                "entries": [pair],
-            }, lambda eng, resp: None)
-            self.reply(engine, request, {"ok": True})
-        else:
-            super().on_request(engine, request)
+    def serve_provision_insurance(self, engine, request: AppRequest) -> dict:
+        account_id = request.data["account"]
+        account_key = generate_keypair(request.data["secret_seed"])
+        insurer_pk = request.data["insurer_pk"]
+        self.insurance_account = (account_id, account_key)
+        pair = (insurer_pk, account_key.public)
+        if pair not in self.access_set:
+            self.access_set.append(pair)
+        engine.trace.emit(engine.now, self.node_id, "insurance_provisioned",
+                          account=account_id)
+        self.send_request(engine, self.obm_id, "upload_keys", {
+            "entries": [pair],
+        }, lambda eng, resp: None)
+        return {"ok": True}
 
     # -- storage and anchoring ----------------------------------------------------
 
@@ -209,14 +206,6 @@ class Vehicle(BaseActor):
 
     # -- software update client -----------------------------------------------------
 
-    def on_payload(self, engine, payload) -> None:
-        if isinstance(payload, UpdateNotice):
-            self.handle_update_notification(engine, payload.tx)
-        elif isinstance(payload, DeliverTx):
-            self._on_delivered(engine, payload.tx)
-        else:
-            super().on_payload(engine, payload)
-
     def _reject_update(self, engine, tx: Transaction, reason: str) -> None:
         engine.trace.emit(engine.now, self.node_id, "update_rejected",
                           t_id=tx.t_id.hex(), reason=reason)
@@ -273,7 +262,7 @@ class Vehicle(BaseActor):
                 pairs.append(account[1])
         return pairs
 
-    def _on_delivered(self, engine, tx: Transaction) -> None:
+    def on_delivered(self, engine, tx: Transaction) -> None:
         if tx.fully_signed:
             self.last_final_tid[tx.pk_1] = tx.t_id
         engine.trace.emit(engine.now, self.node_id, "tx_received",

@@ -502,6 +502,14 @@ def test_verify_chain_detects_linkage_tamper():
     assert not verify_chain(chain)
 
 
+def test_verify_chain_detects_a_repeated_transaction():
+    a = single(payload=b"a")
+    chain = chain_with([a, single(payload=b"b")], block_size=1)
+    append_block(chain, form_block([a], chain, GEN, 1))  # every block is sound alone
+    assert [tx.t_id for tx in chain.all_transactions()].count(a.t_id) == 2
+    assert not verify_chain(chain)
+
+
 def test_chain_dump_lines_round_trip():
     chain = build_sample_chain()
     lines = chain.dump_lines()

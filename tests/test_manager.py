@@ -38,7 +38,7 @@ class Sink(BaseActor):
         super().__init__(node_id)
         self.got = []
 
-    def on_payload(self, engine, payload) -> None:
+    def handle(self, engine, payload) -> None:
         self.got.append(payload)
 
 
@@ -146,10 +146,10 @@ def test_member_transaction_is_pooled_and_replicated_to_peers():
     engine, managers = build_world(3, block_size=1)
     relayed = []  # (receiving peer, message)
     for m in managers[1:]:
-        def recording(engine, payload, node_id=m.node_id, real=m.on_payload):
+        def recording(engine, payload, node_id=m.node_id, real=m.handle):
             relayed.append((node_id, payload))
             real(engine, payload)
-        m.on_payload = recording
+        m.handle = recording
     _, tx = single_tx("gen")
     # no peer holds an access entry for it, and it cannot be pooled yet
     unmatched = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(b"unmatched"),
@@ -249,6 +249,40 @@ def test_drop_partition_counts_invalid_duplicate_no_match():
     assert len(m.pool) == 2
 
 
+def test_transaction_that_a_block_brought_first_is_delivered_but_not_pooled_again():
+    engine, (gen, peer, bystander) = build_world(3, block_size=1)
+    veh = Sink("veh")
+    engine.add_node(veh)
+    req, member = generate_keypair("requester"), generate_keypair("member")
+    peer.add_member("veh", "vehicle")
+    peer.upload_key_pair(engine.trace, engine.now, "veh", req.public, member.public)
+    pending = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(b"overtaken"),
+                                PayloadTag.GENERIC, req, recipient_pk=member.public)
+    final = countersign(pending, member)
+    engine.send(gen.node_id, gen.node_id, TxMessage(final, None))  # pooled, not relayed
+    engine.run()
+    engine.now = 10.0
+    gen.tick(engine, 0, gen.node_id)
+    engine.run()
+    for m in (peer, bystander):
+        assert m.chain.tx_index == {final.t_id: (0, 0)}
+    # the relay that the block overtook
+    for m in (peer, bystander):
+        engine.send(gen.node_id, m.node_id, TxMessage(final, None))
+    engine.run()
+    # the member still gets its final, once, and no second block can repeat it
+    assert veh.got == [DeliverTx(final)]
+    assert peer.pool == {} and bystander.pool == {}
+    assert peer.drops == {"invalid": 0, "duplicate": 0, "no_match": 0}
+    assert bystander.drops == {"invalid": 0, "duplicate": 1, "no_match": 0}
+    assert [(r["t_id"], r["reason"], r["detail"])
+            for r in trace_records(engine.trace.text(), "tx_dropped")] \
+        == [(final.t_id.hex(), "duplicate", "arrived via block first")]
+    assert [r["actor"] for r in trace_records(engine.trace.text(), "tx_pooled")] == ["obm0"]
+    engine.now = 20.0
+    assert not peer.flush_turn(engine) and not bystander.flush_turn(engine)
+
+
 # -- parking -------------------------------------------------------------------
 
 
@@ -264,6 +298,36 @@ def test_child_parked_until_parent_arrives_then_pool_holds_both_in_order():
     engine.run()
     assert [t.t_id for t in m.pool.values()] == [parent.t_id, child.t_id]
     assert m.waiting == {}
+
+
+def test_parked_transaction_that_a_block_brings_is_delivered_but_not_pooled_again():
+    engine, (gen, peer, bystander) = build_world(3, block_size=2)
+    veh = Sink("veh")
+    engine.add_node(veh)
+    req, member = generate_keypair("requester"), generate_keypair("member")
+    peer.add_member("veh", "vehicle")
+    peer.upload_key_pair(engine.trace, engine.now, "veh", req.public, member.public)
+    _, parent = single_tx("chain-gen")
+    child = countersign(build_transaction(TxKind.MULTI, parent.t_id, digest(b"c"),
+                                          PayloadTag.GENERIC, req, recipient_pk=member.public),
+                        member)
+    for m in (peer, bystander):  # the relay of the child outruns its parent
+        engine.send(gen.node_id, m.node_id, TxMessage(child, None))
+    for tx in (parent, child):
+        engine.send(gen.node_id, gen.node_id, TxMessage(tx, None))
+    engine.run()
+    assert list(peer.waiting) == list(bystander.waiting) == [child.t_id]
+    engine.now = 10.0
+    gen.tick(engine, 0, gen.node_id)  # one block holds both
+    engine.run()
+    assert veh.got == [DeliverTx(child)]
+    for m in (peer, bystander):
+        assert m.waiting == {} and m.pool == {}
+        assert [tx.t_id for tx in m.chain.all_transactions()] == [parent.t_id, child.t_id]
+    assert peer.drops == {"invalid": 0, "duplicate": 0, "no_match": 0}
+    assert [(r["actor"], r["t_id"], r["reason"], r["detail"])
+            for r in trace_records(engine.trace.text(), "tx_dropped")] \
+        == [("obm2", child.t_id.hex(), "duplicate", "arrived via block first")]
 
 
 def test_parked_transaction_expires_as_invalid():

@@ -264,6 +264,39 @@ def test_period_floor_keeps_chains_equal_under_load():
         assert min(periods) == floor  # the floor, not period_min 1.0, binds
 
 
+def test_a_block_that_overtakes_a_relay_does_not_commit_the_transaction_twice():
+    # With jitter, obm1's block holding a final reaches obm0 before obm1's relay
+    # of it. obm0 must still deliver the relayed final to its member, but must
+    # not pool it, or its next block repeats the transaction.
+    world = run_scenario(parse_scenario({
+        "name": "dup", "seed": 16, "duration": 120.0,
+        "network": {"managers": 2, "default_delay": 5.0, "jitter": 1.0},
+        "ledger": {"block_size": 1, "block_period": 10.0, "period_min": 10.0},
+        "actors": {"vehicles": {"count": 2, "template": {"obm": "round_robin"}}},
+        "traffic": {"phases": [{"start": 0.0, "stop": 100.0, "pairs": 1, "interval": 7.0}]},
+    }))
+    committed = set()
+    for m in world.managers:
+        t_ids = [tx.t_id.hex() for tx in m.chain.all_transactions()]
+        assert len(t_ids) == len(set(t_ids)) == 15
+        committed |= set(t_ids)
+    trace_text = world.engine.trace.text()
+    # obm0 delivered exactly one final that it never pooled: the overtaken relay
+    delivered = {r["t_id"] for r in trace_records(trace_text, "tx_delivered", actor="obm0")
+                 if not r["pending"]}
+    pooled = {r["t_id"] for r in trace_records(trace_text, "tx_pooled", actor="obm0")}
+    assert len(delivered - pooled) == 1
+    # every member receives every final exactly once
+    for vid in world.vehicles:
+        received = [r["t_id"] for r in trace_records(trace_text, "tx_received", actor=vid)
+                    if not r["pending"]]
+        assert sorted(received) == sorted(committed)
+    metrics = compute_metrics(parse_trace(trace_text))
+    assert metrics["chain"]["equal"] == metrics["chain"]["all_valid"] == 1
+    assert metrics["deliveries"]["final"] == 30
+    assert metrics["drops"] == {"duplicate": 0, "invalid": 0, "no_match": 0}
+
+
 # -- anchoring soundness, recomputed independently --------------------------------------
 
 

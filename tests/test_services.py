@@ -39,7 +39,7 @@ class Sink(BaseActor):
         super().__init__(node_id)
         self.got = []
 
-    def on_payload(self, engine, payload) -> None:
+    def handle(self, engine, payload) -> None:
         self.got.append(payload)
 
 

@@ -15,8 +15,12 @@ class Recorder(BaseActor):
         super().__init__(node_id)
         self.log = []
 
-    def on_payload(self, engine, payload):
-        self.log.append((engine.now, payload))
+    def handle(self, engine, payload):
+        """Record plain values; deliver timers and replies as usual."""
+        if hasattr(payload, "deliver"):
+            super().handle(engine, payload)
+        else:
+            self.log.append((engine.now, payload))
 
     def send_now(self, engine, target):
         engine.send(self.node_id, target, engine.now)
@@ -103,8 +107,8 @@ def test_run_respects_max_time():
 
 def test_request_response_round_trip():
     class Echo(BaseActor):
-        def on_request(self, engine, request: AppRequest):
-            self.reply(engine, request, {"echo": request.data["value"]})
+        def serve_ping(self, engine, request: AppRequest):
+            return {"echo": request.data["value"]}
 
     engine = Engine(3, LinkModel(default_delay=2.0))
     echo, caller = Echo("server"), Recorder("client")
@@ -118,8 +122,8 @@ def test_request_response_round_trip():
 
 def test_replies_arriving_in_reverse_order_reach_their_own_continuations():
     class Echo(BaseActor):
-        def on_request(self, engine, request: AppRequest):
-            self.reply(engine, request, {"server": self.node_id, **request.data})
+        def serve_ping(self, engine, request: AppRequest):
+            return {"server": self.node_id, **request.data}
 
     links = LinkModel(default_delay=1.0)
     links.set_link("client", "far", 10.0)

@@ -50,11 +50,8 @@ class Sink(BaseActor):
         super().__init__(node_id)
         self.got = []
 
-    def on_payload(self, engine, payload) -> None:
+    def handle(self, engine, payload) -> None:
         self.got.append(payload)
-
-    def on_request(self, engine, request) -> None:
-        self.got.append(request)
 
 
 def make_engine(**link_kwargs):
@@ -407,10 +404,9 @@ class FakeInsurer(BaseActor):
         self.verdict = verdict
         self.claims = []
 
-    def on_request(self, engine, request) -> None:
-        assert request.kind == "file_claim"
+    def serve_file_claim(self, engine, request) -> dict:
         self.claims.append(request.data)
-        self.reply(engine, request, {"verdict": self.verdict})
+        return {"verdict": self.verdict}
 
 
 def test_accident_anchors_snapshot_then_files_claim():
