@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
@@ -85,6 +84,9 @@ def _cmd_run(args) -> int:
 
     jobs = (configs, repeat(args.format), repeat(trace is not None))
     if args.jobs > 1 and len(configs) > 1:
+        # imported here, since it costs the start-up of every other command
+        from concurrent.futures import ProcessPoolExecutor
+
         # a forked pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(configs))) as pool:
             results = list(pool.map(_job_entry, *jobs))

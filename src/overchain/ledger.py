@@ -7,7 +7,8 @@ recomputes its identifier. Each public key's transactions form a hash-linked
 list through ``p_t_id`` starting from the all-zero digest.
 
 Blocks are generated on a fixed round-robin turn schedule (no proof-of-work)
-and receivers verify only a trust-dependent fraction of block contents.
+and receivers verify only a trust-dependent fraction of block contents; the
+closing audit checks every transaction by the same rule.
 
 Transactions and blocks are frozen, so each caches its checks on first use (a
 transaction its integrity verdict, a block its signing bytes, id check and dump
@@ -482,6 +483,38 @@ def checks_for_trust(trust_score: float, block_len: int, min_check_fraction: flo
     return min(block_len, math.ceil(fraction * block_len))
 
 
+def _check_block(block: Block, chain: Chain, indices: Sequence[int]) -> BlockVerdict:
+    """The one per-block rule, against ``chain``'s head: linkage, the block id
+    and at least one transaction; no ``t_id`` already in the chain or twice in
+    the block, on every transaction; the generator signature; then each of the
+    ascending ``indices`` fully signed, intact and with a known predecessor."""
+    transactions = block.transactions
+    if (
+        block.height != len(chain.blocks)
+        or block.prev_block_hash != chain.head_hash
+        or not block._id_ok
+        or not transactions
+    ):
+        return BlockVerdict(False, BlockFault.BROKEN_LINKAGE)
+    seen: set[Digest] = set()
+    for i, tx in enumerate(transactions):
+        if tx.t_id in chain.tx_index or tx.t_id in seen:
+            return BlockVerdict(False, BlockFault.BAD_TRANSACTION, i)
+        seen.add(tx.t_id)
+    if not verified(block.signing_body(), block.generator_signature, block.generator_pk):
+        return BlockVerdict(False, BlockFault.BAD_GENERATOR_SIG)
+
+    known: set[Digest] = set()  # the ids of transactions[:i], grown along the indices
+    before = 0
+    for executed, i in enumerate(indices, 1):
+        known.update(tx.t_id for tx in transactions[before:i])
+        before = i
+        tx = transactions[i]
+        if not tx.fully_signed or not validate_transaction(tx, chain, known=known).ok:
+            return BlockVerdict(False, BlockFault.BAD_TRANSACTION, i, executed)
+    return BlockVerdict(True, verification_count=len(indices))
+
+
 def validate_block(
     block: Block,
     chain: Chain,
@@ -490,40 +523,13 @@ def validate_block(
 ) -> BlockVerdict:
     """Receiver-side validation against the local chain head.
 
-    Linkage and the generator signature are always checked; transaction
-    contents are spot-checked on a seeded uniform sample whose size shrinks as
-    the generator's trust grows. ``verification_count`` reports how many
-    transactions were actually verified.
+    Runs ``_check_block`` on a seeded uniform sample of the transactions whose
+    size shrinks as the generator's trust grows. ``verification_count``
+    reports how many sampled transactions were actually verified.
     """
-    if (
-        block.height != len(chain.blocks)
-        or block.prev_block_hash != chain.head_hash
-        or not block._id_ok
-        or not block.transactions
-    ):
-        return BlockVerdict(False, BlockFault.BROKEN_LINKAGE)
-    if not verified(block.signing_body(), block.generator_signature, block.generator_pk):
-        return BlockVerdict(False, BlockFault.BAD_GENERATOR_SIG)
-
     n = len(block.transactions)
     k = checks_for_trust(trust.score(block.generator_pk), n, trust.min_check_fraction)
-    sample = sorted(random.Random(sample_seed).sample(range(n), k))
-    transactions = block.transactions
-    known: set[Digest] = set()  # the ids of transactions[:i], grown along the sample
-    before = 0
-
-    executed = 0
-    for i in sample:
-        known.update(tx.t_id for tx in transactions[before:i])
-        before = i
-        tx = transactions[i]
-        executed += 1
-        if not tx.fully_signed:
-            return BlockVerdict(False, BlockFault.BAD_TRANSACTION, i, executed)
-        verdict = validate_transaction(tx, chain, known=known)
-        if not verdict.ok:
-            return BlockVerdict(False, BlockFault.BAD_TRANSACTION, i, executed)
-    return BlockVerdict(True, verification_count=executed)
+    return _check_block(block, chain, sorted(random.Random(sample_seed).sample(range(n), k)))
 
 
 def append_block(chain: Chain, block: Block) -> None:
@@ -536,26 +542,13 @@ def append_block(chain: Chain, block: Block) -> None:
 
 
 def verify_chain(chain: Chain) -> bool:
-    """Full audit: linkage, identifiers, and every signature must hold, and
-    no transaction may appear twice."""
-    prev = ZERO_DIGEST
-    seen: set[Digest] = set()
-    for h, block in enumerate(chain.blocks):
-        if block.height != h or block.prev_block_hash != prev:
+    """Full audit: replays the chain into a fresh one, checking each block by
+    ``validate_block``'s rule on every transaction."""
+    replay = Chain()
+    for block in chain.blocks:
+        if not _check_block(block, replay, range(len(block.transactions))).ok:
             return False
-        if not block._id_ok:
-            return False
-        if not verified(block.signing_body(), block.generator_signature, block.generator_pk):
-            return False
-        for tx in block.transactions:
-            if not tx.fully_signed or tx.t_id in seen:
-                return False
-            if not check_integrity(tx).ok:
-                return False
-            if tx.p_t_id != ZERO_DIGEST and tx.p_t_id not in seen:
-                return False
-            seen.add(tx.t_id)
-        prev = block.block_id
+        replay._append_unchecked(block)
     return True
 
 

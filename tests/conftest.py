@@ -1,7 +1,9 @@
 """Shared fixtures: each bundled scenario is executed at most once per test
 session and the (config, world, trace, report) tuple is cached for reuse; and
 a count of backend signature verifies. Also ``trace_records``, the one way
-tests read an actor's outcomes: from the trace, as the report does."""
+tests read an actor's outcomes: from the trace, as the report does, and
+``signed_block``, which seals any transactions into a block."""
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -10,6 +12,7 @@ import pytest
 from overchain import crypto
 from overchain.cli import bundled_scenarios
 from overchain.config import ScenarioConfig, load_scenario
+from overchain.ledger import Block, Chain
 from overchain.report import ScenarioReport, build_report, parse_trace
 from overchain.world import World, run_scenario
 
@@ -20,6 +23,16 @@ def trace_records(trace_text: str, *events: str,
     whose actor is ``actor``, when given), in trace order."""
     return [r for r in parse_trace(trace_text)
             if r["event"] in events and (actor is None or r["actor"] == actor)]
+
+
+def signed_block(chain: Chain, generator: crypto.KeyPair, transactions) -> Block:
+    """A block of ``transactions`` on ``chain``'s head, signed by ``generator``
+    and checked for nothing, as a rogue generator may send it."""
+    draft = Block(crypto.ZERO_DIGEST, chain.head_hash, generator.public, chain.height,
+                  tuple(transactions), crypto.Signature(bytes(64)))
+    body = draft.signing_body()
+    return dataclasses.replace(draft, block_id=crypto.digest(body),
+                               generator_signature=generator.sign(body))
 
 
 @dataclass

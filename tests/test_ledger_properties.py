@@ -1,6 +1,7 @@
-"""Randomized property tests for the three core ledger invariants:
-transaction validation (with forged/missing negations), per-public-key
-linked-list structure of stored transactions, and block-turn exclusivity.
+"""Randomized property tests for the core ledger invariants: transaction
+validation (with forged/missing negations), per-public-key linked-list
+structure of stored transactions, block-turn exclusivity, and one block rule
+for live validation and the closing audit.
 
 The acceptance suite re-runs these invariants at >=1000 seeded cases each with
 an independent oracle; here hypothesis explores the same space during
@@ -15,6 +16,7 @@ from overchain.crypto import ZERO_DIGEST, digest, generate_keypair, verify
 from overchain.ledger import (
     Chain,
     PayloadTag,
+    TrustTable,
     TxFault,
     TxKind,
     append_block,
@@ -22,9 +24,12 @@ from overchain.ledger import (
     countersign,
     form_block,
     schedule_block_turn,
+    validate_block,
     validate_transaction,
     verify_chain,
 )
+
+from conftest import signed_block
 
 KEYS = [generate_keypair(f"prop-actor-{i}") for i in range(4)]
 OTHER = generate_keypair("prop-outsider")
@@ -159,3 +164,60 @@ def test_block_turn_exclusivity(ids, period):
     # rotation is fair: over len(ids) consecutive periods each id wins once
     wins = [schedule_block_turn(period + k, ids) for k in range(len(ids))]
     assert sorted(wins) == sorted(ids)
+
+
+@st.composite
+def mutated_chains(draw):
+    """An honest chain of 2-5 blocks, or one mutation of it: a transaction
+    repeated, a transaction dropped, an empty block inserted, or two blocks
+    swapped. Every block is re-signed, so only the block rule can tell."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    last = {}
+    made = []
+    for _ in range(rng.randrange(3, 12)):
+        signer, recipient = rng.sample(KEYS, 2)
+        p_t_id = last.get(signer.public, ZERO_DIGEST)
+        payload = digest(rng.randbytes(8))
+        if rng.random() < 0.7:
+            tx = build_transaction(TxKind.SINGLE, p_t_id, payload, PayloadTag.GENERIC, signer)
+        else:
+            tx = countersign(build_transaction(TxKind.MULTI, p_t_id, payload, PayloadTag.GENERIC,
+                                               signer, recipient_pk=recipient.public), recipient)
+        last[signer.public] = tx.t_id
+        made.append(tx)
+    cuts = sorted(rng.sample(range(1, len(made)), rng.randrange(1, min(4, len(made) - 1) + 1)))
+    blocks = [made[a:b] for a, b in zip([0] + cuts, cuts + [len(made)])]
+
+    mutation = draw(st.sampled_from(["none", "repeat", "drop", "empty", "swap"]))
+    if mutation == "repeat":
+        target = rng.choice(blocks)
+        target.insert(rng.randrange(len(target) + 1), rng.choice(made))
+    elif mutation == "drop":
+        target = rng.choice(blocks)
+        del target[rng.randrange(len(target))]
+    elif mutation == "empty":
+        blocks.insert(rng.randrange(len(blocks) + 1), [])
+    elif mutation == "swap":
+        i, j = rng.sample(range(len(blocks)), 2)
+        blocks[i], blocks[j] = blocks[j], blocks[i]
+
+    chain = Chain()
+    for transactions in blocks:
+        append_block(chain, signed_block(chain, KEYS[0], transactions))
+    return mutation, chain
+
+
+@given(mutated_chains())
+@settings(max_examples=200, deadline=None)
+def test_audit_accepts_exactly_the_chains_whose_blocks_all_validate(case):
+    mutation, chain = case
+    prefix = Chain()
+    every_block_valid = True
+    for block in chain.blocks:  # at zero trust the sample is every transaction
+        every_block_valid &= validate_block(block, prefix, TrustTable(), sample_seed=0).ok
+        append_block(prefix, block)
+    assert verify_chain(chain) == every_block_valid
+    if mutation == "none":
+        assert every_block_valid
+    elif mutation in ("repeat", "empty"):
+        assert not every_block_valid

@@ -14,9 +14,12 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from overchain.config import LedgerConfig
+from overchain import manager as manager_mod
+from overchain.config import LedgerConfig, parse_scenario
 from overchain.crypto import ZERO_DIGEST, digest, generate_keypair, issue_certificate
 from overchain.ledger import (
+    BlockFault,
+    BlockVerdict,
     PayloadTag,
     TxKind,
     build_transaction,
@@ -25,10 +28,12 @@ from overchain.ledger import (
     verify_chain,
 )
 from overchain.manager import BlockManager, KeyList, KeyListEntry
-from overchain.messages import BaseActor, DeliverTx, TxMessage, UpdateNotice
+from overchain.messages import BaseActor, BlockMessage, DeliverTx, TxMessage, UpdateNotice
+from overchain.report import compute_metrics, parse_trace
 from overchain.simnet import Engine, LinkModel, Trace
+from overchain.world import run_scenario
 
-from conftest import trace_records
+from conftest import signed_block, trace_records
 
 
 class Sink(BaseActor):
@@ -457,6 +462,67 @@ def test_corrupt_block_is_rejected_and_resets_trust():
     text = engine.trace.text()
     assert '"fault":"bad_generator_sig"' in text
     assert gen.chain.height == height_before  # corrupt block not self-appended
+
+
+@pytest.mark.parametrize("repeat", ["committed", "twice_in_block"])
+def test_every_peer_rejects_a_block_that_repeats_a_transaction(monkeypatch, repeat):
+    # At its first turn with a pooled transaction, rogue obm1 broadcasts a
+    # signed block whose second transaction repeats one already committed, or
+    # its first; it keeps its own chain and pool, so its next turn is honest.
+    # The run is test_scenarios' overtaken-relay config with a third manager,
+    # so the rogue has two peers.
+    honest_generate = BlockManager._generate
+    sent = []
+
+    def generate(self, engine, flush):
+        if self.node_id != "obm1" or sent or flush or not self.pool or not self.chain.blocks:
+            return honest_generate(self, engine, flush)
+        first = next(iter(self.pool.values()))
+        again = first if repeat == "twice_in_block" else self.chain.blocks[-1].transactions[0]
+        sent.append(signed_block(self.chain, self.keypair, [first, again]))
+        for peer in self.peers:
+            engine.send(self.node_id, peer, BlockMessage(sent[0]))
+        return False
+
+    real_validate, verdicts = manager_mod._validate_block, []
+
+    def validate(block, *args):
+        verdict = real_validate(block, *args)
+        if sent and block is sent[0]:
+            verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(BlockManager, "_generate", generate)
+    monkeypatch.setattr(manager_mod, "_validate_block", validate)
+    world = run_scenario(parse_scenario({
+        "name": "rogue", "seed": 16, "duration": 120.0,
+        "network": {"managers": 3, "default_delay": 5.0, "jitter": 1.0},
+        "ledger": {"block_size": 1, "block_period": 10.0, "period_min": 10.0},
+        "actors": {"vehicles": {"count": 2, "template": {"obm": "round_robin"}}},
+        "traffic": {"phases": [{"start": 0.0, "stop": 100.0, "pairs": 1, "interval": 7.0}]},
+    }))
+    (block,) = sent
+    assert block.height > 0
+    assert verdicts == [BlockVerdict(False, BlockFault.BAD_TRANSACTION, 1, 0)] * 2
+    text = world.engine.trace.text()
+    records = trace_records(text, "block_validated", "trust_updated")
+    rejections = [i for i, r in enumerate(records) if r["event"] == "block_validated"
+                  and r["block_id"] == block.block_id.hex()]
+    assert sorted(records[i]["actor"] for i in rejections) == ["obm0", "obm2"]
+    for i in rejections:
+        verdict, trust = records[i], records[i + 1]
+        assert (verdict["ok"], verdict["fault"], verdict["verification_count"]) == \
+            (False, "bad_transaction", 0)
+        assert (trust["actor"], trust["generator"], trust["score"]) == \
+            (verdict["actor"], "obm1", 0.0)
+    scores = {}
+    for r in records:  # no honest generator's trust ever drops
+        if r["event"] == "trust_updated" and r["generator"] != "obm1":
+            key = (r["actor"], r["generator"])
+            assert r["score"] >= scores.get(key, 0.0)
+            scores[key] = r["score"]
+    metrics = compute_metrics(parse_trace(text))
+    assert metrics["chain"]["equal"] == metrics["chain"]["all_valid"] == 1
 
 
 # -- software-update notification -------------------------------------------------

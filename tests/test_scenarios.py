@@ -1,9 +1,13 @@
 """End-to-end scenario behavior: bundled configurations, cross-cutting world
 checks that single-module tests cannot see, and the command-line front end."""
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -653,7 +657,7 @@ def test_cli_run_jobs_start_no_more_workers_than_scenarios(
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     assert main(["run", str(tiny_config), str(other), "--jobs", "64"]) == 0
     assert sizes == [2]
     out = capsys.readouterr().out
@@ -669,6 +673,17 @@ def test_cli_parallel_jobs(tiny_config, tmp_path, capsys):
         outputs.append(capsys.readouterr().out)
     assert "scenario tiny " in outputs[0] and "scenario tiny2 " in outputs[0]
     assert outputs[0] == outputs[1]  # parallel output is the serial output
+
+
+def test_importing_the_cli_leaves_out_the_process_pool():
+    # only `run --jobs` above 1 uses it, so no other command pays its import
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, overchain.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_cli_list_names_every_bundled_scenario(capsys):
