@@ -227,8 +227,7 @@ class BlockManager(BaseActor):
 
     def _drop(self, engine, tid_hex: str, reason: str, detail: str) -> None:
         self.drops[reason] += 1
-        engine.trace.emit(engine.now, self.node_id, "tx_dropped",
-                          t_id=tid_hex, reason=reason, detail=detail)
+        engine.trace.tx_dropped(engine.now, self.node_id, tid_hex, reason, detail)
 
     def _admit(self, engine, tx: Transaction, origin_member: Optional[str]) -> None:
         self.seen_tids.add(tx.t_id)
@@ -239,15 +238,14 @@ class BlockManager(BaseActor):
         if tx.fully_signed and not committed:
             self.pool[tx.t_id] = tx
             self._window_count += 1
-            engine.trace.emit(engine.now, self.node_id, "tx_pooled",
-                              t_id=tid_hex, origin="member" if origin_member else "peer")
+            engine.trace.tx_pooled(engine.now, self.node_id, tid_hex,
+                                   "member" if origin_member else "peer")
             sinks += 1
 
         for entry in self.key_list.matches(tx.pk_1, tx.pk_2):
             self.delivered_count += 1
-            engine.trace.emit(engine.now, self.node_id, "tx_delivered",
-                              t_id=tid_hex, member=entry.member_id,
-                              pending=not tx.fully_signed)
+            engine.trace.tx_delivered(engine.now, self.node_id, tid_hex, entry.member_id,
+                                      not tx.fully_signed)
             engine.send(self.node_id, entry.member_id, DeliverTx(tx))
             sinks += 1
 
@@ -255,7 +253,7 @@ class BlockManager(BaseActor):
             self._notify_update(engine, tx)
 
         if origin_member is not None and self.peers:
-            engine.trace.emit(engine.now, self.node_id, "tx_broadcast", t_id=tid_hex)
+            engine.trace.tx_broadcast(engine.now, self.node_id, tid_hex)
             relay = TxMessage(tx, origin_member=None)  # frozen, so one serves every peer
             for peer in self.peers:
                 engine.send(self.node_id, peer, relay)

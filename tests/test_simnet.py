@@ -1,11 +1,12 @@
 """Event engine: ordering, determinism, link schedules, probes, quiescence,
-and the trace's record encoding."""
+and the trace's record encoding, by ``emit`` and by the positional writers."""
 import enum
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from overchain.cli import bundled_scenarios
 from overchain.messages import AppRequest, BaseActor, Timer
 from overchain.simnet import Engine, LinkModel, Trace
 
@@ -199,6 +200,55 @@ def test_emit_encodes_any_record_like_json_dumps(t, actor, fields):
     trace = Trace()
     trace.emit(t, actor, "evt", **fields)
     assert trace.lines == [dumps(t, actor, "evt", **fields)]
+
+
+# Each positional writer's fields after ``t`` and ``actor``, in record order.
+WRITER_FIELDS = {
+    "tx_pooled": {"t_id": str, "origin": str},
+    "tx_dropped": {"t_id": str, "reason": str, "detail": str},
+    "tx_delivered": {"t_id": str, "member": str, "pending": bool},
+    "tx_received": {"t_id": str, "pending": bool},
+    "tx_broadcast": {"t_id": str},
+    "traffic_tx": {"t_id": str, "sender": str, "recipient": str},
+    "countersigned": {"pending_t_id": str, "t_id": str},
+}
+# any text, and text made of the characters the encoder escapes
+names = st.text() | st.text('"\\/\x00\x1f\x7f\n\té \ud800\U0001F600x')
+times = (st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+         | st.sampled_from([-0.0, 1e16, 5e-324, 1.7976931348623157e308]))
+
+
+@pytest.mark.parametrize("event", sorted(WRITER_FIELDS))
+@given(data=st.data(), t=times, actor=names)
+@settings(max_examples=100, deadline=None)
+def test_each_writer_writes_the_line_emit_writes(event, data, t, actor):
+    fields = {name: data.draw(st.booleans() if kind is bool else names, label=name)
+              for name, kind in WRITER_FIELDS[event].items()}
+    written, emitted = Trace(), Trace()
+    getattr(written, event)(t, actor, *fields.values())
+    emitted.emit(t, actor, event, **fields)
+    assert written.lines == emitted.lines
+
+
+@pytest.mark.parametrize("pending", [1, 0, None, "true"])
+def test_a_writer_refuses_a_flag_that_is_not_a_bool(pending):
+    trace = Trace()
+    with pytest.raises(KeyError):
+        trace.tx_received(1.0, "veh0", "00", pending)
+    assert trace.lines == []
+
+
+def test_a_writer_refuses_a_name_that_is_not_a_string():
+    trace = Trace()
+    with pytest.raises(TypeError):
+        trace.tx_broadcast(1.0, "obm0", None)
+    assert trace.lines == []
+
+
+@pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+def test_every_bundled_trace_line_reencodes_to_itself(bundled, name):
+    for line in bundled(name).trace_text.splitlines():
+        assert json.dumps(json.loads(line), separators=(",", ":")) == line
 
 
 def test_unencodable_value_raises_and_the_next_emit_is_unaffected():
