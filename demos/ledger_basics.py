@@ -6,6 +6,7 @@ Run:  python3 demos/ledger_basics.py
 import dataclasses
 import json
 
+from overchain.config import LedgerConfig
 from overchain.crypto import digest, generate_keypair
 from overchain.ledger import (
     Chain,
@@ -58,11 +59,14 @@ def main() -> None:
     print(f"block 0: {len(block.transactions)} entries, "
           f"id {block.block_id.hex()[:16]}…")
 
-    # A validating peer checks a trust-dependent sample of signatures.
-    trust = TrustTable(min_check_fraction=0.1, trust_ramp=5)
+    # A validating peer checks a trust-dependent sample of signatures, as
+    # its ledger settings say.
+    ledger = LedgerConfig(min_check_fraction=0.1, trust_ramp=5)
+    trust = TrustTable(ledger)
     for round_ in range(8):
         score = trust.score(obm.public)
-        n_checks = checks_for_trust(score, block_len=10, min_check_fraction=0.1)
+        n_checks = checks_for_trust(score, block_len=10,
+                                    min_check_fraction=ledger.min_check_fraction)
         verdict = validate_block(block, Chain(), trust, sample_seed=round_)
         trust.record_valid(obm.public)
         print(f"  after {round_} valid blocks: trust={score:.3f}, "

@@ -24,6 +24,7 @@ from typing import Any, Optional
 import yaml
 
 __all__ = [
+    "EXPECTATION_OPS",
     "ConfigError",
     "Directive",
     "Expectation",
@@ -35,6 +36,7 @@ __all__ = [
     "VehicleSpec",
     "load_scenario",
     "parse_scenario",
+    "traffic_pairs",
 ]
 
 
@@ -62,12 +64,16 @@ class NetworkConfig:
     links: tuple = ()  # (node_a, node_b, one_way_delay)
 
     @property
+    def manager_ids(self) -> list[str]:
+        return [f"obm{i}" for i in range(self.managers)]
+
+    @property
     def period_floor(self) -> float:
         """The shortest block period that cannot fork: the worst manager-to-manager
         base delay at full jitter, so each block reaches every manager before the
         next turn. Only ``obm``-``obm`` links count, and ``move_vehicle`` changes
         only vehicle links, so the floor is fixed for the run."""
-        ids = {f"obm{i}" for i in range(self.managers)}
+        ids = set(self.manager_ids)
         base = {frozenset((a, b)): delay for a, b, delay in self.links
                 if a != b and a in ids and b in ids}
         worst = max(base.values(), default=0.0)
@@ -135,9 +141,22 @@ class Directive:
 @dataclass(frozen=True)
 class Expectation:
     metric: str = ""
-    op: str = "eq"
+    op: str = "eq"  # a key of EXPECTATION_OPS
     value: Any = None
     tol: float = _at_least(0.0, default=0.0)
+
+
+# Each comparison an expectation may name: whether the number ``actual`` passes against
+# ``value`` ([low, high] for ``between``) widened by ``tol``; gt and lt take no tolerance.
+EXPECTATION_OPS = {
+    "eq": lambda actual, value, tol: abs(actual - value) <= tol,
+    "ne": lambda actual, value, tol: abs(actual - value) > tol,
+    "ge": lambda actual, value, tol: actual >= value - tol,
+    "le": lambda actual, value, tol: actual <= value + tol,
+    "gt": lambda actual, value, tol: actual > value,
+    "lt": lambda actual, value, tol: actual < value,
+    "between": lambda actual, value, tol: value[0] - tol <= actual <= value[1] + tol,
+}
 
 
 @dataclass(frozen=True)
@@ -160,7 +179,14 @@ class ScenarioConfig:
 
     @property
     def manager_ids(self) -> list[str]:
-        return [f"obm{i}" for i in range(self.network.managers)]
+        return self.network.manager_ids
+
+
+def traffic_pairs(phases) -> list[tuple[str, str]]:
+    """The vehicle pairs the traffic ``phases`` use: pair k is (veh{2k}, veh{2k+1})
+    with the even vehicle requesting, and a phase of n pairs uses the first n."""
+    count = max((phase.pairs for phase in phases), default=0)
+    return [(f"veh{2 * k}", f"veh{2 * k + 1}") for k in range(count)]
 
 
 # -- checked readers --------------------------------------------------------------
@@ -183,7 +209,10 @@ _DIRECTIVES = {
     "impersonate_oem": {"ecu": (str, ...), "version": (str, ...)},
 }
 
-_OPS = {"eq", "ne", "ge", "le", "gt", "lt", "between"}
+# The roster roles each directive needs, in the order a missing one is reported.
+_ROLES = {"publish_update": ("oem",), "open_account": ("insurer",),
+          "close_account": ("insurer",), "trigger_accident": ("insurer",),
+          "impersonate_provider": ("attacker", "oem"), "impersonate_oem": ("attacker", "oem")}
 
 _NAMES = tuple[str, ...]  # read from a YAML list of strings
 # The types the reader checks, and how an error names each one.
@@ -436,7 +465,7 @@ def _parse_traffic(check: _Checker, obj, vehicle_count: int, rotating: dict) -> 
         phases.append(phase)
     # build_world uploads each pair's key-list entries once, with the first keys,
     # so a pair vehicle that rotates would have every later transaction dropped
-    pair_ids = {f"veh{i}" for i in range(2 * max((p.pairs for p in phases), default=0))}
+    pair_ids = {vid for pair in traffic_pairs(phases) for vid in pair}
     for vid, path in rotating.items():
         if vid in pair_ids:
             check.fail(path, f"{vid} is in a traffic pair; key rotation is not yet "
@@ -483,16 +512,9 @@ def _parse_script(check: _Checker, entries: list, known_ids: dict,
                                      "(roster has none or several)")
             elif provider not in known_ids["providers"]:
                 check.fail(f"{path}.provider", f"unknown provider '{provider}'")
-            if known_ids["oem"] is None:
-                check.fail(path, "publish_update requires an oem in the roster")
-        if action in ("open_account", "close_account", "trigger_accident") \
-                and known_ids["insurer"] is None:
-            check.fail(path, f"{action} requires an insurer in the roster")
-        if action in ("impersonate_provider", "impersonate_oem"):
-            if known_ids["attacker"] is None:
-                check.fail(path, f"{action} requires an attacker in the roster")
-            if known_ids["oem"] is None:
-                check.fail(path, f"{action} requires an oem in the roster")
+        for role in _ROLES.get(action, ()):
+            if known_ids[role] is None:
+                check.fail(path, f"{action} requires an {role} in the roster")
         if action == "move_vehicle" and params["links"] is not None:
             for node in params["links"]:
                 if node not in known_ids["managers"]:
@@ -512,7 +534,7 @@ def _parse_expectations(check: _Checker, entries: list) -> tuple:
         expectation = check.build(Expectation, raw, path, value=raw.get("value"))
         if not expectation.metric:
             check.fail(f"{path}.metric", "required")
-        if expectation.op not in _OPS:
+        if expectation.op not in EXPECTATION_OPS:
             check.fail(f"{path}.op", f"unknown comparison '{expectation.op}'")
         value = expectation.value
         if expectation.op == "between":
@@ -541,7 +563,8 @@ def parse_scenario(obj: Any, *, default_name: str = "scenario") -> ScenarioConfi
     network = _parse_network(check, raw.get("network"))
     ledger = _parse_ledger(check, raw.get("ledger"), network)
 
-    manager_ids = [f"obm{i}" for i in range(max(network.managers, 1))]
+    # a rejected ``managers: 0`` still checks the roster, against obm0
+    manager_ids = NetworkConfig(managers=max(network.managers, 1)).manager_ids
     oem, providers, insurer, attacker, vehicles, rotating = _parse_actors(
         check, raw.get("actors"), manager_ids)
 

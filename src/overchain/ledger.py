@@ -31,6 +31,7 @@ from enum import Enum
 from functools import cached_property
 from typing import AbstractSet, Iterable, Optional, Sequence
 
+from .config import LedgerConfig
 from .crypto import (
     DIGEST_SIZE,
     SIGNATURE_SIZE,
@@ -440,13 +441,13 @@ class TrustRecord:
 
 
 class TrustTable:
-    """Per-generator trust. Trust ramps up with observed valid blocks and is
-    zeroed by any invalid one; the verified fraction of future blocks from a
-    generator is max(min_check_fraction, 1 - trust)."""
+    """Per-generator trust, with ``ledger``'s ``min_check_fraction`` and
+    ``trust_ramp``. Trust ramps up with observed valid blocks and is zeroed by
+    any invalid one; the verified fraction of future blocks from a generator is
+    max(min_check_fraction, 1 - trust)."""
 
-    def __init__(self, min_check_fraction: float = 0.1, trust_ramp: int = 5):
-        self.min_check_fraction = min_check_fraction
-        self.trust_ramp = trust_ramp
+    def __init__(self, ledger: LedgerConfig = LedgerConfig()):
+        self.ledger = ledger
         self.records: dict[PublicKey, TrustRecord] = {}
 
     def records_for(self, generator_pk: PublicKey) -> TrustRecord:
@@ -464,8 +465,8 @@ class TrustTable:
         rec = self.records_for(generator_pk)
         rec.valid_blocks_seen += 1
         rec.trust_score = min(
-            1.0 - self.min_check_fraction,
-            rec.valid_blocks_seen / (rec.valid_blocks_seen + self.trust_ramp),
+            1.0 - self.ledger.min_check_fraction,
+            rec.valid_blocks_seen / (rec.valid_blocks_seen + self.ledger.trust_ramp),
         )
         return rec
 
@@ -528,7 +529,7 @@ def validate_block(
     reports how many sampled transactions were actually verified.
     """
     n = len(block.transactions)
-    k = checks_for_trust(trust.score(block.generator_pk), n, trust.min_check_fraction)
+    k = checks_for_trust(trust.score(block.generator_pk), n, trust.ledger.min_check_fraction)
     return _check_block(block, chain, sorted(random.Random(sample_seed).sample(range(n), k)))
 
 
@@ -556,36 +557,34 @@ def verify_chain(chain: Chain) -> bool:
 # throughput adjustment
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ThroughputState:
-    """Feedback control of the block period against observed transaction rate.
+    """Feedback control of the block period against observed transaction rate,
+    starting at ``ledger.block_period``.
 
     Utilization is observed_rate * block_period / (block_size * manager_count);
-    outside the dead band the period is scaled multiplicatively back toward
-    the nearest band edge and clamped to [max(period_min, floor), period_max].
-    ``floor`` is the network's shortest fork-free period (``NetworkConfig.period_floor``).
+    outside ``ledger``'s dead band the period is scaled multiplicatively back
+    toward the nearest band edge and clamped to [max(period_min, floor),
+    period_max]. ``floor`` is the network's shortest fork-free period
+    (``NetworkConfig.period_floor``).
     """
 
-    block_period: float
-    block_size: int
-    utilization_low: float
-    utilization_high: float
-    period_min: float
-    period_max: float
-    floor: float = 0.0
+    def __init__(self, ledger: LedgerConfig, floor: float):
+        self.ledger = ledger
+        self.block_period = ledger.block_period
+        self._lowest = max(ledger.period_min, floor)
 
     def utilization(self, observed_rate: float, manager_count: int) -> float:
-        return observed_rate * self.block_period / (self.block_size * manager_count)
+        return observed_rate * self.block_period / (self.ledger.block_size * manager_count)
 
     def adjust(self, observed_rate: float, manager_count: int) -> float:
         """Apply one adjustment round; returns the pre-adjustment utilization."""
+        ledger = self.ledger
         u = self.utilization(observed_rate, manager_count)
         if observed_rate <= 0:
             return u
-        if u > self.utilization_high:
-            self.block_period *= self.utilization_high / u
-        elif u < self.utilization_low:
-            self.block_period *= self.utilization_low / u
-        self.block_period = min(self.period_max,
-                                max(self.period_min, self.floor, self.block_period))
+        if u > ledger.utilization_high:
+            self.block_period *= ledger.utilization_high / u
+        elif u < ledger.utilization_low:
+            self.block_period *= ledger.utilization_low / u
+        self.block_period = min(ledger.period_max, max(self._lowest, self.block_period))
         return u

@@ -114,21 +114,14 @@ class BlockManager(BaseActor):
 
     def __init__(self, node_id: str, keypair: KeyPair,
                  ledger: LedgerConfig = LedgerConfig(), *,
-                 ca_pk: Optional[PublicKey] = None):
+                 ca_pk: Optional[PublicKey] = None, period_floor: float = 0.0):
         super().__init__(node_id)
         self.keypair = keypair
         self.ledger = ledger
         self.ca_pk = ca_pk
         self.chain = Chain()
-        self.trust = TrustTable(ledger.min_check_fraction, ledger.trust_ramp)
-        self.throughput = ThroughputState(
-            block_period=ledger.block_period,
-            block_size=ledger.block_size,
-            utilization_low=ledger.utilization_low,
-            utilization_high=ledger.utilization_high,
-            period_min=ledger.period_min,
-            period_max=ledger.period_max,
-        )
+        self.trust = TrustTable(ledger)
+        self.throughput = ThroughputState(ledger, period_floor)
         self.corrupt_periods: set[int] = set()  # drills: turns that emit a corrupt block
 
         self.peers: list[str] = []
@@ -312,8 +305,7 @@ class BlockManager(BaseActor):
         utilization = self.throughput.adjust(rate, len(self.peers) + 1)
         engine.trace.emit(engine.now, self.node_id, "throughput",
                           period=period_index, rate=rate, utilization=utilization,
-                          band=[self.throughput.utilization_low,
-                                self.throughput.utilization_high],
+                          band=[self.ledger.utilization_low, self.ledger.utilization_high],
                           block_period=self.throughput.block_period,
                           pool_depth=len(self.pool), turn=turn_id == self.node_id)
         self._window_count = 0
@@ -333,7 +325,7 @@ class BlockManager(BaseActor):
 
     def _generate(self, engine, flush: bool) -> bool:
         block = form_block(list(self.pool.values()), self.chain, self.keypair,
-                           self.throughput.block_size, flush=flush)
+                           self.ledger.block_size, flush=flush)
         if block is None:
             return False
         for tx in block.transactions:

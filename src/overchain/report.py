@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
 
-from .config import Expectation, ScenarioConfig
+from .config import EXPECTATION_OPS, ScenarioConfig
 
 __all__ = [
     "ExpectationResult",
@@ -369,32 +369,16 @@ def evaluate_expectations(metrics: dict, expectations) -> list[ExpectationResult
             continue
         if isinstance(actual, bool):
             actual = int(actual)
-        ok, note = _compare(actual, exp)
+        passes = EXPECTATION_OPS.get(exp.op)
+        if not isinstance(actual, (int, float)):
+            ok, note = False, f"not a number: {actual!r}"
+        elif passes is None:
+            ok, note = False, f"unknown op {exp.op}"
+        else:
+            ok, note = passes(actual, exp.value, exp.tol), ""
         results.append(ExpectationResult(exp.metric, exp.op, exp.value,
                                          actual, ok, note))
     return results
-
-
-def _compare(actual, exp: Expectation):
-    if not isinstance(actual, (int, float)):
-        return False, f"not a number: {actual!r}"
-    if exp.op == "between":
-        lo, hi = exp.value
-        return (lo - exp.tol <= actual <= hi + exp.tol), ""
-    value = exp.value
-    if exp.op == "eq":
-        return abs(actual - value) <= exp.tol, ""
-    if exp.op == "ne":
-        return abs(actual - value) > exp.tol, ""
-    if exp.op == "ge":
-        return actual >= value - exp.tol, ""
-    if exp.op == "le":
-        return actual <= value + exp.tol, ""
-    if exp.op == "gt":
-        return actual > value, ""
-    if exp.op == "lt":
-        return actual < value, ""
-    return False, f"unknown op {exp.op}"
 
 
 @dataclass(frozen=True)

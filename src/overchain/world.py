@@ -2,7 +2,7 @@
 and drive it — background traffic, timed directives, the shared block-period
 clock, and the end-of-run drain — producing a trace the report reads.
 
-Node naming is fixed by the builder: managers are ``obm0..obmN-1``, vehicles
+Node naming is fixed by ``config``: managers are ``obm0..obmN-1``, vehicles
 ``veh0..vehM-1``, the object store is ``cloud``; service ids come from the
 roster. All key material derives from ``<scenario seed>:key:<node>`` (and
 ``:cloud:<node>`` for cloud accounts) so runs are reproducible from the config
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .config import ScenarioConfig, TrafficPhase
+from .config import ScenarioConfig, TrafficPhase, traffic_pairs
 from .crypto import ZERO_DIGEST, KeyRing, digest, generate_keypair, issue_certificate
 from .ledger import (
     PayloadTag,
@@ -43,12 +43,12 @@ __all__ = ["World", "build_world", "run_scenario"]
 
 class TrafficDriver(BaseActor):
     """Generates background two-party transactions between fixed vehicle
-    pairs; pair k is (veh{2k}, veh{2k+1}) with the even vehicle requesting.
-    Each transaction chains to the requester's most recent completed one."""
+    pairs, each a (requester, partner) of ``config.traffic_pairs``. Each
+    transaction chains to the requester's most recent completed one."""
 
-    def __init__(self, node_id: str, vehicles: dict[str, Vehicle]):
+    def __init__(self, node_id: str, pairs: list[tuple[Vehicle, Vehicle]]):
         super().__init__(node_id)
-        self.vehicles = vehicles
+        self.pairs = pairs
         self.sent = 0
 
     def _round(self, engine, phase: TrafficPhase) -> None:
@@ -60,8 +60,7 @@ class TrafficDriver(BaseActor):
             engine.schedule(phase.interval, self.node_id, Timer(self._round, (phase,)))
 
     def _shoot(self, engine, pair: int) -> None:
-        requester = self.vehicles[f"veh{2 * pair}"]
-        partner = self.vehicles[f"veh{2 * pair + 1}"]
+        requester, partner = self.pairs[pair]
         req_key = requester.keys.interaction_key()
         previous = requester.last_final_tid.get(req_key.public, ZERO_DIGEST)
         self.sent += 1
@@ -294,14 +293,11 @@ def build_world(config: ScenarioConfig) -> World:
 
     ca = generate_keypair(f"{seed}:ca")
     floor = config.network.period_floor
-    managers = []
-    for node_id in config.manager_ids:
-        manager = BlockManager(node_id, generate_keypair(f"{seed}:key:{node_id}"),
-                               config.ledger, ca_pk=ca.public)
-        manager.throughput.floor = floor
-        managers.append(manager)
-        engine.add_node(manager)
+    managers = [BlockManager(node_id, generate_keypair(f"{seed}:key:{node_id}"),
+                             config.ledger, ca_pk=ca.public, period_floor=floor)
+                for node_id in config.manager_ids]
     for manager in managers:
+        engine.add_node(manager)
         manager.peers = [m.node_id for m in managers if m is not manager]
         for other in managers:
             manager.manager_names[other.keypair.public] = other.node_id
@@ -374,17 +370,15 @@ def build_world(config: ScenarioConfig) -> World:
         vehicle.stop_at = config.duration
         vehicle.start(engine)
 
-    max_pairs = max((phase.pairs for phase in config.traffic), default=0)
-    for pair in range(max_pairs):
-        a = world.vehicles[f"veh{2 * pair}"]
-        b = world.vehicles[f"veh{2 * pair + 1}"]
+    pairs = [(world.vehicles[a], world.vehicles[b]) for a, b in traffic_pairs(config.traffic)]
+    for a, b in pairs:
         a_pk, b_pk = a.keys.current.public, b.keys.current.public
         b.access_set.append((a_pk, b_pk))
         a.access_set.append((b_pk, a_pk))
         by_id[b.obm_id].upload_key_pair(engine.trace, 0.0, b.node_id, a_pk, b_pk)
         by_id[a.obm_id].upload_key_pair(engine.trace, 0.0, a.node_id, b_pk, a_pk)
 
-    world.traffic = TrafficDriver("traffic", world.vehicles)
+    world.traffic = TrafficDriver("traffic", pairs)
     engine.add_node(world.traffic)
     world.driver = ScenarioDriver("driver", world)
     engine.add_node(world.driver)

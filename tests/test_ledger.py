@@ -15,6 +15,7 @@ import dataclasses
 import pytest
 
 from overchain import crypto
+from overchain.config import LedgerConfig
 from overchain.crypto import (
     SIGNATURE_SIZE,
     ZERO_DIGEST,
@@ -416,10 +417,10 @@ def test_unknown_generator_scores_zero():
 # throughput adjustment
 # ---------------------------------------------------------------------------
 
-def make_tp(period=10.0):
-    return ThroughputState(block_period=period, block_size=10,
-                           utilization_low=0.5, utilization_high=1.0,
-                           period_min=1.0, period_max=120.0)
+def make_tp(period=10.0, floor=0.0):
+    return ThroughputState(LedgerConfig(block_period=period, block_size=10,
+                                        utilization_low=0.5, utilization_high=1.0,
+                                        period_min=1.0, period_max=120.0), floor)
 
 
 def test_throughput_overload_shrinks_period():
@@ -459,11 +460,10 @@ def test_throughput_clamped_to_bounds():
 
 
 def test_throughput_never_shrinks_below_the_network_floor():
-    tp = make_tp()
-    tp.floor = 7.5  # above period_min: the floor binds
+    tp = make_tp(floor=7.5)  # above period_min: the floor binds
     tp.adjust(observed_rate=4000.0, manager_count=4)
     assert tp.block_period == 7.5
-    tp.floor = 0.5  # below period_min: period_min binds
+    tp = make_tp(floor=0.5)  # below period_min: period_min binds
     tp.adjust(observed_rate=4000.0, manager_count=4)
     assert tp.block_period == 1.0
 

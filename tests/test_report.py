@@ -13,7 +13,7 @@ import pytest
 
 from overchain import report
 from overchain.cli import bundled_scenarios
-from overchain.config import Expectation, ScenarioConfig
+from overchain.config import EXPECTATION_OPS, Expectation, ScenarioConfig
 from overchain.report import (
     ExpectationResult,
     TraceError,
@@ -271,7 +271,7 @@ def test_event_with_no_metric_moves_none(event):
 
 # With tol 0.5, x.5 sits on a widened bound and x.25/x.75 on either side of
 # it; every value is exact in binary. gt and lt take no tolerance.
-@pytest.mark.parametrize("metrics, op, value, actual, passed, note", [
+EXPECTATION_CASES = [
     ({"m": {"x": 5}}, "eq", 5, 5, True, ""),
     ({"m": {"x": 5.5}}, "eq", 5, 5.5, True, ""),
     ({"m": {"x": 4.5}}, "eq", 5, 4.5, True, ""),
@@ -302,9 +302,17 @@ def test_event_with_no_metric_moves_none(event):
     ({"m": {"x": None}}, "eq", 5, None, False, "not a number: None"),
     ({"m": {}}, "eq", 5, None, False, "metric not found"),
     ({"m": 5}, "eq", 5, None, False, "metric not found"),
-])
+    ({"m": {"x": 5}}, "approx", 5, 5, False, "unknown op approx"),
+]
+
+
+@pytest.mark.parametrize("metrics, op, value, actual, passed, note", EXPECTATION_CASES)
 def test_expectation_ops(metrics, op, value, actual, passed, note):
     exp = Expectation("m.x", op, value, tol=0.5)
     [result] = evaluate_expectations(metrics, [exp])
     assert result == ExpectationResult("m.x", op, value, actual, passed, note)
     assert type(result.actual) is type(actual)
+
+
+def test_expectation_ops_have_a_case_each():
+    assert set(EXPECTATION_OPS) <= {op for _, op, *_ in EXPECTATION_CASES}

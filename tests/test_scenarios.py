@@ -93,9 +93,10 @@ def test_every_ledger_setting_reaches_every_manager_and_specs_reach_vehicles():
         recipient_pk=oem.public), oem)
     for m in world.managers:
         tp = m.throughput
-        assert (tp.block_size, tp.block_period, tp.utilization_low, tp.utilization_high,
-                tp.period_min, tp.period_max) == (7, 13.0, 0.2, 2.5, 2.0, 90.0)
-        assert (m.trust.min_check_fraction, m.trust.trust_ramp) == (0.3, 9)
+        assert m.trust.ledger is tp.ledger is config.ledger
+        assert tp.block_period == 13.0
+        tp.adjust(observed_rate=1e9, manager_count=1)  # far over the band: the floor binds
+        assert tp.block_period == config.network.period_floor == 5.0
         m.receive_transaction(engine, orphan, None)
         assert m.waiting[orphan.t_id][2] == 5.0 + 17.0  # parking deadline
         m.receive_transaction(engine, update, None)
