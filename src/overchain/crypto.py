@@ -9,13 +9,15 @@ Signatures are real Ed25519 (via the ``cryptography`` package) over raw
 seed so whole simulation runs are reproducible.
 
 ``KeyPair.sign`` also hands each signature it makes to a verifier helper, a
-child process that checks it on another core while this process goes on (see
+child process that checks it on another core while this process goes on; this
+process verifies queued signatures itself rather than wait for the helper (see
 "verifier helper" below).
 """
 from __future__ import annotations
 
 import gc
 import hashlib
+import mmap
 import operator
 import os
 import select
@@ -120,7 +122,8 @@ class Signature(_FixedBytes):
     def _verdicts(self) -> dict[tuple[bytes, bytes], bool | tuple[_Helper, int]]:
         """``verify`` results for this object, keyed by (message, public key
         bytes). ``KeyPair.sign`` stores a pending verdict here, the helper and
-        the triple's index in its answers; only ``verified`` reads them."""
+        the triple's index in its answers; ``verified`` reads them, and a
+        triple taken from the helper's queue gets its verdict here."""
         return {}
 
 
@@ -180,8 +183,9 @@ def verify(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
 def verified(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
     """``verify``, remembered on the signature object for the exact message and
     key bytes, so every node handed the same signature checks it once. A verdict
-    still pending in this process's helper is waited for, then kept; one pending
-    in the helper of a process this one was forked from is verified here."""
+    still pending in this process's helper comes from ``_Helper.answer``, then is
+    kept; one pending in the helper of a process this one was forked from is
+    verified here."""
     verdicts = signature._verdicts
     key = (message, public_key)
     ok = verdicts.get(key)
@@ -205,39 +209,74 @@ def verified(message: bytes, signature: Signature, public_key: PublicKey) -> boo
 # helper runs ``verify`` on it. The signature keeps a pending verdict, which
 # ``verified`` reads back only when a node first needs it. A verdict is never
 # taken from the act of signing: every one comes from ``verify``.
+#
+# Both processes work from the helper's queue. The helper verifies triples from
+# the front, in order. This process verifies one itself rather than wait for
+# it: the triple a node needs, if the helper has not begun it, and, while the
+# helper works on the one needed, the newest triple the helper has not begun.
+# Such a triple is "taken": this process marks it on a board the two processes
+# share, and the helper answers it with a "taken" byte instead of verifying it.
+# Marking and beginning can race, and then both processes verify the triple;
+# both verdicts come from ``verify``, so they agree. A dead helper is still
+# reported by the next pipe read or write: the frame of the next signature, or
+# the wait for a verdict the helper had begun.
+
+_TAKEN = b"\x02"  # the helper's answer to a triple its parent has taken
+_SLOTS = select.PIPE_BUF  # more than the triples ever sent with answers unread
+_WORD = struct.Struct("Q")  # one native word of the board
+
+
+def _slot(index: int) -> int:
+    """The board offset of the taken mark of the ``index``-th triple."""
+    return _WORD.size * (1 + index % _SLOTS)
+
 
 class _Helper:
-    """One forked verifier process and the two pipes to it. Triples go out as
-    frames (u32 big-endian message length, message, signature, public key);
-    verdicts come back as one byte each (1 valid, 0 not), in the same order,
-    and ``answers`` keeps those read so far, one byte per triple, in order.
+    """One forked verifier process, the two pipes to it and the board the two
+    share. Triples go out as frames (u32 big-endian message length, message,
+    signature, public key); answers come back as one byte each (1 valid, 0 not,
+    2 taken), in the same order. ``answers`` keeps the verdicts read so far,
+    one byte per triple, in order, with this process's verdict in place of a
+    "taken" byte.
 
-    Verdicts are read only when needed: by ``answer``, for one not yet read,
+    The board is an anonymous shared ``mmap`` made before the fork. Its first
+    word is the number of frames the helper has begun, which the helper stores
+    before it reads the frame's mark. Word ``1 + i % _SLOTS`` holds ``i + 1``
+    once this process has taken triple ``i``, which it does only while the
+    helper has not begun it. Fewer than ``PIPE_BUF`` triples are ever sent and
+    their answers not yet read (see below), so a mark is overwritten only after
+    the helper has answered its triple.
+
+    Answers are read only when needed: by ``answer``, for one not yet read,
     and by ``submit``, before a frame that could leave ``PIPE_BUF`` of them
     unread. A pipe holds at least ``PIPE_BUF`` bytes, so the helper always has
-    room for the verdict of every frame it has been sent. It never blocks on
-    the verdict pipe, so it goes on reading frames and every write of
+    room for the answer to every frame it has been sent, taken or not. It never
+    blocks on the verdict pipe, so it goes on reading frames and every write of
     ``submit`` completes: neither process can block the other."""
 
     def __init__(self) -> None:
+        self._board = mmap.mmap(-1, _WORD.size * (1 + _SLOTS))
         triples_in, self._triples = os.pipe()
         self._verdicts, verdicts_out = os.pipe()
         self.pid = os.fork()
         if self.pid == 0:
             os.close(self._triples)
             os.close(self._verdicts)
-            _serve(triples_in, verdicts_out)
+            _serve(triples_in, verdicts_out, self._board)
         os.close(triples_in)
         os.close(verdicts_out)
         self.answers = bytearray()
         self._sent = 0
+        # triples sent and neither answered nor taken, oldest first, by index
+        self._queued: dict[int, tuple[bytes, Signature, PublicKey]] = {}
+        self._taken: dict[int, bool] = {}  # verdicts of triples taken, until answered
         self._failure: Optional[str] = None
 
     def submit(self, message: bytes, signature: Signature, public_key: PublicKey) -> int:
         """Send one triple; returns its index in ``answers``."""
         if self._failure is not None:
             raise RuntimeError(self._failure)
-        # Reading here keeps at most PIPE_BUF - 1 verdicts unread, this frame's
+        # Reading here keeps at most PIPE_BUF - 1 answers unread, this frame's
         # included, so the helper can answer this frame without blocking and
         # so goes on draining the write below.
         if self._sent - len(self.answers) >= select.PIPE_BUF - 1:
@@ -252,24 +291,56 @@ class _Helper:
         except BaseException:  # a frame cut short would misalign every later one
             self._failure = "a frame to the signature verifier process was cut short"
             raise
+        self._queued[self._sent] = (message, signature, public_key)
         self._sent += 1
         return self._sent - 1
 
     def answer(self, index: int) -> bool:
-        """The verdict for the ``index``-th triple, waiting for it to arrive."""
+        """The verdict for the ``index``-th triple. This process verifies the
+        triple itself if the helper has not begun it; while the helper works on
+        it, this process verifies the newest triples the helper has not begun,
+        and it waits only when there is none left."""
+        if self._failure is not None:
+            raise RuntimeError(self._failure)
         while len(self.answers) <= index:
-            self.receive()
+            if index in self._taken:
+                return self._taken[index]
+            begun = _WORD.unpack_from(self._board)[0]
+            if begun <= index:
+                return self._take(index)
+            newest = next(reversed(self._queued), -1)
+            if begun == index + 1 and newest >= begun:
+                self._take(newest)
+            else:
+                self.receive()
         return self.answers[index] == 1
 
+    def _take(self, index: int) -> bool:
+        """Verify the ``index``-th triple here, marking it first so that the
+        helper skips it; its signature keeps the verdict."""
+        try:
+            message, signature, public_key = self._queued.pop(index)
+            _WORD.pack_into(self._board, _slot(index), index + 1)
+            ok = self._taken[index] = verify(message, signature, public_key)
+        except BaseException:  # its answer would have no verdict to stand for
+            self._failure = "a signature taken from the verifier queue was not verified"
+            raise
+        signature._verdicts[(message, public_key)] = ok
+        return ok
+
     def receive(self) -> None:
-        """Wait until the helper has written at least one verdict not yet read,
-        then take every one it has written. Call it only while one is due."""
+        """Wait until the helper has written at least one answer not yet read,
+        then read every one it has written. Call it only while one is due."""
         if self._failure is not None:
             raise RuntimeError(self._failure)
         answers = os.read(self._verdicts, 1 << 16)
         if not answers:
             self._fail()
+        start = len(self.answers)
         self.answers += answers
+        for index in range(start, len(self.answers)):
+            if self._queued.pop(index, None) is None:  # taken: our verdict stands
+                self.answers[index] = self._taken.pop(index)
 
     def _fail(self) -> NoReturn:
         """The helper closed its end: it has exited, so report how."""
@@ -280,21 +351,26 @@ class _Helper:
         raise RuntimeError(self._failure)
 
     def close(self) -> None:
-        """Close this process's ends of the pipes; the helper then exits."""
+        """Close this process's ends of the pipes and its map of the board;
+        the helper then exits."""
         os.close(self._triples)
         os.close(self._verdicts)
+        self._board.close()
 
 
-def _serve(triples: int, verdicts: int) -> NoReturn:
-    """The helper's loop: verify each framed triple in order, straight from the
-    frame's bytes, and answer it; exit when every writer has closed the triple
-    pipe. It keeps no decoded keys: it outlives a run when the process goes on
-    to another, and nothing may be remembered from one run to the next."""
+def _serve(triples: int, verdicts: int, board: mmap.mmap) -> NoReturn:
+    """The helper's loop: for each framed triple in order, store on ``board``
+    that it has begun it, then answer "taken" if the parent has marked it, or
+    else verify it straight from the frame's bytes and answer the verdict; exit
+    when every writer has closed the triple pipe. It keeps no decoded keys: it
+    outlives a run when the process goes on to another, and nothing may be
+    remembered from one run to the next."""
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
         gc.disable()  # the loop makes no cycles; a collection would copy the parent's heap
         buf = bytearray()
+        begun = 0
         while chunk := os.read(triples, 1 << 16):
             buf += chunk
             start = 0
@@ -304,9 +380,16 @@ def _serve(triples: int, verdicts: int) -> NoReturn:
                 end = key_at + PUBLIC_KEY_SIZE
                 if end > len(buf):
                     break
-                ok = _valid(buf[start + _U32.size:sig_at], buf[sig_at:key_at],
-                            bytes(buf[key_at:end]), Ed25519PublicKey.from_public_bytes)
-                os.write(verdicts, b"\x01" if ok else b"\x00")
+                begun += 1
+                _WORD.pack_into(board, 0, begun)
+                if _WORD.unpack_from(board, _slot(begun - 1))[0] == begun:
+                    answer = _TAKEN
+                elif _valid(buf[start + _U32.size:sig_at], buf[sig_at:key_at],
+                            bytes(buf[key_at:end]), Ed25519PublicKey.from_public_bytes):
+                    answer = b"\x01"
+                else:
+                    answer = b"\x00"
+                os.write(verdicts, answer)
                 start = end
             del buf[:start]
         status = 0
@@ -340,9 +423,10 @@ def _submit(message: bytes, signature: Signature,
 
 
 def _forget_helper() -> None:
-    """In a forked child: drop the parent's helper, whose pipes are the parent's.
-    ``verified`` then settles its pending verdicts in-process; a first ``sign``
-    here starts this process's own helper."""
+    """In a forked child: drop the parent's helper, whose pipes and board are
+    the parent's. ``verified`` then settles its pending verdicts in-process,
+    with no mark on the parent's board; a first ``sign`` here starts this
+    process's own helper."""
     global _helper, _helper_tried
     if _helper is not None:
         _helper.close()

@@ -1,5 +1,6 @@
 """Primitive-level checks: signing, digests, certificates, canonical bytes,
 rotation, and the verifier helper."""
+import contextlib
 import hashlib
 import os
 import pickle
@@ -198,6 +199,63 @@ def test_bit_flip_breaks_signature_property(message, seed, data):
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is forked")
 
 
+@contextlib.contextmanager
+def fails_after(seconds):
+    """Raise ``TimeoutError`` in the block once it has run ``seconds``."""
+    def hang(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def stopped_helper(monkeypatch):
+    """A new helper for this process, stopped for the block: it begins no
+    triple before the block ends."""
+    helper = crypto._Helper()
+    monkeypatch.setattr(crypto, "_helper", helper)
+    os.kill(helper.pid, signal.SIGSTOP)
+    os.waitid(os.P_PID, helper.pid, os.WSTOPPED | os.WNOWAIT)  # stopped, not stopping
+    try:
+        yield helper
+    finally:
+        os.kill(helper.pid, signal.SIGCONT)
+
+
+def read_answers(helper, count: int) -> bytes:
+    """The helper's next ``count`` answer bytes, straight from its pipe."""
+    answers = b""
+    while len(answers) < count:
+        chunk = os.read(helper._verdicts, count - len(answers))
+        assert chunk, "the helper exited"
+        answers += chunk
+    return answers
+
+
+def in_child(check) -> bool:
+    """Whether ``check()`` is true in a forked child given 60 s to run it."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            status = 0 if check() else 1
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    return done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
 def run_cli(*args, timeout=120):
     src = str(Path(overchain.__file__).resolve().parents[1])
     env = dict(os.environ,
@@ -241,20 +299,17 @@ def test_unread_verdicts_never_block_submit_on_a_one_page_pipe():
     triples = [(b"good", good, kp.public), (b"bad", good, kp.public)]
     expected = [verify(*t) for t in triples]
     count = 2 * select.PIPE_BUF + 3  # without reads, the helper would stop after PIPE_BUF
-
-    def hang(signum, frame):
-        raise TimeoutError("submit and the helper blocked each other")
-
     helper = crypto._Helper()
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(60)
     try:
-        fcntl.fcntl(helper._verdicts, fcntl.F_SETPIPE_SZ, os.sysconf("SC_PAGE_SIZE"))
-        indices = [helper.submit(*triples[i % 2]) for i in range(count)]
-        assert [helper.answer(i) for i in indices] == [expected[i % 2] for i in range(count)]
+        with fails_after(60):  # else submit and the helper blocked each other
+            fcntl.fcntl(helper._verdicts, fcntl.F_SETPIPE_SZ, os.sysconf("SC_PAGE_SIZE"))
+            indices = []
+            for i in range(count):
+                indices.append(helper.submit(*triples[i % 2]))
+                if i % 16 == 15:  # an early need: this process takes it or newer triples
+                    assert helper.answer(i - 8) == expected[(i - 8) % 2]
+            assert [helper.answer(i) for i in indices] == [expected[i % 2] for i in range(count)]
     finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
         helper.close()  # the helper then exits, whether it was reading or writing
         os.waitpid(helper.pid, 0)
 
@@ -291,6 +346,9 @@ def test_killed_helper_raises_instead_of_hanging(monkeypatch):
     before = kp.sign(b"before")
     assert verified(b"before", before, kp.public)
     os.kill(helper.pid, signal.SIGKILL)
+    # Wait for the exit, so the next frame meets a closed pipe rather than a
+    # helper that has not begun it; WNOWAIT leaves the status for the error.
+    os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOWAIT)
     with pytest.raises(RuntimeError, match=rf"process {helper.pid} exited with status -9"):
         verified(b"after", kp.sign(b"after"), kp.public)
     with pytest.raises(RuntimeError, match="status -9"):
@@ -299,33 +357,50 @@ def test_killed_helper_raises_instead_of_hanging(monkeypatch):
 
 
 @needs_fork
-def test_verdict_pending_at_a_fork_is_verified_in_the_child(monkeypatch):
-    helper = crypto._Helper()
-    monkeypatch.setattr(crypto, "_helper", helper)
-    os.kill(helper.pid, signal.SIGSTOP)  # the verdict cannot arrive before the fork
-    try:
-        kp = generate_keypair("inherited")
+def test_verdicts_come_without_a_stopped_helper_which_then_answers_taken(monkeypatch):
+    kp = generate_keypair("stopped")
+    with fails_after(60), stopped_helper(monkeypatch) as helper:
         good = kp.sign(b"good")
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                if (crypto._helper is None
+        bad = Signature(bytes([good[0] ^ 1]) + good[1:])
+        bad.__dict__["_verdicts"] = {  # pending, as ``sign`` leaves it
+            (b"good", kp.public): crypto._submit(b"good", bad, kp.public)}
+        assert verified(b"good", good, kp.public) is verify(b"good", good, kp.public) is True
+        assert verified(b"good", bad, kp.public) is verify(b"good", bad, kp.public) is False
+    assert read_answers(helper, 2) == crypto._TAKEN * 2
+    helper.close()
+    os.waitpid(helper.pid, 0)
+
+
+@needs_fork
+def test_interrupted_take_fails_the_helper(monkeypatch):
+    def interrupted(message, signature, public_key):
+        raise KeyboardInterrupt
+
+    kp = generate_keypair("interrupted")
+    with fails_after(60), stopped_helper(monkeypatch) as helper:
+        signature = kp.sign(b"message")
+        with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
+            patch.setattr(crypto, "verify", interrupted)
+            verified(b"message", signature, kp.public)  # taken, then cut short
+    # the helper answers "taken" for a triple with no verdict: nothing reads it
+    with pytest.raises(RuntimeError, match="taken from the verifier queue was not verified"):
+        verified(b"message", signature, kp.public)
+    with pytest.raises(RuntimeError, match="was not verified"):
+        kp.sign(b"later")
+    helper.close()
+    os.waitpid(helper.pid, 0)
+
+
+@needs_fork
+def test_verdict_pending_at_a_fork_is_verified_in_the_child(monkeypatch):
+    kp = generate_keypair("inherited")
+    with stopped_helper(monkeypatch) as helper:  # the verdict cannot arrive before the fork
+        good = kp.sign(b"good")
+        assert in_child(lambda: crypto._helper is None
                         and verified(b"good", good, kp.public)
-                        and not verified(b"bad", good, kp.public)):
-                    status = 0
-            finally:
-                os._exit(status)
-        deadline = time.monotonic() + 60
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        if done[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
-    finally:
-        os.kill(helper.pid, signal.SIGCONT)
-    assert verified(b"good", good, kp.public)  # the parent's helper still answers
+                        and not verified(b"bad", good, kp.public))
+        assert helper._board[:] == bytes(len(helper._board))  # the child marked nothing
+    assert verified(b"good", good, kp.public)  # the parent's pending verdict still settles
     helper.close()
     os.waitpid(helper.pid, 0)
 
