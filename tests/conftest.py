@@ -70,15 +70,22 @@ def bundled():
 def counted_verify(monkeypatch):
     """The signature of every backend verify, once each, wherever it runs: each
     one that ``sign`` hands to the verifier helper, which verifies it unless
-    this process takes it, and each other one passed to ``crypto.verify``."""
-    calls = []
-    real_verify, real_submit = crypto.verify, crypto._submit
+    this process takes it, and each one passed to ``crypto.verify`` outside a
+    take."""
+    calls, taking = [], []
+    real_verify, real_submit, real_take = crypto.verify, crypto._submit, crypto._Helper._take
 
     def counting_verify(message, signature, public_key):
-        pending = signature._verdicts.get((message, public_key))
-        if not (isinstance(pending, tuple) and pending[0] is crypto._helper):
-            calls.append(signature)  # else a take, counted when it was submitted
+        if not taking:  # a take verifies a triple counted when it was submitted
+            calls.append(signature)
         return real_verify(message, signature, public_key)
+
+    def counting_take(helper, index):
+        taking.append(index)
+        try:
+            return real_take(helper, index)
+        finally:
+            taking.pop()
 
     def counting_submit(message, signature, public_key):
         pending = real_submit(message, signature, public_key)
@@ -88,4 +95,5 @@ def counted_verify(monkeypatch):
 
     monkeypatch.setattr(crypto, "verify", counting_verify)
     monkeypatch.setattr(crypto, "_submit", counting_submit)
+    monkeypatch.setattr(crypto._Helper, "_take", counting_take)
     return calls
