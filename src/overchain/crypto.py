@@ -9,9 +9,7 @@ Signatures are real Ed25519 (via the ``cryptography`` package) over raw
 seed so whole simulation runs are reproducible.
 
 ``KeyPair.sign`` also hands each signature it makes to a verifier helper, a
-child process that checks it on another core while this process goes on; this
-process verifies queued signatures itself rather than wait for the helper (see
-"verifier helper" below).
+child process that checks it on another core (see "verifier helper" below).
 """
 from __future__ import annotations
 
@@ -122,8 +120,8 @@ class Signature(_FixedBytes):
     def _verdicts(self) -> dict[tuple[bytes, bytes], bool | tuple[_Helper, int]]:
         """``verify`` results for this object, keyed by (message, public key
         bytes). ``KeyPair.sign`` stores a pending verdict here, the helper and
-        the triple's index in its answers; ``verified`` reads them, and a
-        triple taken from the helper's queue gets its verdict here."""
+        the triple's index in its queue, which the helper's side replaces with
+        the verdict when the triple settles; ``verified`` reads them."""
         return {}
 
 
@@ -183,18 +181,17 @@ def verify(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
 def verified(message: bytes, signature: Signature, public_key: PublicKey) -> bool:
     """``verify``, remembered on the signature object for the exact message and
     key bytes, so every node handed the same signature checks it once. A verdict
-    still pending in this process's helper comes from ``_Helper.answer``, then is
-    kept; one pending in the helper of a process this one was forked from is
-    verified here."""
+    still pending in this process's helper is settled there; one pending in the
+    helper of a process this one was forked from is verified here."""
     verdicts = signature._verdicts
     key = (message, public_key)
     ok = verdicts.get(key)
     if ok is not True and ok is not False:
         if ok is not None and ok[0] is _helper:
-            ok = _helper.answer(ok[1])
+            _helper.settle(ok[1])
+            ok = verdicts[key]
         else:
-            ok = verify(message, signature, public_key)
-        verdicts[key] = ok
+            ok = verdicts[key] = verify(message, signature, public_key)
     return ok
 
 
@@ -202,90 +199,70 @@ def verified(message: bytes, signature: Signature, public_key: PublicKey) -> boo
 # verifier helper
 # ---------------------------------------------------------------------------
 #
-# The Ed25519 backend holds the interpreter lock while it verifies, so a thread
-# cannot overlap verification with the simulation; a second process can. The
-# first ``KeyPair.sign`` of a process forks one helper. Every signature that
-# process makes goes to the helper with its exact message and key, and the
-# helper runs ``verify`` on it. The signature keeps a pending verdict, which
-# ``verified`` reads back only when a node first needs it. A verdict is never
-# taken from the act of signing: every one comes from ``verify``.
-#
-# Both processes work from the helper's queue. The helper verifies triples from
-# the front, in order. This process verifies one itself rather than wait for
-# it: the triple a node needs, if the helper has not begun it, and, while the
-# helper works on the one needed, the newest triple the helper has not begun.
-# Such a triple is "taken": this process marks it on a board the two processes
-# share, and the helper answers it with a "taken" byte instead of verifying it.
-# Marking and beginning can race, and then both processes verify the triple;
-# both verdicts come from ``verify``, so they agree. A dead helper is still
-# reported by the next pipe read or write: the frame of the next signature, or
-# the wait for a verdict the helper had begun.
+# The Ed25519 backend holds the interpreter lock while it verifies, so only a
+# second process can overlap verification with the simulation. The first
+# ``KeyPair.sign`` of a process forks one helper, which runs ``verify`` on every
+# signature that process makes, with its exact message and key, while the
+# signature keeps a pending verdict; a verdict never comes from the act of
+# signing. This process verifies ("takes") a queued triple itself rather than
+# wait (see ``_Helper.settle``). Each side's steps are plain functions over a
+# board and byte channels, so a test runs both in one process.
 
 _TAKEN = b"\x02"  # the helper's answer to a triple its parent has taken
-_SLOTS = select.PIPE_BUF  # more than the triples ever sent with answers unread
 _WORD = struct.Struct("Q")  # one native word of the board
 
 
-def _slot(index: int) -> int:
-    """The board offset of the taken mark of the ``index``-th triple."""
-    return _WORD.size * (1 + index % _SLOTS)
+def _mark(index: int, slots: int) -> int:
+    """The board offset of triple ``index``'s mark, over ``slots`` marks."""
+    return _WORD.size * (1 + index % slots)
+
+
+class _Pipe(int):
+    """A pipe end's file descriptor, as a byte channel."""
+
+    def write(self, data) -> int:
+        return os.write(self, data)
+
+    def read(self, size: int) -> bytes:
+        return os.read(self, size)
 
 
 class _Helper:
-    """One forked verifier process, the two pipes to it and the board the two
-    share. Triples go out as frames (u32 big-endian message length, message,
-    signature, public key); answers come back as one byte each (1 valid, 0 not,
-    2 taken), in the same order. ``answers`` keeps the verdicts read so far,
-    one byte per triple, in order, with this process's verdict in place of a
-    "taken" byte.
+    """This process's side of one verifier helper, over the board the two share
+    and a byte channel each way. Triples go out as frames (u32 big-endian
+    message length, message, signature, public key); answers come back as one
+    byte each (1 valid, 0 not, 2 taken), in the same order. A triple is in
+    ``_queued`` exactly until its signature holds a verdict, from a take or
+    from its answer; ``_sent`` and ``_read`` count frames and answers.
 
-    The board is an anonymous shared ``mmap`` made before the fork. Its first
-    word is the number of frames the helper has begun, which the helper stores
-    before it reads the frame's mark. Word ``1 + i % _SLOTS`` holds ``i + 1``
-    once this process has taken triple ``i``, which it does only while the
-    helper has not begun it. Fewer than ``PIPE_BUF`` triples are ever sent and
-    their answers not yet read (see below), so a mark is overwritten only after
-    the helper has answered its triple.
+    The board has ``1 + n`` words. The first is the number of frames the
+    helper has begun, stored before it loads the frame's mark. Word
+    ``1 + i % n`` holds ``i + 1`` once this process has taken triple ``i``,
+    which it does only while the helper has not begun it; the helper then
+    answers "taken" unverified. If taking and beginning race, both verify the
+    triple with ``verify``. ``submit`` reads answers so that fewer than ``n``
+    are ever due: a mark is overwritten only after its triple is answered, and
+    as the forked board has ``PIPE_BUF`` marks and a pipe holds ``PIPE_BUF``
+    bytes or more, the helper never blocks on an answer and drains every
+    write of ``submit``."""
 
-    Answers are read only when needed: by ``answer``, for one not yet read,
-    and by ``submit``, before a frame that could leave ``PIPE_BUF`` of them
-    unread. A pipe holds at least ``PIPE_BUF`` bytes, so the helper always has
-    room for the answer to every frame it has been sent, taken or not. It never
-    blocks on the verdict pipe, so it goes on reading frames and every write of
-    ``submit`` completes: neither process can block the other."""
-
-    def __init__(self) -> None:
-        self._board = mmap.mmap(-1, _WORD.size * (1 + _SLOTS))
-        triples_in, self._triples = os.pipe()
-        self._verdicts, verdicts_out = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            os.close(self._triples)
-            os.close(self._verdicts)
-            _serve(triples_in, verdicts_out, self._board)
-        os.close(triples_in)
-        os.close(verdicts_out)
-        self.answers = bytearray()
-        self._sent = 0
-        # triples sent and neither answered nor taken, oldest first, by index
-        self._queued: dict[int, tuple[bytes, Signature, PublicKey]] = {}
-        self._taken: dict[int, bool] = {}  # verdicts of triples taken, until answered
+    def __init__(self, board, triples, verdicts, pid: int) -> None:
+        self._board, self._triples, self._verdicts, self.pid = board, triples, verdicts, pid
+        self._slots = len(board) // _WORD.size - 1  # n: marks, all words but the first
+        self._sent = self._read = 0
+        self._queued: dict[int, tuple[bytes, Signature, PublicKey]] = {}  # oldest first
         self._failure: Optional[str] = None
 
     def submit(self, message: bytes, signature: Signature, public_key: PublicKey) -> int:
-        """Send one triple; returns its index in ``answers``."""
+        """Send one triple; returns its index. Reads first so fewer than n stay due."""
         if self._failure is not None:
             raise RuntimeError(self._failure)
-        # Reading here keeps at most PIPE_BUF - 1 answers unread, this frame's
-        # included, so the helper can answer this frame without blocking and
-        # so goes on draining the write below.
-        if self._sent - len(self.answers) >= select.PIPE_BUF - 1:
+        if self._sent - self._read >= self._slots - 1:
             self.receive()
-        frame = memoryview(_U32.pack(len(message)) + message
-                           + signature + public_key)
+        frame = memoryview(_U32.pack(len(message)) + message + signature + public_key)
         try:
             while frame:
-                frame = frame[os.write(self._triples, frame):]
+                frame = frame[self._triples.write(frame):]
         except BrokenPipeError:
             self._fail()
         except BaseException:  # a frame cut short would misalign every later one
@@ -295,52 +272,52 @@ class _Helper:
         self._sent += 1
         return self._sent - 1
 
-    def answer(self, index: int) -> bool:
-        """The verdict for the ``index``-th triple. This process verifies the
-        triple itself if the helper has not begun it; while the helper works on
-        it, this process verifies the newest triples the helper has not begun,
-        and it waits only when there is none left."""
+    def settle(self, index: int) -> None:
+        """Return once the ``index``-th triple's signature holds its verdict.
+        Take the triple if the helper has not begun it; while the helper works
+        on it, take the newest triple it has not begun; else wait for answers."""
         if self._failure is not None:
             raise RuntimeError(self._failure)
-        while len(self.answers) <= index:
-            if index in self._taken:
-                return self._taken[index]
-            begun = _WORD.unpack_from(self._board)[0]
-            if begun <= index:
-                return self._take(index)
-            newest = next(reversed(self._queued), -1)
-            if begun == index + 1 and newest >= begun:
-                self._take(newest)
-            else:
-                self.receive()
-        return self.answers[index] == 1
+        while index in self._queued:
+            self._step(index, _WORD.unpack_from(self._board)[0])
 
-    def _take(self, index: int) -> bool:
+    def _step(self, index: int, begun: int) -> None:
+        """One round of ``settle``, with ``begun`` as last loaded from the board."""
+        if begun <= index:
+            self._take(index)
+        elif begun == index + 1 and (newest := next(reversed(self._queued))) >= begun:
+            self._take(newest)
+        else:
+            self.receive()
+
+    def _take(self, index: int) -> None:
         """Verify the ``index``-th triple here, marking it first so that the
         helper skips it; its signature keeps the verdict."""
         try:
             message, signature, public_key = self._queued.pop(index)
-            _WORD.pack_into(self._board, _slot(index), index + 1)
-            ok = self._taken[index] = verify(message, signature, public_key)
-        except BaseException:  # its answer would have no verdict to stand for
+            _WORD.pack_into(self._board, _mark(index, self._slots), index + 1)
+            signature._verdicts[(message, public_key)] = verify(message, signature, public_key)
+        except BaseException:  # its signature would be left with no verdict
             self._failure = "a signature taken from the verifier queue was not verified"
             raise
-        signature._verdicts[(message, public_key)] = ok
-        return ok
 
     def receive(self) -> None:
-        """Wait until the helper has written at least one answer not yet read,
-        then read every one it has written. Call it only while one is due."""
+        """Wait for an answer, then store every one written on its triple's
+        signature, unless taken. Call it only while an answer is due."""
         if self._failure is not None:
             raise RuntimeError(self._failure)
-        answers = os.read(self._verdicts, 1 << 16)
+        try:
+            answers = self._verdicts.read(1 << 16)
+            start, self._read = self._read, self._read + len(answers)
+            for index, answer in enumerate(answers, start):
+                if (triple := self._queued.pop(index, None)) is not None:
+                    message, signature, public_key = triple
+                    signature._verdicts[(message, public_key)] = answer == 1
+        except BaseException:  # answers read, or a triple popped, with no verdict stored
+            self._failure = "an answer from the signature verifier process was not stored"
+            raise
         if not answers:
             self._fail()
-        start = len(self.answers)
-        self.answers += answers
-        for index in range(start, len(self.answers)):
-            if self._queued.pop(index, None) is None:  # taken: our verdict stands
-                self.answers[index] = self._taken.pop(index)
 
     def _fail(self) -> NoReturn:
         """The helper closed its end: it has exited, so report how."""
@@ -351,46 +328,69 @@ class _Helper:
         raise RuntimeError(self._failure)
 
     def close(self) -> None:
-        """Close this process's ends of the pipes and its map of the board;
-        the helper then exits."""
+        """Close this process's pipe ends and board map: the helper exits."""
         os.close(self._triples)
         os.close(self._verdicts)
         self._board.close()
 
 
+def _start_helper() -> _Helper:
+    """Fork a verifier helper over a new shared board and two pipes."""
+    board = mmap.mmap(-1, _WORD.size * (1 + select.PIPE_BUF))
+    triples_in, triples = os.pipe()
+    verdicts, verdicts_out = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(triples)
+        os.close(verdicts)
+        _serve(triples_in, verdicts_out, board)
+    os.close(triples_in)
+    os.close(verdicts_out)
+    return _Helper(board, _Pipe(triples), _Pipe(verdicts), pid)
+
+
+def _frame(buf, start: int) -> Optional[int]:
+    """The offset just after the frame at ``start`` of ``buf``; None while
+    ``buf`` holds only part of it."""
+    if len(buf) - start < _U32.size:
+        return None
+    end = start + _U32.size + _U32.unpack_from(buf, start)[0] + SIGNATURE_SIZE + PUBLIC_KEY_SIZE
+    return end if end <= len(buf) else None
+
+
+def _begin(board, index: int) -> None:
+    """The helper's first step on the ``index``-th frame: mark it begun."""
+    _WORD.pack_into(board, 0, index + 1)
+
+
+def _answer(board, slots: int, index: int, buf, start: int, end: int) -> bytes:
+    """The helper's answer to the ``index``-th frame, ``buf[start:end]``: "taken"
+    if marked on ``board``, else the byte of ``verify``'s verdict on its bytes."""
+    if _WORD.unpack_from(board, _mark(index, slots))[0] == index + 1:
+        return _TAKEN
+    key_at = end - PUBLIC_KEY_SIZE
+    sig_at = key_at - SIGNATURE_SIZE
+    return bytes([_valid(buf[start + _U32.size:sig_at], buf[sig_at:key_at],
+                         bytes(buf[key_at:end]), Ed25519PublicKey.from_public_bytes)])
+
+
 def _serve(triples: int, verdicts: int, board: mmap.mmap) -> NoReturn:
-    """The helper's loop: for each framed triple in order, store on ``board``
-    that it has begun it, then answer "taken" if the parent has marked it, or
-    else verify it straight from the frame's bytes and answer the verdict; exit
-    when every writer has closed the triple pipe. It keeps no decoded keys: it
-    outlives a run when the process goes on to another, and nothing may be
-    remembered from one run to the next."""
+    """The helper's loop: for each framed triple in order, ``_begin`` it, then
+    write its ``_answer``; exit when every writer has closed the triple pipe.
+    It keeps no decoded keys: it outlives a run when the process goes on to
+    another, and nothing may be remembered from one run to the next."""
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
         gc.disable()  # the loop makes no cycles; a collection would copy the parent's heap
-        buf = bytearray()
-        begun = 0
+        buf, begun, slots = bytearray(), 0, len(board) // _WORD.size - 1
         while chunk := os.read(triples, 1 << 16):
             buf += chunk
             start = 0
-            while len(buf) - start >= _U32.size:
-                sig_at = start + _U32.size + _U32.unpack_from(buf, start)[0]
-                key_at = sig_at + SIGNATURE_SIZE
-                end = key_at + PUBLIC_KEY_SIZE
-                if end > len(buf):
-                    break
-                begun += 1
-                _WORD.pack_into(board, 0, begun)
-                if _WORD.unpack_from(board, _slot(begun - 1))[0] == begun:
-                    answer = _TAKEN
-                elif _valid(buf[start + _U32.size:sig_at], buf[sig_at:key_at],
-                            bytes(buf[key_at:end]), Ed25519PublicKey.from_public_bytes):
-                    answer = b"\x01"
-                else:
-                    answer = b"\x00"
-                os.write(verdicts, answer)
-                start = end
+            while end := _frame(buf, start):
+                _begin(board, begun)
+                os.write(verdicts, _answer(board, slots, begun, buf, start, end))
+                start, begun = end, begun + 1
             del buf[:start]
         status = 0
     except Exception:
@@ -418,13 +418,13 @@ def _submit(message: bytes, signature: Signature,
         if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
                 or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1):
             return None
-        _helper = _Helper()
+        _helper = _start_helper()
     return _helper, _helper.submit(message, signature, public_key)
 
 
 def _forget_helper() -> None:
     """In a forked child: drop the parent's helper, whose pipes and board are
-    the parent's. ``verified`` then settles its pending verdicts in-process,
+    the parent's. ``verified`` then verifies its pending verdicts in-process,
     with no mark on the parent's board; a first ``sign`` here starts this
     process's own helper."""
     global _helper, _helper_tried

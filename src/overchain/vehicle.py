@@ -20,7 +20,6 @@ from .crypto import (
     generate_keypair,
 )
 from .ledger import (
-    Chain,
     PayloadTag,
     Transaction,
     TxKind,
@@ -48,18 +47,6 @@ class StorageRecord:
 def storage_digest(records) -> Digest:
     """Canonical digest over an ordered record store."""
     return digest(canonical_join(*[r.wire_bytes() for r in records]))
-
-
-def prove_storage_integrity(records, chain: Chain, allowed_pks) -> bool:
-    """True iff an anchor stored in the chain carries the digest of exactly
-    this record sequence under one of the given keys."""
-    want = storage_digest(records)
-    allowed = set(allowed_pks)
-    for tx in chain.all_transactions():
-        if (tx.payload_tag in (PayloadTag.STORAGE_ANCHOR, PayloadTag.BACKUP_ANCHOR)
-                and tx.payload_digest == want and tx.pk_1 in allowed):
-            return True
-    return False
 
 
 class Vehicle(BaseActor):

@@ -1,9 +1,12 @@
 """Primitive-level checks: signing, digests, certificates, canonical bytes,
 rotation, and the verifier helper."""
 import contextlib
+import copy
+import functools
 import hashlib
 import os
 import pickle
+import select
 import signal
 import subprocess
 import sys
@@ -218,7 +221,7 @@ def fails_after(seconds):
 def stopped_helper(monkeypatch):
     """A new helper for this process, stopped for the block: it begins no
     triple before the block ends."""
-    helper = crypto._Helper()
+    helper = crypto._start_helper()
     monkeypatch.setattr(crypto, "_helper", helper)
     os.kill(helper.pid, signal.SIGSTOP)
     os.waitid(os.P_PID, helper.pid, os.WSTOPPED | os.WNOWAIT)  # stopped, not stopping
@@ -228,14 +231,12 @@ def stopped_helper(monkeypatch):
         os.kill(helper.pid, signal.SIGCONT)
 
 
-def read_answers(helper, count: int) -> bytes:
-    """The helper's next ``count`` answer bytes, straight from its pipe."""
-    answers = b""
-    while len(answers) < count:
-        chunk = os.read(helper._verdicts, count - len(answers))
-        assert chunk, "the helper exited"
-        answers += chunk
-    return answers
+def settled(helper, index: int, triple) -> bool:
+    """The verdict ``helper`` settles onto the signature of its ``index``-th
+    triple, ``triple``."""
+    message, signature, public_key = triple
+    helper.settle(index)
+    return signature._verdicts[(message, public_key)]
 
 
 def in_child(check) -> bool:
@@ -279,11 +280,12 @@ def test_helper_answers_each_triple_with_the_verdict_of_verify():
         (big[:-1] + b"!", big_sig, kp.public),
         (b"", kp.sign(b""), kp.public),
     ]
-    helper = crypto._Helper()
+    helper = crypto._start_helper()
     try:
         indices = [helper.submit(*triple) for triple in triples]
         assert indices == list(range(len(triples)))
-        assert [helper.answer(i) for i in indices] == [verify(*t) for t in triples] \
+        assert [settled(helper, i, t) for i, t in zip(indices, triples)] \
+            == [verify(*t) for t in triples] \
             == [True, False, False, False, False, True, False, True]
     finally:
         helper.close()
@@ -293,35 +295,59 @@ def test_helper_answers_each_triple_with_the_verdict_of_verify():
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="F_SETPIPE_SZ is Linux's")
 def test_unread_verdicts_never_block_submit_on_a_one_page_pipe():
     import fcntl
-    import select
     kp = generate_keypair("one-page")
     good = kp.sign(b"good")
     triples = [(b"good", good, kp.public), (b"bad", good, kp.public)]
     expected = [verify(*t) for t in triples]
     count = 2 * select.PIPE_BUF + 3  # without reads, the helper would stop after PIPE_BUF
-    helper = crypto._Helper()
+    helper = crypto._start_helper()
     try:
         with fails_after(60):  # else submit and the helper blocked each other
             fcntl.fcntl(helper._verdicts, fcntl.F_SETPIPE_SZ, os.sysconf("SC_PAGE_SIZE"))
-            indices = []
+            sent = []
             for i in range(count):
-                indices.append(helper.submit(*triples[i % 2]))
+                message, signature, public_key = triples[i % 2]
+                sent.append((message, Signature(signature), public_key))  # a record each
+                assert helper.submit(*sent[i]) == i
                 if i % 16 == 15:  # an early need: this process takes it or newer triples
-                    assert helper.answer(i - 8) == expected[(i - 8) % 2]
-            assert [helper.answer(i) for i in indices] == [expected[i % 2] for i in range(count)]
+                    assert settled(helper, i - 8, sent[i - 8]) == expected[(i - 8) % 2]
+            assert [settled(helper, i, t) for i, t in enumerate(sent)] \
+                == [expected[i % 2] for i in range(count)]
     finally:
         helper.close()  # the helper then exits, whether it was reading or writing
         os.waitpid(helper.pid, 0)
 
 
+@needs_fork
+def test_helper_holds_nothing_once_its_signatures_are_settled(monkeypatch):
+    helper = crypto._start_helper()
+    monkeypatch.setattr(crypto, "_helper", helper)
+    kp = generate_keypair("bounded")
+    count = 3 * select.PIPE_BUF  # each slot of the board used three times
+    try:
+        with fails_after(60):
+            messages = [i.to_bytes(2, "big") for i in range(count)]
+            signatures = [kp.sign(message) for message in messages]
+            assert all(verified(m, s, kp.public) for m, s in zip(messages, signatures))
+        assert helper._sent == count
+        held = {name: value for name, value in vars(helper).items()
+                if isinstance(value, (bytes, bytearray, dict, list, set)) and value}
+        assert held == {}  # no record outlives the settling of its signature
+    finally:
+        helper.close()
+        os.waitpid(helper.pid, 0)
+
+
 def test_sign_never_sets_a_verdict_by_itself():
     kp = generate_keypair("pending")
-    stored = kp.sign(b"message")._verdicts.get((b"message", kp.public))
+    signature = kp.sign(b"message")
+    stored = signature._verdicts.get((b"message", kp.public))
     if crypto._helper is None:  # no helper here: ``verified`` verifies in-process
         assert stored is None
     else:
         helper, index = stored
-        assert helper is crypto._helper and helper.answer(index) is True
+        assert helper is crypto._helper
+        assert settled(helper, index, (b"message", signature, kp.public)) is True
 
 
 def test_signature_pickles_as_its_bytes_and_verifies_afresh_on_load():
@@ -340,7 +366,7 @@ def test_signature_pickles_as_its_bytes_and_verifies_afresh_on_load():
 
 @needs_fork
 def test_killed_helper_raises_instead_of_hanging(monkeypatch):
-    helper = crypto._Helper()
+    helper = crypto._start_helper()
     monkeypatch.setattr(crypto, "_helper", helper)
     kp = generate_keypair("killed")
     before = kp.sign(b"before")
@@ -354,41 +380,6 @@ def test_killed_helper_raises_instead_of_hanging(monkeypatch):
     with pytest.raises(RuntimeError, match="status -9"):
         kp.sign(b"later")
     helper.close()
-
-
-@needs_fork
-def test_verdicts_come_without_a_stopped_helper_which_then_answers_taken(monkeypatch):
-    kp = generate_keypair("stopped")
-    with fails_after(60), stopped_helper(monkeypatch) as helper:
-        good = kp.sign(b"good")
-        bad = Signature(bytes([good[0] ^ 1]) + good[1:])
-        bad.__dict__["_verdicts"] = {  # pending, as ``sign`` leaves it
-            (b"good", kp.public): crypto._submit(b"good", bad, kp.public)}
-        assert verified(b"good", good, kp.public) is verify(b"good", good, kp.public) is True
-        assert verified(b"good", bad, kp.public) is verify(b"good", bad, kp.public) is False
-    assert read_answers(helper, 2) == crypto._TAKEN * 2
-    helper.close()
-    os.waitpid(helper.pid, 0)
-
-
-@needs_fork
-def test_interrupted_take_fails_the_helper(monkeypatch):
-    def interrupted(message, signature, public_key):
-        raise KeyboardInterrupt
-
-    kp = generate_keypair("interrupted")
-    with fails_after(60), stopped_helper(monkeypatch) as helper:
-        signature = kp.sign(b"message")
-        with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
-            patch.setattr(crypto, "verify", interrupted)
-            verified(b"message", signature, kp.public)  # taken, then cut short
-    # the helper answers "taken" for a triple with no verdict: nothing reads it
-    with pytest.raises(RuntimeError, match="taken from the verifier queue was not verified"):
-        verified(b"message", signature, kp.public)
-    with pytest.raises(RuntimeError, match="was not verified"):
-        kp.sign(b"later")
-    helper.close()
-    os.waitpid(helper.pid, 0)
 
 
 @needs_fork
@@ -425,6 +416,251 @@ def test_run_raises_no_fork_deprecation_warning():
     proc = run_cli("-W", "error::DeprecationWarning", "-m", "overchain.cli",
                    "run", "wrsu_happy_path")
     assert proc.returncode == 0, proc.stderr
+
+
+# -- the helper's protocol in one process ------------------------------------
+
+
+class Blocked(Exception):
+    """The parent side would wait for an answer the helper has yet to write."""
+
+
+class Sig(Signature):
+    """A signature whose verdicts go with a deep copy of a ``Model``."""
+
+    def __deepcopy__(self, memo):
+        twin = Sig(self)
+        twin.__dict__.update(copy.deepcopy(vars(self), memo))
+        return twin
+
+
+class Model:
+    """Both sides of one verifier helper in this process, each step run when
+    the caller says. The parent side is a real ``crypto._Helper`` over a
+    ``bytearray`` board of ``1 + slots`` words, with this model as both of its
+    byte channels; the helper side runs ``crypto._frame``, ``_begin`` and
+    ``_answer`` on the frames the parent wrote. The answer channel holds
+    ``slots`` bytes, as a pipe holds ``PIPE_BUF``.
+
+    ``moves`` names each step either side can take next. The parent submits
+    its triples in order and settles each submitted one, in any order, one at
+    a time. Each round of ``settle`` is split into its load of ``begun`` from
+    the board and the move it makes with that value, so the helper can act in
+    between. The helper may load a frame's mark before its store of ``begun``
+    is seen (x86 lets a load pass an earlier store); its answer byte goes out
+    after both. The steps check what the protocol promises:
+    - the helper answers "taken" exactly for the triples taken before it
+      loads their mark, with one byte per frame, and never waits to write it;
+    - a triple leaves ``_queued`` with ``verify``'s verdict on its signature;
+    - the parent reads only while an answer is due."""
+
+    def __init__(self, triples, slots: int):
+        self.triples = [(message, Sig(signature), key) for message, signature, key in triples]
+        self.expected = [verify(*triple) for triple in triples]
+        self.slots = slots
+        self.board = bytearray(crypto._WORD.size * (1 + slots))
+        self.parent = crypto._Helper(self.board, self, self, 0)
+        self.frames, self.sent = b"", 0  # the triple channel: all it was sent
+        self.answers, self.written = b"", 0  # the answer channel: bytes not yet read
+        # the helper side: its frame, whether it stored ``begun`` for it, its answer
+        self.index, self.offset, self.begun, self.reply = 0, 0, False, None
+        # the parent side: the triple it settles, the ``begun`` it loaded, those settled
+        self.settling, self.seen, self.settled = None, None, frozenset()
+        self.races = 0  # takes of a triple whose mark the helper had loaded
+
+    # the parent side's byte channels
+    def write(self, frame) -> int:
+        self.frames += bytes(frame)
+        self.sent += 1
+        return len(frame)
+
+    def read(self, size: int) -> bytes:
+        if not self.answers:
+            assert self.written < self.sent, "a read with no answer due would wait forever"
+            raise Blocked
+        data, self.answers = self.answers[:size], self.answers[size:]
+        return data
+
+    def state(self) -> tuple:
+        parent = self.parent
+        verdicts = tuple(vars(signature).get("_verdicts", {}).get((message, key))
+                         for message, signature, key in self.triples)
+        return (parent._sent, parent._read, tuple(parent._queued), verdicts,
+                bytes(self.board), self.sent, self.answers, self.index, self.begun,
+                self.reply, self.settling, self.seen, self.settled)
+
+    def moves(self) -> dict:
+        moves = {}
+        if self.settling is None:
+            if self.parent._sent < len(self.triples):
+                moves["submit"] = lambda: self.parent.submit(*self.triples[self.parent._sent])
+            for index in set(range(self.parent._sent)) - self.settled:
+                moves[f"settle {index}"] = functools.partial(self.settle, index)
+        elif self.seen is None:
+            moves["load"] = self.load
+        else:
+            moves["step"] = self.step
+        if self.index < self.sent:
+            if not self.begun:
+                moves["begin"] = self.begin
+            if self.reply is None:
+                moves["answer"] = self.answer
+            elif self.begun:
+                moves["write"] = self.write_answer
+        return moves
+
+    # the parent side's steps
+    def settle(self, index: int) -> None:
+        self.settling = index
+        self.check_settled()
+
+    def load(self) -> None:
+        self.seen = crypto._WORD.unpack_from(self.board)[0]
+
+    def step(self) -> None:
+        read, queued = self.parent._read, set(self.parent._queued)
+        self.parent._step(self.settling, self.seen)
+        if self.parent._read == read:  # a take
+            (taken,) = queued - set(self.parent._queued)
+            # the helper has loaded the marks of the frames before ``index``,
+            # and that of ``index`` once it has a reply
+            self.races += taken < self.index + (self.reply is not None)
+        self.seen = None
+        self.check_settled()
+
+    def check_settled(self) -> None:
+        index = self.settling
+        if index not in self.parent._queued:
+            message, signature, key = self.triples[index]
+            assert signature._verdicts[(message, key)] is self.expected[index], \
+                f"triple {index} settled with a verdict other than verify's"
+            self.settling, self.settled = None, self.settled | {index}
+
+    # the helper side's steps
+    def begin(self) -> None:
+        crypto._begin(self.board, self.index)
+        self.begun = True
+
+    def answer(self) -> None:
+        end = crypto._frame(self.frames, self.offset)
+        self.reply = crypto._answer(self.board, self.slots, self.index,
+                                    self.frames, self.offset, end)
+        taken = self.index not in self.parent._queued
+        assert (self.reply == crypto._TAKEN) is taken, \
+            f"frame {self.index} answered {self.reply!r}, taken {taken}"
+
+    def write_answer(self) -> None:
+        assert len(self.reply) == 1, "one answer byte per frame"
+        assert len(self.answers) < self.slots, "the helper would wait to write an answer"
+        self.answers += self.reply
+        self.written += 1
+        self.offset = crypto._frame(self.frames, self.offset)
+        self.index, self.begun, self.reply = self.index + 1, False, None
+
+    def serve(self) -> None:
+        """Answer every frame sent, in order, as the forked helper does."""
+        while self.index < self.sent:
+            self.begin()
+            self.answer()
+            self.write_answer()
+
+
+def explore(model: Model) -> tuple[int, int]:
+    """Run every interleaving of ``model``'s steps, each state once; return
+    the number of states and of races, steps where both sides verify one
+    triple. Every run must end with each triple settled, one answer per frame
+    and nothing queued."""
+    keys = {id(key): key for _, _, key in model.triples}  # shared by every copy
+    seen, todo, races = {model.state()}, [model], 0
+    while todo:
+        model = todo.pop()
+        moved = False
+        for name in model.moves():
+            twin = copy.deepcopy(model, dict(keys))
+            try:
+                twin.moves()[name]()
+            except Blocked:
+                continue
+            moved = True
+            races += twin.races - model.races
+            if (state := twin.state()) not in seen:
+                seen.add(state)
+                todo.append(twin)
+        if not moved:
+            parent = model.parent
+            assert model.settled == set(range(len(model.triples))), "neither side can move"
+            assert model.written == model.sent == parent._sent == len(model.triples)
+            assert parent._queued == {} and parent._read + len(model.answers) == parent._sent
+    return len(seen), races
+
+
+@pytest.mark.parametrize("count, slots", [(4, 2), (4, 3), (3, 4)])
+def test_helper_protocol_holds_in_every_interleaving(count, slots):
+    # Over 2 or 3 slots, submit reads answers early and later triples reuse
+    # the slots of earlier ones; 3 triples over 4 slots need neither.
+    kp = generate_keypair("interleaved")
+    good = kp.sign(b"good")
+    triples = [(b"good" if i % 2 == 0 else b"bad", good, kp.public) for i in range(count)]
+    states, races = explore(Model(triples, slots))
+    print(f"{count} triples over {slots} slots: {states} states, {races} races")
+    assert races > 0  # both sides verify a triple in some interleaving
+
+
+def test_verdicts_come_without_a_stopped_helper_which_then_answers_taken(monkeypatch):
+    kp = generate_keypair("stopped")
+    model = Model([], slots=4)  # its helper side takes no step until ``serve``
+    monkeypatch.setattr(crypto, "_helper", model.parent)
+    good = kp.sign(b"good")
+    bad = Signature(bytes([good[0] ^ 1]) + good[1:])
+    bad.__dict__["_verdicts"] = {  # pending, as ``sign`` leaves it
+        (b"good", kp.public): crypto._submit(b"good", bad, kp.public)}
+    assert verified(b"good", good, kp.public) is verify(b"good", good, kp.public) is True
+    assert verified(b"good", bad, kp.public) is verify(b"good", bad, kp.public) is False
+    model.serve()
+    assert model.answers == crypto._TAKEN * 2
+
+
+def test_interrupted_take_fails_the_helper(monkeypatch):
+    def interrupted(message, signature, public_key):
+        raise KeyboardInterrupt
+
+    kp = generate_keypair("interrupted")
+    model = Model([], slots=4)
+    monkeypatch.setattr(crypto, "_helper", model.parent)
+    signature = kp.sign(b"message")
+    with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
+        patch.setattr(crypto, "verify", interrupted)
+        verified(b"message", signature, kp.public)  # taken, then cut short
+    model.serve()  # "taken", for a triple with no verdict: nothing reads it
+    assert model.answers == crypto._TAKEN
+    with pytest.raises(RuntimeError, match="taken from the verifier queue was not verified"):
+        verified(b"message", signature, kp.public)
+    with pytest.raises(RuntimeError, match="was not verified"):
+        kp.sign(b"later")
+
+
+class InterruptingVerdicts(dict):
+    """A signature's verdicts, where every store is cut short."""
+
+    def __setitem__(self, key, value):
+        raise KeyboardInterrupt
+
+
+def test_interrupted_receive_fails_the_helper(monkeypatch):
+    kp = generate_keypair("interrupted-receive")
+    model = Model([], slots=4)
+    monkeypatch.setattr(crypto, "_helper", model.parent)
+    first, second = kp.sign(b"first"), kp.sign(b"second")
+    model.serve()  # both answered, neither read
+    first.__dict__["_verdicts"] = InterruptingVerdicts(first._verdicts)
+    with pytest.raises(KeyboardInterrupt):
+        verified(b"second", second, kp.public)  # reads both answers, cut short at the first
+    assert 0 not in model.parent._queued  # its verdict is still the pending entry
+    for signature, message in ((first, b"first"), (second, b"second")):
+        with pytest.raises(RuntimeError, match="answer from the signature verifier process"):
+            verified(message, signature, kp.public)
+    with pytest.raises(RuntimeError, match="was not stored"):
+        kp.sign(b"later")
 
 
 # ---------------------------------------------------------------------------

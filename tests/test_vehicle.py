@@ -25,6 +25,7 @@ from overchain.ledger import (
     Chain,
     PayloadTag,
     TxKind,
+    append_block,
     build_transaction,
     check_integrity,
     countersign,
@@ -32,13 +33,12 @@ from overchain.ledger import (
 )
 from overchain.manager import BlockManager
 from overchain.messages import AppRequest, BaseActor, DeliverTx, UpdateNotice
-from overchain.services import CloudStore
+from overchain.services import CloudStore, Insurer
 from overchain.simnet import Engine, LinkModel, Trace
 from overchain.swformat import build_sw_binary, sw_object_id
 from overchain.vehicle import (
     StorageRecord,
     Vehicle,
-    prove_storage_integrity,
     storage_digest,
 )
 
@@ -169,10 +169,10 @@ def test_backup_of_empty_store_is_a_noop():
     assert obm.got == []
 
 
-# -- storage integrity proof ---------------------------------------------------------
+# -- storage integrity claims --------------------------------------------------------
 
 
-def test_prove_storage_integrity_accepts_anchored_snapshot_and_rejects_edits():
+def test_insurer_verdict_accepts_anchored_snapshot_and_rejects_edits():
     engine = make_engine()
     engine.add_node(Sink("obm"))
     account_key = generate_keypair("acct")
@@ -182,15 +182,17 @@ def test_prove_storage_integrity_accepts_anchored_snapshot_and_rejects_edits():
     anchor = veh.anchor_storage(engine)
 
     chain = Chain()
-    blk = form_block([anchor], chain, generate_keypair("gen"), 1)
-    from overchain.ledger import append_block
-    append_block(chain, blk)
+    append_block(chain, form_block([anchor], chain, generate_keypair("gen"), 1))
+    stored = chain.get_tx(anchor.t_id)  # what the manager's chain lookup answers
+    insurer = Insurer("insurer", generate_keypair("insurer"), "obm", cloud_id="cloud")
+    insurer.pk_db["acct-1"] = account_key.public
 
-    assert prove_storage_integrity(records, chain, [account_key.public])
+    assert insurer._verdict("acct-1", records, stored) == "accepted"
     edited = [records[0], StorageRecord(1.0, "speed", b"\xff"), records[2]]
-    assert not prove_storage_integrity(edited, chain, [account_key.public])
-    assert not prove_storage_integrity(records, chain, [generate_keypair("other").public])
-    assert not prove_storage_integrity(records + [records[0]], chain, [account_key.public])
+    assert insurer._verdict("acct-1", edited, stored) == "DigestMismatch"
+    assert insurer._verdict("acct-1", records + [records[0]], stored) == "DigestMismatch"
+    insurer.pk_db["acct-1"] = generate_keypair("other").public
+    assert insurer._verdict("acct-1", records, stored) == "KeyNotRegistered"
 
 
 # -- update verification ----------------------------------------------------------------
