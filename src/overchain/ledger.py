@@ -11,12 +11,12 @@ and receivers verify only a trust-dependent fraction of block contents; the
 closing audit checks every transaction by the same rule.
 
 Transactions and blocks are frozen, so each caches its checks on first use (a
-transaction its integrity verdict, a block its signing bytes, id check and dump
-line): every node that is handed the same object reuses them. A tampered copy
-(``dataclasses.replace``) is a new value and is checked afresh. Signature
-verdicts are kept only by ``crypto.verified``, on each ``Signature`` by exact
-message and key bytes, so a countersigned copy, which shares its pending copy's
-``sig_1`` object, does not verify ``sig_1`` again.
+transaction its integrity verdict and hex ``t_id``, a block its signing bytes,
+id check and dump line): every node that is handed the same object reuses
+them. A tampered copy (``dataclasses.replace``) is a new value and is checked
+afresh. Signature verdicts are kept only by ``crypto.verified``, on each
+``Signature`` by exact message and key bytes, so a countersigned copy, which
+shares its pending copy's ``sig_1`` object, does not verify ``sig_1`` again.
 ``BlockVerdict.verification_count`` still counts the simulated sample.
 """
 from __future__ import annotations
@@ -28,7 +28,6 @@ import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .config import LedgerConfig
@@ -40,6 +39,7 @@ from .crypto import (
     KeyPair,
     PublicKey,
     Signature,
+    cached,
     canonical_join,
     digest,
     verified,
@@ -94,7 +94,7 @@ class Transaction:
     def wire_bytes(self) -> bytes:
         return canonical_join(self.t_id) + self.body_bytes()
 
-    @cached_property
+    @cached
     def _integrity(self) -> TxVerdict:
         """``check_integrity``'s verdict, computed once per value."""
         if self.kind is TxKind.SINGLE and (self.pk_2 is not None or self.sig_2 is not None):
@@ -112,7 +112,12 @@ class Transaction:
             return TxVerdict(False, TxFault.BAD_SIGNATURE, "sig_2 invalid")
         return _TX_OK
 
-    @cached_property
+    @cached
+    def t_id_hex(self) -> str:
+        """``t_id`` in hex, as trace records name it; formatted once per value."""
+        return self.t_id.hex()
+
+    @cached
     def fully_signed(self) -> bool:
         return self.kind is TxKind.SINGLE or self.sig_2 is not None
 
@@ -252,7 +257,7 @@ class Block:
     def signing_body(self) -> bytes:
         return self._signing_body
 
-    @cached_property
+    @cached
     def _signing_body(self) -> bytes:
         fields = [
             self.prev_block_hash,
@@ -265,11 +270,11 @@ class Block:
     def compute_block_id(self) -> Digest:
         return digest(self.signing_body())
 
-    @cached_property
+    @cached
     def _id_ok(self) -> bool:
         return self.block_id == self.compute_block_id()
 
-    @cached_property
+    @cached
     def _dump_line(self) -> str:
         """``Chain.dump_lines``'s line for this block, encoded once per value."""
         return json.dumps(self.to_json_obj(), separators=(",", ":"))

@@ -13,6 +13,11 @@ Routing summary for an arriving transaction:
   - relayed, no match, already in the chain             -> dropped (duplicate)
 A fully signed software-update transaction additionally notifies vehicle
 members, gated on the countersigner holding a verifiable certificate.
+
+The key list files each access entry under both ordered key pairs, so a
+match is one dict lookup of ``(pk_1, pk_2)``. ``chain_summary`` works out a
+chain's ``manager_summary`` figures, which the end of a run computes once per
+distinct chain.
 """
 from __future__ import annotations
 
@@ -64,49 +69,43 @@ class KeyListEntry:
     member_pk: PublicKey
     member_id: str
 
-    @property
-    def pair(self) -> frozenset:
-        """The unordered key pair this entry admits, in either orientation."""
-        return frozenset((self.requester_pk, self.member_pk))
-
 
 class KeyList:
     """Ordered collection of access entries with pair matching in both
     orientations.
 
-    Entries are indexed by their unordered key pair: ``(r, m)`` matches
-    ``(pk_1, pk_2)`` in either orientation exactly when
-    ``{r, m} == {pk_1, pk_2}``. Each bucket keeps insertion order, so
-    ``matches`` returns hits in ``entries`` order.
+    Each entry is filed under both ordered key pairs, ``(r, m)`` and
+    ``(m, r)``, which share one bucket: ``matches(pk_1, pk_2)`` is one lookup
+    of ``(pk_1, pk_2)``, and finds the entries whose ``{r, m}`` is
+    ``{pk_1, pk_2}``. A bucket is a tuple in insertion order, so ``matches``
+    returns hits in ``entries`` order and hands out the bucket itself.
     """
 
     def __init__(self) -> None:
         self.entries: list[KeyListEntry] = []
-        self._by_pair: dict[frozenset, list[KeyListEntry]] = {}
+        self._by_pair: dict[tuple[PublicKey, PublicKey], tuple[KeyListEntry, ...]] = {}
 
     def add(self, entry: KeyListEntry) -> bool:
-        bucket = self._by_pair.setdefault(entry.pair, [])
-        if entry in bucket:
+        if entry in self._by_pair.get((entry.requester_pk, entry.member_pk), ()):
             return False
-        bucket.append(entry)
+        self._file(entry)
         self.entries.append(entry)
         return True
+
+    def _file(self, entry: KeyListEntry) -> None:
+        r, m = entry.requester_pk, entry.member_pk
+        self._by_pair[r, m] = self._by_pair[m, r] = self._by_pair.get((r, m), ()) + (entry,)
 
     def remove_member(self, member_id: str) -> int:
         before = len(self.entries)
         self.entries = [e for e in self.entries if e.member_id != member_id]
         self._by_pair = {}
         for e in self.entries:
-            self._by_pair.setdefault(e.pair, []).append(e)
+            self._file(e)
         return before - len(self.entries)
 
-    def entries_for(self, member_id: str) -> list[KeyListEntry]:
-        return [e for e in self.entries if e.member_id == member_id]
-
-    def matches(self, pk_1: PublicKey, pk_2: Optional[PublicKey]) -> list[KeyListEntry]:
-        if pk_2 is None:
-            return []
-        return list(self._by_pair.get(frozenset((pk_1, pk_2)), ()))
+    def matches(self, pk_1: PublicKey, pk_2: Optional[PublicKey]) -> tuple[KeyListEntry, ...]:
+        return self._by_pair.get((pk_1, pk_2), ())  # no pair holds None
 
 
 class BlockManager(BaseActor):
@@ -202,34 +201,31 @@ class BlockManager(BaseActor):
     def receive_transaction(self, engine, tx: Transaction, origin_member: Optional[str]) -> None:
         tid = tx.t_id
         if tid in self.seen_tids or tid in self.waiting:
-            self._drop(engine, tid.hex(), "duplicate", "")
+            self._drop(engine, tx.t_id_hex, "duplicate", "")
             return
         verdict = check_integrity(tx)
         if not verdict.ok:
-            self._drop(engine, tid.hex(), "invalid", verdict.detail)
+            self._drop(engine, tx.t_id_hex, "invalid", verdict.detail)
             return
-        if not self._predecessor_known(tx):
+        p = tx.p_t_id
+        if p != ZERO_DIGEST and p not in self.chain.tx_index and p not in self.pool:
             self.waiting[tid] = (tx, origin_member, engine.now + self.ledger.pending_timeout)
-            engine.trace.emit(engine.now, self.node_id, "tx_parked", t_id=tid.hex())
+            engine.trace.emit(engine.now, self.node_id, "tx_parked", t_id=tx.t_id_hex)
             return
         self._admit(engine, tx, origin_member)
-
-    def _predecessor_known(self, tx: Transaction) -> bool:
-        p = tx.p_t_id
-        return p == ZERO_DIGEST or p in self.chain.tx_index or p in self.pool
 
     def _drop(self, engine, tid_hex: str, reason: str, detail: str) -> None:
         self.drops[reason] += 1
         engine.trace.tx_dropped(engine.now, self.node_id, tid_hex, reason, detail)
 
     def _admit(self, engine, tx: Transaction, origin_member: Optional[str]) -> None:
-        self.seen_tids.add(tx.t_id)
-        tid_hex = tx.t_id.hex()
+        tid, tid_hex, fully_signed = tx.t_id, tx.t_id_hex, tx.fully_signed
+        self.seen_tids.add(tid)
         sinks = 0
-        committed = tx.t_id in self.chain.tx_index  # a block brought it before this copy
+        committed = tid in self.chain.tx_index  # a block brought it before this copy
 
-        if tx.fully_signed and not committed:
-            self.pool[tx.t_id] = tx
+        if fully_signed and not committed:
+            self.pool[tid] = tx
             self._window_count += 1
             engine.trace.tx_pooled(engine.now, self.node_id, tid_hex,
                                    "member" if origin_member else "peer")
@@ -238,11 +234,11 @@ class BlockManager(BaseActor):
         for entry in self.key_list.matches(tx.pk_1, tx.pk_2):
             self.delivered_count += 1
             engine.trace.tx_delivered(engine.now, self.node_id, tid_hex, entry.member_id,
-                                      not tx.fully_signed)
+                                      not fully_signed)
             engine.send(self.node_id, entry.member_id, DeliverTx(tx))
             sinks += 1
 
-        if tx.fully_signed and tx.payload_tag is PayloadTag.SW_UPDATE:
+        if fully_signed and tx.payload_tag is PayloadTag.SW_UPDATE:
             self._notify_update(engine, tx)
 
         if origin_member is not None and self.peers:
@@ -254,18 +250,18 @@ class BlockManager(BaseActor):
 
         if sinks == 0:
             # terminal: nothing consumed it and it has nowhere further to go
-            self.seen_tids.discard(tx.t_id)
+            self.seen_tids.discard(tid)
             if committed:
                 self._drop(engine, tid_hex, "duplicate", "arrived via block first")
             else:
                 self._drop(engine, tid_hex, "no_match", "")
             return
 
-        if tx.fully_signed:
-            self._unpark(engine, tx.t_id)
+        if fully_signed:
+            self._unpark(engine, tid)
 
     def _notify_update(self, engine, tx: Transaction) -> None:
-        tid_hex = tx.t_id.hex()
+        tid_hex = tx.t_id_hex
         if self.ledger.notify_requires_certificate:
             cert = self.certified.get(tx.pk_2)
             if cert is None or self.ca_pk is None or not verify_certificate(cert, self.ca_pk):
@@ -386,15 +382,23 @@ class BlockManager(BaseActor):
 
     # -- reporting ----------------------------------------------------------------
 
-    def emit_summary(self, engine) -> str:
-        """Emit ``manager_summary`` and return its ``chain_digest``, the hex
-        SHA-256 of the chain's text."""
-        chain_digest = _digest("\n".join(self.chain.dump_lines()).encode()).hex()
-        sw_finals = sum(1 for tx in self.chain.all_transactions()
-                        if tx.payload_tag is PayloadTag.SW_UPDATE and tx.fully_signed)
+    def emit_summary(self, engine, summary: tuple[str, int]) -> str:
+        """Emit ``manager_summary`` and return its ``chain_digest``. ``summary``
+        is ``chain_summary(self.chain)``, which a caller works out once for
+        every manager that holds the same chain."""
+        chain_digest, sw_finals = summary
         engine.trace.emit(engine.now, self.node_id, "manager_summary",
                           pool_depth=len(self.pool), waiting=len(self.waiting),
                           blocks=self.chain.height, delivered=self.delivered_count,
                           drops=dict(self.drops), sw_finals=sw_finals,
                           chain_digest=chain_digest)
         return chain_digest
+
+
+def chain_summary(chain: Chain) -> tuple[str, int]:
+    """``manager_summary``'s ``chain_digest``, the hex SHA-256 of the chain's
+    text, and ``sw_finals``, its fully signed software updates."""
+    chain_digest = _digest("\n".join(chain.dump_lines()).encode()).hex()
+    sw_finals = sum(1 for tx in chain.all_transactions()
+                    if tx.payload_tag is PayloadTag.SW_UPDATE and tx.fully_signed)
+    return chain_digest, sw_finals

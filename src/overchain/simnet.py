@@ -3,7 +3,8 @@
 A single priority queue orders deliveries by (time, sequence number); ties are
 broken by enqueue order, so a run is a pure function of configuration and
 seed. All randomness flows from one master seed through named sub-streams, so
-per-node behavior stays stable when unrelated configuration changes.
+per-node behavior stays stable when unrelated configuration changes; a send
+reads its sender's ``link:`` stream only when the links have jitter.
 
 ``Trace.emit(t, actor, event, **fields)`` writes any record. The seven routing
 and traffic events that make up most of a run's records (``tx_pooled``,
@@ -170,10 +171,15 @@ class Engine:
 
     def send(self, sender: str, target: str, payload: Any) -> None:
         """Network send: delivery after the sampled link delay."""
-        rng = self._link_rngs.get(sender)
-        if rng is None:
-            rng = self._link_rngs[sender] = self.rng(f"link:{sender}")
-        self._push(self.now + self.links.sample(sender, target, rng), target, payload)
+        links = self.links
+        if links.jitter:
+            rng = self._link_rngs.get(sender)
+            if rng is None:
+                rng = self._link_rngs[sender] = self.rng(f"link:{sender}")
+            delay = links.sample(sender, target, rng)
+        else:  # what ``sample`` returns without jitter, less a call per send
+            delay = links._base.get((sender, target), links.default_delay)
+        self._push(self.now + delay, target, payload)
 
     def schedule(self, delay: float, target: str, payload: Any) -> None:
         """Local timer on the target node (no network hop)."""

@@ -252,13 +252,13 @@ class Vehicle(BaseActor):
     def on_delivered(self, engine, tx: Transaction) -> None:
         if tx.fully_signed:
             self.last_final_tid[tx.pk_1] = tx.t_id
-        engine.trace.tx_received(engine.now, self.node_id, tx.t_id.hex(), not tx.fully_signed)
+        engine.trace.tx_received(engine.now, self.node_id, tx.t_id_hex, not tx.fully_signed)
         if tx.kind is TxKind.MULTI and tx.sig_2 is None:
             for keypair in self._my_keypairs():
                 if keypair.public == tx.pk_2:
                     final = countersign(tx, keypair)
-                    engine.trace.countersigned(engine.now, self.node_id, tx.t_id.hex(),
-                                               final.t_id.hex())
+                    engine.trace.countersigned(engine.now, self.node_id, tx.t_id_hex,
+                                               final.t_id_hex)
                     self.submit(engine, final)
                     return
 

@@ -18,11 +18,10 @@ use, and a ``start_ddos`` attacker's keys when the directive runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 from .config import ScenarioConfig, TrafficPhase, traffic_pairs
-from .crypto import ZERO_DIGEST, KeyRing, digest, generate_keypair, issue_certificate
+from .crypto import ZERO_DIGEST, KeyRing, cached, digest, generate_keypair, issue_certificate
 from .ledger import (
     PayloadTag,
     TxKind,
@@ -31,7 +30,7 @@ from .ledger import (
     schedule_block_turn,
     verify_chain,
 )
-from .manager import BlockManager
+from .manager import BlockManager, chain_summary
 from .messages import BaseActor, Timer, TxMessage
 from .services import CloudStore, Insurer, Oem, SwProvider
 from .simnet import Engine, LinkModel, Trace
@@ -68,7 +67,7 @@ class TrafficDriver(BaseActor):
         tx = build_transaction(TxKind.MULTI, previous, payload,
                                PayloadTag.GENERIC, req_key,
                                recipient_pk=partner.keys.current.public)
-        engine.trace.traffic_tx(engine.now, self.node_id, tx.t_id.hex(), requester.node_id,
+        engine.trace.traffic_tx(engine.now, self.node_id, tx.t_id_hex, requester.node_id,
                                 partner.node_id)
         requester.submit(engine, tx)
 
@@ -85,7 +84,7 @@ class Attacker(BaseActor):
         self.keypair = generate_keypair(f"{seed}:key:{node_id}")
         self.shots = 0
 
-    @cached_property
+    @cached
     def second_keypair(self):
         """The key that countersigns ``forge_final``'s forgery, derived on first use."""
         return generate_keypair(f"{self._seed}:key:{self.node_id}:2")
@@ -272,8 +271,15 @@ class ScenarioDriver(BaseActor):
                 engine.run()
             if not progressed:
                 break
-        # equal digests mean equal bytes of every field the audit reads
-        chains = {m.emit_summary(engine): m.chain for m in managers}
+        # one summary per distinct chain: the same Block objects in the same order
+        summaries: dict[tuple[int, ...], tuple[str, int]] = {}
+        chains = {}
+        for m in managers:
+            blocks = tuple(map(id, m.chain.blocks))
+            if blocks not in summaries:
+                summaries[blocks] = chain_summary(m.chain)
+            # equal digests mean equal bytes of every field the audit reads
+            chains[m.emit_summary(engine, summaries[blocks])] = m.chain
         all_valid = all(verify_chain(chain) for chain in chains.values())
         engine.trace.emit(engine.now, self.node_id, "scenario_end",
                           chains_equal=len(chains) == 1, all_valid=all_valid,

@@ -191,7 +191,7 @@ def test_criterion_08_single_handover_migrates_keys_without_duplicates(bundled):
     assert run.metrics["handover"]["count"] == 1
 
     old = run.world.managers[0]
-    assert old.key_list.entries_for("veh0") == []
+    assert [e for e in old.key_list.entries if e.member_id == "veh0"] == []
     assert "veh0" not in old.members
 
     lines = list(parse_trace(run.trace_text))

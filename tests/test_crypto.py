@@ -383,6 +383,23 @@ def test_killed_helper_raises_instead_of_hanging(monkeypatch):
 
 
 @needs_fork
+def test_helper_exits_quietly_when_its_parent_closes_the_answer_pipe(capfd):
+    kp = generate_keypair("closed")
+    signature = kp.sign(b"0")  # before the fork, so no other child holds the new pipes
+    helper = crypto._start_helper()
+    os.kill(helper.pid, signal.SIGSTOP)
+    os.waitid(os.P_PID, helper.pid, os.WSTOPPED | os.WNOWAIT)
+    for i in range(50):  # queued while stopped: its first answer meets a closed pipe
+        helper.submit(str(i).encode(), signature, kp.public)
+    helper.close()
+    os.kill(helper.pid, signal.SIGCONT)
+    with fails_after(60):
+        _, status = os.waitpid(helper.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert capfd.readouterr().err == ""
+
+
+@needs_fork
 def test_verdict_pending_at_a_fork_is_verified_in_the_child(monkeypatch):
     kp = generate_keypair("inherited")
     with stopped_helper(monkeypatch) as helper:  # the verdict cannot arrive before the fork
@@ -708,12 +725,17 @@ def test_certificate_single_bit_tamper_fails():
 # key rotation
 # ---------------------------------------------------------------------------
 
+def public_keys(ring):
+    """Every public key ``ring`` has held, oldest first."""
+    return [kp.public for kp in [*ring.history, ring.current]]
+
+
 def test_rotation_no_duplicate_public_keys():
     ring = KeyRing("veh-1", rotate_per_interaction=True)
     seen = [ring.interaction_key().public for _ in range(50)]
     assert len(set(seen)) == 50, "per-interaction keys must all be fresh"
     # history retains every retired key
-    assert set(ring.all_public_keys()) == set(seen)
+    assert set(public_keys(ring)) == set(seen)
 
 
 def test_rotation_disabled_reuses_current():
@@ -748,16 +770,16 @@ def test_keyring_derives_each_key_on_first_use(monkeypatch):
     assert ring.current.public == keys[0] and ring.current is ring.current
     assert len(derived) == 1
     assert ring.rotate().public == keys[1]
-    assert ring.all_public_keys() == keys[:2] and len(derived) == 2
+    assert public_keys(ring) == keys[:2] and len(derived) == 2
 
     rotating = KeyRing("veh-9", rotate_per_interaction=True)
     assert derived[2:] == []
     assert [rotating.interaction_key().public for _ in range(3)] == keys
-    assert rotating.all_public_keys() == keys and len(derived) == 5
+    assert public_keys(rotating) == keys and len(derived) == 5
 
     unread = KeyRing("veh-9")  # a rotation first retires key 0, as it always did
     assert unread.rotate().public == keys[1]
-    assert unread.all_public_keys() == keys[:2] and len(derived) == 7
+    assert public_keys(unread) == keys[:2] and len(derived) == 7
 
 
 def test_keyring_deterministic():

@@ -131,6 +131,7 @@ def test_builders_equal_the_draft_and_copy_construction(shape):
         if shape == "multi_countersigned":
             tx, ref = countersign(tx, BOB), reference_countersign(ref, BOB)
     assert tx == ref  # Ed25519 signing is deterministic: every field is equal
+    assert tx.t_id_hex == ref.t_id_hex == tx.t_id.hex()  # worked out on first read
     signers = [(tx.sig_1, tx.pk_1)] + ([(tx.sig_2, tx.pk_2)] if tx.sig_2 else [])
     if crypto._helper is not None:
         # each verdict is still pending, under the exact bytes _integrity recomputes
@@ -182,7 +183,7 @@ def test_transaction_json_round_trip():
     tx = countersign(pending(), BOB)
     obj = tx.to_json_obj()
     assert Transaction.from_json_obj(obj) == tx
-    assert obj["t_id"] == tx.t_id.hex()
+    assert obj["t_id"] == tx.t_id.hex() == Transaction.from_json_obj(obj).t_id_hex
 
 
 def test_validate_ok_and_bad_signature():

@@ -27,7 +27,7 @@ from overchain.ledger import (
     schedule_block_turn,
     verify_chain,
 )
-from overchain.manager import BlockManager, KeyList, KeyListEntry
+from overchain.manager import BlockManager, KeyList, KeyListEntry, chain_summary
 from overchain.messages import BaseActor, BlockMessage, DeliverTx, TxMessage, UpdateNotice
 from overchain.report import compute_metrics, parse_trace
 from overchain.simnet import Engine, LinkModel, Trace
@@ -87,8 +87,8 @@ def test_key_list_add_is_idempotent_and_matches_both_orientations():
     assert len(kl.entries) == 1
     assert [e.member_id for e in kl.matches(a, b)] == ["veh"]
     assert [e.member_id for e in kl.matches(b, a)] == ["veh"]
-    assert kl.matches(a, generate_keypair("c").public) == []
-    assert kl.matches(a, None) == []
+    assert kl.matches(a, generate_keypair("c").public) == ()
+    assert kl.matches(a, None) == ()
 
 
 def test_key_list_remove_member_clears_only_that_member():
@@ -124,15 +124,13 @@ def test_key_list_index_agrees_with_linear_scan(ops):
             removed = [e for e in ref if e.member_id == op[1]]
             ref = [e for e in ref if e.member_id != op[1]]
             assert kl.remove_member(op[1]) == len(removed)
-        assert len(kl.entries) == len(ref)
-        for member in _MEMBERS:
-            assert kl.entries_for(member) == [e for e in ref if e.member_id == member]
+        assert kl.entries == ref
         for pk_1 in _KEYS:
-            assert kl.matches(pk_1, None) == []
+            assert kl.matches(pk_1, None) == ()
             for pk_2 in _KEYS:
                 expected = [e for e in ref
                             if (e.requester_pk, e.member_pk) in ((pk_1, pk_2), (pk_2, pk_1))]
-                assert kl.matches(pk_1, pk_2) == expected
+                assert list(kl.matches(pk_1, pk_2)) == expected
 
 
 def test_upload_key_pair_requires_membership():
@@ -141,7 +139,7 @@ def test_upload_key_pair_requires_membership():
     assert not m.upload_key_pair(engine.trace, engine.now, "stranger", a, b)
     m.add_member("veh", "vehicle")
     assert m.upload_key_pair(engine.trace, engine.now, "veh", a, b)
-    assert m.key_list.entries_for("veh") == [KeyListEntry(a, b, "veh")]
+    assert m.key_list.entries == [KeyListEntry(a, b, "veh")]
 
 
 # -- admission and routing ------------------------------------------------------
@@ -613,8 +611,7 @@ def test_join_and_leave_cluster_manage_membership_and_keys():
     engine.run()
     assert veh.responses == [{"ok": True}]
     assert m.members == {"veh9": "vehicle"}
-    assert m.key_list.entries_for("veh9") == [
-        KeyListEntry(req.public, member.public, "veh9")]
+    assert m.key_list.entries == [KeyListEntry(req.public, member.public, "veh9")]
 
     veh.ask(engine, m.node_id, "leave_cluster", {})
     engine.run()
@@ -641,6 +638,6 @@ def test_summary_reports_chain_digest_and_drop_partition():
     _, tx = single_tx("s")
     engine.send(m.node_id, m.node_id, TxMessage(tx, None))
     engine.run()
-    m.emit_summary(engine)
+    m.emit_summary(engine, chain_summary(m.chain))
     line = [l for l in engine.trace.text().splitlines() if "manager_summary" in l][-1]
     assert '"pool_depth":1' in line and '"chain_digest":"' in line

@@ -380,7 +380,7 @@ def test_open_account_provisions_vehicle_and_uploads_access_keys():
     assert got_key.public == insurer.pk_db[account_id]
     assert cloud.accounts[account_id] == got_key.public
     assert insurer.registry[account_id] == "owner-1"
-    [entry] = manager.key_list.entries_for("veh")
+    [entry] = [e for e in manager.key_list.entries if e.member_id == "veh"]
     assert entry.requester_pk == insurer.keypair.public
     assert entry.member_pk == got_key.public
 

@@ -1,7 +1,11 @@
 """Event engine: ordering, determinism, link schedules, probes, quiescence,
 and the trace's record encoding, by ``emit`` and by the positional writers."""
 import enum
+import hashlib
+import heapq
+import itertools
 import json
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,3 +279,108 @@ def test_dispatch_order_is_nondecreasing_time(events):
     times = [t for t, _ in rec.log]
     assert times == sorted(times)
     assert len(rec.log) == len(events)
+
+
+# -- dispatch order against a reference (time, seq) heap ---------------------------
+
+
+class HeapEngine:
+    """The engine's scheduling rules as one plain heap of (time, seq) events:
+    the order ``Engine`` must keep. ``schedule_at`` queues a past time at
+    ``now``; a negative delay is queued as it is, and its event runs at ``now``.
+    Link streams are derived as ``Engine.rng`` documents: from the SHA-256 of
+    ``"<seed>:link:<sender>"``."""
+
+    def __init__(self, seed, links):
+        self.seed, self.links = seed, links
+        self.now, self.nodes, self._queue, self._seq, self._rngs = 0.0, {}, [], 0, {}
+
+    def add_node(self, node):
+        self.nodes[node.node_id] = node
+
+    def _push(self, at, target, payload):
+        self._seq += 1
+        heapq.heappush(self._queue, (at, self._seq, target, payload))
+
+    def send(self, sender, target, payload):
+        if sender not in self._rngs:
+            material = hashlib.sha256(f"{self.seed}:link:{sender}".encode()).digest()
+            self._rngs[sender] = Random(int.from_bytes(material, "big"))
+        self._push(self.now + self.links.sample(sender, target, self._rngs[sender]),
+                   target, payload)
+
+    def schedule(self, delay, target, payload):
+        self._push(self.now + delay, target, payload)
+
+    def schedule_at(self, at, target, payload):
+        self._push(max(at, self.now), target, payload)
+
+    def run(self, max_time=None):
+        while self._queue:
+            if max_time is not None and self._queue[0][0] > max_time:
+                return False
+            at, _, target, payload = heapq.heappop(self._queue)
+            self.now = max(self.now, at)
+            self.nodes[target].handle(self, payload)
+        return True
+
+    @property
+    def pending_events(self):
+        return len(self._queue)
+
+
+class Player(BaseActor):
+    """Logs each event it is handed, with the engine's clock and counters, then
+    makes the pushes ``program`` lists for that event; every push carries the
+    next event number."""
+
+    def __init__(self, node_id, program, counter, log):
+        super().__init__(node_id)
+        self.program, self.counter, self.log = program, counter, log
+
+    def handle(self, engine, payload):
+        self.log.append((engine.now, self.node_id, payload, engine.pending_events, engine._seq))
+        play(engine, self.node_id, self.program.get(payload, ()), self.counter)
+
+
+def play(engine, sender, ops, counter):
+    for kind, target, value in ops:
+        event = next(counter)
+        if kind == "send":
+            engine.send(sender, target, event)
+        elif kind == "schedule":
+            engine.schedule(value, target, event)
+        else:
+            engine.schedule_at(value, target, event)
+
+
+_PLAYERS = ("p", "q", "r")
+_OPS = st.lists(st.tuples(st.sampled_from(["send", "schedule", "schedule_at"]),
+                          st.sampled_from(_PLAYERS),
+                          st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.5])),  # a delay or a time
+                max_size=4)
+
+
+@given(start=_OPS, program=st.dictionaries(st.integers(0, 12), _OPS, max_size=8),
+       jitter=st.sampled_from([0.0, 0.0, 0.5]),
+       cuts=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 5.0]), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_dispatch_order_matches_a_time_and_sequence_heap(start, program, jitter, cuts):
+    """Same-instant sends, zero and negative delays, ``schedule_at`` in the
+    past, pushes made during a dispatch, jitter on and off and ``run(max_time)``
+    cut-offs: the engine dispatches as the reference heap does, with
+    the same clock, pending count and sequence number at every event."""
+    runs = []
+    for make in (Engine, HeapEngine):
+        links = LinkModel(default_delay=1.0, jitter=jitter)
+        links.set_link("p", "q", 0.5)
+        engine, counter, log = make(4, links), itertools.count(), []
+        for node_id in _PLAYERS:
+            engine.add_node(Player(node_id, program, counter, log))
+        play(engine, "p", start, counter)
+        outcomes = []
+        for cut in [*cuts, None]:
+            outcomes.append((engine.run(max_time=cut), engine.now, engine.pending_events,
+                             engine._seq, len(log)))
+        runs.append((log, outcomes))
+    assert runs[0] == runs[1]
