@@ -227,17 +227,13 @@ def verified(message: bytes, signature: Signature, public_key: PublicKey) -> boo
 # ``KeyPair.sign`` of a process forks one helper, which runs ``verify`` on every
 # signature that process makes, with its exact message and key, while the
 # signature keeps a pending verdict; a verdict never comes from the act of
-# signing. This process verifies ("takes") a queued triple itself rather than
-# wait (see ``_Helper.settle``). Each side's steps are plain functions over a
-# board and byte channels, so a test runs both in one process.
+# signing. This process never waits on a verdict: it verifies ("takes") a
+# queued triple itself instead, and flags it on a shared board that only this
+# process writes, so the helper skips it (see ``_Helper``). Each side's steps
+# are plain functions over a board and byte channels, so a test runs both in
+# one process.
 
 _TAKEN = b"\x02"  # the helper's answer to a triple its parent has taken
-_WORD = struct.Struct("Q")  # one native word of the board
-
-
-def _mark(index: int, slots: int) -> int:
-    """The board offset of triple ``index``'s mark, over ``slots`` marks."""
-    return _WORD.size * (1 + index % slots)
 
 
 class _Pipe(int):
@@ -249,29 +245,38 @@ class _Pipe(int):
     def read(self, size: int) -> bytes:
         return os.read(self, size)
 
+    @cached
+    def _poll(self):
+        poll = select.poll()  # not ``select.select``, which refuses descriptors of 1024 and up
+        poll.register(self, select.POLLIN)
+        return poll
+
+    def ready(self) -> bool:
+        """Whether ``read`` returns at once: bytes wait, or every writer has closed."""
+        return bool(self._poll.poll(0))
+
 
 class _Helper:
-    """This process's side of one verifier helper, over the board the two share
+    """This process's side of one verifier helper, over a board of take flags
     and a byte channel each way. Triples go out as frames (u32 big-endian
     message length, message, signature, public key); answers come back as one
     byte each (1 valid, 0 not, 2 taken), in the same order. A triple is in
     ``_queued`` exactly until its signature holds a verdict, from a take or
     from its answer; ``_sent`` and ``_read`` count frames and answers.
 
-    The board has ``1 + n`` words. The first is the number of frames the
-    helper has begun, stored before it loads the frame's mark. Word
-    ``1 + i % n`` holds ``i + 1`` once this process has taken triple ``i``,
-    which it does only while the helper has not begun it; the helper then
-    answers "taken" unverified. If taking and beginning race, both verify the
-    triple with ``verify``. ``submit`` reads answers so that fewer than ``n``
-    are ever due: a mark is overwritten only after its triple is answered, and
-    as the forked board has ``PIPE_BUF`` marks and a pipe holds ``PIPE_BUF``
-    bytes or more, the helper never blocks on an answer and drains every
-    write of ``submit``."""
+    Only this process writes the board's ``n`` one-byte flags: ``submit``
+    clears flag ``i % n`` before it sends triple ``i``, and ``_take`` sets it
+    before it verifies the triple. The helper reads the flag of each frame and
+    answers a set one "taken" without verifying; a take after that read means
+    both verify the triple with ``verify``. ``submit`` reads answers so that
+    fewer than ``n`` are ever due, so triple ``i`` is answered and read before
+    its flag is cleared for triple ``i + n``. As the forked board has
+    ``PIPE_BUF`` flags and a pipe holds ``PIPE_BUF`` bytes or more, the helper
+    never blocks on an answer and drains every write of ``submit``."""
 
     def __init__(self, board, triples, verdicts, pid: int) -> None:
         self._board, self._triples, self._verdicts, self.pid = board, triples, verdicts, pid
-        self._slots = len(board) // _WORD.size - 1  # n: marks, all words but the first
+        self._slots = len(board)  # n: the take flags
         self._sent = self._read = 0
         self._queued: dict[int, tuple[bytes, Signature, PublicKey]] = {}  # oldest first
         self._failure: Optional[str] = None
@@ -282,6 +287,7 @@ class _Helper:
             raise RuntimeError(self._failure)
         if self._sent - self._read >= self._slots - 1:
             self.receive()
+        self._board[self._sent % self._slots] = 0
         frame = memoryview(_U32.pack(len(message)) + message + signature + public_key)
         try:
             while frame:
@@ -296,29 +302,27 @@ class _Helper:
         return self._sent - 1
 
     def settle(self, index: int) -> None:
-        """Return once the ``index``-th triple's signature holds its verdict.
-        Take the triple if the helper has not begun it; while the helper works
-        on it, take the newest triple it has not begun; else wait for answers."""
+        """Return once the ``index``-th triple's signature holds its verdict,
+        without waiting: store answers while some can be read at once, else
+        take the newest queued triple, until that one is settled."""
         if self._failure is not None:
             raise RuntimeError(self._failure)
         while index in self._queued:
-            self._step(index, _WORD.unpack_from(self._board)[0])
+            self._step(self._verdicts.ready())
 
-    def _step(self, index: int, begun: int) -> None:
-        """One round of ``settle``, with ``begun`` as last loaded from the board."""
-        if begun <= index:
-            self._take(index)
-        elif begun == index + 1 and (newest := next(reversed(self._queued))) >= begun:
-            self._take(newest)
-        else:
+    def _step(self, ready: bool) -> None:
+        """One round of ``settle``, with ``ready`` as last polled from the answers."""
+        if ready:
             self.receive()
+        else:
+            self._take(next(reversed(self._queued)))
 
     def _take(self, index: int) -> None:
-        """Verify the ``index``-th triple here, marking it first so that the
+        """Verify the ``index``-th triple here, flagging it first so that the
         helper skips it; its signature keeps the verdict."""
         try:
             message, signature, public_key = self._queued.pop(index)
-            _WORD.pack_into(self._board, _mark(index, self._slots), index + 1)
+            self._board[index % self._slots] = 1
             signature._verdicts[(message, public_key)] = verify(message, signature, public_key)
         except BaseException:  # its signature would be left with no verdict
             self._failure = "a signature taken from the verifier queue was not verified"
@@ -326,7 +330,7 @@ class _Helper:
 
     def receive(self) -> None:
         """Wait for an answer, then store every one written on its triple's
-        signature, unless taken. Call it only while an answer is due."""
+        signature, unless taken. Call it only while an answer is due or ready."""
         if self._failure is not None:
             raise RuntimeError(self._failure)
         try:
@@ -359,7 +363,7 @@ class _Helper:
 
 def _start_helper() -> _Helper:
     """Fork a verifier helper over a new shared board and two pipes."""
-    board = mmap.mmap(-1, _WORD.size * (1 + select.PIPE_BUF))
+    board = mmap.mmap(-1, select.PIPE_BUF)
     triples_in, triples = os.pipe()
     verdicts, verdicts_out = os.pipe()
     pid = os.fork()
@@ -381,15 +385,10 @@ def _frame(buf, start: int) -> Optional[int]:
     return end if end <= len(buf) else None
 
 
-def _begin(board, index: int) -> None:
-    """The helper's first step on the ``index``-th frame: mark it begun."""
-    _WORD.pack_into(board, 0, index + 1)
-
-
-def _answer(board, slots: int, index: int, buf, start: int, end: int) -> bytes:
+def _answer(board, index: int, buf, start: int, end: int) -> bytes:
     """The helper's answer to the ``index``-th frame, ``buf[start:end]``: "taken"
-    if marked on ``board``, else the byte of ``verify``'s verdict on its bytes."""
-    if _WORD.unpack_from(board, _mark(index, slots))[0] == index + 1:
+    if flagged on ``board``, else the byte of ``verify``'s verdict on its bytes."""
+    if board[index % len(board)]:
         return _TAKEN
     key_at = end - PUBLIC_KEY_SIZE
     sig_at = key_at - SIGNATURE_SIZE
@@ -398,23 +397,22 @@ def _answer(board, slots: int, index: int, buf, start: int, end: int) -> bytes:
 
 
 def _serve(triples: int, verdicts: int, board: mmap.mmap) -> NoReturn:
-    """The helper's loop: for each framed triple in order, ``_begin`` it, then
-    write its ``_answer``; exit, with status 0, when every writer has closed
-    the triple pipe or every reader the answer pipe.
+    """The helper's loop: for each framed triple in order, write its
+    ``_answer``; exit, with status 0, when every writer has closed the triple
+    pipe or every reader the answer pipe. It only reads the board.
     It keeps no decoded keys: it outlives a run when the process goes on to
     another, and nothing may be remembered from one run to the next."""
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
         gc.disable()  # the loop makes no cycles; a collection would copy the parent's heap
-        buf, begun, slots = bytearray(), 0, len(board) // _WORD.size - 1
+        buf, index = bytearray(), 0
         while chunk := os.read(triples, 1 << 16):
             buf += chunk
             start = 0
             while end := _frame(buf, start):
-                _begin(board, begun)
-                os.write(verdicts, _answer(board, slots, begun, buf, start, end))
-                start, begun = end, begun + 1
+                os.write(verdicts, _answer(board, index, buf, start, end))
+                start, index = end, index + 1
             del buf[:start]
         status = 0
     except BrokenPipeError:  # the parent closed its end: no one is left to answer
@@ -451,7 +449,7 @@ def _submit(message: bytes, signature: Signature,
 def _forget_helper() -> None:
     """In a forked child: drop the parent's helper, whose pipes and board are
     the parent's. ``verified`` then verifies its pending verdicts in-process,
-    with no mark on the parent's board; a first ``sign`` here starts this
+    with no flag set on the parent's board; a first ``sign`` here starts this
     process's own helper."""
     global _helper, _helper_tried
     if _helper is not None:

@@ -21,7 +21,6 @@ shares its pending copy's ``sig_1`` object, does not verify ``sig_1`` again.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import random
@@ -245,6 +244,12 @@ def validate_transaction(
 # blocks and chains
 # ---------------------------------------------------------------------------
 
+def _block_body(prev_block_hash, generator_pk, height, transactions) -> bytes:
+    """The bytes a block's generator signs and its id hashes."""
+    return canonical_join(prev_block_hash, generator_pk, struct.pack(">Q", height),
+                          *(tx.wire_bytes() for tx in transactions))
+
+
 @dataclass(frozen=True)
 class Block:
     block_id: Digest
@@ -259,13 +264,8 @@ class Block:
 
     @cached
     def _signing_body(self) -> bytes:
-        fields = [
-            self.prev_block_hash,
-            self.generator_pk,
-            struct.pack(">Q", self.height),
-        ]
-        fields.extend(tx.wire_bytes() for tx in self.transactions)
-        return canonical_join(*fields)
+        return _block_body(self.prev_block_hash, self.generator_pk, self.height,
+                           self.transactions)
 
     def compute_block_id(self) -> Digest:
         return digest(self.signing_body())
@@ -395,20 +395,11 @@ def form_block(
         return None
     chosen_ids = {tx.t_id for tx in chosen}
     pool[:] = [tx for tx in pool if tx.t_id not in chosen_ids]
-    draft = Block(
-        block_id=ZERO_DIGEST,
-        prev_block_hash=chain.head_hash,
-        generator_pk=generator.public,
-        height=len(chain.blocks),
-        transactions=tuple(chosen),
-        generator_signature=Signature(b"\x00" * 64),
-    )
-    body = draft.signing_body()
-    block = dataclasses.replace(
-        draft, block_id=digest(body), generator_signature=generator.sign(body)
-    )
-    # The block's signing bytes are the draft's; share them with the pending
-    # verdict, which ``sign`` keyed by them, instead of building a second copy.
+    fields = (chain.head_hash, generator.public, len(chain.blocks), tuple(chosen))
+    body = _block_body(*fields)
+    block = Block(digest(body), *fields, generator.sign(body))
+    # Share the signing bytes with the pending verdict, which ``sign`` keyed
+    # by them, instead of building a second copy.
     block.__dict__["_signing_body"] = body
     return block
 

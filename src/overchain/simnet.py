@@ -144,7 +144,6 @@ class Engine:
         self._queue: list[tuple[float, int, str, Any]] = []
         self._seq = 0
         self._rngs: dict[str, Random] = {}
-        self._link_rngs: dict[str, Random] = {}  # sender -> its "link:" stream
 
     # -- nodes and randomness ------------------------------------------------
 
@@ -173,10 +172,7 @@ class Engine:
         """Network send: delivery after the sampled link delay."""
         links = self.links
         if links.jitter:
-            rng = self._link_rngs.get(sender)
-            if rng is None:
-                rng = self._link_rngs[sender] = self.rng(f"link:{sender}")
-            delay = links.sample(sender, target, rng)
+            delay = links.sample(sender, target, self.rng(f"link:{sender}"))
         else:  # what ``sample`` returns without jitter, less a call per send
             delay = links._base.get((sender, target), links.default_delay)
         self._push(self.now + delay, target, payload)

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import functools
 import hashlib
+import itertools
 import os
 import pickle
 import select
@@ -407,8 +408,28 @@ def test_verdict_pending_at_a_fork_is_verified_in_the_child(monkeypatch):
         assert in_child(lambda: crypto._helper is None
                         and verified(b"good", good, kp.public)
                         and not verified(b"bad", good, kp.public))
-        assert helper._board[:] == bytes(len(helper._board))  # the child marked nothing
+        assert helper._board[:] == bytes(len(helper._board))  # the child flagged nothing
     assert verified(b"good", good, kp.public)  # the parent's pending verdict still settles
+    helper.close()
+    os.waitpid(helper.pid, 0)
+
+
+@needs_fork
+def test_forked_helper_never_writes_the_board(monkeypatch):
+    kp = generate_keypair("one-writer")
+    good = kp.sign(b"good")
+    triples = [(b"good" if i % 3 else b"bad", Signature(good), kp.public) for i in range(20)]
+    with fails_after(60):  # else settle waited on the stopped helper
+        with stopped_helper(monkeypatch) as helper:  # fewer frames than a pipe holds
+            for triple in triples:
+                helper.submit(*triple)
+            assert settled(helper, 12, triples[12]) is verify(*triples[12])
+            taken = set(range(len(triples))) - set(helper._queued)  # 12 and every newer one
+        while helper._read < helper._sent:  # the resumed helper answers every frame
+            helper.receive()
+    assert [settled(helper, i, t) for i, t in enumerate(triples)] \
+        == [verify(*t) for t in triples]
+    assert helper._board[:] == bytes(i in taken for i in range(len(helper._board)))
     helper.close()
     os.waitpid(helper.pid, 0)
 
@@ -454,36 +475,34 @@ class Sig(Signature):
 class Model:
     """Both sides of one verifier helper in this process, each step run when
     the caller says. The parent side is a real ``crypto._Helper`` over a
-    ``bytearray`` board of ``1 + slots`` words, with this model as both of its
-    byte channels; the helper side runs ``crypto._frame``, ``_begin`` and
-    ``_answer`` on the frames the parent wrote. The answer channel holds
-    ``slots`` bytes, as a pipe holds ``PIPE_BUF``.
+    ``bytearray`` board of ``slots`` take flags, with this model as both of its
+    byte channels; the helper side runs ``crypto._frame`` and ``_answer`` on the
+    frames the parent wrote. The answer channel holds ``slots`` bytes, as a
+    pipe holds ``PIPE_BUF``.
 
     ``moves`` names each step either side can take next. The parent submits
     its triples in order and settles each submitted one, in any order, one at
-    a time. Each round of ``settle`` is split into its load of ``begun`` from
-    the board and the move it makes with that value, so the helper can act in
-    between. The helper may load a frame's mark before its store of ``begun``
-    is seen (x86 lets a load pass an earlier store); its answer byte goes out
-    after both. The steps check what the protocol promises:
+    a time. Each round of ``settle`` is split into its poll of the answer
+    channel and the ``_step`` it makes with that result, so the helper can act
+    in between. The helper checks a frame's flag, then writes its answer. The
+    steps check what the protocol promises:
     - the helper answers "taken" exactly for the triples taken before it
-      loads their mark, with one byte per frame, and never waits to write it;
+      checks their flag, with one byte per frame, and never waits to write it;
     - a triple leaves ``_queued`` with ``verify``'s verdict on its signature;
-    - the parent reads only while an answer is due."""
+    - the parent reads only while an answer is due or ready, and ``settle``
+      never waits."""
 
     def __init__(self, triples, slots: int):
         self.triples = [(message, Sig(signature), key) for message, signature, key in triples]
         self.expected = [verify(*triple) for triple in triples]
-        self.slots = slots
-        self.board = bytearray(crypto._WORD.size * (1 + slots))
+        self.board = bytearray(slots)
         self.parent = crypto._Helper(self.board, self, self, 0)
         self.frames, self.sent = b"", 0  # the triple channel: all it was sent
         self.answers, self.written = b"", 0  # the answer channel: bytes not yet read
-        # the helper side: its frame, whether it stored ``begun`` for it, its answer
-        self.index, self.offset, self.begun, self.reply = 0, 0, False, None
-        # the parent side: the triple it settles, the ``begun`` it loaded, those settled
-        self.settling, self.seen, self.settled = None, None, frozenset()
-        self.races = 0  # takes of a triple whose mark the helper had loaded
+        self.index, self.offset, self.reply = 0, 0, None  # the helper side: its frame, its answer
+        # the parent side: the triple it settles, what its poll saw, those settled
+        self.settling, self.polled, self.settled = None, None, frozenset()
+        self.races = 0  # takes of a triple whose flag the helper had checked
 
     # the parent side's byte channels
     def write(self, frame) -> int:
@@ -493,18 +512,22 @@ class Model:
 
     def read(self, size: int) -> bytes:
         if not self.answers:
+            assert self.settling is None, "settle would wait for an answer"
             assert self.written < self.sent, "a read with no answer due would wait forever"
             raise Blocked
         data, self.answers = self.answers[:size], self.answers[size:]
         return data
+
+    def ready(self) -> bool:
+        return bool(self.answers)
 
     def state(self) -> tuple:
         parent = self.parent
         verdicts = tuple(vars(signature).get("_verdicts", {}).get((message, key))
                          for message, signature, key in self.triples)
         return (parent._sent, parent._read, tuple(parent._queued), verdicts,
-                bytes(self.board), self.sent, self.answers, self.index, self.begun,
-                self.reply, self.settling, self.seen, self.settled)
+                bytes(self.board), self.sent, self.answers, self.index, self.reply,
+                self.settling, self.polled, self.settled)
 
     def moves(self) -> dict:
         moves = {}
@@ -513,16 +536,14 @@ class Model:
                 moves["submit"] = lambda: self.parent.submit(*self.triples[self.parent._sent])
             for index in set(range(self.parent._sent)) - self.settled:
                 moves[f"settle {index}"] = functools.partial(self.settle, index)
-        elif self.seen is None:
-            moves["load"] = self.load
+        elif self.polled is None:
+            moves["poll"] = self.poll
         else:
             moves["step"] = self.step
         if self.index < self.sent:
-            if not self.begun:
-                moves["begin"] = self.begin
             if self.reply is None:
                 moves["answer"] = self.answer
-            elif self.begun:
+            else:
                 moves["write"] = self.write_answer
         return moves
 
@@ -531,18 +552,18 @@ class Model:
         self.settling = index
         self.check_settled()
 
-    def load(self) -> None:
-        self.seen = crypto._WORD.unpack_from(self.board)[0]
+    def poll(self) -> None:
+        self.polled = self.ready()
 
     def step(self) -> None:
         read, queued = self.parent._read, set(self.parent._queued)
-        self.parent._step(self.settling, self.seen)
+        self.parent._step(self.polled)
         if self.parent._read == read:  # a take
             (taken,) = queued - set(self.parent._queued)
-            # the helper has loaded the marks of the frames before ``index``,
+            # the helper has checked the flags of the frames before ``index``,
             # and that of ``index`` once it has a reply
             self.races += taken < self.index + (self.reply is not None)
-        self.seen = None
+        self.polled = None
         self.check_settled()
 
     def check_settled(self) -> None:
@@ -554,30 +575,24 @@ class Model:
             self.settling, self.settled = None, self.settled | {index}
 
     # the helper side's steps
-    def begin(self) -> None:
-        crypto._begin(self.board, self.index)
-        self.begun = True
-
     def answer(self) -> None:
         end = crypto._frame(self.frames, self.offset)
-        self.reply = crypto._answer(self.board, self.slots, self.index,
-                                    self.frames, self.offset, end)
+        self.reply = crypto._answer(self.board, self.index, self.frames, self.offset, end)
         taken = self.index not in self.parent._queued
         assert (self.reply == crypto._TAKEN) is taken, \
             f"frame {self.index} answered {self.reply!r}, taken {taken}"
 
     def write_answer(self) -> None:
         assert len(self.reply) == 1, "one answer byte per frame"
-        assert len(self.answers) < self.slots, "the helper would wait to write an answer"
+        assert len(self.answers) < len(self.board), "the helper would wait to write an answer"
         self.answers += self.reply
         self.written += 1
         self.offset = crypto._frame(self.frames, self.offset)
-        self.index, self.begun, self.reply = self.index + 1, False, None
+        self.index, self.reply = self.index + 1, None
 
     def serve(self) -> None:
         """Answer every frame sent, in order, as the forked helper does."""
         while self.index < self.sent:
-            self.begin()
             self.answer()
             self.write_answer()
 
@@ -611,16 +626,34 @@ def explore(model: Model) -> tuple[int, int]:
     return len(seen), races
 
 
-@pytest.mark.parametrize("count, slots", [(4, 2), (4, 3), (3, 4)])
-def test_helper_protocol_holds_in_every_interleaving(count, slots):
-    # Over 2 or 3 slots, submit reads answers early and later triples reuse
-    # the slots of earlier ones; 3 triples over 4 slots need neither.
+def alternating(count: int) -> list:
+    """``count`` triples, valid and not in turn, over one signature."""
     kp = generate_keypair("interleaved")
     good = kp.sign(b"good")
-    triples = [(b"good" if i % 2 == 0 else b"bad", good, kp.public) for i in range(count)]
-    states, races = explore(Model(triples, slots))
+    return [(b"good" if i % 2 == 0 else b"bad", good, kp.public) for i in range(count)]
+
+
+@pytest.mark.parametrize("count, slots", [(4, 2), (4, 3), (3, 4), (5, 2), (5, 3)])
+def test_helper_protocol_holds_in_every_interleaving(count, slots):
+    # Over 2 or 3 slots, submit reads answers early and later triples reuse
+    # the flags of earlier ones; 3 triples over 4 slots need neither.
+    states, races = explore(Model(alternating(count), slots))
     print(f"{count} triples over {slots} slots: {states} states, {races} races")
     assert races > 0  # both sides verify a triple in some interleaving
+
+
+def test_settle_never_waits_on_a_helper_that_stalls_before_it_writes():
+    for order in itertools.permutations(range(3)):
+        model = Model(alternating(3), slots=4)
+        for triple in model.triples:
+            model.parent.submit(*triple)
+        model.answer()  # frame 0's flag is checked, and its answer never written
+        for index in order:  # a wait would raise ``Blocked``
+            assert settled(model.parent, index, model.triples[index]) is model.expected[index]
+        assert model.parent._queued == {}
+        model.write_answer()
+        model.serve()
+        assert model.answers == bytes([model.expected[0]]) + crypto._TAKEN * 2
 
 
 def test_verdicts_come_without_a_stopped_helper_which_then_answers_taken(monkeypatch):
