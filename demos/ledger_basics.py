@@ -50,14 +50,14 @@ def main() -> None:
 
     # The cluster head pools fully signed entries and appends on its turn.
     chain = Chain()
-    pool = [note, agreement]
+    pool = {tx.t_id: tx for tx in (note, agreement)}  # by t_id, in arrival order
     managers = ["obm0", "obm1", "obm2", "obm3"]
     print(f"\nround-robin turns: "
           f"{[schedule_block_turn(p, managers) for p in range(6)]}")
     block = form_block(pool, chain, obm, block_size=2)
     append_block(chain, block)
     print(f"block 0: {len(block.transactions)} entries, "
-          f"id {block.block_id.hex()[:16]}…")
+          f"id {block.block_id_hex[:16]}…")
 
     # A validating peer checks a trust-dependent sample of signatures, as
     # its ledger settings say.

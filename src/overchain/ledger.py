@@ -12,12 +12,12 @@ closing audit checks every transaction by the same rule.
 
 Transactions and blocks are frozen, so each caches its checks on first use (a
 transaction its integrity verdict and hex ``t_id``, a block its signing bytes,
-id check and dump line): every node that is handed the same object reuses
-them. A tampered copy (``dataclasses.replace``) is a new value and is checked
-afresh. Signature verdicts are kept only by ``crypto.verified``, on each
-``Signature`` by exact message and key bytes, so a countersigned copy, which
-shares its pending copy's ``sig_1`` object, does not verify ``sig_1`` again.
-``BlockVerdict.verification_count`` still counts the simulated sample.
+id check, hex ``block_id`` and dump line): every node that is handed the same
+object reuses them. A tampered copy (``dataclasses.replace``) is a new value
+and is checked afresh. Signature verdicts are kept only by ``crypto.verified``,
+on each ``Signature`` by exact message and key bytes, so a countersigned copy,
+which shares its pending copy's ``sig_1`` object, does not verify ``sig_1``
+again. ``BlockVerdict.verification_count`` still counts the simulated sample.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Iterable, Optional, Sequence
+from typing import AbstractSet, Collection, Iterable, Optional, Sequence
 
 from .config import LedgerConfig
 from .crypto import (
@@ -120,18 +120,19 @@ class Transaction:
     def fully_signed(self) -> bool:
         return self.kind is TxKind.SINGLE or self.sig_2 is not None
 
+    def dump(self) -> str:
+        """This transaction's object in ``Chain.dump_lines``, as compact JSON:
+        its strings are hex digits or enum values, which need no escaping.
+        ``from_json_obj`` reads it back."""
+        return ('{"t_id":"%s","p_t_id":"%s","kind":"%s","pk_1":"%s","sig_1":"%s","pk_2":%s,'
+                '"sig_2":%s,"payload_digest":"%s","payload_tag":"%s"}'
+                % (self.t_id_hex, self.p_t_id.hex(), self.kind.value, self.pk_1.hex(),
+                   self.sig_1.hex(), '"%s"' % self.pk_2.hex() if self.pk_2 else "null",
+                   '"%s"' % self.sig_2.hex() if self.sig_2 else "null",
+                   self.payload_digest.hex(), self.payload_tag.value))
+
     def to_json_obj(self) -> dict:
-        return {
-            "t_id": self.t_id.hex(),
-            "p_t_id": self.p_t_id.hex(),
-            "kind": self.kind.value,
-            "pk_1": self.pk_1.hex(),
-            "sig_1": self.sig_1.hex(),
-            "pk_2": self.pk_2.hex() if self.pk_2 else None,
-            "sig_2": self.sig_2.hex() if self.sig_2 else None,
-            "payload_digest": self.payload_digest.hex(),
-            "payload_tag": self.payload_tag.value,
-        }
+        return json.loads(self.dump())
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Transaction":
@@ -275,19 +276,23 @@ class Block:
         return self.block_id == self.compute_block_id()
 
     @cached
+    def block_id_hex(self) -> str:
+        """``block_id`` in hex, as trace records name it; formatted once per value."""
+        return self.block_id.hex()
+
+    @cached
     def _dump_line(self) -> str:
-        """``Chain.dump_lines``'s line for this block, encoded once per value."""
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        """``Chain.dump_lines``'s line for this block, formatted once per value as
+        compact JSON, ``height`` by ``repr`` as the encoder writes an int.
+        ``from_json_obj`` reads it back."""
+        return ('{"height":%r,"block_id":"%s","prev_block_hash":"%s","generator_pk":"%s",'
+                '"generator_signature":"%s","transactions":[%s]}'
+                % (self.height, self.block_id_hex, self.prev_block_hash.hex(),
+                   self.generator_pk.hex(), self.generator_signature.hex(),
+                   ",".join([tx.dump() for tx in self.transactions])))
 
     def to_json_obj(self) -> dict:
-        return {
-            "height": self.height,
-            "block_id": self.block_id.hex(),
-            "prev_block_hash": self.prev_block_hash.hex(),
-            "generator_pk": self.generator_pk.hex(),
-            "generator_signature": self.generator_signature.hex(),
-            "transactions": [tx.to_json_obj() for tx in self.transactions],
-        }
+        return json.loads(self._dump_line)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Block":
@@ -350,7 +355,7 @@ class Chain:
 
 
 def _dependency_order(
-    pool: Sequence[Transaction],
+    pool: Collection[Transaction],
     chain: Chain,
     limit: int,
 ) -> list[Transaction]:
@@ -375,7 +380,7 @@ def _dependency_order(
 
 
 def form_block(
-    pool: list,
+    pool: dict[Digest, Transaction],
     chain: Chain,
     generator: KeyPair,
     block_size: int,
@@ -384,17 +389,20 @@ def form_block(
 ) -> Optional[Block]:
     """Take oldest-first pooled transactions into a new signed block.
 
-    A scheduled turn requires a full batch of ``block_size`` ready entries
-    and returns None otherwise; with ``flush=True`` (end-of-run drain) a
-    shorter block is allowed. Selected entries are removed from ``pool``.
+    ``pool`` maps each pooled transaction's ``t_id`` to it, in arrival order,
+    as ``BlockManager.pool`` does. A scheduled turn requires a full batch of
+    ``block_size`` ready entries and returns None otherwise; with
+    ``flush=True`` (end-of-run drain) a shorter block is allowed. The chosen
+    entries are deleted from ``pool`` by key, so a block costs O(block) when
+    the oldest entries are ready, whatever the pool's size.
     """
-    chosen = _dependency_order(pool, chain, block_size)
+    chosen = _dependency_order(pool.values(), chain, block_size)
     if not flush and len(chosen) < block_size:
         return None
     if not chosen:
         return None
-    chosen_ids = {tx.t_id for tx in chosen}
-    pool[:] = [tx for tx in pool if tx.t_id not in chosen_ids]
+    for tx in chosen:
+        del pool[tx.t_id]
     fields = (chain.head_hash, generator.public, len(chain.blocks), tuple(chosen))
     body = _block_body(*fields)
     block = Block(digest(body), *fields, generator.sign(body))

@@ -320,15 +320,13 @@ class BlockManager(BaseActor):
         return self._generate(engine, flush=True)
 
     def _generate(self, engine, flush: bool) -> bool:
-        block = form_block(list(self.pool.values()), self.chain, self.keypair,
-                           self.ledger.block_size, flush=flush)
+        block = form_block(self.pool, self.chain, self.keypair, self.ledger.block_size,
+                           flush=flush)
         if block is None:
             return False
-        for tx in block.transactions:
-            del self.pool[tx.t_id]
         append_block(self.chain, block)
         engine.trace.emit(engine.now, self.node_id, "block_formed",
-                          block_id=block.block_id.hex(), height=block.height,
+                          block_id=block.block_id_hex, height=block.height,
                           n_tx=len(block.transactions), flush=flush)
         for peer in self.peers:
             engine.send(self.node_id, peer, BlockMessage(block))
@@ -342,7 +340,7 @@ class BlockManager(BaseActor):
         junk_key = generate_keypair(f"{self.node_id}:junk:{period_index}")
         junk_tx = build_transaction(
             TxKind.SINGLE, ZERO_DIGEST, _digest(b"junk"), PayloadTag.GENERIC, junk_key)
-        block = form_block([junk_tx], self.chain, self.keypair, 1, flush=True)
+        block = form_block({junk_tx.t_id: junk_tx}, self.chain, self.keypair, 1, flush=True)
         block = dataclasses.replace(block, generator_signature=self.keypair.sign(b"corrupt"))
         engine.trace.emit(engine.now, self.node_id, "corrupt_block_emitted",
                           height=block.height, period=period_index)
@@ -352,31 +350,27 @@ class BlockManager(BaseActor):
     def on_block(self, engine, block: Block) -> None:
         sample_seed = engine.rng(f"validate:{self.node_id}").getrandbits(64)
         verdict = _validate_block(block, self.chain, self.trust, sample_seed)
+        trace, now, node_id = engine.trace, engine.now, self.node_id
+        block_id, height = block.block_id_hex, block.height
         generator = self.generator_name(block.generator_pk)
-        engine.trace.emit(engine.now, self.node_id, "block_validated",
-                          block_id=block.block_id.hex(), height=block.height,
-                          generator=generator, ok=verdict.ok,
-                          fault=verdict.fault.value if verdict.fault else None,
-                          verification_count=verdict.verification_count)
+        fault = verdict.fault.value if verdict.fault else None
+        trace.block_validated(now, node_id, block_id, height, generator, verdict.ok, fault,
+                              verdict.verification_count)
         if not verdict.ok:
             rec = self.trust.record_invalid(block.generator_pk)
-            engine.trace.emit(engine.now, self.node_id, "trust_updated",
-                              generator=generator, score=rec.trust_score,
-                              valid=rec.valid_blocks_seen, invalid=rec.invalid_blocks_seen)
-            engine.trace.emit(engine.now, self.node_id, "block_rejected",
-                              block_id=block.block_id.hex(), height=block.height,
-                              fault=verdict.fault.value)
+            trace.trust_updated(now, node_id, generator, rec.trust_score,
+                                rec.valid_blocks_seen, rec.invalid_blocks_seen)
+            trace.emit(now, node_id, "block_rejected", block_id=block_id, height=height,
+                       fault=fault)
             return
         append_block(self.chain, block)
         rec = self.trust.record_valid(block.generator_pk)
         for tx in block.transactions:
             self.pool.pop(tx.t_id, None)
-        engine.trace.emit(engine.now, self.node_id, "block_appended",
-                          block_id=block.block_id.hex(), height=block.height,
-                          n_tx=len(block.transactions), generator=generator)
-        engine.trace.emit(engine.now, self.node_id, "trust_updated",
-                          generator=generator, score=rec.trust_score,
-                          valid=rec.valid_blocks_seen, invalid=rec.invalid_blocks_seen)
+        trace.block_appended(now, node_id, block_id, height, len(block.transactions),
+                             generator)
+        trace.trust_updated(now, node_id, generator, rec.trust_score, rec.valid_blocks_seen,
+                            rec.invalid_blocks_seen)
         for tx in block.transactions:
             self._unpark(engine, tx.t_id)
 

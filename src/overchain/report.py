@@ -39,27 +39,39 @@ def parse_trace(text: str) -> Iterator[dict]:
     piece of about ``_CHUNK`` characters at a time, so no more than one piece's
     records are built before they are used.
 
-    Each piece ends just after a ``"\\n"``, so it holds whole lines. Its lines
-    are decoded in one ``json.loads`` call over them joined as one array, in
-    which a line that is one JSON value decodes exactly as it does alone. When
-    that call raises, or does not give one JSON object per line, ``_read_lines``
-    decodes each line of the piece alone and raises on the first bad one.
+    Each piece ends just after a ``"\\n"``, so it holds whole lines. An ASCII
+    piece without ``"\\r"`` is decoded in one ``json.loads`` call, with its
+    newlines turned into commas so that its lines form one array, in which a
+    line that is one JSON value decodes exactly as it does alone. In such a
+    piece ``"\\n"`` is the only line break that JSON lets pass: ``str.splitlines``
+    breaks lines at ``"\\r"`` (JSON whitespace) and at ``"\\x85"`` and
+    ``"\\u2028"`` (legal inside a JSON string) as well, so a piece holding any of
+    them goes to the per-line reader. So does a piece whose call raises (a
+    blank line among them) or does not give one JSON object per line:
+    ``_read_lines`` decodes each line of the piece alone and raises on the
+    first bad one.
     """
     start, offset = 0, 0  # offset: the lines in earlier pieces, blank ones too
     while start < len(text):
         end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
         piece = text[start:end]
-        lines = piece.splitlines()
-        body = [line for line in lines if line.strip()]
-        try:
-            records = json.loads("[" + ",".join(body) + "]")
-        except (ValueError, RecursionError):  # the array nests each line one level deeper
-            records = None
-        if (records is None or len(records) != len(body)
+        body = piece.rstrip("\n")
+        records = None
+        if piece.isascii() and "\r" not in piece:
+            try:
+                records = json.loads("[" + body.replace("\n", ",") + "]")
+            except (ValueError, RecursionError):  # the array nests each line one level deeper
+                pass
+        newlines = piece.count("\n")  # counted once: a count scans the piece as a copy does
+        trailing = len(piece) - len(body)  # the newlines that rstrip took off
+        if (records is None or len(records) != newlines - trailing + 1
                 or not set(map(type, records)) <= {dict}):
             records = _read_lines(piece, offset)[1]
+            lines = len(piece.splitlines())
+        else:  # JSON admits no other line break, so each "\n" ends a line
+            lines = newlines + (not trailing)
         yield from records
-        start, offset = end, offset + len(lines)
+        start, offset = end, offset + lines
 
 
 def _read_lines(text: str, offset: int = 0) -> tuple[list[int], list[dict]]:

@@ -6,19 +6,24 @@ seed. All randomness flows from one master seed through named sub-streams, so
 per-node behavior stays stable when unrelated configuration changes; a send
 reads its sender's ``link:`` stream only when the links have jitter.
 
-``Trace.emit(t, actor, event, **fields)`` writes any record. The seven routing
-and traffic events that make up most of a run's records (``tx_pooled``,
-``tx_dropped``, ``tx_delivered``, ``tx_received``, ``tx_broadcast``,
-``traffic_tx`` and ``countersigned``) each have a positional writer instead,
-``Trace.tx_pooled(t, actor, t_id, origin)`` and so on, which formats the line
-that ``emit`` would write without building a dict. An event gets a writer only
-when it is at least 5% of some workload's records; every other event goes
-through ``emit``, and no ``emit`` call names an event that has a writer.
+``Trace.emit(t, actor, event, **fields)`` writes any record. Ten events have a
+positional writer instead, ``Trace.tx_pooled(t, actor, t_id, origin)`` and so
+on, which formats the line that ``emit`` would write without building a dict:
+the seven routing and traffic events that make up most of a run's records
+(``tx_pooled``, ``tx_dropped``, ``tx_delivered``, ``tx_received``,
+``tx_broadcast``, ``traffic_tx`` and ``countersigned``), and the three that
+every manager writes once per block (``block_validated``, ``block_appended``
+and ``trust_updated``), which are most of the end-of-run flush's records. An
+event gets a writer only when it is at least 5% of some workload's records, or
+most of the records of the end-of-run flush, which runs on one core; every
+other event goes through ``emit``, and no ``emit`` call names an event that
+has a writer.
 """
 from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from random import Random
 from typing import Any, Optional
@@ -41,9 +46,10 @@ _encode_chunks = c_make_encoder(
     False, False, True)          # sort_keys, skipkeys, allow_nan
 
 # The positional writers' value formats, each what ``_encode_chunks`` writes for
-# its value: a string through the encoder's own escaping, ``t`` (an int or a
-# finite float) by ``repr``, and a bool by this table. The table is keyed by
-# type too, since ``1 == True``: any value but a bool raises ``KeyError``.
+# its value: a string through the encoder's own escaping, a number (an int or a
+# finite float, never a bool) by ``repr``, an optional string's None as
+# ``null``, and a bool by this table. The table is keyed by type too, since
+# ``1 == True``: any value but a bool raises ``KeyError``.
 _q = encode_basestring_ascii
 _JSON_BOOL = {(bool, True): "true", (bool, False): "false"}
 
@@ -97,6 +103,28 @@ class Trace:
         self.lines.append('{"t":%r,"actor":%s,"event":"countersigned","pending_t_id":%s,'
                           '"t_id":%s}' % (t, _q(actor), _q(pending_t_id), _q(t_id)))
 
+    def block_validated(self, t: float, actor: str, block_id: str, height: int,
+                        generator: str, ok: bool, fault: Optional[str],
+                        verification_count: int) -> None:
+        self.lines.append('{"t":%r,"actor":%s,"event":"block_validated","block_id":%s,'
+                          '"height":%r,"generator":%s,"ok":%s,"fault":%s,'
+                          '"verification_count":%r}'
+                          % (t, _q(actor), _q(block_id), height, _q(generator),
+                             _JSON_BOOL[type(ok), ok], "null" if fault is None else _q(fault),
+                             verification_count))
+
+    def block_appended(self, t: float, actor: str, block_id: str, height: int, n_tx: int,
+                       generator: str) -> None:
+        self.lines.append('{"t":%r,"actor":%s,"event":"block_appended","block_id":%s,'
+                          '"height":%r,"n_tx":%r,"generator":%s}'
+                          % (t, _q(actor), _q(block_id), height, n_tx, _q(generator)))
+
+    def trust_updated(self, t: float, actor: str, generator: str, score: float, valid: int,
+                      invalid: int) -> None:
+        self.lines.append('{"t":%r,"actor":%s,"event":"trust_updated","generator":%s,'
+                          '"score":%r,"valid":%r,"invalid":%r}'
+                          % (t, _q(actor), _q(generator), score, valid, invalid))
+
 
 # ---------------------------------------------------------------------------
 # link model
@@ -109,21 +137,26 @@ class LinkModel:
     """
 
     def __init__(self, default_delay: float = 5.0, jitter: float = 0.0):
-        if default_delay <= 0:
-            raise ValueError("default_delay must be positive")
-        self.default_delay = default_delay
+        self.default_delay = _positive("default_delay", default_delay)
         self.jitter = jitter
         self._base: dict[tuple[str, str], float] = {}
 
     def set_link(self, a: str, b: str, delay: float) -> None:
-        self._base[(a, b)] = delay
-        self._base[(b, a)] = delay
+        self._base[(a, b)] = self._base[(b, a)] = _positive("delay", delay)
 
     def sample(self, a: str, b: str, rng: Random) -> float:
         base = self._base.get((a, b), self.default_delay)
         if self.jitter:
             return base * (1.0 + self.jitter * rng.random())
         return base
+
+
+def _positive(name: str, delay: float) -> float:
+    """``delay`` if it is a positive finite number: a delay of 0 or less would
+    deliver at or before the send, ahead of events already queued."""
+    if not 0 < delay < math.inf:  # false for NaN too
+        raise ValueError(f"{name} must be a positive finite number, got {delay!r}")
+    return delay
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Shared fixtures: each bundled scenario is executed at most once per test
 session and the (config, world, trace, report) tuple is cached for reuse; and
 a count of backend signature verifies. Also ``trace_records``, the one way
-tests read an actor's outcomes: from the trace, as the report does, and
-``signed_block``, which seals any transactions into a block."""
+tests read an actor's outcomes: from the trace, as the report does,
+``signed_block``, which seals any transactions into a block, and ``pool_of``,
+a pool as ``form_block`` takes it."""
 import dataclasses
 from dataclasses import dataclass
 from typing import Optional
@@ -23,6 +24,11 @@ def trace_records(trace_text: str, *events: str,
     whose actor is ``actor``, when given), in trace order."""
     return [r for r in parse_trace(trace_text)
             if r["event"] in events and (actor is None or r["actor"] == actor)]
+
+
+def pool_of(transactions) -> dict:
+    """``transactions`` as a pool: each by its ``t_id``, in the given order."""
+    return {tx.t_id: tx for tx in transactions}
 
 
 def signed_block(chain: Chain, generator: crypto.KeyPair, transactions) -> Block:

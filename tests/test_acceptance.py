@@ -29,7 +29,7 @@ from overchain.world import run_scenario
 
 import dataclasses
 
-from conftest import trace_records
+from conftest import pool_of, trace_records
 
 
 # -- 1: a published update reaches every vehicle and every ledger copy ---------------
@@ -256,7 +256,7 @@ def test_criterion_11a_transaction_validation_matches_oracle():
                                   digest(f"seed:{i}".encode()),
                                   PayloadTag.GENERIC, keys[i % len(keys)])
                 for i in range(24)]
-    append_block(chain, form_block(seedpool, chain,
+    append_block(chain, form_block(pool_of(seedpool), chain,
                                    generate_keypair("prop:gen"), 24, flush=True))
     committed = [tx.t_id for tx in chain.blocks[0].transactions]
     known = {digest(f"known:{i}".encode()) for i in range(16)}
@@ -349,6 +349,7 @@ def test_criterion_11b_each_key_forms_a_linked_list_in_the_chain():
         rng.shuffle(pool)
         generator = generate_keypair(f"ll:gen:{trial}")
         chain = Chain()
+        pool = pool_of(pool)
         while pool:
             block = form_block(pool, chain, generator,
                                rng.randint(1, 7), flush=True)

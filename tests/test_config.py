@@ -303,6 +303,37 @@ def test_impersonation_requires_attacker_and_oem():
     assert "impersonate_provider requires an oem" in msg
 
 
+def test_tamper_without_a_target_rejected():
+    msg = problems_of(minimal(script=[{"at": 1.0, "do": "tamper_cloud_object"}]))
+    assert msg == "script[0]: tamper_cloud_object needs 'version' or 'object'"
+    for target in ({"version": "2"}, {"object": "sw/x"}):
+        parse_scenario(minimal(script=[{"at": 1.0, "do": "tamper_cloud_object", **target}]))
+
+
+@pytest.mark.parametrize("providers", [[], [{"id": "swp1"}, {"id": "swp2"}]])
+def test_publish_without_a_provider_needs_exactly_one_in_the_roster(providers):
+    msg = problems_of(minimal(
+        actors={"oem": {}, "providers": providers},
+        script=[{"at": 1.0, "do": "publish_update", "ecu": "e", "version": "1"}]))
+    assert msg == "script[0]: publish_update needs 'provider' (roster has none or several)"
+
+
+def test_publish_from_an_unknown_provider_rejected():
+    msg = problems_of(minimal(
+        actors={"oem": {}, "providers": [{"id": "swp"}]},
+        script=[{"at": 1.0, "do": "publish_update", "provider": "swq", "ecu": "e",
+                 "version": "1"}]))
+    assert msg == "script[0].provider: unknown provider 'swq'"
+
+
+def test_move_to_an_unknown_manager_rejected():
+    msg = problems_of(minimal(
+        actors={"vehicles": {"count": 1}},
+        script=[{"at": 1.0, "do": "move_vehicle", "vehicle": "veh0",
+                 "links": {"obm1": 2.0, "obm9": 3.0}}]))
+    assert msg == "script[0].links.obm9: unknown manager"
+
+
 def test_duplicate_actor_ids_rejected():
     msg = problems_of(minimal(
         actors={"oem": {"id": "veh0"}, "vehicles": {"count": 1}}))

@@ -11,10 +11,12 @@ defining formulas (and frozen) before the module was written:
     rate 1 -> u = 0.25 -> period 10 -> 20.0
 """
 import dataclasses
+import json
 
 import pytest
 
 from overchain import crypto
+from overchain.cli import bundled_scenarios
 from overchain.config import LedgerConfig
 from overchain.crypto import (
     SIGNATURE_SIZE,
@@ -47,6 +49,8 @@ from overchain.ledger import (
     verify_chain,
 )
 
+from conftest import pool_of, signed_block
+
 GEN = generate_keypair("generator-obm")
 ALICE = generate_keypair("alice")
 BOB = generate_keypair("bob")
@@ -66,7 +70,7 @@ def pending(signer=ALICE, recipient=BOB, p_t_id=ZERO_DIGEST, payload=b"payload")
 def chain_with(txs, generator=GEN, block_size=None):
     """Build a chain holding txs in one block (or several of block_size)."""
     chain = Chain()
-    pool = list(txs)
+    pool = pool_of(txs)
     size = block_size or max(1, len(pool))
     while pool:
         blk = form_block(pool, chain, generator, size, flush=True)
@@ -240,42 +244,43 @@ def test_validate_pending_multisig_is_ok_while_pending():
 
 def test_form_block_takes_exactly_block_size_oldest_first():
     txs = [single(payload=bytes([i])) for i in range(12)]
-    pool = list(txs)
+    pool = pool_of(txs)
     chain = Chain()
     blk = form_block(pool, chain, GEN, 10)
     assert [t.t_id for t in blk.transactions] == [t.t_id for t in txs[:10]]
-    assert [t.t_id for t in pool] == [t.t_id for t in txs[10:]]
+    assert list(pool) == [t.t_id for t in txs[10:]]
     assert blk.height == 0 and blk.prev_block_hash == ZERO_DIGEST
 
 
 def test_form_block_returns_none_below_size():
-    pool = [single(payload=bytes([i])) for i in range(3)]
+    txs = [single(payload=bytes([i])) for i in range(3)]
+    pool = pool_of(txs)
     assert form_block(pool, Chain(), GEN, 10) is None
-    assert len(pool) == 3
+    assert list(pool) == [t.t_id for t in txs]
 
 
 def test_form_block_flush_takes_remainder():
-    pool = [single(payload=bytes([i])) for i in range(3)]
+    pool = pool_of(single(payload=bytes([i])) for i in range(3))
     blk = form_block(pool, Chain(), GEN, 10, flush=True)
     assert blk is not None and len(blk.transactions) == 3
-    assert pool == []
-    assert form_block([], Chain(), GEN, 10, flush=True) is None
+    assert pool == {}
+    assert form_block({}, Chain(), GEN, 10, flush=True) is None
 
 
 def test_form_block_waits_when_ready_subset_is_short_of_size():
     # a full pool with an unsatisfiable entry is not enough for a turn
     dangling = single(p_t_id=digest(b"unknown-parent"), payload=b"x")
     ok = single(payload=b"ok")
-    pool = [dangling, ok]
+    pool = pool_of([dangling, ok])
     assert form_block(pool, Chain(), GEN, 2) is None
-    assert pool == [dangling, ok]
+    assert pool == pool_of([dangling, ok]) and list(pool) == [dangling.t_id, ok.t_id]
 
 
 def test_form_block_orders_dependent_transactions():
     a = single(payload=b"a")
     b = single(p_t_id=a.t_id, payload=b"b")
     # pool arrival order is successor-first (network reordering)
-    pool = [b, a]
+    pool = pool_of([b, a])
     blk = form_block(pool, Chain(), GEN, 2)
     assert [t.t_id for t in blk.transactions] == [a.t_id, b.t_id]
 
@@ -283,10 +288,10 @@ def test_form_block_orders_dependent_transactions():
 def test_form_block_skips_unsatisfied_dependency():
     dangling = single(p_t_id=digest(b"not-yet-anywhere"), payload=b"x")
     ok1, ok2 = single(payload=b"1"), single(payload=b"2")
-    pool = [dangling, ok1, ok2]
+    pool = pool_of([dangling, ok1, ok2])
     blk = form_block(pool, Chain(), GEN, 2)
     assert [t.t_id for t in blk.transactions] == [ok1.t_id, ok2.t_id]
-    assert pool == [dangling]
+    assert pool == pool_of([dangling])
 
 
 def test_schedule_block_turn_round_robin():
@@ -306,7 +311,7 @@ def test_schedule_block_turn_round_robin():
 def test_validate_block_full_check_at_zero_trust():
     pool = [single(payload=bytes([i])) for i in range(10)]
     chain = Chain()
-    blk = form_block(list(pool), chain, GEN, 10)
+    blk = form_block(pool_of(pool), chain, GEN, 10)
     trust = TrustTable()
     v = validate_block(blk, chain, trust, sample_seed=1)
     assert v.ok
@@ -317,7 +322,7 @@ def test_validate_block_full_check_at_zero_trust():
 def test_validate_block_fraction_at_high_trust():
     pool = [single(payload=bytes([i])) for i in range(10)]
     chain = Chain()
-    blk = form_block(list(pool), chain, GEN, 10)
+    blk = form_block(pool_of(pool), chain, GEN, 10)
     trust = TrustTable()
     trust.records_for(GEN.public).trust_score = 0.9
     v = validate_block(blk, chain, trust, sample_seed=1)
@@ -331,7 +336,7 @@ def test_validate_block_catches_forged_transaction_at_zero_trust():
     forged = dataclasses.replace(forged, sig_1=BOB.sign(forged.signing_body()))
     forged = dataclasses.replace(forged, t_id=forged.compute_t_id())
     chain = Chain()
-    blk = form_block(good + [forged], chain, GEN, 10, flush=True)
+    blk = form_block(pool_of(good + [forged]), chain, GEN, 10, flush=True)
     v = validate_block(blk, chain, TrustTable(), sample_seed=3)
     assert not v.ok
     assert v.fault is BlockFault.BAD_TRANSACTION
@@ -340,7 +345,7 @@ def test_validate_block_catches_forged_transaction_at_zero_trust():
 
 def test_validate_block_bad_generator_signature():
     chain = Chain()
-    blk = form_block([single()], chain, GEN, 1)
+    blk = form_block(pool_of([single()]), chain, GEN, 1)
     tampered = dataclasses.replace(blk, generator_signature=BOB.sign(b"junk" * 16))
     v = validate_block(tampered, chain, TrustTable(), sample_seed=1)
     assert not v.ok and v.fault is BlockFault.BAD_GENERATOR_SIG
@@ -348,7 +353,7 @@ def test_validate_block_bad_generator_signature():
 
 def test_validate_block_broken_linkage():
     chain = chain_with([single(payload=b"seed-block")])
-    stale = form_block([single(payload=b"late")], Chain(), GEN, 1)  # built on empty chain
+    stale = form_block(pool_of([single(payload=b"late")]), Chain(), GEN, 1)  # built on empty chain
     v = validate_block(stale, chain, TrustTable(), sample_seed=1)
     assert not v.ok and v.fault is BlockFault.BROKEN_LINKAGE
 
@@ -357,13 +362,13 @@ def test_validate_block_accepts_same_block_predecessor():
     a = single(payload=b"a")
     b = single(p_t_id=a.t_id, payload=b"b")
     chain = Chain()
-    blk = form_block([a, b], chain, GEN, 2)
+    blk = form_block(pool_of([a, b]), chain, GEN, 2)
     assert validate_block(blk, chain, TrustTable(), sample_seed=9).ok
 
 
 def test_append_block_rejects_stale_prev_hash():
     chain = chain_with([single(payload=b"first")])
-    stale = form_block([single(payload=b"second")], Chain(), GEN, 1)
+    stale = form_block(pool_of([single(payload=b"second")]), Chain(), GEN, 1)
     with pytest.raises(ChainError):
         append_block(chain, stale)
 
@@ -506,7 +511,7 @@ def test_verify_chain_detects_linkage_tamper():
 def test_verify_chain_detects_a_repeated_transaction():
     a = single(payload=b"a")
     chain = chain_with([a, single(payload=b"b")], block_size=1)
-    append_block(chain, form_block([a], chain, GEN, 1))  # every block is sound alone
+    append_block(chain, form_block(pool_of([a]), chain, GEN, 1))  # every block is sound alone
     assert [tx.t_id for tx in chain.all_transactions()].count(a.t_id) == 2
     assert not verify_chain(chain)
 
@@ -518,6 +523,48 @@ def test_chain_dump_lines_round_trip():
     restored = Chain.from_dump_lines(lines)
     assert restored.dump_lines() == lines
     assert verify_chain(restored)
+
+
+def reference_obj(block: Block) -> dict:
+    """The dump object of ``block``, built field by field."""
+    def tx_obj(tx):
+        return {"t_id": tx.t_id.hex(), "p_t_id": tx.p_t_id.hex(), "kind": tx.kind.value,
+                "pk_1": tx.pk_1.hex(), "sig_1": tx.sig_1.hex(),
+                "pk_2": tx.pk_2.hex() if tx.pk_2 else None,
+                "sig_2": tx.sig_2.hex() if tx.sig_2 else None,
+                "payload_digest": tx.payload_digest.hex(), "payload_tag": tx.payload_tag.value}
+    return {"height": block.height, "block_id": block.block_id.hex(),
+            "prev_block_hash": block.prev_block_hash.hex(),
+            "generator_pk": block.generator_pk.hex(),
+            "generator_signature": block.generator_signature.hex(),
+            "transactions": [tx_obj(tx) for tx in block.transactions]}
+
+
+def assert_dumps_its_json(block: Block) -> None:
+    obj = reference_obj(block)
+    assert block._dump_line == json.dumps(obj, separators=(",", ":"))
+    assert block.to_json_obj() == obj
+    assert [tx.to_json_obj() for tx in block.transactions] == obj["transactions"]
+    assert Block.from_json_obj(obj) == block
+
+
+@pytest.mark.parametrize("height", [0, 1, 2 ** 53])
+def test_dump_line_is_the_json_of_every_kind_of_transaction_and_tag(height):
+    final = countersign(pending(payload=b"final"), BOB)
+    txs = [single(payload=b"one"), pending(payload=b"pending"), final,
+           *(single(payload=tag.value.encode(), tag=tag) for tag in PayloadTag)]
+    for transactions in [txs, txs[1:2], txs[2:3]]:
+        block = dataclasses.replace(signed_block(Chain(), GEN, transactions), height=height)
+        assert_dumps_its_json(block)
+        assert block.block_id_hex == block.block_id.hex()
+
+
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_dump_line_is_the_json_of_every_bundled_final_block(bundled, name):
+    blocks = {id(b): b for m in bundled(name).world.managers for b in m.chain.blocks}
+    assert blocks
+    for block in blocks.values():
+        assert_dumps_its_json(block)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +601,7 @@ def test_tampered_copy_of_checked_transaction_fails(field, rehash, fault, detail
 
 def validated_block():
     chain = Chain()
-    blk = form_block([single(payload=bytes([i])) for i in range(3)], chain, GEN, 3)
+    blk = form_block(pool_of(single(payload=bytes([i])) for i in range(3)), chain, GEN, 3)
     assert validate_block(blk, chain, TrustTable(), sample_seed=1).ok
     append_block(chain, blk)
     assert verify_chain(chain)
@@ -613,7 +660,7 @@ def test_backend_verify_runs_once_per_signature(counted_verify):
 
     calls.clear()
     chain = Chain()
-    blk = form_block([single(payload=bytes([i])) for i in range(4)], chain, GEN, 4)
+    blk = form_block(pool_of(single(payload=bytes([i])) for i in range(4)), chain, GEN, 4)
     for _ in range(3):
         verdict = validate_block(blk, chain, TrustTable(), sample_seed=1)
         # the simulated effort is still counted on every validation

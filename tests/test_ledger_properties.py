@@ -29,7 +29,7 @@ from overchain.ledger import (
     verify_chain,
 )
 
-from conftest import signed_block
+from conftest import pool_of, signed_block
 
 KEYS = [generate_keypair(f"prop-actor-{i}") for i in range(4)]
 OTHER = generate_keypair("prop-outsider")
@@ -66,7 +66,7 @@ def tx_cases(draw):
         TxKind.SINGLE, ZERO_DIGEST, digest(rng.randbytes(8)), PayloadTag.GENERIC, signer)
     place = rng.random()
     if place < 0.4:
-        blk = form_block([base], chain, KEYS[0], 1)
+        blk = form_block(pool_of([base]), chain, KEYS[0], 1)
         append_block(chain, blk)
         p_t_id = base.t_id
     elif place < 0.6:
@@ -128,7 +128,7 @@ def test_per_key_linked_list_structure(seed):
     rng.shuffle(made)  # network-style reordering before pooling
 
     chain = Chain()
-    pool = list(made)
+    pool = pool_of(made)
     guard = 0
     while pool:
         blk = form_block(pool, chain, KEYS[3], rng.randrange(1, 5), flush=True)

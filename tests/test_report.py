@@ -119,6 +119,35 @@ def test_malformed_line_raises_the_per_line_error(monkeypatch, text):
         assert str(err.value) == per_line_error(text), size
 
 
+# The characters besides "\n" at which ``str.splitlines`` ends a line: "\r" is
+# JSON whitespace, "\x85" and "\u2028" may stand raw in a JSON string, and the
+# others may stand nowhere in JSON.
+LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+RECORDS = '{"t":0.0,"actor":"a"}\n%s{"t":2.0}\n'
+
+
+@pytest.mark.parametrize("text", [
+    *(RECORDS % ('{"s":"x%sy"}\n' % c) for c in LINE_BREAKS),  # inside a string value
+    *(RECORDS % ('{"a":1}%s{"b":2}\n' % c) for c in LINE_BREAKS),  # between two records
+    *(RECORDS % ('{"a":%s1}\n' % c) for c in LINE_BREAKS),  # between two tokens
+    RECORDS % "\n",  # a blank line
+    RECORDS % " \t \n",  # a whitespace-only line
+    # a blank line between halves of one record, with a line of two records
+    # after them, so the count of non-blank lines matches the merged records
+    RECORDS % '{"a":1\n\n"b":2}\n{"x":1},{"y":2}\n',
+], ids=repr)
+def test_a_line_break_besides_newline_decodes_as_per_line(monkeypatch, text):
+    for size in piece_sizes(monkeypatch):
+        try:
+            expected = per_line(text)
+        except json.JSONDecodeError:
+            with pytest.raises(TraceError) as err:
+                list(parse_trace(text))
+            assert str(err.value) == per_line_error(text), size
+        else:
+            assert list(parse_trace(text)) == expected, size
+
+
 @pytest.mark.parametrize("text", [
     '{"a":1}\n[1,2]\n{"b":2}\n',
     '{"a":1}\n"text"\n42\nnull\n',

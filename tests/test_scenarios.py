@@ -383,6 +383,31 @@ def test_key_listed_attackers_get_through_and_others_do_not():
     assert metrics["countersigns"] == 50
 
 
+def test_a_directive_without_a_target_leaves_a_failure_record():
+    config = parse_scenario({
+        "name": "no-target", "duration": 80.0,
+        "actors": {"oem": {}, "providers": [{"id": "swp"}], "insurer": {},
+                   "vehicles": {"count": 1}},
+        "script": [{"at": 1.0, "do": "publish_update", "ecu": "e", "version": "1"},
+                   {"at": 60.0, "do": "tamper_cloud_object", "version": "2"},
+                   {"at": 61.0, "do": "tamper_cloud_object", "object": "sw/absent"},
+                   {"at": 62.0, "do": "close_account", "vehicle": "veh0"}],
+    })
+    text = run_scenario(config).engine.trace.text()
+    failures = trace_records(text, "tamper_failed", "directive_failed", "cloud_tampered")
+    assert failures == [
+        # version 2 was never published, so no object holds it
+        {"t": 60.0, "actor": "driver", "event": "tamper_failed", "object": "?"},
+        {"t": 61.0, "actor": "driver", "event": "tamper_failed", "object": "sw/absent"},
+        # veh0 never opened an insurance account
+        {"t": 62.0, "actor": "driver", "event": "directive_failed", "action": "close_account",
+         "vehicle": "veh0", "reason": "no insurance account"},
+    ]
+    # the provider published version 1 only, before the tampers
+    assert [(r["version"], r["t"] < 60.0) for r in trace_records(text, "published")] == [
+        ("1", True)]
+
+
 # -- soft handover migrates key material -------------------------------------------------
 
 

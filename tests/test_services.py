@@ -158,6 +158,25 @@ def test_cloud_ops_without_session_are_refused():
     assert raw.resp == {"error": "NoSession"}
 
 
+@pytest.mark.parametrize("kind, data, error", [
+    # a proof for an account the store does not hold, as after a closure
+    # between the challenge and the proof
+    ("cloud_proof", {"account": "nobody", "nonce": bytes(32)}, "UnknownAccount"),
+    # a proof of a nonce the store never issued, or already used
+    ("cloud_proof", {"account": "acct", "nonce": bytes(32)}, "BadProof"),
+    ("cloud_get", {"object": "acct/r1", "session": "session-99"}, "NoSession"),
+])
+def test_cloud_refuses_a_request_outside_the_handshake(kind, data, error):
+    engine, cloud, caller = cloud_world()
+    proof = generate_keypair("acct-key").sign(bytes(32))  # the account key's, on that nonce
+    responses = []
+    caller.send_request(engine, "cloud", kind, {**data, "proof": proof},
+                        lambda eng, resp: responses.append(resp))
+    engine.run()
+    assert responses == [{"error": error}]
+    assert cloud._sessions == {}
+
+
 def test_closed_account_fails_auth_and_loses_sessions():
     engine, cloud, caller = cloud_world()
     caller.call(engine, "cloud", "cloud_put", {"object": "acct/r1", "data": b"\xaa"})

@@ -5,12 +5,14 @@ import hashlib
 import heapq
 import itertools
 import json
+import math
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from overchain.cli import bundled_scenarios
+from overchain.ledger import BlockFault
 from overchain.messages import AppRequest, BaseActor, Timer
 from overchain.simnet import Engine, LinkModel, Trace
 
@@ -80,6 +82,34 @@ def test_probe_rtt_sees_schedule_switch():
     assert engine.probe_rtt("v", "m", samples=1) == 20.0
     links.set_link("m", "v", 40.0)  # as move_vehicle does; both directions
     assert engine.probe_rtt("v", "m", samples=1) == 80.0
+
+
+BAD_DELAYS = [0.0, -0.0, -1.0, -math.inf, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("delay", BAD_DELAYS)
+def test_link_model_refuses_a_default_delay_that_is_not_positive_and_finite(delay):
+    with pytest.raises(ValueError, match="^default_delay must be a positive finite number"):
+        LinkModel(default_delay=delay)
+
+
+@pytest.mark.parametrize("delay", BAD_DELAYS)
+def test_set_link_refuses_a_delay_that_is_not_positive_and_finite(delay):
+    engine, a, b = fresh()
+    engine.schedule_at(3.0, "b", "queued")
+    with pytest.raises(ValueError, match="^delay must be a positive finite number"):
+        engine.links.set_link("a", "b", delay)
+    assert engine.links._base == {}  # the link keeps its delay
+    engine.schedule_at(3.0, "a", Timer(a.send_now, ("b",)))
+    engine.run()
+    assert b.log == [(3.0, "queued"), (13.0, 3.0)]  # no delivery ahead of the queue
+
+
+def test_link_delays_that_are_positive_and_finite_are_kept():
+    links = LinkModel(default_delay=5e-324)
+    links.set_link("a", "b", 1e308)
+    assert links.default_delay == 5e-324 and links._base == {("a", "b"): 1e308,
+                                                             ("b", "a"): 1e308}
 
 
 def test_jitter_bounded_and_deterministic():
@@ -206,32 +236,79 @@ def test_emit_encodes_any_record_like_json_dumps(t, actor, fields):
     assert trace.lines == [dumps(t, actor, "evt", **fields)]
 
 
-# Each positional writer's fields after ``t`` and ``actor``, in record order.
-WRITER_FIELDS = {
-    "tx_pooled": {"t_id": str, "origin": str},
-    "tx_dropped": {"t_id": str, "reason": str, "detail": str},
-    "tx_delivered": {"t_id": str, "member": str, "pending": bool},
-    "tx_received": {"t_id": str, "pending": bool},
-    "tx_broadcast": {"t_id": str},
-    "traffic_tx": {"t_id": str, "sender": str, "recipient": str},
-    "countersigned": {"pending_t_id": str, "t_id": str},
-}
 # any text, and text made of the characters the encoder escapes
-names = st.text() | st.text('"\\/\x00\x1f\x7f\n\té \ud800\U0001F600x')
+names = st.text() | st.text('"\\/\x00\x1f\x7f\n\té\u2028\ud800\U0001F600x')
 times = (st.integers() | st.floats(allow_nan=False, allow_infinity=False)
          | st.sampled_from([-0.0, 1e16, 5e-324, 1.7976931348623157e308]))
+flags = st.booleans()
+counts = st.integers(0, 2 ** 53)
+SCORES = [0.0, 0.1, 1e-07, 0.9]
+FAULTS = [None, *(fault.value for fault in BlockFault)]
+
+# Each positional writer's fields after ``t`` and ``actor``, in record order,
+# with the values each may take.
+WRITER_FIELDS = {
+    "tx_pooled": {"t_id": names, "origin": names},
+    "tx_dropped": {"t_id": names, "reason": names, "detail": names},
+    "tx_delivered": {"t_id": names, "member": names, "pending": flags},
+    "tx_received": {"t_id": names, "pending": flags},
+    "tx_broadcast": {"t_id": names},
+    "traffic_tx": {"t_id": names, "sender": names, "recipient": names},
+    "countersigned": {"pending_t_id": names, "t_id": names},
+    "block_validated": {"block_id": names, "height": counts, "generator": names, "ok": flags,
+                        "fault": st.sampled_from(FAULTS), "verification_count": counts},
+    "block_appended": {"block_id": names, "height": counts, "n_tx": counts,
+                       "generator": names},
+    "trust_updated": {"generator": names, "score": st.sampled_from(SCORES) | st.floats(0, 1),
+                      "valid": counts, "invalid": counts},
+}
+
+
+def written_and_emitted(event, t, actor, fields) -> tuple[list, list]:
+    written, emitted = Trace(), Trace()
+    getattr(written, event)(t, actor, *fields.values())
+    emitted.emit(t, actor, event, **fields)
+    return written.lines, emitted.lines
 
 
 @pytest.mark.parametrize("event", sorted(WRITER_FIELDS))
 @given(data=st.data(), t=times, actor=names)
 @settings(max_examples=100, deadline=None)
 def test_each_writer_writes_the_line_emit_writes(event, data, t, actor):
-    fields = {name: data.draw(st.booleans() if kind is bool else names, label=name)
-              for name, kind in WRITER_FIELDS[event].items()}
-    written, emitted = Trace(), Trace()
-    getattr(written, event)(t, actor, *fields.values())
-    emitted.emit(t, actor, event, **fields)
-    assert written.lines == emitted.lines
+    fields = {name: data.draw(values, label=name)
+              for name, values in WRITER_FIELDS[event].items()}
+    written, emitted = written_and_emitted(event, t, actor, fields)
+    assert written == emitted
+
+
+@pytest.mark.parametrize("ok", [True, False])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_block_writers_write_emit_lines_at_every_flag_fault_and_score(ok, fault):
+    block_id = "0f" * 32
+    for n, score in itertools.product([0, 1, 10, 2 ** 31, 2 ** 53 - 1, 2 ** 53], SCORES):
+        for event, fields in [
+            ("block_validated", {"block_id": block_id, "height": n, "generator": "obm1",
+                                 "ok": ok, "fault": fault, "verification_count": n}),
+            ("block_appended", {"block_id": block_id, "height": n, "n_tx": n,
+                                "generator": "obm1"}),
+            ("trust_updated", {"generator": "obm1", "score": score, "valid": n, "invalid": n}),
+        ]:
+            written, emitted = written_and_emitted(event, 12.5, "obm0", fields)
+            assert written == emitted, (event, fields)
+
+
+@pytest.mark.parametrize("event, fields", [
+    ("block_validated", {"block_id": "00", "height": 2.5, "generator": "g", "ok": True,
+                         "fault": None, "verification_count": 3.75}),
+    ("block_appended", {"block_id": "00", "height": 1e16, "n_tx": 0.5, "generator": "g"}),
+    ("trust_updated", {"generator": "g", "score": 1e-07, "valid": 1.5, "invalid": 2.0}),
+])
+def test_block_writers_format_every_number_as_the_encoder_does(event, fields):
+    # a float where an int belongs keeps its fraction, as ``emit`` writes it
+    written, emitted = written_and_emitted(event, 0, "obm0", fields)
+    assert written == emitted
+    numbers = [(name, v) for name, v in fields.items() if type(v) is float]
+    assert all(f'"{name}":{v!r}' in written[0] for name, v in numbers)  # "%d" drops .5
 
 
 @pytest.mark.parametrize("pending", [1, 0, None, "true"])

@@ -1,8 +1,8 @@
 """Each hot trace event has one producer: its positional writer.
 
-``simnet.Trace`` writes the seven routing and traffic events through
-positional writers (``Trace.tx_pooled(t, actor, t_id, origin)`` and so on) and
-every other event through ``emit``. ``tests/test_simnet.py`` checks that a
+``simnet.Trace`` writes ten hot events through positional writers
+(``Trace.tx_pooled(t, actor, t_id, origin)`` and so on) and every other event
+through ``emit``. ``tests/test_simnet.py`` checks that a
 writer's line is ``emit``'s line for the same record; these checks parse
 ``src/overchain/`` with ``ast`` so that the two encodings of one event cannot
 both be in use: no ``emit`` call names an event that has a writer, and every
@@ -15,8 +15,9 @@ import overchain
 
 PACKAGE = Path(overchain.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
-WRITERS = ["countersigned", "traffic_tx", "tx_broadcast", "tx_delivered", "tx_dropped",
-           "tx_pooled", "tx_received"]
+WRITERS = ["block_appended", "block_validated", "countersigned", "traffic_tx",
+           "trust_updated", "tx_broadcast", "tx_delivered", "tx_dropped", "tx_pooled",
+           "tx_received"]
 
 
 def method_calls(source: str) -> list[ast.Call]:

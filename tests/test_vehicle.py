@@ -42,7 +42,7 @@ from overchain.vehicle import (
     storage_digest,
 )
 
-from conftest import trace_records
+from conftest import pool_of, trace_records
 
 
 class Sink(BaseActor):
@@ -182,7 +182,7 @@ def test_insurer_verdict_accepts_anchored_snapshot_and_rejects_edits():
     anchor = veh.anchor_storage(engine)
 
     chain = Chain()
-    append_block(chain, form_block([anchor], chain, generate_keypair("gen"), 1))
+    append_block(chain, form_block(pool_of([anchor]), chain, generate_keypair("gen"), 1))
     stored = chain.get_tx(anchor.t_id)  # what the manager's chain lookup answers
     insurer = Insurer("insurer", generate_keypair("insurer"), "obm", cloud_id="cloud")
     insurer.pk_db["acct-1"] = account_key.public
