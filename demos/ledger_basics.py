@@ -12,7 +12,6 @@ from overchain.ledger import (
     Chain,
     PayloadTag,
     TrustTable,
-    TxKind,
     ZERO_DIGEST,
     append_block,
     build_transaction,
@@ -34,13 +33,10 @@ def main() -> None:
 
     # A single-signature entry, then a two-party entry that bob completes.
     # Each of alice's entries links to her previous one through p_t_id.
-    note = build_transaction(TxKind.SINGLE, ZERO_DIGEST,
-                             digest(b"odometer snapshot"),
+    note = build_transaction(ZERO_DIGEST, digest(b"odometer snapshot"),
                              PayloadTag.GENERIC, alice)
-    pending = build_transaction(TxKind.MULTI, note.t_id,
-                                digest(b"ride agreement"),
-                                PayloadTag.GENERIC, alice,
-                                recipient_pk=bob.public)
+    pending = build_transaction(note.t_id, digest(b"ride agreement"),
+                                PayloadTag.GENERIC, alice, recipient_pk=bob.public)
     agreement = countersign(pending, bob)
     print(f"single-sig entry      {note.t_id.hex()[:16]}…")
     print(f"pending two-party     {pending.t_id.hex()[:16]}…  fully_signed="
@@ -84,8 +80,8 @@ def main() -> None:
     print(f"audit after payload rewrite: {verify_chain(broken)}")
 
     # Chain context matters too: an entry whose predecessor is unknown parks.
-    orphan = build_transaction(TxKind.SINGLE, digest(b"never committed"),
-                               digest(b"payload"), PayloadTag.GENERIC, alice)
+    orphan = build_transaction(digest(b"never committed"), digest(b"payload"),
+                               PayloadTag.GENERIC, alice)
     verdict = validate_transaction(orphan, chain)
     print(f"orphan entry verdict: ok={verdict.ok}, fault={verdict.fault}")
 

@@ -24,7 +24,10 @@ from typing import Any, Optional
 import yaml
 
 __all__ = [
+    "CLOUD_ID",
+    "DRIVER_ID",
     "EXPECTATION_OPS",
+    "TRAFFIC_ID",
     "ConfigError",
     "Directive",
     "Expectation",
@@ -34,6 +37,7 @@ __all__ = [
     "ServiceSpec",
     "TrafficPhase",
     "VehicleSpec",
+    "attacker_id",
     "load_scenario",
     "parse_scenario",
     "traffic_pairs",
@@ -80,6 +84,31 @@ class NetworkConfig:
         if len(base) < len(ids) * (len(ids) - 1) // 2:  # some pair keeps the default
             worst = max(worst, self.default_delay)
         return worst * (1.0 + self.jitter)
+
+
+# The world's own node ids, besides ``obm<N>`` and ``veh<N>``: the object store,
+# the background traffic source and the scenario clock. A roster service may
+# take none of them, nor the id of any ``start_ddos`` attacker of its script.
+CLOUD_ID, TRAFFIC_ID, DRIVER_ID = "cloud", "traffic", "driver"
+_WORLD_NODES = {CLOUD_ID: "the cloud store", TRAFFIC_ID: "the traffic source",
+                DRIVER_ID: "the scenario driver"}
+_ATTACKER_PREFIX = "atk"
+
+
+def attacker_id(n: int) -> str:
+    """The node id of a run's ``n``-th ``start_ddos`` attacker, counted from 1."""
+    return f"{_ATTACKER_PREFIX}{n}"
+
+
+def _reserved_for(node_id: str, attackers: int) -> Optional[str]:
+    """The world's node that takes ``node_id``, in a run whose ``start_ddos``
+    directives start ``attackers`` attackers in all; None if none does."""
+    number = node_id.removeprefix(_ATTACKER_PREFIX)
+    # the length first, since int() refuses a string of over 4,300 digits
+    if (number.isdecimal() and len(number) <= len(str(attackers))
+            and attacker_id(n := int(number)) == node_id and 0 < n <= attackers):
+        return "a start_ddos attacker"
+    return _WORLD_NODES.get(node_id)
 
 
 @dataclass(frozen=True)
@@ -437,18 +466,23 @@ def _parse_service(check: _Checker, obj, path: str, default_id: str,
 
 
 def _parse_actors(check: _Checker, obj, manager_ids: list[str]):
+    """The roster, and each service's (path of its ``id``, id)."""
     raw = check.mapping(obj, "actors")
-    oem, insurer, attacker = (
-        _parse_service(check, raw.get(role), f"actors.{role}", role, manager_ids)
-        for role in ("oem", "insurer", "attacker"))
-    providers = tuple(
-        _parse_service(check, entry, f"actors.providers[{i}]", f"provider{i}", manager_ids)
-        for i, entry in enumerate(check.read(raw, "providers", "actors", list, default=[]))
-        if entry is not None)
+    specs = {f"actors.{role}": _parse_service(check, raw.get(role), f"actors.{role}",
+                                              role, manager_ids)
+             for role in ("oem", "insurer", "attacker")}
+    oem, insurer, attacker = specs.values()
+    for i, entry in enumerate(check.read(raw, "providers", "actors", list, default=[])):
+        path = f"actors.providers[{i}]"
+        specs[path] = _parse_service(check, entry, path, f"provider{i}", manager_ids)
+    providers = tuple(spec for path, spec in specs.items()
+                      if path.startswith("actors.providers") and spec is not None)
     if providers and oem is None:
         check.fail("actors.providers", "software providers require actors.oem")
     vehicles, rotating = _parse_vehicles(check, raw.get("vehicles"), manager_ids)
-    return oem, providers, insurer, attacker, vehicles, rotating
+    ids = [(f"{path}.id", spec.service_id) for path, spec in specs.items()
+           if spec is not None]
+    return oem, providers, insurer, attacker, vehicles, rotating, ids
 
 
 def _parse_traffic(check: _Checker, obj, vehicle_count: int, rotating: dict) -> tuple:
@@ -565,7 +599,7 @@ def parse_scenario(obj: Any, *, default_name: str = "scenario") -> ScenarioConfi
 
     # a rejected ``managers: 0`` still checks the roster, against obm0
     manager_ids = NetworkConfig(managers=max(network.managers, 1)).manager_ids
-    oem, providers, insurer, attacker, vehicles, rotating = _parse_actors(
+    oem, providers, insurer, attacker, vehicles, rotating, service_ids = _parse_actors(
         check, raw.get("actors"), manager_ids)
 
     known_ids = {
@@ -577,22 +611,23 @@ def parse_scenario(obj: Any, *, default_name: str = "scenario") -> ScenarioConfi
         "attacker": attacker,
     }
     node_ids = (known_ids["managers"] | known_ids["vehicles"]
-                | set(known_ids["providers"]) | {"cloud"})
-    for spec in (oem, insurer, attacker):
-        if spec is not None:
-            node_ids.add(spec.service_id)
-    if len(node_ids) < (network.managers + len(vehicles) + len(providers) + 1
-                        + sum(s is not None for s in (oem, insurer, attacker))):
+                | {service_id for _, service_id in service_ids})
+    if len(node_ids) < network.managers + len(vehicles) + len(service_ids):
         check.fail("actors", "actor ids must be unique across the roster")
 
     for i, (a, b, _) in enumerate(network.links):
         for node in (a, b):
-            if node not in node_ids:
+            if node not in node_ids and node != CLOUD_ID:
                 check.fail(f"network.links[{i}]", f"unknown node '{node}'")
 
     traffic = _parse_traffic(check, raw.get("traffic"), len(vehicles), rotating)
     script = _parse_script(check, check.read(raw, "script", "", list, default=[]),
                            known_ids, head.duration)
+    attackers = sum(d.params["attackers"] or 0 for d in script if d.action == "start_ddos")
+    for path, service_id in service_ids:
+        node = _reserved_for(service_id, attackers)
+        if node is not None:
+            check.fail(path, f"'{service_id}' is the id of {node}")
     expectations = _parse_expectations(
         check, check.read(raw, "expectations", "", list, default=[]))
 

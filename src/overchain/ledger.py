@@ -175,18 +175,15 @@ def _sealed(*fields) -> Transaction:
 
 
 def build_transaction(
-    kind: TxKind,
     p_t_id: Digest,
     payload_digest: Digest,
     payload_tag: PayloadTag,
     generator: KeyPair,
     recipient_pk: Optional[PublicKey] = None,
 ) -> Transaction:
-    """Build and sign a transaction as its generator (sig_1 holder)."""
-    if kind is TxKind.MULTI and recipient_pk is None:
-        raise ValueError("multisig transaction needs a recipient public key")
-    if kind is TxKind.SINGLE and recipient_pk is not None:
-        raise ValueError("single-sig transaction cannot carry a recipient key")
+    """Build and sign a transaction as its generator (sig_1 holder): a pending
+    multisig addressed to ``recipient_pk`` when one is given, else single-sig."""
+    kind = TxKind.SINGLE if recipient_pk is None else TxKind.MULTI
     pk_1 = generator.public
     sig_1 = generator.sign(_signing_body(p_t_id, payload_digest, pk_1, recipient_pk))
     return _sealed(p_t_id, kind, pk_1, sig_1, recipient_pk, None, payload_digest, payload_tag)

@@ -43,7 +43,6 @@ from .ledger import (
     ThroughputState,
     Transaction,
     TrustTable,
-    TxKind,
     append_block,
     build_transaction,
     check_integrity,
@@ -146,23 +145,23 @@ class BlockManager(BaseActor):
     def remove_member(self, member_id: str) -> None:
         self.members.pop(member_id, None)
 
-    def upload_key_pair(
-        self, trace, now: float, member_id: str,
-        requester_pk: PublicKey, member_pk: PublicKey,
-    ) -> bool:
+    def upload_key_pair(self, engine, member_id: str, requester_pk: PublicKey,
+                        member_pk: PublicKey) -> bool:
         """Record an access entry for a cluster member; idempotent."""
         if member_id not in self.members:
-            trace.emit(now, self.node_id, "key_upload_rejected", member=member_id)
+            engine.trace.emit(engine.now, self.node_id, "key_upload_rejected", member=member_id)
             return False
         added = self.key_list.add(KeyListEntry(requester_pk, member_pk, member_id))
         if added:
-            trace.emit(now, self.node_id, "key_uploaded", member=member_id,
-                       requester_pk=requester_pk.hex()[:16], member_pk=member_pk.hex()[:16])
+            engine.trace.emit(engine.now, self.node_id, "key_uploaded", member=member_id,
+                              requester_pk=requester_pk.hex()[:16],
+                              member_pk=member_pk.hex()[:16])
         return added
 
-    def remove_member_keys(self, trace, now: float, member_id: str) -> int:
+    def remove_member_keys(self, engine, member_id: str) -> int:
         removed = self.key_list.remove_member(member_id)
-        trace.emit(now, self.node_id, "keys_removed", member=member_id, removed=removed)
+        engine.trace.emit(engine.now, self.node_id, "keys_removed", member=member_id,
+                          removed=removed)
         return removed
 
     def generator_name(self, pk: PublicKey) -> str:
@@ -174,13 +173,13 @@ class BlockManager(BaseActor):
         member = request.sender
         self.add_member(member, request.data.get("member_kind", "vehicle"))
         for requester_pk, member_pk in request.data.get("entries", []):
-            self.upload_key_pair(engine.trace, engine.now, member, requester_pk, member_pk)
+            self.upload_key_pair(engine, member, requester_pk, member_pk)
         engine.trace.emit(engine.now, self.node_id, "member_joined", member=member)
         return {"ok": True}
 
     def serve_leave_cluster(self, engine, request: AppRequest) -> dict:
         member = request.sender
-        self.remove_member_keys(engine.trace, engine.now, member)
+        self.remove_member_keys(engine, member)
         self.remove_member(member)
         engine.trace.emit(engine.now, self.node_id, "member_left", member=member)
         return {"ok": True}
@@ -188,8 +187,7 @@ class BlockManager(BaseActor):
     def serve_upload_keys(self, engine, request: AppRequest) -> dict:
         added = 0
         for requester_pk, member_pk in request.data.get("entries", []):
-            if self.upload_key_pair(engine.trace, engine.now, request.sender,
-                                    requester_pk, member_pk):
+            if self.upload_key_pair(engine, request.sender, requester_pk, member_pk):
                 added += 1
         return {"ok": request.sender in self.members, "added": added}
 
@@ -281,15 +279,15 @@ class BlockManager(BaseActor):
         ready = [tid for tid, (tx, _, _) in self.waiting.items() if tx.p_t_id == new_tid]
         for tid in ready:
             tx, origin, _ = self.waiting.pop(tid)
-            engine.trace.emit(engine.now, self.node_id, "tx_unparked", t_id=tid.hex())
+            engine.trace.emit(engine.now, self.node_id, "tx_unparked", t_id=tx.t_id_hex)
             self._admit(engine, tx, origin)
 
     def expire_waiting(self, engine, expire_all: bool = False) -> None:
-        stale = [tid for tid, (_, _, deadline) in self.waiting.items()
+        stale = [tx for tx, _, deadline in self.waiting.values()
                  if expire_all or deadline <= engine.now]
-        for tid in stale:
-            del self.waiting[tid]
-            self._drop(engine, tid.hex(), "invalid", "missing_predecessor")
+        for tx in stale:
+            del self.waiting[tx.t_id]
+            self._drop(engine, tx.t_id_hex, "invalid", "missing_predecessor")
 
     # -- block generation and validation -----------------------------------------
 
@@ -338,8 +336,7 @@ class BlockManager(BaseActor):
         """Broadcast a block with a bad generator signature (not appended
         locally); exists to exercise peers' trust reset."""
         junk_key = generate_keypair(f"{self.node_id}:junk:{period_index}")
-        junk_tx = build_transaction(
-            TxKind.SINGLE, ZERO_DIGEST, _digest(b"junk"), PayloadTag.GENERIC, junk_key)
+        junk_tx = build_transaction(ZERO_DIGEST, _digest(b"junk"), PayloadTag.GENERIC, junk_key)
         block = form_block({junk_tx.t_id: junk_tx}, self.chain, self.keypair, 1, flush=True)
         block = dataclasses.replace(block, generator_signature=self.keypair.sign(b"corrupt"))
         engine.trace.emit(engine.now, self.node_id, "corrupt_block_emitted",

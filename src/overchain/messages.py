@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .config import CLOUD_ID
 from .ledger import Block, Transaction
 
 
@@ -121,11 +122,10 @@ class BaseActor:
     def reply(self, engine, request: AppRequest, data: dict) -> None:
         engine.send(self.node_id, request.sender, AppResponse(data, request.then))
 
-    def cloud_call(self, engine, cloud_id: str, account, kind: str, data: dict,
-                   then: Callable) -> None:
-        """Challenge-response authentication followed by one storage
-        operation; ``then`` receives the final response dict (carrying
-        "error" on any failure, including the authentication steps)."""
+    def cloud_call(self, engine, account, kind: str, data: dict, then: Callable) -> None:
+        """Challenge-response authentication with the cloud store followed by
+        one storage operation; ``then`` receives the final response dict
+        (carrying "error" on any failure, including the authentication steps)."""
         account_id, account_key = account
 
         def on_nonce(eng, resp):
@@ -133,7 +133,7 @@ class BaseActor:
                 then(eng, resp)
                 return
             nonce = resp["nonce"]
-            self.send_request(eng, cloud_id, "cloud_proof",
+            self.send_request(eng, CLOUD_ID, "cloud_proof",
                               {"account": account_id, "nonce": nonce,
                                "proof": account_key.sign(nonce)},
                               on_session)
@@ -142,8 +142,8 @@ class BaseActor:
             if "error" in resp:
                 then(eng, resp)
                 return
-            self.send_request(eng, cloud_id, kind,
+            self.send_request(eng, CLOUD_ID, kind,
                               dict(data, session=resp["session"]), then)
 
-        self.send_request(engine, cloud_id, "cloud_auth",
+        self.send_request(engine, CLOUD_ID, "cloud_auth",
                           {"account": account_id}, on_nonce)

@@ -116,7 +116,11 @@ def _zero_filled(counter: dict, keys: tuple) -> dict:
 # -- metric extraction --------------------------------------------------------------
 
 
-def _verification_trend(validated: dict, min_blocks: int) -> dict:
+# A generator's verification trend needs at least this many accepted blocks.
+_TREND_MIN_BLOCKS = 9
+
+
+def _verification_trend(validated: dict) -> dict:
     """Per-generator mean signature checks in the first vs final third of its
     accepted blocks (validators' view, averaged per block height)."""
     out: dict[str, Any] = {"ratio": {}, "first_third_mean": {}, "final_third_mean": {}}
@@ -124,7 +128,7 @@ def _verification_trend(validated: dict, min_blocks: int) -> dict:
     for generator, by_height in sorted(validated.items()):
         series = [sum(counts) / len(counts)
                   for _, counts in sorted(by_height.items())]
-        if len(series) < max(3, min_blocks):
+        if len(series) < _TREND_MIN_BLOCKS:
             continue
         third = len(series) // 3
         first = sum(series[:third]) / third
@@ -330,7 +334,7 @@ def compute_metrics(lines: Iterable[dict]) -> dict:
             "height_min": min(heights.values()) if heights else 0,
             "height_max": max(heights.values()) if heights else 0,
         },
-        "verification": _verification_trend(validated, min_blocks=9),
+        "verification": _verification_trend(validated),
         "dtm": _dtm_metrics(throughput),
         "chain": {
             "heights": heights,

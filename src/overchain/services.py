@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .config import CLOUD_ID
 from .crypto import (
     ZERO_DIGEST,
     Digest,
@@ -32,8 +33,8 @@ class CloudStore(BaseActor):
     """Key-value object store with per-account ACLs behind challenge-response
     authentication. ACL entries ending in "/" grant the whole prefix."""
 
-    def __init__(self, node_id: str, *, retain_closed_objects: bool = True):
-        super().__init__(node_id)
+    def __init__(self, *, retain_closed_objects: bool = True):
+        super().__init__(CLOUD_ID)
         self.objects: dict[str, bytes] = {}
         self.accounts: dict[str, PublicKey] = {}
         self.acl: dict[str, set[str]] = {}
@@ -150,12 +151,10 @@ class SwProvider(BaseActor):
     half-signed update transaction addressed to the OEM."""
 
     def __init__(self, node_id: str, keypair: KeyPair, obm_id: str, *,
-                 cloud_id: str, cloud_account: tuple[str, KeyPair],
-                 oem_pk: PublicKey):
+                 cloud_account: tuple[str, KeyPair], oem_pk: PublicKey):
         super().__init__(node_id)
         self.keypair = keypair
         self.obm_id = obm_id
-        self.cloud_id = cloud_id
         self.cloud_account = cloud_account
         self.oem_pk = oem_pk
         self.last_final_tid: Digest = ZERO_DIGEST
@@ -175,17 +174,16 @@ class SwProvider(BaseActor):
                 eng.trace.emit(eng.now, self.node_id, "publish_failed",
                                version=version, error=resp["error"])
                 return
-            pending = build_transaction(
-                TxKind.MULTI, self.last_final_tid, blob_digest,
-                PayloadTag.SW_UPDATE, self.keypair, recipient_pk=self.oem_pk)
-            self.published.append((version, object_id, pending.t_id.hex()))
+            pending = build_transaction(self.last_final_tid, blob_digest, PayloadTag.SW_UPDATE,
+                                        self.keypair, recipient_pk=self.oem_pk)
+            self.published.append((version, object_id, pending.t_id_hex))
             eng.trace.emit(eng.now, self.node_id, "published",
                            version=version, object=object_id,
-                           t_id=pending.t_id.hex())
+                           t_id=pending.t_id_hex)
             eng.send(self.node_id, self.obm_id,
                      TxMessage(pending, origin_member=self.node_id))
 
-        self.cloud_call(engine, self.cloud_id, self.cloud_account, "cloud_put",
+        self.cloud_call(engine, self.cloud_account, "cloud_put",
                         {"object": object_id, "data": blob}, on_stored)
 
     def on_delivered(self, engine, tx: Transaction) -> None:
@@ -193,7 +191,7 @@ class SwProvider(BaseActor):
             # countersign feedback: the recipient recomputed the final id
             self.last_final_tid = tx.t_id
             engine.trace.emit(engine.now, self.node_id, "final_observed",
-                              t_id=tx.t_id.hex())
+                              t_id=tx.t_id_hex)
 
 
 class Oem(BaseActor):
@@ -201,11 +199,10 @@ class Oem(BaseActor):
     the provider's pending update transactions."""
 
     def __init__(self, node_id: str, keypair: KeyPair, obm_id: str, *,
-                 cloud_id: str, cloud_account: tuple[str, KeyPair]):
+                 cloud_account: tuple[str, KeyPair]):
         super().__init__(node_id)
         self.keypair = keypair
         self.obm_id = obm_id
-        self.cloud_id = cloud_id
         self.cloud_account = cloud_account
 
     def on_delivered(self, engine, tx: Transaction) -> None:
@@ -214,7 +211,7 @@ class Oem(BaseActor):
 
     def _reject(self, engine, tx: Transaction, reason: str) -> None:
         engine.trace.emit(engine.now, self.node_id, "approval_rejected",
-                          t_id=tx.t_id.hex(), reason=reason)
+                          t_id=tx.t_id_hex, reason=reason)
 
     def approve(self, engine, pending: Transaction) -> None:
         """Verify a half-signed update end-to-end, then countersign it."""
@@ -240,12 +237,12 @@ class Oem(BaseActor):
                 return
             final = countersign(pending, self.keypair)
             eng.trace.emit(eng.now, self.node_id, "approved",
-                           pending_t_id=pending.t_id.hex(),
-                           t_id=final.t_id.hex())
+                           pending_t_id=pending.t_id_hex,
+                           t_id=final.t_id_hex)
             eng.send(self.node_id, self.obm_id,
                      TxMessage(final, origin_member=self.node_id))
 
-        self.cloud_call(engine, self.cloud_id, self.cloud_account, "cloud_get",
+        self.cloud_call(engine, self.cloud_account, "cloud_get",
                         {"object": sw_object_id(pending.payload_digest)},
                         on_download)
 
@@ -255,12 +252,10 @@ class Insurer(BaseActor):
     account-to-owner registry and key database, and verifies claims against
     anchors stored in the chain."""
 
-    def __init__(self, node_id: str, keypair: KeyPair, obm_id: str, *,
-                 cloud_id: str):
+    def __init__(self, node_id: str, keypair: KeyPair, obm_id: str):
         super().__init__(node_id)
         self.keypair = keypair
         self.obm_id = obm_id
-        self.cloud_id = cloud_id
         self.registry: dict[str, str] = {}  # account id -> owner identity
         self.pk_db: dict[str, PublicKey] = {}  # account id -> account pk
         self._account_seq = 0
@@ -281,7 +276,7 @@ class Insurer(BaseActor):
                 "insurer_pk": self.keypair.public,
             }, lambda e, r: None)
 
-        self.send_request(engine, self.cloud_id, "admin_create_account", {
+        self.send_request(engine, CLOUD_ID, "admin_create_account", {
             "account": account_id,
             "pk": account_key.public,
             "acl": [f"{account_id}/"],
@@ -293,7 +288,7 @@ class Insurer(BaseActor):
             eng.trace.emit(eng.now, self.node_id, "account_closure",
                            account=account_id, existed=resp.get("existed"))
 
-        self.send_request(engine, self.cloud_id, "admin_close_account",
+        self.send_request(engine, CLOUD_ID, "admin_close_account",
                           {"account": account_id}, on_closed)
 
     def serve_file_claim(self, engine, request: AppRequest) -> None:

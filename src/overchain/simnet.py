@@ -138,6 +138,8 @@ class LinkModel:
 
     def __init__(self, default_delay: float = 5.0, jitter: float = 0.0):
         self.default_delay = _positive("default_delay", default_delay)
+        if not 0 <= jitter < math.inf:  # false for NaN too
+            raise ValueError(f"jitter must be a finite number of at least 0, got {jitter!r}")
         self.jitter = jitter
         self._base: dict[tuple[str, str], float] = {}
 
@@ -168,10 +170,10 @@ class Engine:
     ``handle(engine, payload)``; each node's state is mutated only from its
     own deliveries."""
 
-    def __init__(self, seed: int | str, links: LinkModel, trace: Optional[Trace] = None):
+    def __init__(self, seed: int | str, links: LinkModel):
         self.seed = seed
         self.links = links
-        self.trace = trace if trace is not None else Trace()
+        self.trace = Trace()
         self.now = 0.0
         self.nodes: dict[str, Any] = {}
         self._queue: list[tuple[float, int, str, Any]] = []

@@ -58,7 +58,6 @@ class Vehicle(BaseActor):
         keys: KeyRing,
         *,
         oem_pk: Optional[PublicKey] = None,
-        cloud_id: str = "cloud",
         cloud_account: Optional[tuple[str, KeyPair]] = None,
         insurance_account: Optional[tuple[str, KeyPair]] = None,
     ):
@@ -67,7 +66,6 @@ class Vehicle(BaseActor):
         self.keys = keys
         self.obm_id = spec.obm
         self.oem_pk = oem_pk
-        self.cloud_id = cloud_id
         self.cloud_account = cloud_account
         self.insurance_account = insurance_account
 
@@ -147,7 +145,7 @@ class Vehicle(BaseActor):
         on that key's previous anchor."""
         key = self._anchor_key()
         previous = self.last_anchor_tid.get(key.public, ZERO_DIGEST)
-        tx = build_transaction(TxKind.SINGLE, previous, store_digest, tag, key)
+        tx = build_transaction(previous, store_digest, tag, key)
         self.last_anchor_tid[key.public] = tx.t_id
         self.submit(engine, tx)
         return tx
@@ -156,7 +154,7 @@ class Vehicle(BaseActor):
         store_digest = storage_digest(self.in_vehicle_storage)
         tx = self._submit_anchor(engine, store_digest, PayloadTag.STORAGE_ANCHOR)
         engine.trace.emit(engine.now, self.node_id, "anchor",
-                          t_id=tx.t_id.hex(), n_records=len(self.in_vehicle_storage),
+                          t_id=tx.t_id_hex, n_records=len(self.in_vehicle_storage),
                           store_digest=store_digest.hex())
         return tx
 
@@ -169,7 +167,7 @@ class Vehicle(BaseActor):
         tx = self._submit_anchor(engine, storage_digest(self.backup_store),
                                  PayloadTag.BACKUP_ANCHOR)
         engine.trace.emit(engine.now, self.node_id, "backup",
-                          t_id=tx.t_id.hex(), moved=moved,
+                          t_id=tx.t_id_hex, moved=moved,
                           backup_total=len(self.backup_store))
         return tx
 
@@ -187,7 +185,7 @@ class Vehicle(BaseActor):
                 eng.trace.emit(eng.now, self.node_id, "record_uploaded",
                                object=object_id, category=record.category)
 
-        self.cloud_call(engine, self.cloud_id, self.insurance_account, "cloud_put",
+        self.cloud_call(engine, self.insurance_account, "cloud_put",
                         {"object": object_id, "data": record.wire_bytes()},
                         done)
 
@@ -195,14 +193,13 @@ class Vehicle(BaseActor):
 
     def _reject_update(self, engine, tx: Transaction, reason: str) -> None:
         engine.trace.emit(engine.now, self.node_id, "update_rejected",
-                          t_id=tx.t_id.hex(), reason=reason)
+                          t_id=tx.t_id_hex, reason=reason)
 
     def handle_update_notification(self, engine, tx: Transaction) -> None:
         if tx.t_id in self._handled_updates:
             return
         self._handled_updates.add(tx.t_id)
-        tid = tx.t_id.hex()
-        engine.trace.emit(engine.now, self.node_id, "update_received", t_id=tid)
+        engine.trace.emit(engine.now, self.node_id, "update_received", t_id=tx.t_id_hex)
         verdict = check_integrity(tx)
         if not (verdict.ok and tx.fully_signed and tx.payload_tag is PayloadTag.SW_UPDATE):
             self._reject_update(engine, tx, "invalid")
@@ -232,12 +229,12 @@ class Vehicle(BaseActor):
                 self._reject_update(eng, tx, "invalid")
                 return
             self.installed_sw[ecu] = (version, tx.payload_digest.hex())
-            eng.trace.emit(eng.now, self.node_id, "update_verified", t_id=tid)
+            eng.trace.emit(eng.now, self.node_id, "update_verified", t_id=tx.t_id_hex)
             eng.trace.emit(eng.now, self.node_id, "installed",
                            ecu=ecu, version=version,
                            sw_digest=tx.payload_digest.hex())
 
-        self.cloud_call(engine, self.cloud_id, self.cloud_account, "cloud_get",
+        self.cloud_call(engine, self.cloud_account, "cloud_get",
                         {"object": sw_object_id(tx.payload_digest)}, on_download)
 
     # -- deliveries -------------------------------------------------------------------
@@ -315,7 +312,7 @@ class Vehicle(BaseActor):
         snapshot = list(self.in_vehicle_storage)
         anchor = self.anchor_storage(engine)
         engine.trace.emit(engine.now, self.node_id, "accident",
-                          anchor_t_id=anchor.t_id.hex(), n_records=len(snapshot),
+                          anchor_t_id=anchor.t_id_hex, n_records=len(snapshot),
                           tamper=tamper)
         engine.schedule(max(claim_delay, 0.0), self.node_id, Timer(
             self._send_claim, (insurer_id, anchor.t_id, snapshot, tamper)))

@@ -2,9 +2,14 @@
 and drive it — background traffic, timed directives, the shared block-period
 clock, and the end-of-run drain — producing a trace the report reads.
 
-Node naming is fixed by ``config``: managers are ``obm0..obmN-1``, vehicles
-``veh0..vehM-1``, the object store is ``cloud``; service ids come from the
-roster. All key material derives from ``<scenario seed>:key:<node>`` (and
+Node naming is fixed by ``config``, which names each fixed id once: managers
+are ``obm0..obmN-1`` and vehicles ``veh0..vehM-1``; the object store is
+``CLOUD_ID`` (``cloud``), the traffic source ``TRAFFIC_ID`` (``traffic``), the
+scenario driver ``DRIVER_ID`` (``driver``) and the n-th ``start_ddos``
+attacker of a run ``attacker_id(n)`` (``atk1``, ``atk2``, ...). Service ids come
+from the roster, which ``parse_scenario`` keeps off all of these.
+
+All key material derives from ``<scenario seed>:key:<node>`` (and
 ``:cloud:<node>`` for cloud accounts) so runs are reproducible from the config
 alone.
 
@@ -20,11 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .config import ScenarioConfig, TrafficPhase, traffic_pairs
+from .config import DRIVER_ID, TRAFFIC_ID, ScenarioConfig, TrafficPhase, attacker_id, traffic_pairs
 from .crypto import ZERO_DIGEST, KeyRing, cached, digest, generate_keypair, issue_certificate
 from .ledger import (
     PayloadTag,
-    TxKind,
     build_transaction,
     countersign,
     schedule_block_turn,
@@ -33,7 +37,7 @@ from .ledger import (
 from .manager import BlockManager, chain_summary
 from .messages import BaseActor, Timer, TxMessage
 from .services import CloudStore, Insurer, Oem, SwProvider
-from .simnet import Engine, LinkModel, Trace
+from .simnet import Engine, LinkModel
 from .swformat import SW_OBJECT_PREFIX, build_sw_binary
 from .vehicle import Vehicle
 
@@ -45,14 +49,12 @@ class TrafficDriver(BaseActor):
     pairs, each a (requester, partner) of ``config.traffic_pairs``. Each
     transaction chains to the requester's most recent completed one."""
 
-    def __init__(self, node_id: str, pairs: list[tuple[Vehicle, Vehicle]]):
-        super().__init__(node_id)
+    def __init__(self, pairs: list[tuple[Vehicle, Vehicle]]):
+        super().__init__(TRAFFIC_ID)
         self.pairs = pairs
         self.sent = 0
 
     def _round(self, engine, phase: TrafficPhase) -> None:
-        if engine.now > phase.stop:
-            return
         for pair in range(phase.pairs):
             self._shoot(engine, pair)
         if engine.now + phase.interval <= phase.stop:
@@ -64,8 +66,7 @@ class TrafficDriver(BaseActor):
         previous = requester.last_final_tid.get(req_key.public, ZERO_DIGEST)
         self.sent += 1
         payload = digest(f"traffic:{pair}:{self.sent}".encode())
-        tx = build_transaction(TxKind.MULTI, previous, payload,
-                               PayloadTag.GENERIC, req_key,
+        tx = build_transaction(previous, payload, PayloadTag.GENERIC, req_key,
                                recipient_pk=partner.keys.current.public)
         engine.trace.traffic_tx(engine.now, self.node_id, tx.t_id_hex, requester.node_id,
                                 partner.node_id)
@@ -97,30 +98,27 @@ class Attacker(BaseActor):
         """One unauthorized transaction toward ``target``'s key."""
         self.shots += 1
         tx = build_transaction(
-            TxKind.MULTI, ZERO_DIGEST,
-            digest(f"{self.node_id}:flood:{self.shots}".encode()),
+            ZERO_DIGEST, digest(f"{self.node_id}:flood:{self.shots}".encode()),
             PayloadTag.GENERIC, self.keypair, recipient_pk=target_pk)
         engine.trace.emit(engine.now, self.node_id, "attack_tx",
-                          t_id=tx.t_id.hex(), target=target, target_obm=target_obm)
+                          t_id=tx.t_id_hex, target=target, target_obm=target_obm)
         self._submit(engine, tx)
 
     def forge_publish(self, engine, ecu: str, version: str, oem_pk) -> None:
         blob = build_sw_binary(ecu, version, f"{self.node_id}:{version}".encode())
-        tx = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(blob),
-                               PayloadTag.SW_UPDATE, self.keypair,
+        tx = build_transaction(ZERO_DIGEST, digest(blob), PayloadTag.SW_UPDATE, self.keypair,
                                recipient_pk=oem_pk)
         engine.trace.emit(engine.now, self.node_id, "forged_publish",
-                          t_id=tx.t_id.hex(), version=version)
+                          t_id=tx.t_id_hex, version=version)
         self._submit(engine, tx)
 
     def forge_final(self, engine, ecu: str, version: str) -> None:
         blob = build_sw_binary(ecu, version, f"{self.node_id}:{version}".encode())
-        pending = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(blob),
-                                    PayloadTag.SW_UPDATE, self.keypair,
-                                    recipient_pk=self.second_keypair.public)
+        pending = build_transaction(ZERO_DIGEST, digest(blob), PayloadTag.SW_UPDATE,
+                                    self.keypair, recipient_pk=self.second_keypair.public)
         final = countersign(pending, self.second_keypair)
         engine.trace.emit(engine.now, self.node_id, "forged_final",
-                          t_id=final.t_id.hex(), version=version)
+                          t_id=final.t_id_hex, version=version)
         self._submit(engine, final)
 
 
@@ -143,8 +141,8 @@ class ScenarioDriver(BaseActor):
     """Owns the scenario clock: the network-wide block period, the scripted
     directives, and the end-of-run drain."""
 
-    def __init__(self, node_id: str, world: World):
-        super().__init__(node_id)
+    def __init__(self, world: World):
+        super().__init__(DRIVER_ID)
         self.world = world
         self._ddos_seq = 0
 
@@ -209,15 +207,13 @@ class ScenarioDriver(BaseActor):
             or [target_obm]
         for i in range(params["attackers"]):
             self._ddos_seq += 1
-            atk = Attacker(f"atk{self._ddos_seq}", homes[i % len(homes)],
+            atk = Attacker(attacker_id(self._ddos_seq), homes[i % len(homes)],
                            f"{world.config.name}:{world.config.seed}")
             engine.add_node(atk)
             if i < params["keyed_attackers"]:
                 home = next(m for m in world.managers
                             if m.node_id == target_obm)
-                home.upload_key_pair(engine.trace, engine.now,
-                                     target.node_id, atk.keypair.public,
-                                     target_pk)
+                home.upload_key_pair(engine, target.node_id, atk.keypair.public, target_pk)
             interval = params["interval"]
             for shot in range(params["tx_per_attacker"]):
                 engine.schedule(shot * interval, atk.node_id, Timer(
@@ -295,7 +291,7 @@ def build_world(config: ScenarioConfig) -> World:
                       jitter=config.network.jitter)
     for a, b, delay in config.network.links:
         links.set_link(a, b, delay)
-    engine = Engine(seed=seed, links=links, trace=Trace())
+    engine = Engine(seed=seed, links=links)
 
     ca = generate_keypair(f"{seed}:ca")
     floor = config.network.period_floor
@@ -308,7 +304,7 @@ def build_world(config: ScenarioConfig) -> World:
         for other in managers:
             manager.manager_names[other.keypair.public] = other.node_id
 
-    cloud = CloudStore("cloud", retain_closed_objects=config.retain_closed_objects)
+    cloud = CloudStore(retain_closed_objects=config.retain_closed_objects)
     engine.add_node(cloud)
     by_id = {m.node_id: m for m in managers}
 
@@ -322,7 +318,7 @@ def build_world(config: ScenarioConfig) -> World:
         cert = issue_certificate(ca, oem_id, oem_key.public)
         account_key = generate_keypair(f"{seed}:cloud:{oem_id}")
         cloud.create_account(f"{oem_id}-acct", account_key.public, [SW_OBJECT_PREFIX])
-        world.oem = Oem(oem_id, oem_key, config.oem.obm, cloud_id="cloud",
+        world.oem = Oem(oem_id, oem_key, config.oem.obm,
                         cloud_account=(f"{oem_id}-acct", account_key))
         engine.add_node(world.oem)
         by_id[config.oem.obm].add_member(oem_id, "service")
@@ -334,7 +330,7 @@ def build_world(config: ScenarioConfig) -> World:
         provider_key = generate_keypair(f"{seed}:key:{pid}")
         account_key = generate_keypair(f"{seed}:cloud:{pid}")
         cloud.create_account(f"{pid}-acct", account_key.public, [SW_OBJECT_PREFIX])
-        provider = SwProvider(pid, provider_key, spec.obm, cloud_id="cloud",
+        provider = SwProvider(pid, provider_key, spec.obm,
                               cloud_account=(f"{pid}-acct", account_key),
                               oem_pk=oem_key.public)
         world.providers[pid] = provider
@@ -343,15 +339,13 @@ def build_world(config: ScenarioConfig) -> World:
         # the update pair in both directions: the manufacturer sees pendings
         # and finals; the provider sees the recomputed final for chaining
         by_id[config.oem.obm].upload_key_pair(
-            engine.trace, 0.0, config.oem.service_id,
-            provider_key.public, oem_key.public)
-        by_id[spec.obm].upload_key_pair(
-            engine.trace, 0.0, pid, oem_key.public, provider_key.public)
+            engine, config.oem.service_id, provider_key.public, oem_key.public)
+        by_id[spec.obm].upload_key_pair(engine, pid, oem_key.public, provider_key.public)
 
     if config.insurer is not None:
         iid = config.insurer.service_id
         world.insurer = Insurer(iid, generate_keypair(f"{seed}:key:{iid}"),
-                                config.insurer.obm, cloud_id="cloud")
+                                config.insurer.obm)
         engine.add_node(world.insurer)
         by_id[config.insurer.obm].add_member(iid, "service")
 
@@ -381,12 +375,12 @@ def build_world(config: ScenarioConfig) -> World:
         a_pk, b_pk = a.keys.current.public, b.keys.current.public
         b.access_set.append((a_pk, b_pk))
         a.access_set.append((b_pk, a_pk))
-        by_id[b.obm_id].upload_key_pair(engine.trace, 0.0, b.node_id, a_pk, b_pk)
-        by_id[a.obm_id].upload_key_pair(engine.trace, 0.0, a.node_id, b_pk, a_pk)
+        by_id[b.obm_id].upload_key_pair(engine, b.node_id, a_pk, b_pk)
+        by_id[a.obm_id].upload_key_pair(engine, a.node_id, b_pk, a_pk)
 
-    world.traffic = TrafficDriver("traffic", pairs)
+    world.traffic = TrafficDriver(pairs)
     engine.add_node(world.traffic)
-    world.driver = ScenarioDriver("driver", world)
+    world.driver = ScenarioDriver(world)
     engine.add_node(world.driver)
     return world
 

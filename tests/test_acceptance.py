@@ -252,7 +252,7 @@ def test_criterion_11a_transaction_validation_matches_oracle():
     recipients = [generate_keypair(f"prop:rcpt:{i}") for i in range(4)]
 
     chain = Chain()
-    seedpool = [build_transaction(TxKind.SINGLE, ZERO_DIGEST,
+    seedpool = [build_transaction(ZERO_DIGEST,
                                   digest(f"seed:{i}".encode()),
                                   PayloadTag.GENERIC, keys[i % len(keys)])
                 for i in range(24)]
@@ -288,9 +288,8 @@ def test_criterion_11a_transaction_validation_matches_oracle():
             tx = dataclasses.replace(signed, t_id=signed.compute_t_id())
             expect = (False, TxFault.MALFORMED)
         else:
-            tx = build_transaction(
-                kind, pred, payload, PayloadTag.GENERIC, key,
-                recipient_pk=rcpt.public if rcpt else None)
+            tx = build_transaction(pred, payload, PayloadTag.GENERIC, key,
+                                   recipient_pk=rcpt.public if rcpt else None)
             if mutation in ("ok_countersigned", "bad_sig2") and kind is TxKind.MULTI:
                 tx = countersign(tx, rcpt)
             if mutation in ("ok", "ok_countersigned"):
@@ -338,7 +337,7 @@ def test_criterion_11b_each_key_forms_a_linked_list_in_the_chain():
         pool = []
         for i in range(rng.randint(35, 50)):
             key = rng.choice(keys)
-            tx = build_transaction(TxKind.SINGLE, last[key.public],
+            tx = build_transaction(last[key.public],
                                    digest(f"ll:{trial}:{i}".encode()),
                                    PayloadTag.GENERIC, key)
             last[key.public] = tx.t_id

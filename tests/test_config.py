@@ -9,6 +9,9 @@ import yaml
 
 from overchain.cli import bundled_scenarios
 from overchain.config import (
+    CLOUD_ID,
+    DRIVER_ID,
+    TRAFFIC_ID,
     ConfigError,
     Expectation,
     LedgerConfig,
@@ -17,10 +20,12 @@ from overchain.config import (
     ServiceSpec,
     TrafficPhase,
     VehicleSpec,
+    attacker_id,
     load_scenario,
     parse_scenario,
 )
 from overchain.config import _plan
+from overchain.world import run_scenario
 
 
 def minimal(**extra):
@@ -277,6 +282,31 @@ def test_unknown_override_id():
     assert "actors.vehicles.overrides.veh7: unknown vehicle id" in msg
 
 
+@pytest.mark.parametrize("entry", [["obm0", "obm1"], ["obm0", "obm1", 2.0, 3.0],
+                                   [0, "obm1", 2.0], "obm0-obm1", {"obm0": "obm1"}])
+def test_link_that_is_not_two_nodes_and_a_delay_rejected(entry):
+    msg = problems_of(minimal(network={"links": [["obm0", "obm1", 2.0], entry]}))
+    assert msg == "network.links[1]: expected [node_a, node_b, delay]"
+
+
+def test_unknown_candidate_manager_rejected():
+    msg = problems_of(minimal(actors={"vehicles": {
+        "count": 2, "template": {"candidate_obms": ["obm0", "obm9"]},
+        "overrides": {"veh1": {"candidate_obms": ["obm7", "obm1"]}}}}))
+    assert msg.splitlines() == [
+        "actors.vehicles.template.candidate_obms: unknown manager 'obm9'",
+        "actors.vehicles.overrides.veh1.candidate_obms: unknown manager 'obm7'"]
+
+
+@pytest.mark.parametrize("role, path", [("oem", "actors.oem"), ("insurer", "actors.insurer"),
+                                        ("attacker", "actors.attacker")])
+def test_service_at_an_unknown_manager_rejected(role, path):
+    assert problems_of(minimal(actors={role: {"obm": "obm4"}})) == \
+        f"{path}.obm: unknown manager 'obm4'"
+    msg = problems_of(minimal(actors={"oem": {}, "providers": [{"obm": "hq"}]}))
+    assert msg == "actors.providers[0].obm: unknown manager 'hq'"
+
+
 def test_link_endpoints_must_exist():
     msg = problems_of(minimal(network={"links": [["veh0", "obm0", 1.0]]}))
     assert "network.links[0]: unknown node 'veh0'" in msg
@@ -338,6 +368,60 @@ def test_duplicate_actor_ids_rejected():
     msg = problems_of(minimal(
         actors={"oem": {"id": "veh0"}, "vehicles": {"count": 1}}))
     assert "actor ids must be unique" in msg
+
+
+def ddos_roster(service_ids: dict, attackers=(2, 1)) -> dict:
+    """A roster of the given services beside a start_ddos directive for each
+    count in ``attackers``."""
+    return minimal(
+        actors={"vehicles": {"count": 1}, "oem": {}, "insurer": {},
+                **{role: {"id": sid} for role, sid in service_ids.items()
+                   if role != "providers"},
+                "providers": [{"id": sid} for sid in service_ids.get("providers", [])]},
+        script=[{"at": 1.0, "do": "start_ddos", "attackers": n, "tx_per_attacker": 1,
+                 "target": "veh0", "interval": 1.0} for n in attackers])
+
+
+@pytest.mark.parametrize("ids, message", [
+    ({"oem": "cloud"}, "actors.oem.id: 'cloud' is the id of the cloud store"),
+    ({"insurer": "traffic"}, "actors.insurer.id: 'traffic' is the id of the traffic source"),
+    ({"attacker": "driver"}, "actors.attacker.id: 'driver' is the id of the scenario driver"),
+    ({"providers": ["cloud"]}, "actors.providers[0].id: 'cloud' is the id of the cloud store"),
+])
+def test_a_service_may_not_take_a_fixed_node_id_of_the_world(ids, message):
+    assert problems_of(ddos_roster(ids)) == message
+
+
+@pytest.mark.parametrize("service_id", ["atk1", "atk2", "atk3"])
+def test_a_service_may_not_take_the_id_of_a_start_ddos_attacker(service_id):
+    # two directives start 2 + 1 attackers: atk1, atk2 and atk3
+    assert problems_of(ddos_roster({"attacker": service_id})) == \
+        f"actors.attacker.id: '{service_id}' is the id of a start_ddos attacker"
+
+
+@pytest.mark.parametrize("service_id", ["atk4", "atk0", "atk01", "atk", "atk-1"])
+def test_an_attacker_like_id_that_no_attacker_takes_builds_and_runs(service_id):
+    config = parse_scenario(ddos_roster({"attacker": service_id}))
+    assert config.attacker.service_id == service_id
+    world = run_scenario(config)  # adds atk1..atk3 beside it
+    assert {attacker_id(n) for n in (1, 2, 3)} | {service_id} <= set(world.engine.nodes)
+    assert {CLOUD_ID, TRAFFIC_ID, DRIVER_ID} <= set(world.engine.nodes)
+
+
+def test_each_reserved_id_is_reported_at_its_own_path():
+    msg = problems_of(ddos_roster({"oem": DRIVER_ID, "insurer": "atk1",
+                                   "providers": ["swp", TRAFFIC_ID]}, attackers=(1,)))
+    assert msg.splitlines() == [
+        "actors.oem.id: 'driver' is the id of the scenario driver",
+        "actors.insurer.id: 'atk1' is the id of a start_ddos attacker",
+        "actors.providers[1].id: 'traffic' is the id of the traffic source"]
+
+
+def test_a_link_may_name_the_cloud_store():
+    config = parse_scenario(minimal(network={"links": [[CLOUD_ID, "obm0", 2.0]]}))
+    assert config.network.links == ((CLOUD_ID, "obm0", 2.0),)
+    msg = problems_of(minimal(network={"links": [[TRAFFIC_ID, "obm0", 2.0]]}))
+    assert msg == "network.links[0]: unknown node 'traffic'"
 
 
 # -- time-bound checks ---------------------------------------------------------------
@@ -451,6 +535,23 @@ def test_directive_times_not_negative_and_defaults_filled():
     assert cfg.script[0].params["keyed_attackers"] == 0
     assert cfg.script[1].params["claim_delay"] == 0.0
     assert cfg.script[1].params["tamper"] is False
+
+
+def test_directive_without_a_required_parameter_rejected():
+    msg = problems_of(minimal(
+        actors={"insurer": {}, "vehicles": {"count": 1}},
+        script=[{"at": 1.0, "do": "open_account", "vehicle": "veh0"},
+                {"at": 2.0, "do": "start_ddos", "attackers": 1, "target": "veh0",
+                 "interval": None, "tx_per_attacker": 2}]))
+    assert msg.splitlines() == ["script[0].owner: required", "script[1].interval: required"]
+
+
+@pytest.mark.parametrize("entry, kind", [("publish_update", "str"), (["at", 1.0], "list"),
+                                         (7, "int")])
+def test_script_entry_that_is_not_a_mapping_rejected(entry, kind):
+    msg = problems_of(minimal(script=[entry, {"at": 1.0, "do": "explode"}]))
+    assert msg.splitlines() == [f"script[0]: expected a mapping, got {kind}",
+                                "script[1].do: unknown directive 'explode'"]
 
 
 def test_unknown_directive_and_params():

@@ -18,7 +18,7 @@ from overchain.simnet import Engine, LinkModel
 
 PACKAGE = Path(overchain.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
-KIND_ARG = {"send_request": 2, "cloud_call": 3}  # position of ``kind`` after self
+KIND_ARG = {"send_request": 2, "cloud_call": 2}  # position of ``kind`` after self
 
 
 def requested_kinds(source: str) -> list[str]:
@@ -63,8 +63,8 @@ def package_methods() -> dict[str, set[str]]:
 def test_scanner_finds_kinds_by_position_and_keyword():
     source = ("def f(self, engine):\n"
               "    self.send_request(engine, 'cloud', 'cloud_auth', {}, then)\n"
-              "    self.cloud_call(engine, 'cloud', acct, 'cloud_get', {}, then)\n"
-              "    self.cloud_call(engine, 'cloud', acct, kind='cloud_put', data={}, then=t)\n"
+              "    self.cloud_call(engine, acct, 'cloud_get', {}, then)\n"
+              "    self.cloud_call(engine, acct, kind='cloud_put', data={}, then=t)\n"
               "    self.send_request(engine, 'cloud', kind, {}, then)\n")
     assert requested_kinds(source) == ["cloud_auth", "cloud_get", "cloud_put"]
 

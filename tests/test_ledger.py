@@ -57,12 +57,12 @@ BOB = generate_keypair("bob")
 
 
 def single(signer=ALICE, p_t_id=ZERO_DIGEST, payload=b"payload", tag=PayloadTag.GENERIC):
-    return build_transaction(TxKind.SINGLE, p_t_id, digest(payload), tag, signer)
+    return build_transaction(p_t_id, digest(payload), tag, signer)
 
 
 def pending(signer=ALICE, recipient=BOB, p_t_id=ZERO_DIGEST, payload=b"payload"):
     return build_transaction(
-        TxKind.MULTI, p_t_id, digest(payload), PayloadTag.GENERIC, signer,
+        p_t_id, digest(payload), PayloadTag.GENERIC, signer,
         recipient_pk=recipient.public,
     )
 
@@ -128,9 +128,9 @@ def reference_countersign(tx, recipient):
 def test_builders_equal_the_draft_and_copy_construction(shape):
     args = (digest(b"parent"), digest(shape.encode()), PayloadTag.SW_UPDATE, ALICE)
     if shape == "single":
-        tx, ref = build_transaction(TxKind.SINGLE, *args), reference_build(TxKind.SINGLE, *args)
+        tx, ref = build_transaction(*args), reference_build(TxKind.SINGLE, *args)
     else:
-        tx = build_transaction(TxKind.MULTI, *args, recipient_pk=BOB.public)
+        tx = build_transaction(*args, recipient_pk=BOB.public)
         ref = reference_build(TxKind.MULTI, *args, recipient_pk=BOB.public)
         if shape == "multi_countersigned":
             tx, ref = countersign(tx, BOB), reference_countersign(ref, BOB)
@@ -160,9 +160,9 @@ def joined_fields(data):
 def test_transaction_layouts_equal_canonical_join_of_their_fields(shape, tag):
     args = (digest(b"parent"), digest(shape.encode()), tag, ALICE)
     if shape == "single":
-        tx = build_transaction(TxKind.SINGLE, *args)
+        tx = build_transaction(*args)
     else:
-        tx = build_transaction(TxKind.MULTI, *args, recipient_pk=BOB.public)
+        tx = build_transaction(*args, recipient_pk=BOB.public)
         if shape == "multi_countersigned":
             tx = countersign(tx, BOB)
     signed = {"p_t_id": tx.p_t_id, "payload_digest": tx.payload_digest, "pk_1": tx.pk_1}
@@ -179,8 +179,12 @@ def test_transaction_layouts_equal_canonical_join_of_their_fields(shape, tag):
 
 def test_countersign_requires_matching_recipient():
     tx = pending(recipient=BOB)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^countersigner key does not match the addressed pk_2$"):
         countersign(tx, generate_keypair("mallory"))
+    with pytest.raises(ValueError, match="^transaction is already fully signed$"):
+        countersign(countersign(tx, BOB), BOB)
+    with pytest.raises(ValueError, match="^only multisig transactions can be countersigned$"):
+        countersign(single(), BOB)
 
 
 def test_transaction_json_round_trip():

@@ -63,7 +63,7 @@ def tx_cases(draw):
     known = set()
 
     base = build_transaction(
-        TxKind.SINGLE, ZERO_DIGEST, digest(rng.randbytes(8)), PayloadTag.GENERIC, signer)
+        ZERO_DIGEST, digest(rng.randbytes(8)), PayloadTag.GENERIC, signer)
     place = rng.random()
     if place < 0.4:
         blk = form_block(pool_of([base]), chain, KEYS[0], 1)
@@ -79,11 +79,11 @@ def tx_cases(draw):
 
     if rng.random() < 0.5:
         tx = build_transaction(
-            TxKind.SINGLE, p_t_id, digest(rng.randbytes(8)), PayloadTag.GENERIC, signer)
+            p_t_id, digest(rng.randbytes(8)), PayloadTag.GENERIC, signer)
     else:
         recipient = KEYS[(KEYS.index(signer) + 1) % len(KEYS)]
         tx = build_transaction(
-            TxKind.MULTI, p_t_id, digest(rng.randbytes(8)), PayloadTag.GENERIC,
+            p_t_id, digest(rng.randbytes(8)), PayloadTag.GENERIC,
             signer, recipient_pk=recipient.public)
         if rng.random() < 0.6:
             tx = countersign(tx, recipient)
@@ -121,7 +121,7 @@ def test_per_key_linked_list_structure(seed):
     for n in range(rng.randrange(2, 14)):
         a = actors[rng.randrange(3)]
         tx = build_transaction(
-            TxKind.SINGLE, a["last"], digest(rng.randbytes(6)), PayloadTag.GENERIC, a["kp"])
+            a["last"], digest(rng.randbytes(6)), PayloadTag.GENERIC, a["kp"])
         a["last"] = tx.t_id
         a["made"].append(tx.t_id)
         made.append(tx)
@@ -179,9 +179,9 @@ def mutated_chains(draw):
         p_t_id = last.get(signer.public, ZERO_DIGEST)
         payload = digest(rng.randbytes(8))
         if rng.random() < 0.7:
-            tx = build_transaction(TxKind.SINGLE, p_t_id, payload, PayloadTag.GENERIC, signer)
+            tx = build_transaction(p_t_id, payload, PayloadTag.GENERIC, signer)
         else:
-            tx = countersign(build_transaction(TxKind.MULTI, p_t_id, payload, PayloadTag.GENERIC,
+            tx = countersign(build_transaction(p_t_id, payload, PayloadTag.GENERIC,
                                                signer, recipient_pk=recipient.public), recipient)
         last[signer.public] = tx.t_id
         made.append(tx)

@@ -21,7 +21,6 @@ from overchain.ledger import (
     BlockFault,
     BlockVerdict,
     PayloadTag,
-    TxKind,
     build_transaction,
     countersign,
     schedule_block_turn,
@@ -30,7 +29,7 @@ from overchain.ledger import (
 from overchain.manager import BlockManager, KeyList, KeyListEntry, chain_summary
 from overchain.messages import BaseActor, BlockMessage, DeliverTx, TxMessage, UpdateNotice
 from overchain.report import compute_metrics, parse_trace
-from overchain.simnet import Engine, LinkModel, Trace
+from overchain.simnet import Engine, LinkModel
 from overchain.world import run_scenario
 
 from conftest import signed_block, trace_records
@@ -49,7 +48,7 @@ class Sink(BaseActor):
 
 def build_world(n_managers: int = 2, *, delay: float = 1.0, **ledger_fields):
     links = LinkModel(default_delay=delay)
-    engine = Engine(seed="mgr-test", links=links, trace=Trace())
+    engine = Engine(seed="mgr-test", links=links)
     managers = []
     for i in range(n_managers):
         managers.append(BlockManager(f"obm{i}", generate_keypair(f"obm{i}-key"),
@@ -66,7 +65,7 @@ def build_world(n_managers: int = 2, *, delay: float = 1.0, **ledger_fields):
 def single_tx(seed: str, p_t_id=ZERO_DIGEST):
     kp = generate_keypair(seed)
     return kp, build_transaction(
-        TxKind.SINGLE, p_t_id, digest(seed.encode()), PayloadTag.GENERIC, kp)
+        p_t_id, digest(seed.encode()), PayloadTag.GENERIC, kp)
 
 
 def tick_all(engine, managers, period_index: int) -> None:
@@ -136,9 +135,9 @@ def test_key_list_index_agrees_with_linear_scan(ops):
 def test_upload_key_pair_requires_membership():
     engine, (m,) = build_world(1)
     a, b = generate_keypair("a").public, generate_keypair("b").public
-    assert not m.upload_key_pair(engine.trace, engine.now, "stranger", a, b)
+    assert not m.upload_key_pair(engine, "stranger", a, b)
     m.add_member("veh", "vehicle")
-    assert m.upload_key_pair(engine.trace, engine.now, "veh", a, b)
+    assert m.upload_key_pair(engine, "veh", a, b)
     assert m.key_list.entries == [KeyListEntry(a, b, "veh")]
 
 
@@ -155,7 +154,7 @@ def test_member_transaction_is_pooled_and_replicated_to_peers():
         m.handle = recording
     _, tx = single_tx("gen")
     # no peer holds an access entry for it, and it cannot be pooled yet
-    unmatched = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(b"unmatched"),
+    unmatched = build_transaction(ZERO_DIGEST, digest(b"unmatched"),
                                   PayloadTag.GENERIC, generate_keypair("um-gen"),
                                   recipient_pk=generate_keypair("um-rcp").public)
     for sent in (tx, unmatched):
@@ -183,11 +182,11 @@ def test_key_pair_match_delivers_to_member_in_either_orientation():
     req = generate_keypair("requester")
     member = generate_keypair("member")
     m.add_member("veh", "vehicle")
-    m.upload_key_pair(engine.trace, engine.now, "veh", req.public, member.public)
+    m.upload_key_pair(engine, "veh", req.public, member.public)
 
-    pending = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(b"p1"),
+    pending = build_transaction(ZERO_DIGEST, digest(b"p1"),
                                 PayloadTag.GENERIC, req, recipient_pk=member.public)
-    reverse = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(b"p2"),
+    reverse = build_transaction(ZERO_DIGEST, digest(b"p2"),
                                 PayloadTag.GENERIC, member, recipient_pk=req.public)
     engine.send(m.node_id, m.node_id, TxMessage(pending, None))
     engine.send(m.node_id, m.node_id, TxMessage(reverse, None))
@@ -204,9 +203,9 @@ def test_countersigned_transaction_is_pooled_and_delivered():
     req = generate_keypair("requester")
     member = generate_keypair("member")
     m.add_member("veh", "vehicle")
-    m.upload_key_pair(engine.trace, engine.now, "veh", req.public, member.public)
+    m.upload_key_pair(engine, "veh", req.public, member.public)
 
-    pending = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(b"p"),
+    pending = build_transaction(ZERO_DIGEST, digest(b"p"),
                                 PayloadTag.GENERIC, req, recipient_pk=member.public)
     final = countersign(pending, member)
     engine.send(m.node_id, m.node_id, TxMessage(final, origin_member="veh"))
@@ -222,9 +221,9 @@ def test_unmatched_relayed_pending_transaction_is_dropped_no_match():
     legit = generate_keypair("legit")
     # target's keys are registered at obm1 against a different requester
     managers[1].add_member("veh-target", "vehicle")
-    managers[1].upload_key_pair(engine.trace, engine.now, "veh-target",
+    managers[1].upload_key_pair(engine, "veh-target",
                                 legit.public, target.public)
-    attack = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(b"x"),
+    attack = build_transaction(ZERO_DIGEST, digest(b"x"),
                                PayloadTag.GENERIC, attacker, recipient_pk=target.public)
     engine.send("obm0", "obm0", TxMessage(attack, origin_member="veh-att"))
     engine.run()
@@ -242,7 +241,7 @@ def test_drop_partition_counts_invalid_duplicate_no_match():
     bad = dataclasses.replace(good, payload_digest=digest(b"tampered"))
     bad = dataclasses.replace(bad, t_id=bad.compute_t_id())
     _, orphan_parentless = single_tx("fine2")
-    lone = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(b"l"),
+    lone = build_transaction(ZERO_DIGEST, digest(b"l"),
                              PayloadTag.GENERIC, generate_keypair("who"),
                              recipient_pk=generate_keypair("whom").public)
     for msg in (good, bad, good, lone, orphan_parentless):
@@ -258,8 +257,8 @@ def test_transaction_that_a_block_brought_first_is_delivered_but_not_pooled_agai
     engine.add_node(veh)
     req, member = generate_keypair("requester"), generate_keypair("member")
     peer.add_member("veh", "vehicle")
-    peer.upload_key_pair(engine.trace, engine.now, "veh", req.public, member.public)
-    pending = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(b"overtaken"),
+    peer.upload_key_pair(engine, "veh", req.public, member.public)
+    pending = build_transaction(ZERO_DIGEST, digest(b"overtaken"),
                                 PayloadTag.GENERIC, req, recipient_pk=member.public)
     final = countersign(pending, member)
     engine.send(gen.node_id, gen.node_id, TxMessage(final, None))  # pooled, not relayed
@@ -292,7 +291,7 @@ def test_transaction_that_a_block_brought_first_is_delivered_but_not_pooled_agai
 def test_child_parked_until_parent_arrives_then_pool_holds_both_in_order():
     engine, (m,) = build_world(1)
     kp, parent = single_tx("chain-gen")
-    child = build_transaction(TxKind.SINGLE, parent.t_id, digest(b"c"),
+    child = build_transaction(parent.t_id, digest(b"c"),
                               PayloadTag.GENERIC, kp)
     engine.send(m.node_id, m.node_id, TxMessage(child, None))
     engine.run()
@@ -309,9 +308,9 @@ def test_parked_transaction_that_a_block_brings_is_delivered_but_not_pooled_agai
     engine.add_node(veh)
     req, member = generate_keypair("requester"), generate_keypair("member")
     peer.add_member("veh", "vehicle")
-    peer.upload_key_pair(engine.trace, engine.now, "veh", req.public, member.public)
+    peer.upload_key_pair(engine, "veh", req.public, member.public)
     _, parent = single_tx("chain-gen")
-    child = countersign(build_transaction(TxKind.MULTI, parent.t_id, digest(b"c"),
+    child = countersign(build_transaction(parent.t_id, digest(b"c"),
                                           PayloadTag.GENERIC, req, recipient_pk=member.public),
                         member)
     for m in (peer, bystander):  # the relay of the child outruns its parent
@@ -336,7 +335,7 @@ def test_parked_transaction_that_a_block_brings_is_delivered_but_not_pooled_agai
 def test_parked_transaction_expires_as_invalid():
     engine, (m,) = build_world(1, pending_timeout=30.0)
     kp, parent = single_tx("chain-gen")
-    child = build_transaction(TxKind.SINGLE, parent.t_id, digest(b"c"),
+    child = build_transaction(parent.t_id, digest(b"c"),
                               PayloadTag.GENERIC, kp)
     engine.send(m.node_id, m.node_id, TxMessage(child, None))
     engine.run()
@@ -540,7 +539,7 @@ def _sw_update_world(notify_requires_certificate=True, certify=True):
     m.ca_pk = ca.public
     if certify:
         m.certified[oem.public] = issue_certificate(ca, "oem", oem.public)
-    pending = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(b"binary"),
+    pending = build_transaction(ZERO_DIGEST, digest(b"binary"),
                                 PayloadTag.SW_UPDATE, provider, recipient_pk=oem.public)
     final = countersign(pending, oem)
     engine.send(m.node_id, m.node_id, TxMessage(final, None))

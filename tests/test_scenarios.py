@@ -2,6 +2,7 @@
 checks that single-module tests cannot see, and the command-line front end."""
 import concurrent.futures
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ from overchain import world as world_mod
 from overchain.cli import bundled_scenarios, main
 from overchain.config import LedgerConfig, load_scenario, parse_scenario
 from overchain.crypto import ZERO_DIGEST, digest, generate_keypair
-from overchain.ledger import Chain, PayloadTag, TxKind, build_transaction, countersign
+from overchain.ledger import Chain, PayloadTag, build_transaction, countersign
 from overchain.manager import chain_summary
 from overchain.report import build_report, compute_metrics, parse_trace
 from overchain.world import Attacker, build_world, run_scenario
@@ -85,12 +86,12 @@ def test_every_ledger_setting_reaches_every_manager_and_specs_reach_vehicles():
     world = build_world(config)
     engine = world.engine
     engine.now = 5.0
-    orphan = build_transaction(TxKind.SINGLE, digest(b"unknown predecessor"),
+    orphan = build_transaction(digest(b"unknown predecessor"),
                                digest(b"anchor"), PayloadTag.GENERIC,
                                generate_keypair("orphan"))
     provider, oem = generate_keypair("provider"), generate_keypair("uncertified-oem")
     update = countersign(build_transaction(
-        TxKind.MULTI, ZERO_DIGEST, digest(b"fw"), PayloadTag.SW_UPDATE, provider,
+        ZERO_DIGEST, digest(b"fw"), PayloadTag.SW_UPDATE, provider,
         recipient_pk=oem.public), oem)
     for m in world.managers:
         tp = m.throughput
@@ -482,6 +483,15 @@ def test_cli_run_jobs_below_one_is_a_usage_error(tiny_config, capsys, jobs):
     assert captured.out == ""  # refused before any scenario ran
 
 
+def test_cli_run_jobs_not_an_integer_is_a_usage_error(tiny_config, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["run", str(tiny_config), "--jobs", "abc"])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith("error: argument --jobs: invalid int value: 'abc'\n")
+    assert captured.out == ""
+
+
 def test_cli_run_accepts_bundled_names(capsys):
     # resolution only: validate is enough to prove the name lookup works
     assert main(["validate", "insurance", "handover"]) == 0
@@ -524,6 +534,18 @@ def test_cli_trace_then_report_round_trip(tiny_config, tmp_path, capsys):
 
     # without a config there are no expectations to fail
     assert main(["report", str(trace)]) == 0
+
+
+def test_cli_report_with_a_bad_config_exits_two(tiny_config, tmp_path, capsys):
+    trace = tmp_path / "tiny.trace.jsonl"
+    assert main(["run", str(tiny_config), "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("name: bad\nduration: -5\n")
+    assert main(["report", str(trace), "--config", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error:\nduration: must be greater than 0.0\n"
 
 
 def test_cli_report_missing_trace_exits_two(capsys):
@@ -625,6 +647,16 @@ def test_cli_run_unwritable_trace_exits_two(tiny_config, tmp_path, monkeypatch, 
         assert captured.out == "" and captured.err.startswith("cannot write trace: ")
         assert captured.err.count("\n") == 1
         assert ran == [] and not (tmp_path / "missing").exists()
+
+
+def test_cli_run_trace_write_that_fails_exits_two(tiny_config, tmp_path, capsys):
+    # the directory passes the checks made before the run; the file in it is a directory
+    (tmp_path / "tiny.trace.jsonl").mkdir()
+    assert main(["run", str(tiny_config), "--trace", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                              str(tmp_path / "tiny.trace.jsonl"))
+    assert captured.out == "" and captured.err == f"cannot write trace: {error}\n"
 
 
 def test_cli_run_makes_a_missing_trace_directory(tiny_config, tmp_path, capsys):

@@ -27,7 +27,7 @@ from overchain.ledger import (
 from overchain.manager import BlockManager
 from overchain.messages import BaseActor, TxMessage
 from overchain.services import CloudStore, Insurer, Oem, SwProvider
-from overchain.simnet import Engine, LinkModel, Trace
+from overchain.simnet import Engine, LinkModel
 from overchain.swformat import build_sw_binary, parse_sw_binary, sw_object_id
 from overchain.vehicle import StorageRecord, Vehicle, storage_digest
 
@@ -51,14 +51,14 @@ class Caller(BaseActor):
         self.account = account
         self.responses = []
 
-    def call(self, engine, cloud_id, kind, data):
-        self.cloud_call(engine, cloud_id, self.account, kind, data,
+    def call(self, engine, kind, data):
+        self.cloud_call(engine, self.account, kind, data,
                         lambda eng, resp: self.responses.append(resp))
 
 
 def cloud_world(**cloud_kwargs):
-    engine = Engine(seed="svc-test", links=LinkModel(default_delay=1.0), trace=Trace())
-    cloud = CloudStore("cloud", **cloud_kwargs)
+    engine = Engine(seed="svc-test", links=LinkModel(default_delay=1.0))
+    cloud = CloudStore(**cloud_kwargs)
     engine.add_node(cloud)
     key = generate_keypair("acct-key")
     cloud.create_account("acct", key.public, ["acct/", "shared-note"])
@@ -96,8 +96,8 @@ def test_sw_binary_rejects_malformed_input(mangle):
 
 def test_cloud_put_get_round_trip():
     engine, cloud, caller = cloud_world()
-    caller.call(engine, "cloud", "cloud_put", {"object": "acct/r1", "data": b"\xbe\xef"})
-    caller.call(engine, "cloud", "cloud_get", {"object": "acct/r1"})
+    caller.call(engine, "cloud_put", {"object": "acct/r1", "data": b"\xbe\xef"})
+    caller.call(engine, "cloud_get", {"object": "acct/r1"})
     engine.run()
     assert caller.responses == [{"ok": True}, {"data": b"\xbe\xef"}]
     assert cloud.objects["acct/r1"] == b"\xbe\xef"
@@ -105,10 +105,10 @@ def test_cloud_put_get_round_trip():
 
 def test_cloud_acl_exact_entry_and_prefix_entry():
     engine, cloud, caller = cloud_world()
-    caller.call(engine, "cloud", "cloud_put", {"object": "shared-note", "data": b"\x00"})
-    caller.call(engine, "cloud", "cloud_put", {"object": "acct/deep/path", "data": b"\x01"})
-    caller.call(engine, "cloud", "cloud_put", {"object": "shared-note/sub", "data": b"\x02"})
-    caller.call(engine, "cloud", "cloud_put", {"object": "other/r1", "data": b"\x03"})
+    caller.call(engine, "cloud_put", {"object": "shared-note", "data": b"\x00"})
+    caller.call(engine, "cloud_put", {"object": "acct/deep/path", "data": b"\x01"})
+    caller.call(engine, "cloud_put", {"object": "shared-note/sub", "data": b"\x02"})
+    caller.call(engine, "cloud_put", {"object": "other/r1", "data": b"\x03"})
     engine.run()
     assert caller.responses == [
         {"ok": True}, {"ok": True},
@@ -116,9 +116,20 @@ def test_cloud_acl_exact_entry_and_prefix_entry():
     ]
 
 
+def test_cloud_get_outside_the_acl_is_denied_and_traced():
+    engine, cloud, caller = cloud_world()
+    cloud.objects["other/r1"] = b"\x03"
+    caller.call(engine, "cloud_get", {"object": "other/r1"})
+    engine.run()
+    assert caller.responses == [{"error": "AccessDenied"}]
+    denied = trace_records(engine.trace.text(), "cloud_denied")
+    assert [(r["actor"], r["account"], r["object"], r["op"]) for r in denied] == [
+        ("cloud", "acct", "other/r1", "get")]
+
+
 def test_cloud_get_unknown_object_is_notfound():
     engine, cloud, caller = cloud_world()
-    caller.call(engine, "cloud", "cloud_get", {"object": "acct/missing"})
+    caller.call(engine, "cloud_get", {"object": "acct/missing"})
     engine.run()
     assert caller.responses == [{"error": "NotFound"}]
 
@@ -127,7 +138,7 @@ def test_cloud_auth_for_unknown_account_fails():
     engine, cloud, _ = cloud_world()
     ghost = Caller("ghost", ("nobody", generate_keypair("ghost")))
     engine.add_node(ghost)
-    ghost.call(engine, "cloud", "cloud_get", {"object": "acct/r1"})
+    ghost.call(engine, "cloud_get", {"object": "acct/r1"})
     engine.run()
     assert ghost.responses == [{"error": "UnknownAccount"}]
 
@@ -136,7 +147,7 @@ def test_cloud_rejects_proof_from_wrong_key():
     engine, cloud, _ = cloud_world()
     impostor = Caller("impostor", ("acct", generate_keypair("not-the-account-key")))
     engine.add_node(impostor)
-    impostor.call(engine, "cloud", "cloud_get", {"object": "acct/r1"})
+    impostor.call(engine, "cloud_get", {"object": "acct/r1"})
     engine.run()
     assert impostor.responses == [{"error": "BadProof"}]
 
@@ -179,12 +190,12 @@ def test_cloud_refuses_a_request_outside_the_handshake(kind, data, error):
 
 def test_closed_account_fails_auth_and_loses_sessions():
     engine, cloud, caller = cloud_world()
-    caller.call(engine, "cloud", "cloud_put", {"object": "acct/r1", "data": b"\xaa"})
+    caller.call(engine, "cloud_put", {"object": "acct/r1", "data": b"\xaa"})
     engine.run()
     assert cloud.close_account("acct") is True
     assert cloud.close_account("acct") is False
     assert cloud._sessions == {}
-    caller.call(engine, "cloud", "cloud_get", {"object": "acct/r1"})
+    caller.call(engine, "cloud_get", {"object": "acct/r1"})
     engine.run()
     assert caller.responses[-1] == {"error": "UnknownAccount"}
     # default policy retains stored objects after closure
@@ -193,7 +204,7 @@ def test_closed_account_fails_auth_and_loses_sessions():
 
 def test_closing_account_can_purge_its_objects():
     engine, cloud, caller = cloud_world(retain_closed_objects=False)
-    caller.call(engine, "cloud", "cloud_put", {"object": "acct/r1", "data": b"\xaa"})
+    caller.call(engine, "cloud_put", {"object": "acct/r1", "data": b"\xaa"})
     engine.run()
     cloud.objects["sw/unrelated"] = b"keep"
     cloud.close_account("acct")
@@ -205,7 +216,7 @@ def test_cloud_nonces_are_deterministic_per_seed():
     texts = []
     for _ in range(2):
         engine, cloud, caller = cloud_world()
-        caller.call(engine, "cloud", "cloud_put", {"object": "acct/r1", "data": b"\xaa"})
+        caller.call(engine, "cloud_put", {"object": "acct/r1", "data": b"\xaa"})
         engine.run()
         texts.append(engine.trace.text())
     assert texts[0] == texts[1]
@@ -215,8 +226,8 @@ def test_cloud_nonces_are_deterministic_per_seed():
 
 
 def provider_world(*, provider_acl=("sw/",)):
-    engine = Engine(seed="pub-test", links=LinkModel(default_delay=1.0), trace=Trace())
-    cloud = CloudStore("cloud")
+    engine = Engine(seed="pub-test", links=LinkModel(default_delay=1.0))
+    cloud = CloudStore()
     engine.add_node(cloud)
     obm = Sink("obm0")
     engine.add_node(obm)
@@ -224,7 +235,7 @@ def provider_world(*, provider_acl=("sw/",)):
     provider_key = generate_keypair("provider")
     account_key = generate_keypair("provider-cloud")
     cloud.create_account("provider-acct", account_key.public, list(provider_acl))
-    provider = SwProvider("provider", provider_key, "obm0", cloud_id="cloud",
+    provider = SwProvider("provider", provider_key, "obm0",
                           cloud_account=("provider-acct", account_key),
                           oem_pk=oem_key.public)
     engine.add_node(provider)
@@ -272,21 +283,21 @@ def test_default_binary_body_is_deterministic():
 
 
 def oem_world():
-    engine = Engine(seed="oem-test", links=LinkModel(default_delay=1.0), trace=Trace())
-    cloud = CloudStore("cloud")
+    engine = Engine(seed="oem-test", links=LinkModel(default_delay=1.0))
+    cloud = CloudStore()
     engine.add_node(cloud)
     obm = Sink("obm0")
     engine.add_node(obm)
     oem_key = generate_keypair("oem")
     account_key = generate_keypair("oem-cloud")
     cloud.create_account("oem-acct", account_key.public, ["sw/"])
-    oem = Oem("oem", oem_key, "obm0", cloud_id="cloud",
+    oem = Oem("oem", oem_key, "obm0",
               cloud_account=("oem-acct", account_key))
     engine.add_node(oem)
     provider_key = generate_keypair("provider")
     blob = build_sw_binary("ecu0", "2.0", b"fw-body")
     cloud.objects[sw_object_id(digest(blob))] = blob
-    pending = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(blob),
+    pending = build_transaction(ZERO_DIGEST, digest(blob),
                                 PayloadTag.SW_UPDATE, provider_key,
                                 recipient_pk=oem_key.public)
     return engine, cloud, obm, oem, pending, provider_key
@@ -346,14 +357,14 @@ def test_oem_rejects_forged_provider_signature():
 
 def test_oem_ignores_updates_addressed_elsewhere():
     engine, cloud, obm, oem, pending, provider_key = oem_world()
-    other = build_transaction(TxKind.MULTI, ZERO_DIGEST, pending.payload_digest,
+    other = build_transaction(ZERO_DIGEST, pending.payload_digest,
                               PayloadTag.SW_UPDATE, provider_key,
                               recipient_pk=generate_keypair("someone").public)
     oem.approve(engine, other)
     engine.run()
     assert approval_rejections(engine) == [(other.t_id.hex(), "NotAddressedToMe")]
 
-    wrong_tag = build_transaction(TxKind.MULTI, ZERO_DIGEST, pending.payload_digest,
+    wrong_tag = build_transaction(ZERO_DIGEST, pending.payload_digest,
                                   PayloadTag.GENERIC, provider_key,
                                   recipient_pk=oem.keypair.public)
     oem.approve(engine, wrong_tag)
@@ -374,13 +385,13 @@ def test_oem_leaves_already_final_transactions_alone():
 
 
 def insurer_world():
-    engine = Engine(seed="ins-test", links=LinkModel(default_delay=1.0), trace=Trace())
-    cloud = CloudStore("cloud")
+    engine = Engine(seed="ins-test", links=LinkModel(default_delay=1.0))
+    cloud = CloudStore()
     engine.add_node(cloud)
     manager = BlockManager("obm0", generate_keypair("obm0"), LedgerConfig(block_size=1))
     manager.manager_names[manager.keypair.public] = "obm0"
     engine.add_node(manager)
-    insurer = Insurer("insurer", generate_keypair("insurer"), "obm0", cloud_id="cloud")
+    insurer = Insurer("insurer", generate_keypair("insurer"), "obm0")
     engine.add_node(insurer)
     veh = Vehicle(VehicleSpec("veh", "obm0"), KeyRing("veh-keys"))
     engine.add_node(veh)
@@ -482,9 +493,9 @@ def test_closed_account_surfaces_on_next_vehicle_upload():
 
 
 def walkthrough_world():
-    engine = Engine(seed="walk", links=LinkModel(default_delay=1.0), trace=Trace())
+    engine = Engine(seed="walk", links=LinkModel(default_delay=1.0))
     ca = generate_keypair("ca")
-    cloud = CloudStore("cloud")
+    cloud = CloudStore()
     engine.add_node(cloud)
 
     manager = BlockManager("obm0", generate_keypair("obm0"), LedgerConfig(block_size=1),
@@ -500,10 +511,10 @@ def walkthrough_world():
                           ("veh1-acct", "v1-cloud"), ("veh2-acct", "v2-cloud")]:
         cloud.create_account(account, generate_keypair(seed).public, ["sw/"])
 
-    provider = SwProvider("provider", provider_key, "obm0", cloud_id="cloud",
+    provider = SwProvider("provider", provider_key, "obm0",
                           cloud_account=("provider-acct", generate_keypair("p-cloud")),
                           oem_pk=oem_key.public)
-    oem = Oem("oem", oem_key, "obm0", cloud_id="cloud",
+    oem = Oem("oem", oem_key, "obm0",
               cloud_account=("oem-acct", generate_keypair("o-cloud")))
     engine.add_node(provider)
     engine.add_node(oem)
@@ -522,9 +533,9 @@ def walkthrough_world():
         manager.add_member(veh.node_id, "vehicle")
     manager.certified[oem_key.public] = oem_cert
     # access pairs in both directions so each party sees the final transaction
-    manager.upload_key_pair(engine.trace, engine.now, "oem",
+    manager.upload_key_pair(engine, "oem",
                             provider_key.public, oem_key.public)
-    manager.upload_key_pair(engine.trace, engine.now, "provider",
+    manager.upload_key_pair(engine, "provider",
                             oem_key.public, provider_key.public)
     return engine, cloud, manager, provider, oem, vehicles
 

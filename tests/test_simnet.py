@@ -48,6 +48,16 @@ def test_send_delivers_after_base_delay_no_jitter():
     assert b.log == [(10.0, "hello")]
 
 
+def test_engine_refuses_a_second_node_of_one_id_and_a_delivery_to_no_node():
+    engine, a, b = fresh()
+    with pytest.raises(ValueError) as duplicate:
+        engine.add_node(Recorder("a"))
+    assert str(duplicate.value) == "duplicate node id 'a'" and engine.nodes["a"] is a
+    with pytest.raises(KeyError) as unknown:
+        engine.send("a", "nobody", "hello")
+    assert unknown.value.args == ("unknown node 'nobody'",) and engine.pending_events == 0
+
+
 def test_equal_time_events_deliver_in_enqueue_order():
     engine, a, b = fresh()
     for i in range(5):
@@ -110,6 +120,21 @@ def test_link_delays_that_are_positive_and_finite_are_kept():
     links.set_link("a", "b", 1e308)
     assert links.default_delay == 5e-324 and links._base == {("a", "b"): 1e308,
                                                              ("b", "a"): 1e308}
+
+
+@pytest.mark.parametrize("jitter", [-3.0, -1e-300, -math.inf, math.inf, math.nan])
+def test_link_model_refuses_a_jitter_that_is_negative_or_not_finite(jitter):
+    # -3.0 would deliver a send before ``now``, nan at a NaN time
+    with pytest.raises(ValueError) as refused:
+        LinkModel(default_delay=1.0, jitter=jitter)
+    assert str(refused.value) == f"jitter must be a finite number of at least 0, got {jitter!r}"
+
+
+@pytest.mark.parametrize("jitter", [0, 0.0, -0.0, 5e-324, 0.5, 1e308])
+def test_link_model_keeps_a_jitter_of_zero_or_more(jitter):
+    links = LinkModel(default_delay=1.0, jitter=jitter)
+    assert links.jitter == jitter
+    assert 1.0 <= links.sample("a", "b", Random(0)) <= 1.0 + jitter
 
 
 def test_jitter_bounded_and_deterministic():

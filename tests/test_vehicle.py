@@ -24,7 +24,6 @@ from overchain.crypto import (
 from overchain.ledger import (
     Chain,
     PayloadTag,
-    TxKind,
     append_block,
     build_transaction,
     check_integrity,
@@ -34,7 +33,7 @@ from overchain.ledger import (
 from overchain.manager import BlockManager
 from overchain.messages import AppRequest, BaseActor, DeliverTx, UpdateNotice
 from overchain.services import CloudStore, Insurer
-from overchain.simnet import Engine, LinkModel, Trace
+from overchain.simnet import Engine, LinkModel
 from overchain.swformat import build_sw_binary, sw_object_id
 from overchain.vehicle import (
     StorageRecord,
@@ -55,7 +54,7 @@ class Sink(BaseActor):
 
 
 def make_engine(**link_kwargs):
-    return Engine(seed="veh-test", links=LinkModel(**link_kwargs), trace=Trace())
+    return Engine(seed="veh-test", links=LinkModel(**link_kwargs))
 
 
 def make_vehicle(engine, spec=VehicleSpec("veh", "obm"), **kwargs):
@@ -184,7 +183,7 @@ def test_insurer_verdict_accepts_anchored_snapshot_and_rejects_edits():
     chain = Chain()
     append_block(chain, form_block(pool_of([anchor]), chain, generate_keypair("gen"), 1))
     stored = chain.get_tx(anchor.t_id)  # what the manager's chain lookup answers
-    insurer = Insurer("insurer", generate_keypair("insurer"), "obm", cloud_id="cloud")
+    insurer = Insurer("insurer", generate_keypair("insurer"), "obm")
     insurer.pk_db["acct-1"] = account_key.public
 
     assert insurer._verdict("acct-1", records, stored) == "accepted"
@@ -199,19 +198,19 @@ def test_insurer_verdict_accepts_anchored_snapshot_and_rejects_edits():
 
 
 def wrsu_fixture(*, tamper=False, remove_object=False, wrong_oem=False,
-                 drop_account=False, make_pending=False):
+                 drop_account=False, make_pending=False, acl=("sw/",),
+                 account_seed="veh-cloud", blob=build_sw_binary("ecu0", "2.0", b"\x01" * 64)):
     engine = make_engine(default_delay=1.0)
     engine.add_node(Sink("obm"))
-    cloud = CloudStore("cloud")
+    cloud = CloudStore()
     engine.add_node(cloud)
 
     oem = generate_keypair("oem")
     provider = generate_keypair("provider")
-    veh_account = generate_keypair("veh-cloud")
-    cloud.create_account("veh-acct", veh_account.public, ["sw/"])
+    cloud.create_account("veh-acct", generate_keypair("veh-cloud").public, acl)
+    veh_account = generate_keypair(account_seed)
 
-    blob = build_sw_binary("ecu0", "2.0", b"\x01" * 64)
-    pending = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(blob),
+    pending = build_transaction(ZERO_DIGEST, digest(blob),
                                 PayloadTag.SW_UPDATE, provider,
                                 recipient_pk=oem.public)
     tx = pending if make_pending else countersign(pending, oem)
@@ -266,6 +265,31 @@ def test_vehicle_without_cloud_account_cannot_verify():
     assert update_outcomes(engine) == [(tx.t_id.hex(), "CloudAuthFailed")]
 
 
+@pytest.mark.parametrize("fixture, denied_ops", [
+    ({"acl": []}, ["get"]),  # the account may not read sw/: AccessDenied
+    ({"account_seed": "not-the-account-key"}, []),  # the proof fails: BadProof
+])
+def test_download_refused_for_a_reason_besides_a_missing_object_is_an_auth_failure(
+        fixture, denied_ops):
+    engine, veh, tx = wrsu_fixture(**fixture)
+    assert veh.installed_sw == {}
+    assert update_outcomes(engine) == [(tx.t_id_hex, "CloudAuthFailed")]
+    denied = trace_records(engine.trace.text(), "cloud_denied")
+    assert [r["op"] for r in denied] == denied_ops
+
+
+@pytest.mark.parametrize("blob", [
+    b"not an update container",
+    build_sw_binary("ecu0", "2.0", b"body")[:-1],  # truncated
+    build_sw_binary("ecu0", "2.0", b"body") + b"\x00",  # trailing bytes
+])
+def test_binary_that_matches_its_digest_but_does_not_parse_is_invalid(blob):
+    engine, veh, tx = wrsu_fixture(blob=blob)
+    assert veh.installed_sw == {}
+    assert update_outcomes(engine) == [(tx.t_id_hex, "invalid")]
+    assert '"event":"installed"' not in engine.trace.text()
+
+
 def test_half_signed_update_notice_is_rejected_as_invalid():
     engine, veh, tx = wrsu_fixture(make_pending=True)
     assert veh.installed_sw == {}
@@ -288,7 +312,7 @@ def test_delivered_pending_multisig_addressed_to_vehicle_is_countersigned():
     engine.add_node(obm)
     veh = make_vehicle(engine)
     requester = generate_keypair("req")
-    pending = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(b"offer"),
+    pending = build_transaction(ZERO_DIGEST, digest(b"offer"),
                                 PayloadTag.GENERIC, requester,
                                 recipient_pk=veh.keys.current.public)
     engine.send("obm", "veh", DeliverTx(pending))
@@ -305,7 +329,7 @@ def test_delivered_pending_for_unknown_key_is_recorded_but_not_signed():
     engine.add_node(obm)
     veh = make_vehicle(engine)
     stranger = generate_keypair("a"), generate_keypair("b")
-    pending = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(b"x"),
+    pending = build_transaction(ZERO_DIGEST, digest(b"x"),
                                 PayloadTag.GENERIC, stranger[0],
                                 recipient_pk=stranger[1].public)
     engine.send("obm", "veh", DeliverTx(pending))
@@ -323,7 +347,7 @@ def handover_world(delay_current, delay_other, *, threshold=100.0):
     links = LinkModel(default_delay=1.0)
     links.set_link("veh", "obm0", delay_current)
     links.set_link("veh", "obm1", delay_other)
-    engine = Engine(seed="handover", links=links, trace=Trace())
+    engine = Engine(seed="handover", links=links)
     managers = []
     for i in range(2):
         m = BlockManager(f"obm{i}", generate_keypair(f"obm{i}"))
@@ -338,7 +362,7 @@ def handover_world(delay_current, delay_other, *, threshold=100.0):
     requester = generate_keypair("req")
     veh.access_set.append((requester.public, veh.keys.current.public))
     managers[0].add_member("veh", "vehicle")
-    managers[0].upload_key_pair(engine.trace, engine.now, "veh",
+    managers[0].upload_key_pair(engine, "veh",
                                 requester.public, veh.keys.current.public)
     return engine, managers, veh, requester
 
@@ -356,7 +380,7 @@ def test_handover_crosses_to_closer_manager_and_migrates_keys():
 
     # handover liveness: an addressed transaction now arrives via the new manager
     from overchain.messages import TxMessage
-    pending = build_transaction(TxKind.MULTI, ZERO_DIGEST, digest(b"post"),
+    pending = build_transaction(ZERO_DIGEST, digest(b"post"),
                                 PayloadTag.GENERIC, requester,
                                 recipient_pk=veh.keys.current.public)
     engine.send("obm1", "obm1", TxMessage(pending, origin_member="tester"))
