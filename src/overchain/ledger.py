@@ -100,8 +100,6 @@ class Transaction:
             return TxVerdict(False, TxFault.MALFORMED, "single-sig with countersign fields")
         if self.kind is TxKind.MULTI and self.pk_2 is None:
             return TxVerdict(False, TxFault.MALFORMED, "multisig without recipient pk")
-        if self.sig_2 is not None and self.pk_2 is None:
-            return TxVerdict(False, TxFault.MALFORMED, "countersignature without pk_2")
         if self.t_id != self.compute_t_id():
             return TxVerdict(False, TxFault.MALFORMED, "t_id does not match contents")
         body = self.signing_body()

@@ -102,7 +102,8 @@ class AppResponse:
 
 
 class BaseActor:
-    """Shared actor behavior: delivery, request/response and cloud calls.
+    """Shared actor behavior: delivery, request/response, transaction
+    submission and cloud calls.
 
     ``handle`` only delivers the payload, which runs the method the payload
     names (see the module docstring). A request of kind ``k`` is served by a
@@ -121,6 +122,10 @@ class BaseActor:
 
     def reply(self, engine, request: AppRequest, data: dict) -> None:
         engine.send(self.node_id, request.sender, AppResponse(data, request.then))
+
+    def submit(self, engine, tx: Transaction) -> None:
+        """Send a cluster member's transaction to its manager, ``self.obm_id``."""
+        engine.send(self.node_id, self.obm_id, TxMessage(tx, origin_member=self.node_id))
 
     def cloud_call(self, engine, account, kind: str, data: dict, then: Callable) -> None:
         """Challenge-response authentication with the cloud store followed by

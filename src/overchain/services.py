@@ -24,7 +24,7 @@ from .ledger import (
     check_integrity,
     countersign,
 )
-from .messages import AppRequest, BaseActor, TxMessage
+from .messages import AppRequest, BaseActor
 from .swformat import build_sw_binary, sw_object_id
 from .vehicle import storage_digest
 
@@ -61,12 +61,6 @@ class CloudStore(BaseActor):
                             if not k.startswith(prefix)}
         return existed
 
-    def _allowed(self, account_id: str, object_id: str) -> bool:
-        for entry in self.acl.get(account_id, ()):
-            if entry == object_id or (entry.endswith("/") and object_id.startswith(entry)):
-                return True
-        return False
-
     # -- request protocol ---------------------------------------------------------
 
     def serve_cloud_auth(self, engine, request: AppRequest) -> dict:
@@ -97,19 +91,27 @@ class CloudStore(BaseActor):
                           account=account_id, session=session)
         return {"session": session}
 
-    def _session_account(self, data: dict) -> Optional[str]:
-        return self._sessions.get(data.get("session", ""))
+    def _access(self, engine, data: dict, op: str) -> tuple[Optional[str], Optional[dict]]:
+        """The session's account and, when the request is refused, the error
+        reply: NoSession, or AccessDenied (recorded as ``cloud_denied``) when
+        no ACL entry of the account reaches the object."""
+        account_id = self._sessions.get(data.get("session", ""))
+        if account_id is None:
+            return None, {"error": "NoSession"}
+        object_id = data["object"]
+        for entry in self.acl.get(account_id, ()):
+            if entry == object_id or (entry.endswith("/") and object_id.startswith(entry)):
+                return account_id, None
+        engine.trace.emit(engine.now, self.node_id, "cloud_denied",
+                          account=account_id, object=object_id, op=op)
+        return account_id, {"error": "AccessDenied"}
 
     def serve_cloud_put(self, engine, request: AppRequest) -> dict:
         data = request.data
-        account_id = self._session_account(data)
-        if account_id is None:
-            return {"error": "NoSession"}
+        account_id, refusal = self._access(engine, data, "put")
+        if refusal is not None:
+            return refusal
         object_id = data["object"]
-        if not self._allowed(account_id, object_id):
-            engine.trace.emit(engine.now, self.node_id, "cloud_denied",
-                              account=account_id, object=object_id, op="put")
-            return {"error": "AccessDenied"}
         self.objects[object_id] = data["data"]
         engine.trace.emit(engine.now, self.node_id, "cloud_put",
                           account=account_id, object=object_id,
@@ -117,16 +119,10 @@ class CloudStore(BaseActor):
         return {"ok": True}
 
     def serve_cloud_get(self, engine, request: AppRequest) -> dict:
-        data = request.data
-        account_id = self._session_account(data)
-        if account_id is None:
-            return {"error": "NoSession"}
-        object_id = data["object"]
-        if not self._allowed(account_id, object_id):
-            engine.trace.emit(engine.now, self.node_id, "cloud_denied",
-                              account=account_id, object=object_id, op="get")
-            return {"error": "AccessDenied"}
-        blob = self.objects.get(object_id)
+        _, refusal = self._access(engine, request.data, "get")
+        if refusal is not None:
+            return refusal
+        blob = self.objects.get(request.data["object"])
         if blob is None:
             return {"error": "NotFound"}
         return {"data": blob}
@@ -180,8 +176,7 @@ class SwProvider(BaseActor):
             eng.trace.emit(eng.now, self.node_id, "published",
                            version=version, object=object_id,
                            t_id=pending.t_id_hex)
-            eng.send(self.node_id, self.obm_id,
-                     TxMessage(pending, origin_member=self.node_id))
+            self.submit(eng, pending)
 
         self.cloud_call(engine, self.cloud_account, "cloud_put",
                         {"object": object_id, "data": blob}, on_stored)
@@ -239,8 +234,7 @@ class Oem(BaseActor):
             eng.trace.emit(eng.now, self.node_id, "approved",
                            pending_t_id=pending.t_id_hex,
                            t_id=final.t_id_hex)
-            eng.send(self.node_id, self.obm_id,
-                     TxMessage(final, origin_member=self.node_id))
+            self.submit(eng, final)
 
         self.cloud_call(engine, self.cloud_account, "cloud_get",
                         {"object": sw_object_id(pending.payload_digest)},

@@ -1,12 +1,12 @@
 """Self-describing container format for update binaries stored in the cloud:
-a magic tag plus length-prefixed target ECU name, version string, and body;
-and the cloud object id each binary is stored under.
+a magic tag plus the ``canonical_join`` of target ECU name, version string and
+body; and the cloud object id each binary is stored under.
 """
 from __future__ import annotations
 
 import struct
 
-from .crypto import Digest
+from .crypto import Digest, canonical_join
 
 MAGIC = b"SWUP"
 SW_OBJECT_PREFIX = "sw/"  # cloud object ids and the account ACLs that reach them
@@ -18,14 +18,7 @@ def sw_object_id(payload_digest: Digest) -> str:
 
 
 def build_sw_binary(ecu: str, version: str, body: bytes) -> bytes:
-    ecu_b = ecu.encode()
-    version_b = version.encode()
-    return b"".join([
-        MAGIC,
-        struct.pack(">I", len(ecu_b)), ecu_b,
-        struct.pack(">I", len(version_b)), version_b,
-        struct.pack(">I", len(body)), body,
-    ])
+    return MAGIC + canonical_join(ecu.encode(), version.encode(), body)
 
 
 def parse_sw_binary(blob: bytes) -> tuple[str, str, bytes]:

@@ -27,7 +27,7 @@ from .ledger import (
     check_integrity,
     countersign,
 )
-from .messages import AppRequest, BaseActor, Timer, TxMessage
+from .messages import AppRequest, BaseActor, Timer
 from .swformat import parse_sw_binary, sw_object_id
 
 
@@ -136,9 +136,6 @@ class Vehicle(BaseActor):
         if self.insurance_account is not None:
             return self.insurance_account[1]
         return self.keys.interaction_key()
-
-    def submit(self, engine, tx: Transaction) -> None:
-        engine.send(self.node_id, self.obm_id, TxMessage(tx, origin_member=self.node_id))
 
     def _submit_anchor(self, engine, store_digest: Digest, tag: PayloadTag) -> Transaction:
         """Submit an anchor of ``store_digest`` under the anchor key, chained

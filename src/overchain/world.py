@@ -35,7 +35,7 @@ from .ledger import (
     verify_chain,
 )
 from .manager import BlockManager, chain_summary
-from .messages import BaseActor, Timer, TxMessage
+from .messages import BaseActor, Timer
 from .services import CloudStore, Insurer, Oem, SwProvider
 from .simnet import Engine, LinkModel
 from .swformat import SW_OBJECT_PREFIX, build_sw_binary
@@ -90,10 +90,6 @@ class Attacker(BaseActor):
         """The key that countersigns ``forge_final``'s forgery, derived on first use."""
         return generate_keypair(f"{self._seed}:key:{self.node_id}:2")
 
-    def _submit(self, engine, tx) -> None:
-        engine.send(self.node_id, self.obm_id,
-                    TxMessage(tx, origin_member=self.node_id))
-
     def flood(self, engine, target: str, target_obm: str, target_pk) -> None:
         """One unauthorized transaction toward ``target``'s key."""
         self.shots += 1
@@ -102,7 +98,7 @@ class Attacker(BaseActor):
             PayloadTag.GENERIC, self.keypair, recipient_pk=target_pk)
         engine.trace.emit(engine.now, self.node_id, "attack_tx",
                           t_id=tx.t_id_hex, target=target, target_obm=target_obm)
-        self._submit(engine, tx)
+        self.submit(engine, tx)
 
     def forge_publish(self, engine, ecu: str, version: str, oem_pk) -> None:
         blob = build_sw_binary(ecu, version, f"{self.node_id}:{version}".encode())
@@ -110,7 +106,7 @@ class Attacker(BaseActor):
                                recipient_pk=oem_pk)
         engine.trace.emit(engine.now, self.node_id, "forged_publish",
                           t_id=tx.t_id_hex, version=version)
-        self._submit(engine, tx)
+        self.submit(engine, tx)
 
     def forge_final(self, engine, ecu: str, version: str) -> None:
         blob = build_sw_binary(ecu, version, f"{self.node_id}:{version}".encode())
@@ -119,7 +115,7 @@ class Attacker(BaseActor):
         final = countersign(pending, self.second_keypair)
         engine.trace.emit(engine.now, self.node_id, "forged_final",
                           t_id=final.t_id_hex, version=version)
-        self._submit(engine, final)
+        self.submit(engine, final)
 
 
 @dataclass
@@ -311,15 +307,19 @@ def build_world(config: ScenarioConfig) -> World:
     world = World(config=config, engine=engine, managers=managers,
                   cloud=cloud, vehicles={})
 
+    def update_account(owner_id: str):
+        """Open ``owner_id``'s cloud account for update binaries."""
+        account = (f"{owner_id}-acct", generate_keypair(f"{seed}:cloud:{owner_id}"))
+        cloud.create_account(account[0], account[1].public, [SW_OBJECT_PREFIX])
+        return account
+
     oem_key = None
     if config.oem is not None:
         oem_id = config.oem.service_id
         oem_key = generate_keypair(f"{seed}:key:{oem_id}")
         cert = issue_certificate(ca, oem_id, oem_key.public)
-        account_key = generate_keypair(f"{seed}:cloud:{oem_id}")
-        cloud.create_account(f"{oem_id}-acct", account_key.public, [SW_OBJECT_PREFIX])
         world.oem = Oem(oem_id, oem_key, config.oem.obm,
-                        cloud_account=(f"{oem_id}-acct", account_key))
+                        cloud_account=update_account(oem_id))
         engine.add_node(world.oem)
         by_id[config.oem.obm].add_member(oem_id, "service")
         for manager in managers:
@@ -328,10 +328,8 @@ def build_world(config: ScenarioConfig) -> World:
     for spec in config.providers:
         pid = spec.service_id
         provider_key = generate_keypair(f"{seed}:key:{pid}")
-        account_key = generate_keypair(f"{seed}:cloud:{pid}")
-        cloud.create_account(f"{pid}-acct", account_key.public, [SW_OBJECT_PREFIX])
         provider = SwProvider(pid, provider_key, spec.obm,
-                              cloud_account=(f"{pid}-acct", account_key),
+                              cloud_account=update_account(pid),
                               oem_pk=oem_key.public)
         world.providers[pid] = provider
         engine.add_node(provider)
@@ -356,14 +354,11 @@ def build_world(config: ScenarioConfig) -> World:
 
     for spec in config.vehicles:
         vid = spec.vehicle_id
-        cloud_account = None
-        if oem_key is not None:  # the account only downloads the OEM's updates
-            account_key = generate_keypair(f"{seed}:cloud:{vid}")
-            cloud.create_account(f"{vid}-acct", account_key.public, [SW_OBJECT_PREFIX])
-            cloud_account = (f"{vid}-acct", account_key)
         vehicle = Vehicle(
             spec, KeyRing(f"{seed}:key:{vid}", rotate_per_interaction=spec.rotate_keys),
-            oem_pk=oem_key.public if oem_key else None, cloud_account=cloud_account)
+            oem_pk=oem_key.public if oem_key else None,
+            # the account only downloads the OEM's updates
+            cloud_account=update_account(vid) if oem_key else None)
         world.vehicles[vid] = vehicle
         engine.add_node(vehicle)
         by_id[spec.obm].add_member(vid, "vehicle")

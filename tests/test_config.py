@@ -615,6 +615,19 @@ def test_file_that_is_not_utf8_is_a_config_error(tmp_path):
     assert "\n" not in str(err.value)
 
 
+def test_yaml_error_without_a_position_is_reported_as_unknown(tmp_path, monkeypatch):
+    path = tmp_path / "s.yaml"
+    path.write_text("name: x\n")
+
+    def refuse(data, Loader):
+        raise yaml.YAMLError("loader gave up")
+
+    monkeypatch.setattr(yaml, "load", refuse)
+    with pytest.raises(ConfigError) as err:
+        load_scenario(path)
+    assert str(err.value) == f"{path}: YAML syntax error at unknown position: loader gave up"
+
+
 # Input that both loaders reject, and where they report it.
 MALFORMED_YAML = {
     "truncated_flow": (b"name: x\nledger: {block_size: [\n", "line 3, column 1"),
@@ -675,6 +688,9 @@ def test_malformed_yaml_is_rejected_at_the_same_place_by_both_loaders(loader, ca
     ("duration: 3e2", "duration: expected a number, got str '3e2' "
      "(YAML 1.1 needs a dot and a signed exponent, e.g. 3.0e+2)"),
     ("duration: '120'", "duration: expected a number, got str '120'"),
+    ("duration: '1.5'", "duration: expected a number, got str '1.5'"),
+    # a dot and a signed exponent: YAML reads it as a float, so no fix to show
+    ("duration: '1.0e+12'", "duration: expected a number, got str '1.0e+12'"),
     ("duration: soon", "duration: expected a number, got str"),
 ])
 def test_number_that_yaml_reads_as_a_string_is_shown_with_its_fix(loader, tmp_path,

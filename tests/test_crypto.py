@@ -27,7 +27,6 @@ from overchain.crypto import (
     ZERO_DIGEST,
     Certificate,
     Digest,
-    KeyPair,
     KeyRing,
     PublicKey,
     Signature,

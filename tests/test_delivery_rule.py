@@ -1,11 +1,13 @@
-"""The string dispatch of requests cannot silently miss.
+"""The string dispatch of requests and directives cannot silently miss.
 
 A request of kind ``k`` runs its receiver's ``serve_k``, and every payload
 runs what its own ``deliver`` names. These checks parse ``src/overchain/``
 with ``ast``: every kind literal passed to ``send_request`` or ``cloud_call``
 has a ``def serve_<kind>`` somewhere in the package, every payload dataclass
 in ``messages.py`` defines ``deliver``, and only ``BaseActor`` defines
-``handle``, the one place a delivery starts.
+``handle``, the one place a delivery starts. A scripted directive ``a`` runs
+``ScenarioDriver._do_a``, so the directives the config reader accepts and
+the driver's methods must be the same names.
 """
 import ast
 from pathlib import Path
@@ -13,8 +15,10 @@ from pathlib import Path
 import pytest
 
 import overchain
+from overchain.config import _DIRECTIVES, _ROLES
 from overchain.messages import BaseActor
 from overchain.simnet import Engine, LinkModel
+from overchain.world import ScenarioDriver
 
 PACKAGE = Path(overchain.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -75,6 +79,13 @@ def test_every_requested_kind_has_a_server():
               for name in names if name.startswith("serve_")}
     assert len(kinds) >= 10  # the scan sees the package's requests at all
     assert sorted(kinds - served) == []
+
+
+def test_every_directive_has_a_driver_method():
+    actions = {name[len("_do_"):] for name in vars(ScenarioDriver) if name.startswith("_do_")}
+    assert len(actions) == 9  # the scan sees the driver's methods at all
+    assert sorted(_DIRECTIVES) == sorted(actions)
+    assert set(_ROLES) <= actions
 
 
 def test_every_payload_says_what_its_delivery_runs():

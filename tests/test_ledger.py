@@ -308,6 +308,11 @@ def test_schedule_block_turn_round_robin():
         assert len(winners) == 1
 
 
+def test_schedule_block_turn_refuses_an_empty_roster():
+    with pytest.raises(ValueError, match="^no managers to schedule$"):
+        schedule_block_turn(0, [])
+
+
 # ---------------------------------------------------------------------------
 # block validation, trust, appending
 # ---------------------------------------------------------------------------

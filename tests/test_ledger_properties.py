@@ -17,7 +17,6 @@ from overchain.ledger import (
     Chain,
     PayloadTag,
     TrustTable,
-    TxFault,
     TxKind,
     append_block,
     build_transaction,

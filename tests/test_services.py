@@ -25,11 +25,11 @@ from overchain.ledger import (
     verify_chain,
 )
 from overchain.manager import BlockManager
-from overchain.messages import BaseActor, TxMessage
+from overchain.messages import BaseActor
 from overchain.services import CloudStore, Insurer, Oem, SwProvider
 from overchain.simnet import Engine, LinkModel
 from overchain.swformat import build_sw_binary, parse_sw_binary, sw_object_id
-from overchain.vehicle import StorageRecord, Vehicle, storage_digest
+from overchain.vehicle import StorageRecord, Vehicle
 
 from conftest import trace_records
 

@@ -1,5 +1,6 @@
-"""Every name a module in ``src/overchain/`` imports is used in that module,
-and every private top-level name it defines is read in it.
+"""Every name a module in ``src/overchain/``, ``tests/`` or ``demos/`` imports
+is used in that module, and every private top-level name a package module
+defines is read in it.
 
 No linter ships with the project, so this is a small stand-in: it parses each
 module with ``ast`` and reports imported names that no expression reads.
@@ -14,7 +15,10 @@ import pytest
 
 import overchain
 
-MODULES = sorted(Path(overchain.__file__).parent.glob("*.py"))
+PACKAGE = Path(overchain.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -69,7 +73,11 @@ def test_detector_flags_an_unused_import_and_spares_used_ones():
     assert unused_imports(source) == ["line 3: Any"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def module_id(path: Path) -> str:
+    return path.name if path.parent == PACKAGE else f"{path.parent.name}/{path.name}"
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=module_id)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

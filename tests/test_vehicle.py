@@ -31,7 +31,7 @@ from overchain.ledger import (
     form_block,
 )
 from overchain.manager import BlockManager
-from overchain.messages import AppRequest, BaseActor, DeliverTx, UpdateNotice
+from overchain.messages import BaseActor, DeliverTx, UpdateNotice
 from overchain.services import CloudStore, Insurer
 from overchain.simnet import Engine, LinkModel
 from overchain.swformat import build_sw_binary, sw_object_id
@@ -391,6 +391,16 @@ def test_handover_crosses_to_closer_manager_and_migrates_keys():
     assert len(received) == 2 and not received[1]["pending"]
     # the echoed final is what the requester's next transaction chains on
     assert veh.last_final_tid == {requester.public: Digest.fromhex(received[1]["t_id"])}
+
+
+def test_no_probe_while_a_handover_is_in_flight():
+    engine, (m0, m1), veh, _ = handover_world(20.0, 4.0)
+    veh.evaluate_handover(engine)  # probes, then asks obm1 to join
+    veh.evaluate_handover(engine)  # the join is unanswered: no second probe
+    assert len(trace_records(engine.trace.text(), "probe", actor="veh")) == 1
+    engine.run()
+    assert veh.obm_id == "obm1"
+    assert len(trace_records(engine.trace.text(), "handover", actor="veh")) == 1
 
 
 def test_handover_skipped_when_all_candidates_above_threshold():
