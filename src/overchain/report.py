@@ -1,13 +1,20 @@
 """Metric extraction and expectation checking over run traces.
 
-Everything here is computed from the JSON-lines trace alone — no live
+Everything here is computed from the trace's records alone — no live
 simulator state — so a stored trace file can be re-analyzed later and the
 numbers reconcile exactly with the events that produced them.
+
+``Metrics`` is fed one record at a time. A run's ``simnet.Trace`` feeds it
+each record as it writes the record, and its ``text()`` is a ``TraceText``
+that carries it, so ``build_report`` of that text reads the fed metrics
+instead of decoding. Any other string, such as a saved file, is decoded by
+``parse_trace`` (or by ``read_report``'s per-line reader) and fed to a fresh
+``Metrics`` by ``compute_metrics``; both give the same report.
 """
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
 
@@ -15,8 +22,10 @@ from .config import EXPECTATION_OPS, ScenarioConfig
 
 __all__ = [
     "ExpectationResult",
+    "Metrics",
     "ScenarioReport",
     "TraceError",
+    "TraceText",
     "build_report",
     "compute_metrics",
     "evaluate_expectations",
@@ -148,7 +157,7 @@ def _dtm_metrics(throughput: dict) -> dict:
     final_flags = []
     trajectories = {}
     for manager, rows in sorted(throughput.items()):
-        rows.sort(key=lambda r: r["period"])
+        rows = sorted(rows, key=lambda r: r["period"])  # a copy: result() changes nothing
         trajectories[manager] = [round(r["utilization"], 6) for r in rows]
         run = 0
         last_active = None
@@ -173,183 +182,223 @@ def _dtm_metrics(throughput: dict) -> dict:
     }
 
 
-def compute_metrics(lines: Iterable[dict]) -> dict:
-    """The metrics of a trace's records, read in one forward pass: every record
-    counts towards its event, and the event's entry in ``handlers``, if it has
-    one, moves the metrics that read the record's fields."""
-    # Plain-dict tallies: ``d[k] = d.get(k, 0) + 1`` on an exact dict is what
-    # the interpreter runs fastest, and most records are only counted.
-    traffic_recipient: dict[str, str] = {}
-    attack_target_obm: dict[str, str] = {}
-    delivered_traffic: dict[str, int] = {}
-    installs_by_version: dict = {}
-    rejections: dict = {}
-    drops_total: dict = {}
-    drops_by_manager: dict[str, dict] = {}
-    deliveries: dict = {}
-    attack = {"sent": 0, "delivered": 0, "dropped": 0, "dropped_at_target_obm": 0}
-    claims: dict = {}
-    upload_errors: dict = {}
-    handover_skipped: dict = {}
-    counts: dict = {}
-    blocks_formed: dict = {}
-    validated: dict[str, dict[int, list]] = {}
-    throughput: dict[str, list] = {}
-    summaries: dict[str, dict] = {}
-    scenario_end: Optional[dict] = None
+class Metrics:
+    """The metrics of a trace, fed one record at a time: ``feed(record)`` reads
+    a record, and ``result()`` gives the metrics of every record fed so far.
+    ``result`` changes nothing, so feeding may go on after it.
 
-    # One handler per event that moves more than its count.  Each reads its
-    # fields in one fixed order, so a record missing several names the first.
-    def tally(counter: dict, field: str):
-        def on_record(line):
-            key = line[field]
-            counter[key] = counter.get(key, 0) + 1
-        return on_record
+    ``compute_metrics`` feeds the records of a decoded trace; ``simnet.Trace``
+    feeds each record it writes. ``emit`` feeds its record through ``feed``. A
+    positional writer feeds its fields: it counts its record in ``counts`` and,
+    for the four events whose handler reads fields, calls the positional
+    handler of the event's name: ``traffic_tx(t_id, recipient)``,
+    ``tx_delivered(t_id, member, pending)``, ``tx_dropped(actor, t_id, reason)``
+    or ``block_validated(generator, height, ok, verification_count)``, which
+    ``feed`` calls too. An accumulator keeps tallies, and keeps whole only the
+    records whose fields ``result`` reads (``throughput``, ``manager_summary``
+    and ``scenario_end``), never a list of every record.
+    """
 
-    def on_traffic_tx(line):
-        traffic_recipient[line["t_id"]] = line["recipient"]
+    def __init__(self) -> None:
+        # Records fed, by event: most records are only counted, and a writer
+        # counts its own with one ``+= 1``.
+        self.counts: dict = defaultdict(int)
+        # Plain-dict tallies: ``d[k] = d.get(k, 0) + 1`` on an exact dict is what
+        # the interpreter runs fastest.
+        self._traffic_recipient = traffic_recipient = {}
+        self._attack_target_obm = attack_target_obm = {}
+        self._delivered_traffic = delivered_traffic = {}
+        self._installs_by_version: dict = {}
+        self._rejections: dict = {}
+        self._drops_by_manager = drops_by_manager = {}
+        self._deliveries = deliveries = {}
+        self._attack = attack = {"sent": 0, "delivered": 0, "dropped": 0,
+                                 "dropped_at_target_obm": 0}
+        self._claims: dict = {}
+        self._upload_errors: dict = {}
+        self._handover_skipped: dict = {}
+        self._blocks_formed: dict = {}
+        self._validated = validated = {}  # generator -> height -> signature checks
+        self._throughput: dict[str, list] = {}
+        self._summaries: dict[str, dict] = {}
+        self._scenario_end: Optional[dict] = None
 
-    def on_attack_tx(line):
-        attack_target_obm[line["t_id"]] = line["target_obm"]
-        attack["sent"] += 1
+        def traffic_tx(t_id, recipient):
+            traffic_recipient[t_id] = recipient
 
-    def on_tx_delivered(line):
-        kind = "pending" if line["pending"] else "final"
-        deliveries[kind] = deliveries.get(kind, 0) + 1
-        tid = line["t_id"]
-        if line["pending"] and traffic_recipient.get(tid) == line["member"]:
-            delivered_traffic[tid] = delivered_traffic.get(tid, 0) + 1
-        if tid in attack_target_obm:
-            attack["delivered"] += 1
+        def tx_delivered(t_id, member, pending):
+            kind = "pending" if pending else "final"
+            deliveries[kind] = deliveries.get(kind, 0) + 1
+            if pending and traffic_recipient.get(t_id) == member:
+                delivered_traffic[t_id] = delivered_traffic.get(t_id, 0) + 1
+            if t_id in attack_target_obm:
+                attack["delivered"] += 1
 
-    def on_tx_dropped(line):
-        reason = line["reason"]
-        drops_total[reason] = drops_total.get(reason, 0) + 1
-        actor = line["actor"]
-        by_reason = drops_by_manager.get(actor)
-        if by_reason is None:
-            by_reason = drops_by_manager[actor] = {}
-        by_reason[reason] = by_reason.get(reason, 0) + 1
-        tid = line["t_id"]
-        if tid in attack_target_obm:
-            attack["dropped"] += 1
-            if attack_target_obm[tid] == actor:
-                attack["dropped_at_target_obm"] += 1
+        def tx_dropped(actor, t_id, reason):
+            by_reason = drops_by_manager.get(actor)
+            if by_reason is None:
+                by_reason = drops_by_manager[actor] = {}
+            by_reason[reason] = by_reason.get(reason, 0) + 1
+            if t_id in attack_target_obm:
+                attack["dropped"] += 1
+                if attack_target_obm[t_id] == actor:
+                    attack["dropped_at_target_obm"] += 1
 
-    def on_block_validated(line):
-        if line["ok"]:
-            validated.setdefault(line["generator"], {}).setdefault(
-                line["height"], []).append(line["verification_count"])
+        def block_validated(generator, height, ok, verification_count):
+            if ok:
+                validated.setdefault(generator, {}).setdefault(height, []).append(
+                    verification_count)
 
-    def on_throughput(line):
-        throughput.setdefault(line["actor"], []).append(line)
+        self.traffic_tx, self.tx_delivered = traffic_tx, tx_delivered
+        self.tx_dropped, self.block_validated = tx_dropped, block_validated
 
-    def on_manager_summary(line):
-        summaries[line["actor"]] = line
+        # One handler per event that moves more than its count.  Each reads its
+        # fields in one fixed order, so a record missing several names the first.
+        def tally(counter: dict, field: str):
+            def on_record(line):
+                key = line[field]
+                counter[key] = counter.get(key, 0) + 1
+            return on_record
 
-    def on_scenario_end(line):
-        nonlocal scenario_end
-        scenario_end = line
+        def on_attack_tx(line):
+            attack_target_obm[line["t_id"]] = line["target_obm"]
+            attack["sent"] += 1
 
-    handlers = {
-        "traffic_tx": on_traffic_tx,
-        "attack_tx": on_attack_tx,
-        "tx_delivered": on_tx_delivered,
-        "tx_dropped": on_tx_dropped,
-        "installed": tally(installs_by_version, "version"),
-        "update_rejected": tally(rejections, "reason"),
-        "approval_rejected": tally(rejections, "reason"),
-        "claim_verified": tally(claims, "verdict"),
-        "upload_rejected": tally(upload_errors, "error"),
-        "handover_skipped": tally(handover_skipped, "reason"),
-        "block_formed": tally(blocks_formed, "actor"),
-        "block_validated": on_block_validated,
-        "throughput": on_throughput,
-        "manager_summary": on_manager_summary,
-        "scenario_end": on_scenario_end,
-    }
-    handler_for = handlers.get
-    for line in lines:
-        event = line["event"]
-        counts[event] = counts.get(event, 0) + 1
-        handler = handler_for(event)
+        def on_throughput(line):
+            self._throughput.setdefault(line["actor"], []).append(line)
+
+        def on_manager_summary(line):
+            self._summaries[line["actor"]] = line
+
+        def on_scenario_end(line):
+            self._scenario_end = line
+
+        self._handlers = {
+            "traffic_tx": lambda line: traffic_tx(line["t_id"], line["recipient"]),
+            "attack_tx": on_attack_tx,
+            "tx_delivered": lambda line: tx_delivered(line["t_id"], line["member"],
+                                                      line["pending"]),
+            "tx_dropped": lambda line: tx_dropped(line["actor"], line["t_id"],
+                                                  line["reason"]),
+            "installed": tally(self._installs_by_version, "version"),
+            "update_rejected": tally(self._rejections, "reason"),
+            "approval_rejected": tally(self._rejections, "reason"),
+            "claim_verified": tally(self._claims, "verdict"),
+            "upload_rejected": tally(self._upload_errors, "error"),
+            "handover_skipped": tally(self._handover_skipped, "reason"),
+            "block_formed": tally(self._blocks_formed, "actor"),
+            "block_validated": lambda line: block_validated(
+                line["generator"], line["height"], line["ok"], line["verification_count"]),
+            "throughput": on_throughput,
+            "manager_summary": on_manager_summary,
+            "scenario_end": on_scenario_end,
+        }
+
+    @property
+    def fed(self) -> int:
+        """The records fed so far."""
+        return sum(self.counts.values())
+
+    def feed(self, record: dict) -> None:
+        """Read one record. A record its handler cannot read raises, and is not
+        counted."""
+        event = record["event"]
+        handler = self._handlers.get(event)
         if handler is not None:
-            handler(line)
-    counts = Counter(counts)  # 0 for an event the trace does not hold
+            handler(record)
+        self.counts[event] += 1
 
-    traffic_sent = len(traffic_recipient)
-    traffic_done = sum(1 for tid in traffic_recipient if delivered_traffic.get(tid, 0) >= 1)
-    duplicates = sum(1 for tid in traffic_recipient if delivered_traffic.get(tid, 0) > 1)
+    def result(self) -> dict:
+        """The metrics of the records fed so far."""
+        counts = Counter(self.counts)  # 0 for an event the trace does not hold
+        traffic_recipient, delivered_traffic = self._traffic_recipient, self._delivered_traffic
+        traffic_sent = len(traffic_recipient)
+        traffic_done = sum(1 for tid in traffic_recipient if delivered_traffic.get(tid, 0) >= 1)
+        duplicates = sum(1 for tid in traffic_recipient if delivered_traffic.get(tid, 0) > 1)
 
-    heights = {m: s["blocks"] for m, s in sorted(summaries.items())}
-    digests = {s["chain_digest"] for s in summaries.values()}
-    sw_finals = [s["sw_finals"] for s in summaries.values()]
+        summaries, scenario_end = self._summaries, self._scenario_end
+        heights = {m: s["blocks"] for m, s in sorted(summaries.items())}
+        digests = {s["chain_digest"] for s in summaries.values()}
+        sw_finals = [s["sw_finals"] for s in summaries.values()]
+        blocks_formed = self._blocks_formed
+        drops: dict = {}
+        for by_reason in self._drops_by_manager.values():
+            for reason, n in by_reason.items():
+                drops[reason] = drops.get(reason, 0) + n
 
-    metrics = {
-        "installs": counts["installed"],
-        "installs_by_version": dict(sorted(installs_by_version.items())),
-        "rejections": _zero_filled(rejections, _REJECTION_REASONS),
-        "publishes": counts["published"],
-        "publish_failures": counts["publish_failed"],
-        "approvals": counts["approved"],
-        "notifications": counts["update_notified"],
-        "notifications_suppressed": counts["notify_suppressed"],
-        "drops": _zero_filled(drops_total, _DROP_REASONS),
-        "drops_by_manager": {m: dict(sorted(c.items()))
-                             for m, c in sorted(drops_by_manager.items())},
-        "deliveries": dict(sorted(deliveries.items())),
-        "pooled": counts["tx_pooled"],
-        "parked": counts["tx_parked"],
-        "unparked": counts["tx_unparked"],
-        "anchors": counts["anchor"],
-        "backups": counts["backup"],
-        "countersigns": counts["countersigned"],
-        "traffic": {
-            "sent": traffic_sent,
-            "delivered": traffic_done,
-            "success": round(traffic_done / traffic_sent, 6) if traffic_sent else 1.0,
-            "duplicate_deliveries": duplicates,
-        },
-        "attack": {
-            **attack,
-            "forged_publishes": counts["forged_publish"],
-            "forged_finals": counts["forged_final"],
-        },
-        "claims": {"filed": counts["claim_filed"],
-                   "verdicts": _zero_filled(claims, _CLAIM_VERDICTS)},
-        "cloud": {
-            "uploads": counts["record_uploaded"],
-            "upload_errors": _zero_filled(upload_errors, _UPLOAD_ERRORS),
-            "denied": counts["cloud_denied"],
-            "tampered": counts["cloud_tampered"],
-            "accounts_created": counts["account_created"],
-            "accounts_closed": counts["account_closed"],
-        },
-        "handover": {"count": counts["handover"], "probes": counts["probe"],
-                     "skipped": _zero_filled(handover_skipped, _SKIP_REASONS)},
-        "blocks": {
-            "per_generator": dict(sorted(blocks_formed.items())),
-            "min_per_generator": min(blocks_formed.values()) if blocks_formed else 0,
-            "rejected": counts["block_rejected"],
-            "height_min": min(heights.values()) if heights else 0,
-            "height_max": max(heights.values()) if heights else 0,
-        },
-        "verification": _verification_trend(validated),
-        "dtm": _dtm_metrics(throughput),
-        "chain": {
-            "heights": heights,
-            "digests_identical": int(len(digests) <= 1),
-            "all_valid": int(bool(scenario_end and scenario_end["all_valid"])),
-            "equal": int(bool(scenario_end and scenario_end["chains_equal"])),
-            "residual_pool_max": max((s["pool_depth"] for s in summaries.values()),
-                                     default=0),
-            "residual_waiting_max": max((s["waiting"] for s in summaries.values()),
-                                        default=0),
-            "sw_finals_min": min(sw_finals) if sw_finals else 0,
-            "sw_finals_max": max(sw_finals) if sw_finals else 0,
-        },
-    }
-    return metrics
+        return {
+            "installs": counts["installed"],
+            "installs_by_version": dict(sorted(self._installs_by_version.items())),
+            "rejections": _zero_filled(self._rejections, _REJECTION_REASONS),
+            "publishes": counts["published"],
+            "publish_failures": counts["publish_failed"],
+            "approvals": counts["approved"],
+            "notifications": counts["update_notified"],
+            "notifications_suppressed": counts["notify_suppressed"],
+            "drops": _zero_filled(drops, _DROP_REASONS),
+            "drops_by_manager": {m: dict(sorted(c.items()))
+                                 for m, c in sorted(self._drops_by_manager.items())},
+            "deliveries": dict(sorted(self._deliveries.items())),
+            "pooled": counts["tx_pooled"],
+            "parked": counts["tx_parked"],
+            "unparked": counts["tx_unparked"],
+            "anchors": counts["anchor"],
+            "backups": counts["backup"],
+            "countersigns": counts["countersigned"],
+            "traffic": {
+                "sent": traffic_sent,
+                "delivered": traffic_done,
+                "success": round(traffic_done / traffic_sent, 6) if traffic_sent else 1.0,
+                "duplicate_deliveries": duplicates,
+            },
+            "attack": {
+                **self._attack,
+                "forged_publishes": counts["forged_publish"],
+                "forged_finals": counts["forged_final"],
+            },
+            "claims": {"filed": counts["claim_filed"],
+                       "verdicts": _zero_filled(self._claims, _CLAIM_VERDICTS)},
+            "cloud": {
+                "uploads": counts["record_uploaded"],
+                "upload_errors": _zero_filled(self._upload_errors, _UPLOAD_ERRORS),
+                "denied": counts["cloud_denied"],
+                "tampered": counts["cloud_tampered"],
+                "accounts_created": counts["account_created"],
+                "accounts_closed": counts["account_closed"],
+            },
+            "handover": {"count": counts["handover"], "probes": counts["probe"],
+                         "skipped": _zero_filled(self._handover_skipped, _SKIP_REASONS)},
+            "blocks": {
+                "per_generator": dict(sorted(blocks_formed.items())),
+                "min_per_generator": min(blocks_formed.values()) if blocks_formed else 0,
+                "rejected": counts["block_rejected"],
+                "height_min": min(heights.values()) if heights else 0,
+                "height_max": max(heights.values()) if heights else 0,
+            },
+            "verification": _verification_trend(self._validated),
+            "dtm": _dtm_metrics(self._throughput),
+            "chain": {
+                "heights": heights,
+                "digests_identical": int(len(digests) <= 1),
+                "all_valid": int(bool(scenario_end and scenario_end["all_valid"])),
+                "equal": int(bool(scenario_end and scenario_end["chains_equal"])),
+                "residual_pool_max": max((s["pool_depth"] for s in summaries.values()),
+                                         default=0),
+                "residual_waiting_max": max((s["waiting"] for s in summaries.values()),
+                                            default=0),
+                "sw_finals_min": min(sw_finals) if sw_finals else 0,
+                "sw_finals_max": max(sw_finals) if sw_finals else 0,
+            },
+        }
+
+
+def compute_metrics(lines: Iterable[dict]) -> dict:
+    """The metrics of a trace's records, read in one forward pass."""
+    metrics = Metrics()
+    feed = metrics.feed
+    for line in lines:
+        feed(line)
+    return metrics.result()
 
 
 # -- expectation checking --------------------------------------------------------------
@@ -406,8 +455,27 @@ class ScenarioReport:
     passed: bool
 
 
+class TraceText(str):
+    """A trace's text as ``simnet.Trace.text()`` returns it, carrying the
+    ``metrics`` its trace fed while it wrote the text's ``records`` lines. A
+    slice, a join or a copy of it is a plain ``str``; so is the text that
+    crosses a process boundary, since a ``metrics`` holds functions."""
+
+    metrics: Metrics
+    records: int
+
+    def __reduce__(self):
+        return str, (str(self),)
+
+
 def build_report(trace_text: str, config: ScenarioConfig) -> ScenarioReport:
-    return _report(parse_trace(trace_text), config)
+    """The report of a trace's text. A ``TraceText`` whose metrics were fed
+    exactly its records (no line came from outside the trace's writers, and no
+    record was written after it) is reported from those metrics; any other
+    string is decoded by ``parse_trace``."""
+    if isinstance(trace_text, TraceText) and trace_text.metrics.fed == trace_text.records:
+        return _report(trace_text.metrics.result(), config)
+    return _report(compute_metrics(parse_trace(trace_text)), config)
 
 
 def read_report(text: str, config: ScenarioConfig) -> ScenarioReport:
@@ -418,7 +486,7 @@ def read_report(text: str, config: ScenarioConfig) -> ScenarioReport:
     if not records:  # every run writes records: an all-zero report would be made up
         raise TraceError("trace has no records")
     try:
-        return _report(records, config)
+        return _report(compute_metrics(records), config)
     except (KeyError, TypeError, ValueError) as exc:
         error = exc
     low, high = 0, len(records)  # records[:high] fails; records[:low] does not
@@ -433,8 +501,7 @@ def read_report(text: str, config: ScenarioConfig) -> ScenarioReport:
     raise TraceError(f"trace line {numbers[high - 1]}: {problem}") from error
 
 
-def _report(records: Iterable[dict], config: ScenarioConfig) -> ScenarioReport:
-    metrics = compute_metrics(records)
+def _report(metrics: dict, config: ScenarioConfig) -> ScenarioReport:
     results = tuple(evaluate_expectations(metrics, config.expectations))
     passed = all(r.passed for r in results)
     return ScenarioReport(config.name, config.seed, metrics, results, passed)

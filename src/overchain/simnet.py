@@ -18,6 +18,14 @@ event gets a writer only when it is at least 5% of some workload's records, or
 most of the records of the end-of-run flush, which runs on one core; every
 other event goes through ``emit``, and no ``emit`` call names an event that
 has a writer.
+
+The trace feeds each record it writes to its ``report.Metrics``
+(``Trace.metrics``), so a run's report needs no decode of its own trace:
+``emit`` feeds its record once it is encoded, and a writer counts its record
+and, for ``traffic_tx``, ``tx_delivered``, ``tx_dropped`` and
+``block_validated``, calls the positional handler of that name. ``text()``
+returns a ``report.TraceText`` that carries those metrics, which
+``report.build_report`` reads when they were fed exactly the text's lines.
 """
 from __future__ import annotations
 
@@ -27,6 +35,8 @@ import math
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from random import Random
 from typing import Any, Optional
+
+from .report import Metrics, TraceText
 
 
 # ---------------------------------------------------------------------------
@@ -63,13 +73,27 @@ class Trace:
 
     def __init__(self) -> None:
         self.lines: list[str] = []
+        self.metrics = Metrics()  # fed every record written to ``lines``
+        self._counts = self.metrics.counts
 
     def emit(self, t: float, actor: str, event: str, **fields: Any) -> None:
         record = {"t": t, "actor": actor, "event": event, **fields}
         self.lines.append("".join(_encode_chunks(record, 0)))
+        try:
+            self.metrics.feed(record)
+        except (KeyError, TypeError, ValueError):
+            pass  # left uncounted: build_report decodes the text, and raises on it there
 
     def text(self) -> str:
-        return "\n".join([*self.lines, ""])  # each line ends in a newline
+        """The lines, each ending in a newline: a ``TraceText`` carrying the
+        metrics when they were fed every line, else a plain ``str``."""
+        lines = self.lines
+        text = "\n".join([*lines, ""])
+        if self.metrics.fed != len(lines):  # a line came from outside the writers
+            return text
+        text = TraceText(text)
+        text.metrics, text.records = self.metrics, len(lines)
+        return text
 
     # -- positional writers: each line is byte for byte what ``emit`` writes for
     # the same fields, in the same order
@@ -77,31 +101,41 @@ class Trace:
     def tx_pooled(self, t: float, actor: str, t_id: str, origin: str) -> None:
         self.lines.append('{"t":%r,"actor":%s,"event":"tx_pooled","t_id":%s,"origin":%s}'
                           % (t, _q(actor), _q(t_id), _q(origin)))
+        self._counts["tx_pooled"] += 1
 
     def tx_dropped(self, t: float, actor: str, t_id: str, reason: str, detail: str) -> None:
         self.lines.append('{"t":%r,"actor":%s,"event":"tx_dropped","t_id":%s,"reason":%s,'
                           '"detail":%s}' % (t, _q(actor), _q(t_id), _q(reason), _q(detail)))
+        self.metrics.tx_dropped(actor, t_id, reason)
+        self._counts["tx_dropped"] += 1
 
     def tx_delivered(self, t: float, actor: str, t_id: str, member: str, pending: bool) -> None:
         self.lines.append('{"t":%r,"actor":%s,"event":"tx_delivered","t_id":%s,"member":%s,'
                           '"pending":%s}' % (t, _q(actor), _q(t_id), _q(member),
                                              _JSON_BOOL[type(pending), pending]))
+        self.metrics.tx_delivered(t_id, member, pending)
+        self._counts["tx_delivered"] += 1
 
     def tx_received(self, t: float, actor: str, t_id: str, pending: bool) -> None:
         self.lines.append('{"t":%r,"actor":%s,"event":"tx_received","t_id":%s,"pending":%s}'
                           % (t, _q(actor), _q(t_id), _JSON_BOOL[type(pending), pending]))
+        self._counts["tx_received"] += 1
 
     def tx_broadcast(self, t: float, actor: str, t_id: str) -> None:
         self.lines.append('{"t":%r,"actor":%s,"event":"tx_broadcast","t_id":%s}'
                           % (t, _q(actor), _q(t_id)))
+        self._counts["tx_broadcast"] += 1
 
     def traffic_tx(self, t: float, actor: str, t_id: str, sender: str, recipient: str) -> None:
         self.lines.append('{"t":%r,"actor":%s,"event":"traffic_tx","t_id":%s,"sender":%s,'
                           '"recipient":%s}' % (t, _q(actor), _q(t_id), _q(sender), _q(recipient)))
+        self.metrics.traffic_tx(t_id, recipient)
+        self._counts["traffic_tx"] += 1
 
     def countersigned(self, t: float, actor: str, pending_t_id: str, t_id: str) -> None:
         self.lines.append('{"t":%r,"actor":%s,"event":"countersigned","pending_t_id":%s,'
                           '"t_id":%s}' % (t, _q(actor), _q(pending_t_id), _q(t_id)))
+        self._counts["countersigned"] += 1
 
     def block_validated(self, t: float, actor: str, block_id: str, height: int,
                         generator: str, ok: bool, fault: Optional[str],
@@ -112,18 +146,22 @@ class Trace:
                           % (t, _q(actor), _q(block_id), height, _q(generator),
                              _JSON_BOOL[type(ok), ok], "null" if fault is None else _q(fault),
                              verification_count))
+        self.metrics.block_validated(generator, height, ok, verification_count)
+        self._counts["block_validated"] += 1
 
     def block_appended(self, t: float, actor: str, block_id: str, height: int, n_tx: int,
                        generator: str) -> None:
         self.lines.append('{"t":%r,"actor":%s,"event":"block_appended","block_id":%s,'
                           '"height":%r,"n_tx":%r,"generator":%s}'
                           % (t, _q(actor), _q(block_id), height, n_tx, _q(generator)))
+        self._counts["block_appended"] += 1
 
     def trust_updated(self, t: float, actor: str, generator: str, score: float, valid: int,
                       invalid: int) -> None:
         self.lines.append('{"t":%r,"actor":%s,"event":"trust_updated","generator":%s,'
                           '"score":%r,"valid":%r,"invalid":%r}'
                           % (t, _q(actor), _q(generator), score, valid, invalid))
+        self._counts["trust_updated"] += 1
 
 
 # ---------------------------------------------------------------------------

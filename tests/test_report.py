@@ -2,10 +2,16 @@
 line on its own gives, at every piece size, and a bad line raises a
 ``TraceError`` that names the first line whose own decode fails;
 ``build_report`` holds less than the trace text; ``read_report`` reports a
-trace as ``build_report`` does; each event ``compute_metrics`` handles moves
+trace as ``build_report`` does, whether it reads the metrics a trace fed or
+decodes a plain string, and a text is reported from its fed metrics only when
+they were fed exactly its lines; each event ``compute_metrics`` handles moves
 its metrics, and a record missing the first field its handler reads is named
-by ``read_report``; every expectation op holds on its side of each bound."""
+by ``read_report``; ``Metrics.result`` changes nothing; every expectation op
+holds on its side of each bound."""
+import copy
+import dataclasses
 import json
+import pickle
 import sys
 import tracemalloc
 
@@ -13,16 +19,20 @@ import pytest
 
 from overchain import report
 from overchain.cli import bundled_scenarios
-from overchain.config import EXPECTATION_OPS, Expectation, ScenarioConfig
+from overchain.config import EXPECTATION_OPS, Expectation, ScenarioConfig, load_scenario
 from overchain.report import (
     ExpectationResult,
+    Metrics,
     TraceError,
+    TraceText,
     build_report,
     evaluate_expectations,
     parse_trace,
     read_report,
     render_json,
 )
+from overchain.simnet import Trace
+from overchain.world import run_scenario
 
 
 def piece_sizes(monkeypatch):
@@ -61,9 +71,10 @@ def test_bundled_traces_decode_as_per_line_in_small_pieces(bundled, monkeypatch,
         assert list(parse_trace(text)) == per_line(text), size
 
 
-def test_build_report_holds_less_than_the_text(bundled):
+@pytest.mark.parametrize("plain", [False, True], ids=["fed", "decoded"])
+def test_build_report_holds_less_than_the_text(bundled, plain):
     run = bundled("ddos_flood")
-    text = run.trace_text
+    text = str(run.trace_text) if plain else run.trace_text
     tracemalloc.start()  # after the text exists, so only the report's own memory counts
     try:
         build_report(text, run.config)
@@ -76,8 +87,61 @@ def test_build_report_holds_less_than_the_text(bundled):
 @pytest.mark.parametrize("name", bundled_scenarios())
 def test_read_report_renders_as_build_report(bundled, name):
     run = bundled(name)
-    assert (render_json(read_report(run.trace_text, run.config))
-            == render_json(build_report(run.trace_text, run.config)))
+    assert isinstance(run.trace_text, TraceText)  # so build_report reads the fed metrics
+    fed = render_json(build_report(run.trace_text, run.config))
+    assert fed == render_json(build_report(str(run.trace_text), run.config))  # decoded
+    assert fed == render_json(read_report(run.trace_text, run.config))
+
+
+def test_fed_report_of_a_jittered_run_renders_as_the_decoded_report():
+    config = load_scenario(bundled_scenarios()["trust_trend"], seed_override=3)
+    config = dataclasses.replace(config,
+                                 network=dataclasses.replace(config.network, jitter=0.5))
+    text = run_scenario(config).engine.trace.text()
+    assert isinstance(text, TraceText)
+    fed = render_json(build_report(text, config))
+    assert fed == render_json(build_report(str(text), config))
+    assert fed == render_json(read_report(text, config))
+
+
+def test_trace_text_crosses_a_process_boundary_as_a_plain_str(bundled):
+    text = bundled("wrsu_happy_path").trace_text
+    for copied in (pickle.loads(pickle.dumps(text)), copy.copy(text), text[:]):
+        assert type(copied) is str and copied == text
+
+
+def test_a_line_from_outside_the_writers_is_decoded():
+    config = ScenarioConfig("hand_made")
+    trace = Trace()
+    trace.emit(0.0, "veh0", "installed", version="v1")
+    trace.lines.append(json.dumps(rec("installed", version="v2"), separators=(",", ":")))
+    text = trace.text()
+    assert type(text) is str
+    assert build_report(text, config).metrics["installs_by_version"] == {"v1": 1, "v2": 1}
+    trace.emit(1.0, "veh0", "installed", version="v3")  # fed stays one record short of the lines
+    assert type(trace.text()) is str
+
+
+def test_a_record_written_after_the_text_leaves_the_text_decoded():
+    config = ScenarioConfig("hand_made")
+    trace = Trace()
+    trace.emit(0.0, "veh0", "installed", version="v1")
+    text = trace.text()
+    trace.emit(1.0, "veh0", "installed", version="v2")
+    assert build_report(text, config).metrics["installs_by_version"] == {"v1": 1}
+    assert build_report(trace.text(), config).metrics["installs_by_version"] == {"v1": 1, "v2": 1}
+
+
+def test_a_written_record_the_metrics_cannot_read_fails_the_report():
+    trace = Trace()
+    trace.emit(0.0, "veh0", "installed", version="v1")
+    trace.emit(1.0, "veh0", "installed")  # written, but not fed: it has no version
+    trace.emit(2.0, "veh0", "installed", version="v2")
+    assert len(trace.lines) == 3 and trace.metrics.fed == 2
+    with pytest.raises(KeyError, match="version"):
+        build_report(trace.text(), ScenarioConfig("hand_made"))
+    with pytest.raises(TraceError, match=r"^trace line 2: no field 'version'$"):
+        read_report(trace.text(), ScenarioConfig("hand_made"))
 
 
 @pytest.mark.parametrize("text", ["", "\n", "\n  \r\n\t\n"])
@@ -203,17 +267,17 @@ _VALIDATED = [rec("block_validated", ok=True, generator="obm1", height=height,
 # One case per handled event: the records read before it, the record, the first
 # field its handler reads, and every metric it moves.
 HANDLED = [
-    ("traffic_tx", [], rec("traffic_tx", t_id="t1", recipient="v1"), "recipient",
+    ("traffic_tx", [], rec("traffic_tx", t_id="t1", recipient="v1"), "t_id",
      {"traffic.sent": 1, "traffic.success": 0.0}),
     ("attack_tx", [], rec("attack_tx", t_id="a1", target_obm="obm0"), "target_obm",
      {"attack.sent": 1}),
     ("tx_delivered", [rec("traffic_tx", t_id="t1", recipient="v1"),
                       rec("attack_tx", t_id="t1", target_obm="obm0")],
-     rec("tx_delivered", pending=True, t_id="t1", member="v1"), "pending",
+     rec("tx_delivered", pending=True, t_id="t1", member="v1"), "t_id",
      {"deliveries.pending": 1, "traffic.delivered": 1, "traffic.success": 1.0,
       "attack.delivered": 1}),
     ("tx_dropped", [rec("attack_tx", t_id="a1", target_obm="obm0")],
-     rec("tx_dropped", reason="no_match", t_id="a1"), "reason",
+     rec("tx_dropped", reason="no_match", t_id="a1"), "actor",
      {"drops.no_match": 1, "drops_by_manager.obm0.no_match": 1, "attack.dropped": 1,
       "attack.dropped_at_target_obm": 1}),
     ("installed", [], rec("installed", version="v2"), "version",
@@ -231,7 +295,8 @@ HANDLED = [
     ("block_formed", [], rec("block_formed", height=1), "actor",
      {"blocks.per_generator.obm0": 1, "blocks.min_per_generator": 1}),
     ("block_validated", _VALIDATED,
-     rec("block_validated", ok=True, generator="obm1", height=9, verification_count=3), "ok",
+     rec("block_validated", ok=True, generator="obm1", height=9, verification_count=3),
+     "generator",
      {"verification.first_third_mean.obm1": 6.0, "verification.final_third_mean.obm1": 5.0,
       "verification.ratio.obm1": 0.833333, "verification.max_ratio": 0.833333}),
     ("throughput", [],
@@ -296,6 +361,26 @@ def test_counted_event_moves_its_count(event, path):
 @pytest.mark.parametrize("event", ["tx_received", "tx_broadcast", "no_such_event"])
 def test_event_with_no_metric_moves_none(event):
     assert moved([], rec(event)) == {}
+
+
+def test_result_changes_nothing_and_feeding_goes_on_after_it():
+    records = [r for _, before, record, *_ in HANDLED for r in (*before, record)]
+    # two managers' throughput periods out of order, which result() must not sort in place
+    records += [rec("throughput", actor=actor, period=period, rate=1.0, utilization=u,
+                    band=[0.4, 0.6])
+                for actor, period, u in [("obm1", 3, 0.5), ("obm1", 1, 0.9), ("obm2", 2, 0.5),
+                                         ("obm1", 2, 0.7), ("obm2", 1, 0.1)]]
+    decoded = list(parse_trace("".join(json.dumps(r) + "\n" for r in records)))
+    metrics = Metrics()
+    for record in records[:-1]:
+        metrics.feed(record)
+    state = copy.deepcopy(vars(metrics))
+    first, second = metrics.result(), metrics.result()
+    assert first == second == report.compute_metrics(decoded[:-1])
+    assert vars(metrics) == state
+    metrics.feed(records[-1])
+    assert metrics.result() == report.compute_metrics(decoded)
+    assert metrics.result()["dtm"]["utilization"]["obm2"] == [0.1, 0.5]
 
 
 # With tol 0.5, x.5 sits on a widened bound and x.25/x.75 on either side of

@@ -734,6 +734,23 @@ def test_cli_parallel_jobs(tiny_config, tmp_path, capsys):
     assert outputs[0] == outputs[1]  # parallel output is the serial output
 
 
+def test_cli_parallel_jobs_write_the_serial_traces(tiny_config, tmp_path, capsys):
+    # a worker's trace text comes back across the process boundary as a plain str
+    other = tmp_path / "tiny2.yaml"
+    other.write_text(TINY.replace("name: tiny", "name: tiny2"))
+    outputs, traces = [], []
+    for jobs in ("2", "1"):
+        out_dir = tmp_path / f"traces{jobs}"
+        assert main(["run", str(tiny_config), str(other), "--jobs", jobs, "--format", "json",
+                     "--trace", str(out_dir)]) == 0
+        outputs.append(capsys.readouterr().out)
+        traces.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
+    assert sorted(traces[0]) == ["tiny.trace.jsonl", "tiny2.trace.jsonl"]
+    assert all(traces[0].values())
+    assert traces[0] == traces[1]
+    assert outputs[0] == outputs[1]
+
+
 def test_importing_the_cli_leaves_out_the_process_pool():
     # only `run --jobs` above 1 uses it, so no other command pays its import
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -289,10 +289,19 @@ WRITER_FIELDS = {
 }
 
 
+def fed(trace: Trace) -> tuple:
+    """What ``trace`` fed its metrics: the records by event, and the metrics."""
+    return dict(trace.metrics.counts), trace.metrics.result()
+
+
 def written_and_emitted(event, t, actor, fields) -> tuple[list, list]:
+    """The lines of one record by its writer and by ``emit``, each also fed once,
+    to the same metrics."""
     written, emitted = Trace(), Trace()
     getattr(written, event)(t, actor, *fields.values())
     emitted.emit(t, actor, event, **fields)
+    assert fed(written) == fed(emitted)
+    assert fed(written)[0] == {event: 1}
     return written.lines, emitted.lines
 
 
@@ -341,14 +350,20 @@ def test_a_writer_refuses_a_flag_that_is_not_a_bool(pending):
     trace = Trace()
     with pytest.raises(KeyError):
         trace.tx_received(1.0, "veh0", "00", pending)
+    with pytest.raises(KeyError):
+        trace.tx_delivered(1.0, "obm0", "00", "veh0", pending)
     assert trace.lines == []
+    assert fed(trace) == fed(Trace())
 
 
 def test_a_writer_refuses_a_name_that_is_not_a_string():
     trace = Trace()
     with pytest.raises(TypeError):
         trace.tx_broadcast(1.0, "obm0", None)
+    with pytest.raises(TypeError):
+        trace.tx_dropped(1.0, "obm0", "00", None, "detail")
     assert trace.lines == []
+    assert fed(trace) == fed(Trace())
 
 
 @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
@@ -363,9 +378,17 @@ def test_unencodable_value_raises_and_the_next_emit_is_unaffected():
     with pytest.raises(TypeError, match="not JSON serializable"):
         trace.emit(0.0, "n", "bad", items=items)
     assert trace.lines == []
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        trace.emit(0.0, "n", "installed", version="v1", items=items)
+    assert trace.lines == []
     items[1] = 2  # the list the failed encode was inside, now encodable
     trace.emit(1.0, "n", "good", items=items, again=items)
     assert trace.lines == ['{"t":1.0,"actor":"n","event":"good","items":[1,2],"again":[1,2]}']
+    clean = Trace()  # one that never saw the refused records
+    clean.emit(1.0, "n", "good", items=items, again=items)
+    assert fed(trace) == fed(clean)
+    assert fed(trace)[1]["installs"] == 0
+
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0, max_value=100, allow_nan=False),
