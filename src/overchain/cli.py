@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .config import ConfigError, ScenarioConfig, load_scenario
-from .report import TraceError, build_report, read_report, render_json, render_plain
+from .report import TraceError, build_report, render_json, render_plain
 from .world import run_scenario
 
 __all__ = ["main"]
@@ -144,7 +144,7 @@ def _cmd_report(args) -> int:
             print(f"configuration error:\n{exc}", file=sys.stderr)
             return 2
     try:
-        report = read_report(text, config)
+        report = build_report(text, config)
     except TraceError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -7,9 +7,10 @@ numbers reconcile exactly with the events that produced them.
 ``Metrics`` is fed one record at a time. A run's ``simnet.Trace`` feeds it
 each record as it writes the record, and its ``text()`` is a ``TraceText``
 that carries it, so ``build_report`` of that text reads the fed metrics
-instead of decoding. Any other string, such as a saved file, is decoded by
-``parse_trace`` (or by ``read_report``'s per-line reader) and fed to a fresh
-``Metrics`` by ``compute_metrics``; both give the same report.
+instead of decoding. ``build_report`` of any other string, such as a saved
+file, decodes it line by line with ``parse_trace`` and feeds the records to a
+fresh ``Metrics`` by ``compute_metrics``; both give the same report, and a
+line the decode or the metrics cannot read raises a ``TraceError`` naming it.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ __all__ = [
     "compute_metrics",
     "evaluate_expectations",
     "parse_trace",
-    "read_report",
     "render_json",
     "render_plain",
 ]
@@ -40,54 +40,11 @@ class TraceError(ValueError):
     """A bad trace line, named as ``trace line N: …`` (numbered from 1)."""
 
 
-_CHUNK = 1 << 16  # characters of trace per json.loads call in parse_trace
-
-
 def parse_trace(text: str) -> Iterator[dict]:
-    """The records of a JSON-lines trace, one per non-blank line, decoded a
-    piece of about ``_CHUNK`` characters at a time, so no more than one piece's
-    records are built before they are used.
-
-    Each piece ends just after a ``"\\n"``, so it holds whole lines. An ASCII
-    piece without ``"\\r"`` is decoded in one ``json.loads`` call, with its
-    newlines turned into commas so that its lines form one array, in which a
-    line that is one JSON value decodes exactly as it does alone. In such a
-    piece ``"\\n"`` is the only line break that JSON lets pass: ``str.splitlines``
-    breaks lines at ``"\\r"`` (JSON whitespace) and at ``"\\x85"`` and
-    ``"\\u2028"`` (legal inside a JSON string) as well, so a piece holding any of
-    them goes to the per-line reader. So does a piece whose call raises (a
-    blank line among them) or does not give one JSON object per line:
-    ``_read_lines`` decodes each line of the piece alone and raises on the
-    first bad one.
-    """
-    start, offset = 0, 0  # offset: the lines in earlier pieces, blank ones too
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
-        piece = text[start:end]
-        body = piece.rstrip("\n")
-        records = None
-        if piece.isascii() and "\r" not in piece:
-            try:
-                records = json.loads("[" + body.replace("\n", ",") + "]")
-            except (ValueError, RecursionError):  # the array nests each line one level deeper
-                pass
-        newlines = piece.count("\n")  # counted once: a count scans the piece as a copy does
-        trailing = len(piece) - len(body)  # the newlines that rstrip took off
-        if (records is None or len(records) != newlines - trailing + 1
-                or not set(map(type, records)) <= {dict}):
-            records = _read_lines(piece, offset)[1]
-            lines = len(piece.splitlines())
-        else:  # JSON admits no other line break, so each "\n" ends a line
-            lines = newlines + (not trailing)
-        yield from records
-        start, offset = end, offset + lines
-
-
-def _read_lines(text: str, offset: int = 0) -> tuple[list[int], list[dict]]:
-    """Numbers and records of the non-blank lines, each decoded on its own;
-    ``offset`` lines come before ``text``."""
-    numbers, records = [], []
-    for number, line in enumerate(text.splitlines(), offset + 1):
+    """The records of a JSON-lines trace, one per non-blank line of
+    ``text.splitlines()``, each decoded on its own as it is used; the first bad
+    line raises a ``TraceError``."""
+    for number, line in enumerate(text.splitlines(), 1):
         if line.strip():
             try:
                 record = json.loads(line)
@@ -99,9 +56,7 @@ def _read_lines(text: str, offset: int = 0) -> tuple[list[int], list[dict]]:
                 raise TraceError(f"trace line {number}: nested too deeply") from exc
             if not isinstance(record, dict):
                 raise TraceError(f"trace line {number}: not a JSON object")
-            numbers.append(number)
-            records.append(record)
-    return numbers, records
+            yield record
 
 
 # Reason strings each counter family can produce.  Pre-seeding them with zeros
@@ -471,18 +426,13 @@ class TraceText(str):
 def build_report(trace_text: str, config: ScenarioConfig) -> ScenarioReport:
     """The report of a trace's text. A ``TraceText`` whose metrics were fed
     exactly its records (no line came from outside the trace's writers, and no
-    record was written after it) is reported from those metrics; any other
-    string is decoded by ``parse_trace``."""
+    record was written after it) is reported from those metrics. Any other
+    string, such as a saved file, is decoded by ``parse_trace``; ``TraceError``
+    names a bad line, or the record ending the shortest prefix
+    ``compute_metrics`` fails on, or says that the trace has no records."""
     if isinstance(trace_text, TraceText) and trace_text.metrics.fed == trace_text.records:
         return _report(trace_text.metrics.result(), config)
-    return _report(compute_metrics(parse_trace(trace_text)), config)
-
-
-def read_report(text: str, config: ScenarioConfig) -> ScenarioReport:
-    """The report of a trace from outside the program; ``TraceError`` names a bad
-    line, or the record ending the shortest prefix ``compute_metrics`` fails on,
-    or says that the trace has no records."""
-    numbers, records = _read_lines(text)
+    records = list(parse_trace(trace_text))
     if not records:  # every run writes records: an all-zero report would be made up
         raise TraceError("trace has no records")
     try:
@@ -497,6 +447,7 @@ def read_report(text: str, config: ScenarioConfig) -> ScenarioReport:
             low = middle
         except (KeyError, TypeError, ValueError) as exc:
             high, error = middle, exc
+    numbers = [number for number, line in enumerate(trace_text.splitlines(), 1) if line.strip()]
     problem = f"no field {error.args[0]!r}" if isinstance(error, KeyError) else error
     raise TraceError(f"trace line {numbers[high - 1]}: {problem}") from error
 

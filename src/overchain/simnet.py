@@ -25,7 +25,8 @@ The trace feeds each record it writes to its ``report.Metrics``
 and, for ``traffic_tx``, ``tx_delivered``, ``tx_dropped`` and
 ``block_validated``, calls the positional handler of that name. ``text()``
 returns a ``report.TraceText`` that carries those metrics, which
-``report.build_report`` reads when they were fed exactly the text's lines.
+``report.build_report`` reads when they were fed exactly the text's lines;
+any other text it decodes line by line.
 """
 from __future__ import annotations
 
@@ -82,7 +83,8 @@ class Trace:
         try:
             self.metrics.feed(record)
         except (KeyError, TypeError, ValueError):
-            pass  # left uncounted: build_report decodes the text, and raises on it there
+            pass  # left uncounted: build_report decodes the text, and raises a
+            # TraceError naming this record's line there
 
     def text(self) -> str:
         """The lines, each ending in a newline: a ``TraceText`` carrying the

@@ -1,13 +1,12 @@
 """Trace decoding: ``parse_trace`` gives exactly what decoding each non-blank
-line on its own gives, at every piece size, and a bad line raises a
-``TraceError`` that names the first line whose own decode fails;
-``build_report`` holds less than the trace text; ``read_report`` reports a
-trace as ``build_report`` does, whether it reads the metrics a trace fed or
-decodes a plain string, and a text is reported from its fed metrics only when
-they were fed exactly its lines; each event ``compute_metrics`` handles moves
-its metrics, and a record missing the first field its handler reads is named
-by ``read_report``; ``Metrics.result`` changes nothing; every expectation op
-holds on its side of each bound."""
+line on its own gives, and a bad line raises, through ``parse_trace`` and
+``build_report`` alike, a ``TraceError`` that names the first line whose own
+decode fails; ``build_report`` of a fed text holds less than the text, reports
+a trace as it does when it decodes a plain string, and reads the fed metrics
+only when they were fed exactly the text's lines; each event
+``compute_metrics`` handles moves its metrics, and a record missing the first
+field its handler reads is named by ``build_report``; ``Metrics.result``
+changes nothing; every expectation op holds on its side of each bound."""
 import copy
 import dataclasses
 import json
@@ -28,18 +27,10 @@ from overchain.report import (
     build_report,
     evaluate_expectations,
     parse_trace,
-    read_report,
     render_json,
 )
 from overchain.simnet import Trace
 from overchain.world import run_scenario
-
-
-def piece_sizes(monkeypatch):
-    """Set in turn each size of the pieces ``parse_trace`` cuts a trace into."""
-    for size in (1, 7, 100, report._CHUNK):
-        monkeypatch.setattr(report, "_CHUNK", size)
-        yield size
 
 
 def per_line(text: str) -> list:
@@ -58,23 +49,28 @@ def per_line_error(text: str) -> str:
     raise AssertionError("every line decodes on its own")
 
 
+def trace_errors(text: str) -> list[str]:
+    """The ``TraceError`` that ``parse_trace`` raises on ``text``, and the one
+    that ``build_report`` raises on it."""
+    messages = []
+    for read in (lambda: list(parse_trace(text)),
+                 lambda: build_report(text, ScenarioConfig("hand_made"))):
+        with pytest.raises(TraceError) as err:
+            read()
+        messages.append(str(err.value))
+    return messages
+
+
 @pytest.mark.parametrize("name", bundled_scenarios())
 def test_bundled_traces_decode_as_per_line(bundled, name):
     text = bundled(name).trace_text
     assert list(parse_trace(text)) == per_line(text)
 
 
-@pytest.mark.parametrize("name", ["ddos_flood", "full_demo", "wrsu_tampered"])
-def test_bundled_traces_decode_as_per_line_in_small_pieces(bundled, monkeypatch, name):
-    text = bundled(name).trace_text
-    for size in piece_sizes(monkeypatch):
-        assert list(parse_trace(text)) == per_line(text), size
-
-
-@pytest.mark.parametrize("plain", [False, True], ids=["fed", "decoded"])
-def test_build_report_holds_less_than_the_text(bundled, plain):
+def test_build_report_holds_less_than_the_text(bundled):
     run = bundled("ddos_flood")
-    text = str(run.trace_text) if plain else run.trace_text
+    text = run.trace_text
+    assert isinstance(text, TraceText)  # so build_report reads the fed metrics
     tracemalloc.start()  # after the text exists, so only the report's own memory counts
     try:
         build_report(text, run.config)
@@ -85,12 +81,11 @@ def test_build_report_holds_less_than_the_text(bundled, plain):
 
 
 @pytest.mark.parametrize("name", bundled_scenarios())
-def test_read_report_renders_as_build_report(bundled, name):
+def test_decoded_report_renders_as_fed_report(bundled, name):
     run = bundled(name)
     assert isinstance(run.trace_text, TraceText)  # so build_report reads the fed metrics
     fed = render_json(build_report(run.trace_text, run.config))
     assert fed == render_json(build_report(str(run.trace_text), run.config))  # decoded
-    assert fed == render_json(read_report(run.trace_text, run.config))
 
 
 def test_fed_report_of_a_jittered_run_renders_as_the_decoded_report():
@@ -101,7 +96,6 @@ def test_fed_report_of_a_jittered_run_renders_as_the_decoded_report():
     assert isinstance(text, TraceText)
     fed = render_json(build_report(text, config))
     assert fed == render_json(build_report(str(text), config))
-    assert fed == render_json(read_report(text, config))
 
 
 def test_trace_text_crosses_a_process_boundary_as_a_plain_str(bundled):
@@ -138,16 +132,16 @@ def test_a_written_record_the_metrics_cannot_read_fails_the_report():
     trace.emit(1.0, "veh0", "installed")  # written, but not fed: it has no version
     trace.emit(2.0, "veh0", "installed", version="v2")
     assert len(trace.lines) == 3 and trace.metrics.fed == 2
-    with pytest.raises(KeyError, match="version"):
-        build_report(trace.text(), ScenarioConfig("hand_made"))
+    text = trace.text()
+    assert type(text) is str  # so build_report decodes it
     with pytest.raises(TraceError, match=r"^trace line 2: no field 'version'$"):
-        read_report(trace.text(), ScenarioConfig("hand_made"))
+        build_report(text, ScenarioConfig("hand_made"))
 
 
-@pytest.mark.parametrize("text", ["", "\n", "\n  \r\n\t\n"])
-def test_read_report_of_a_trace_without_records_raises(text):
+@pytest.mark.parametrize("text", ["", "\n", "\n \r\n", "\n  \r\n\t\n"])
+def test_build_report_of_a_trace_without_records_raises(text):
     with pytest.raises(TraceError, match=r"^trace has no records$"):
-        read_report(text, ScenarioConfig("empty"))
+        build_report(text, ScenarioConfig("empty"))
 
 
 @pytest.mark.parametrize("text", [
@@ -157,11 +151,10 @@ def test_read_report_of_a_trace_without_records_raises(text):
     '{"t":0.0,"actor":"a","event":"x"}\r\n\r\n  {"t":1.5,"n":[1,{"k":null}]}  \r\n',
     '\n{"a":1}\n\n\t\n{"b":NaN,"c":-Infinity}\n',
 ])
-def test_records_match_per_line_decode(monkeypatch, text):
-    for size in piece_sizes(monkeypatch):
-        records = parse_trace(text)
-        assert iter(records) is records  # an iterator, not a list of every record
-        assert list(records) == per_line(text), size
+def test_records_match_per_line_decode(text):
+    records = parse_trace(text)
+    assert iter(records) is records  # an iterator, not a list of every record
+    assert list(records) == per_line(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -173,14 +166,11 @@ def test_records_match_per_line_decode(monkeypatch, text):
     '[1\n2],3,[4\n5]\n',  # joined, as many values as lines, but not objects
     '\ufeff{"t":0.0}\n',  # byte order mark
     '{"t":0.0}\n{"a":"x\x01y"}\n',  # raw control character in a string
-    # past blank and \r\n lines, so in a later piece at every small size
+    # past blank and \r\n lines, which count in the line number
     '{"t":0.0}\r\n\r\n  \n' * 20 + '{"t":1.0}\r\n\n{"t":2.0,"ev\r\n{"t":3.0}\n',
 ])
-def test_malformed_line_raises_the_per_line_error(monkeypatch, text):
-    for size in piece_sizes(monkeypatch):
-        with pytest.raises(TraceError) as err:
-            list(parse_trace(text))
-        assert str(err.value) == per_line_error(text), size
+def test_malformed_line_raises_the_per_line_error(text):
+    assert trace_errors(text) == [per_line_error(text)] * 2
 
 
 # The characters besides "\n" at which ``str.splitlines`` ends a line: "\r" is
@@ -200,35 +190,38 @@ RECORDS = '{"t":0.0,"actor":"a"}\n%s{"t":2.0}\n'
     # after them, so the count of non-blank lines matches the merged records
     RECORDS % '{"a":1\n\n"b":2}\n{"x":1},{"y":2}\n',
 ], ids=repr)
-def test_a_line_break_besides_newline_decodes_as_per_line(monkeypatch, text):
-    for size in piece_sizes(monkeypatch):
-        try:
-            expected = per_line(text)
-        except json.JSONDecodeError:
-            with pytest.raises(TraceError) as err:
-                list(parse_trace(text))
-            assert str(err.value) == per_line_error(text), size
-        else:
-            assert list(parse_trace(text)) == expected, size
+def test_a_line_break_besides_newline_decodes_as_per_line(text):
+    try:
+        expected = per_line(text)
+    except json.JSONDecodeError:
+        assert trace_errors(text) == [per_line_error(text)] * 2
+    else:
+        assert list(parse_trace(text)) == expected
+
+
+@pytest.mark.parametrize("text", [
+    '{"a":1\n"b":2}\n{"x":1},{"y":2}\n',
+    '{"a":1\n\n"b":2}\n{"x":1},{"y":2}\n',
+], ids=repr)
+def test_lines_that_are_records_only_when_joined_name_the_first(text):
+    # as many records as non-blank lines, had the lines been joined with commas
+    assert trace_errors(text) == ["trace line 1: column 7: Expecting ',' delimiter"] * 2
 
 
 @pytest.mark.parametrize("text", [
     '{"a":1}\n[1,2]\n{"b":2}\n',
     '{"a":1}\n"text"\n42\nnull\n',
 ])
-def test_line_that_is_not_an_object_raises(monkeypatch, text):
-    for _ in piece_sizes(monkeypatch):
-        with pytest.raises(TraceError, match=r"^trace line 2: not a JSON object$"):
-            list(parse_trace(text))
+def test_line_that_is_not_an_object_raises(text):
+    assert trace_errors(text) == ["trace line 2: not a JSON object"] * 2
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="this interpreter converts integers of any length")
-def test_integer_over_the_digit_limit_names_its_line(monkeypatch):
+def test_integer_over_the_digit_limit_names_its_line():
     text = '{"t":0}\r\n\n' * 30 + '{"t":' + "7" * 5000 + "}\n"
-    for _ in piece_sizes(monkeypatch):
-        with pytest.raises(TraceError, match=r"^trace line 61: "):
-            list(parse_trace(text))
+    for message in trace_errors(text):
+        assert message.startswith("trace line 61: ")
 
 
 def test_every_call_decodes_afresh():
@@ -331,7 +324,7 @@ def test_handled_event_without_its_first_field_names_the_record(
     record = {key: value for key, value in record.items() if key != first_field}
     text = "".join(json.dumps(r) + "\n" for r in [rec("tx_pooled"), *before, record])
     with pytest.raises(TraceError) as err:
-        read_report(text, ScenarioConfig("hand_made"))
+        build_report(text, ScenarioConfig("hand_made"))
     assert str(err.value) == f"trace line {len(before) + 2}: no field {first_field!r}"
 
 
