@@ -536,6 +536,17 @@ def test_cli_trace_then_report_round_trip(tiny_config, tmp_path, capsys):
     assert main(["report", str(trace)]) == 0
 
 
+def test_cli_report_of_a_crlf_copy_prints_what_run_printed(tiny_config, tmp_path, capsys):
+    trace = tmp_path / "tiny.trace.jsonl"
+    assert main(["run", str(tiny_config), "--trace", str(trace), "--format", "json"]) == 0
+    direct = capsys.readouterr().out
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes(trace.read_bytes().replace(b"\n", b"\r\n"))
+    assert crlf.read_bytes().count(b"\r\n") == trace.read_bytes().count(b"\n") > 0
+    assert main(["report", str(crlf), "--config", str(tiny_config), "--format", "json"]) == 0
+    assert capsys.readouterr().out == direct
+
+
 def test_cli_report_with_a_bad_config_exits_two(tiny_config, tmp_path, capsys):
     trace = tmp_path / "tiny.trace.jsonl"
     assert main(["run", str(tiny_config), "--trace", str(trace)]) == 0
