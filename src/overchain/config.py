@@ -398,6 +398,10 @@ def _parse_ledger(check: _Checker, obj, network: NetworkConfig) -> LedgerConfig:
         check.fail("ledger.utilization_low", "must not exceed utilization_high")
     if cfg.period_min > cfg.period_max:
         check.fail("ledger.period_min", "must not exceed period_max")
+    elif not cfg.period_min <= cfg.block_period <= cfg.period_max:
+        check.fail("ledger.block_period", f"must lie in [period_min, period_max] = "
+                   f"[{cfg.period_min:g}, {cfg.period_max:g}]; the period is clamped "
+                   "only under traffic, so an idle run keeps it outside")
     floor = network.period_floor
     for name in ("block_period", "period_max"):
         if getattr(cfg, name) < floor:
@@ -528,6 +532,10 @@ def _parse_script(check: _Checker, entries: list, known_ids: dict,
         params = {key: check.read(entry, key, path, kind,
                                   (0, False) if kind in (int, float) else None, default)
                   for key, (kind, default) in table.items()}
+        if action == "start_ddos" and params["attackers"] is not None \
+                and params["keyed_attackers"] > params["attackers"]:
+            check.fail(f"{path}.keyed_attackers", f"must not exceed attackers "
+                       f"({params['attackers']}); only that many are started")
         if action == "tamper_cloud_object" and params["version"] is None \
                 and params["object"] is None:
             check.fail(path, "tamper_cloud_object needs 'version' or 'object'")

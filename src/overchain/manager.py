@@ -21,7 +21,6 @@ distinct chain.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +32,6 @@ from .crypto import (
     KeyPair,
     PublicKey,
     digest as _digest,
-    generate_keypair,
     verify_certificate,
 )
 from .ledger import (
@@ -44,7 +42,6 @@ from .ledger import (
     Transaction,
     TrustTable,
     append_block,
-    build_transaction,
     check_integrity,
     form_block,
 )
@@ -120,7 +117,6 @@ class BlockManager(BaseActor):
         self.chain = Chain()
         self.trust = TrustTable(ledger)
         self.throughput = ThroughputState(ledger, period_floor)
-        self.corrupt_periods: set[int] = set()  # drills: turns that emit a corrupt block
 
         self.peers: list[str] = []
         self.manager_names: dict[PublicKey, str] = {}
@@ -307,9 +303,6 @@ class BlockManager(BaseActor):
         self.expire_waiting(engine)
         if turn_id != self.node_id:
             return
-        if period_index in self.corrupt_periods:
-            self._emit_corrupt_block(engine, period_index)
-            return
         self._generate(engine, flush=False)
 
     def flush_turn(self, engine) -> bool:
@@ -331,18 +324,6 @@ class BlockManager(BaseActor):
         for tx in block.transactions:
             self._unpark(engine, tx.t_id)
         return True
-
-    def _emit_corrupt_block(self, engine, period_index: int) -> None:
-        """Broadcast a block with a bad generator signature (not appended
-        locally); exists to exercise peers' trust reset."""
-        junk_key = generate_keypair(f"{self.node_id}:junk:{period_index}")
-        junk_tx = build_transaction(ZERO_DIGEST, _digest(b"junk"), PayloadTag.GENERIC, junk_key)
-        block = form_block({junk_tx.t_id: junk_tx}, self.chain, self.keypair, 1, flush=True)
-        block = dataclasses.replace(block, generator_signature=self.keypair.sign(b"corrupt"))
-        engine.trace.emit(engine.now, self.node_id, "corrupt_block_emitted",
-                          height=block.height, period=period_index)
-        for peer in self.peers:
-            engine.send(self.node_id, peer, BlockMessage(block))
 
     def on_block(self, engine, block: Block) -> None:
         sample_seed = engine.rng(f"validate:{self.node_id}").getrandbits(64)

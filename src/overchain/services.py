@@ -266,7 +266,7 @@ class Insurer(BaseActor):
                            account=account_id, vehicle=vehicle_id)
             self.send_request(eng, vehicle_id, "provision_insurance", {
                 "account": account_id,
-                "secret_seed": f"{self.node_id}:account:{account_id}",
+                "account_key": account_key,
                 "insurer_pk": self.keypair.public,
             }, lambda e, r: None)
 

@@ -24,9 +24,9 @@ The trace feeds each record it writes to its ``report.Metrics``
 ``emit`` feeds its record once it is encoded, and a writer counts its record
 and, for ``traffic_tx``, ``tx_delivered``, ``tx_dropped`` and
 ``block_validated``, calls the positional handler of that name. ``text()``
-returns a ``report.TraceText`` that carries those metrics, which
-``report.build_report`` reads when they were fed exactly the text's lines;
-any other text it decodes line by line.
+always returns a ``report.TraceText`` that carries those metrics, and
+``report.build_report`` alone decides whether to read them: it does when they
+were fed exactly the text's lines, and decodes any other text line by line.
 """
 from __future__ import annotations
 
@@ -86,14 +86,12 @@ class Trace:
             pass  # left uncounted: build_report decodes the text, and raises a
             # TraceError naming this record's line there
 
-    def text(self) -> str:
-        """The lines, each ending in a newline: a ``TraceText`` carrying the
-        metrics when they were fed every line, else a plain ``str``."""
+    def text(self) -> TraceText:
+        """The lines, each ending in a newline, as a ``TraceText`` carrying the
+        metrics and the number of lines; ``report.build_report`` reads those
+        metrics only when they were fed exactly that many records."""
         lines = self.lines
-        text = "\n".join([*lines, ""])
-        if self.metrics.fed != len(lines):  # a line came from outside the writers
-            return text
-        text = TraceText(text)
+        text = TraceText("\n".join([*lines, ""]))
         text.metrics, text.records = self.metrics, len(lines)
         return text
 
@@ -201,6 +199,14 @@ def _positive(name: str, delay: float) -> float:
     return delay
 
 
+def _finite(name: str, value: float) -> float:
+    """``value`` if it is a finite number: a NaN or infinite time has no place
+    in the queue's time order."""
+    if not -math.inf < value < math.inf:  # false for NaN too
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # engine
 # ---------------------------------------------------------------------------
@@ -254,10 +260,10 @@ class Engine:
 
     def schedule(self, delay: float, target: str, payload: Any) -> None:
         """Local timer on the target node (no network hop)."""
-        self._push(self.now + delay, target, payload)
+        self._push(self.now + _finite("delay", delay), target, payload)
 
     def schedule_at(self, at: float, target: str, payload: Any) -> None:
-        self._push(max(at, self.now), target, payload)
+        self._push(max(_finite("time", at), self.now), target, payload)
 
     # -- measurements ---------------------------------------------------------
 

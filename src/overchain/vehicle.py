@@ -17,7 +17,6 @@ from .crypto import (
     PublicKey,
     canonical_join,
     digest,
-    generate_keypair,
 )
 from .ledger import (
     PayloadTag,
@@ -106,7 +105,7 @@ class Vehicle(BaseActor):
 
     def serve_provision_insurance(self, engine, request: AppRequest) -> dict:
         account_id = request.data["account"]
-        account_key = generate_keypair(request.data["secret_seed"])
+        account_key = request.data["account_key"]  # the key pair the insurer derived
         insurer_pk = request.data["insurer_pk"]
         self.insurance_account = (account_id, account_key)
         pair = (insurer_pk, account_key.public)

@@ -484,6 +484,34 @@ def test_block_period_and_period_max_below_the_floor_rejected():
     assert (ledger.block_period, ledger.period_min, ledger.period_max) == (7.5, 1.0, 7.5)
 
 
+def test_block_period_outside_the_period_bounds_rejected():
+    # the period is clamped only at a turn that saw traffic: outside the bounds,
+    # an idle run keeps it there for every turn
+    idle = "the period is clamped only under traffic, so an idle run keeps it outside"
+    for ledger, bounds in [({"block_period": 200.0, "period_max": 120.0}, "[1, 120]"),
+                           ({"block_period": 5.5, "period_min": 6.0}, "[6, 120]")]:
+        assert problems_of(minimal(ledger=ledger)) == \
+            f"ledger.block_period: must lie in [period_min, period_max] = {bounds}; {idle}"
+    # each bound itself is legal; bounds out of order are one problem, not two
+    for block_period in (6.0, 40.0):
+        ledger = parse_scenario(minimal(ledger={
+            "block_period": block_period, "period_min": 6.0, "period_max": 40.0})).ledger
+        assert ledger.block_period == block_period
+    assert problems_of(minimal(ledger={"period_min": 50.0, "period_max": 10.0})) == \
+        "ledger.period_min: must not exceed period_max"
+
+
+def test_more_keyed_attackers_than_attackers_rejected():
+    def script(keyed):
+        return minimal(actors={"vehicles": {"count": 1}}, script=[
+            {"at": 1.0, "do": "start_ddos", "attackers": 3, "keyed_attackers": keyed,
+             "tx_per_attacker": 2, "target": "veh0", "interval": 1.0}])
+
+    assert problems_of(script(4)) == \
+        "script[0].keyed_attackers: must not exceed attackers (3); only that many are started"
+    assert parse_scenario(script(3)).script[0].params["keyed_attackers"] == 3
+
+
 def test_rotating_keys_on_a_traffic_vehicle_rejected():
     def document(vehicles):
         return minimal(actors={"vehicles": {"count": 6, **vehicles}}, traffic={"phases": [

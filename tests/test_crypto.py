@@ -161,6 +161,20 @@ def test_seed_types():
     assert generate_keypair(7).public == generate_keypair(7).public
     assert generate_keypair(b"raw").public == generate_keypair(b"raw").public
     assert generate_keypair(7).public != generate_keypair("7-different").public
+    with pytest.raises(TypeError, match=r"^unsupported seed type: <class 'float'>$"):
+        generate_keypair(7.0)
+
+
+def test_keypair_repr_shows_the_public_key_and_never_the_secret():
+    kp = generate_keypair("repr")
+    assert repr(kp) == f"KeyPair(public={kp.public!r})"
+    assert kp.secret.hex()[:12] not in repr(kp)
+
+
+def test_cached_read_on_the_class_is_the_descriptor():
+    descriptor = vars(crypto.KeyPair)["_backend"]
+    assert isinstance(descriptor, crypto.cached)
+    assert crypto.KeyPair._backend is descriptor
 
 
 def test_sign_verify_round_trip_and_tamper():
@@ -453,6 +467,19 @@ def test_run_raises_no_fork_deprecation_warning():
     proc = run_cli("-W", "error::DeprecationWarning", "-m", "overchain.cli",
                    "run", "wrsu_happy_path")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_frame_ends_only_once_the_whole_frame_is_in_the_buffer():
+    kp, message = generate_keypair("frame"), b"framed"
+    frame = crypto._U32.pack(len(message)) + message + kp.sign(message) + kp.public
+    buf = b"prefix" + frame
+    assert len(frame) == 4 + len(message) + SIGNATURE_SIZE + PUBLIC_KEY_SIZE
+    assert crypto._frame(buf, 6) == len(buf)
+    assert crypto._frame(buf + b"next", 6) == len(buf)  # a following frame's bytes
+    for cut in (0, 3):  # the length header is cut short
+        assert crypto._frame(buf[:6 + cut], 6) is None
+    for cut in (4, len(frame) - 1):  # the body is cut short
+        assert crypto._frame(buf[:6 + cut], 6) is None
 
 
 # -- the helper's protocol in one process ------------------------------------

@@ -438,7 +438,6 @@ def test_trust_ramps_to_half_after_five_valid_blocks():
 def test_corrupt_block_is_rejected_and_resets_trust():
     engine, managers = build_world(2, block_period=10.0, block_size=1)
     gen, watcher = managers
-    gen.corrupt_periods = {2}
     for period in range(2):
         _, tx = single_tx(f"t{period}")
         engine.send("obm0", "obm0", TxMessage(tx, origin_member="veh"))
@@ -450,15 +449,20 @@ def test_corrupt_block_is_rejected_and_resets_trust():
     assert watcher.trust.score(gen.keypair.public) == pytest.approx(2 / 7)
     height_before = watcher.chain.height
 
+    # at its next turn, with nothing pooled, the generator sends a block whose
+    # generator signature covers other bytes
     engine.now = 30.0
     for m in managers:
         m.tick(engine, 2, "obm0")
+    _, junk = single_tx("junk")
+    block = dataclasses.replace(signed_block(gen.chain, gen.keypair, [junk]),
+                                generator_signature=gen.keypair.sign(b"corrupt"))
+    engine.send("obm0", "obm1", BlockMessage(block))
     engine.run()
     assert watcher.chain.height == height_before  # rejected, not appended
     assert watcher.trust.score(gen.keypair.public) == 0.0
     text = engine.trace.text()
     assert '"fault":"bad_generator_sig"' in text
-    assert gen.chain.height == height_before  # corrupt block not self-appended
 
 
 @pytest.mark.parametrize("repeat", ["committed", "twice_in_block"])

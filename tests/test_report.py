@@ -110,10 +110,13 @@ def test_a_line_from_outside_the_writers_is_decoded():
     trace.emit(0.0, "veh0", "installed", version="v1")
     trace.lines.append(json.dumps(rec("installed", version="v2"), separators=(",", ":")))
     text = trace.text()
-    assert type(text) is str
+    assert type(text) is TraceText and (text.records, text.metrics.fed) == (2, 1)
     assert build_report(text, config).metrics["installs_by_version"] == {"v1": 1, "v2": 1}
     trace.emit(1.0, "veh0", "installed", version="v3")  # fed stays one record short of the lines
-    assert type(trace.text()) is str
+    text = trace.text()
+    assert type(text) is TraceText and (text.records, text.metrics.fed) == (3, 2)
+    assert build_report(text, config).metrics["installs_by_version"] == \
+        {"v1": 1, "v2": 1, "v3": 1}
 
 
 def test_a_record_written_after_the_text_leaves_the_text_decoded():
@@ -133,7 +136,7 @@ def test_a_written_record_the_metrics_cannot_read_fails_the_report():
     trace.emit(2.0, "veh0", "installed", version="v2")
     assert len(trace.lines) == 3 and trace.metrics.fed == 2
     text = trace.text()
-    assert type(text) is str  # so build_report decodes it
+    assert type(text) is TraceText and text.records == 3  # one more than fed, so decoded
     with pytest.raises(TraceError, match=r"^trace line 2: no field 'version'$"):
         build_report(text, ScenarioConfig("hand_made"))
 

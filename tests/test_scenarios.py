@@ -13,17 +13,18 @@ import sys
 import pytest
 
 from overchain import cli, crypto
-from overchain import vehicle as vehicle_mod
+from overchain import services as services_mod
 from overchain import world as world_mod
 from overchain.cli import bundled_scenarios, main
 from overchain.config import LedgerConfig, load_scenario, parse_scenario
 from overchain.crypto import ZERO_DIGEST, digest, generate_keypair
 from overchain.ledger import Chain, PayloadTag, build_transaction, countersign
 from overchain.manager import chain_summary
+from overchain.messages import BlockMessage
 from overchain.report import build_report, compute_metrics, parse_trace
 from overchain.world import Attacker, build_world, run_scenario
 
-from conftest import trace_records
+from conftest import signed_block, trace_records
 
 NAMES = tuple(bundled_scenarios())
 
@@ -128,11 +129,28 @@ def byzantine_config():
     })
 
 
-def test_corrupt_generator_is_rejected_and_chains_stay_equal():
+def test_corrupt_generator_is_rejected_and_chains_stay_equal(monkeypatch):
     config = byzantine_config()
     world = build_world(config)
     rogue = world.managers[1]
-    rogue.corrupt_periods = {1, 5}  # two of obm1's scheduled turns
+    sent_at = []
+
+    def generate(engine, flush):
+        # at its first two scheduled turns, rogue obm1 sends each peer a block
+        # whose generator signature covers other bytes, and keeps its pool
+        if flush or len(sent_at) == 2:
+            return honest_generate(engine, flush)
+        junk = build_transaction(ZERO_DIGEST, digest(b"junk"), PayloadTag.GENERIC,
+                                 generate_keypair(f"junk:{len(sent_at)}"))
+        block = dataclasses.replace(signed_block(rogue.chain, rogue.keypair, [junk]),
+                                    generator_signature=rogue.keypair.sign(b"corrupt"))
+        sent_at.append(engine.now)
+        for peer in rogue.peers:
+            engine.send(rogue.node_id, peer, BlockMessage(block))
+        return False
+
+    honest_generate = rogue._generate
+    monkeypatch.setattr(rogue, "_generate", generate)
     world.driver.start(world.engine)
     world.engine.run(max_time=config.duration)
     world.engine.run()
@@ -141,8 +159,9 @@ def test_corrupt_generator_is_rejected_and_chains_stay_equal():
     lines = list(parse_trace(world.engine.trace.text()))
     metrics = compute_metrics(lines)
 
-    emitted = [l for l in lines if l["event"] == "corrupt_block_emitted"]
-    assert len(emitted) == 2 and all(l["actor"] == "obm1" for l in emitted)
+    turns = [l["t"] for l in lines if l["event"] == "throughput" and l["actor"] == "obm1"
+             and l["turn"]]
+    assert sent_at == turns[:2]  # periods 1 and 5, obm1's first two turns
 
     rejected = [l for l in lines if l["event"] == "block_rejected"]
     assert len(rejected) == 6  # 2 bad blocks x 3 honest peers
@@ -196,7 +215,7 @@ def derived_seeds(monkeypatch):
         seeds.append(seed)
         return real(seed)
 
-    for module in (crypto, world_mod, vehicle_mod):
+    for module in (crypto, world_mod, services_mod):
         monkeypatch.setattr(module, "generate_keypair", counting)
     return seeds
 
@@ -205,6 +224,7 @@ def derived_seeds(monkeypatch):
     ("trust_trend", 11, 11),  # 45 and 45 when every key was derived at build
     ("ddos_flood", 25, 35),  # 45 and 65
     ("full_demo", 45, 45),  # 49 and 49
+    ("insurance", 18, 21),  # 24 in the run when each vehicle derived its insurance key again
 ])
 def test_build_world_derives_only_the_keys_a_run_uses(derived_seeds, name,
                                                        at_build, in_run):
@@ -382,6 +402,26 @@ def test_key_listed_attackers_get_through_and_others_do_not():
     }
     # the victim countersigns what its access list admitted, nothing else
     assert metrics["countersigns"] == 50
+
+
+def test_with_one_manager_attackers_flood_from_the_target_manager_itself():
+    config = parse_scenario({
+        "name": "lone-flood", "seed": 5, "duration": 40.0,
+        "network": {"managers": 1},
+        "actors": {"vehicles": {"count": 2}},
+        "script": [{"at": 5.0, "do": "start_ddos", "attackers": 2,
+                    "tx_per_attacker": 5, "target": "veh1", "interval": 1.0}],
+    })
+    world = run_scenario(config)
+    assert [world.engine.nodes[a].obm_id for a in ("atk1", "atk2")] == ["obm0", "obm0"]
+    metrics = compute_metrics(parse_trace(world.engine.trace.text()))
+    # no other cluster to flood from, and no peer to relay to: every submission
+    # dies as no_match at the victim's own manager
+    assert metrics["attack"] == {
+        "sent": 10, "delivered": 0, "dropped": 10,
+        "dropped_at_target_obm": 10, "forged_publishes": 0, "forged_finals": 0,
+    }
+    assert world.managers[0].drops["no_match"] == 10
 
 
 def test_a_directive_without_a_target_leaves_a_failure_record():

@@ -58,6 +58,27 @@ def test_engine_refuses_a_second_node_of_one_id_and_a_delivery_to_no_node():
     assert unknown.value.args == ("unknown node 'nobody'",) and engine.pending_events == 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_engine_refuses_a_time_that_is_not_finite(bad):
+    engine, a, b = fresh()
+    engine.now = 4.0
+    for delay in (3.0, 1.0, 2.0):
+        engine.schedule(delay, "b", delay)
+    with pytest.raises(ValueError) as by_delay:
+        engine.schedule(bad, "b", "bad")
+    assert str(by_delay.value) == f"delay must be a finite number, got {bad!r}"
+    with pytest.raises(ValueError) as by_time:
+        engine.schedule_at(bad, "b", "bad")
+    assert str(by_time.value) == f"time must be a finite number, got {bad!r}"
+    assert engine.pending_events == 3
+    # a past time is clamped to now; a negative delay is queued before it, and runs at now
+    engine.schedule_at(0.5, "b", "past")
+    engine.schedule(-1.0, "b", "negative")
+    assert engine.run()
+    assert b.log == [(4.0, "negative"), (4.0, "past"), (5.0, 1.0), (6.0, 2.0), (7.0, 3.0)]
+    assert engine.now == 7.0
+
+
 def test_equal_time_events_deliver_in_enqueue_order():
     engine, a, b = fresh()
     for i in range(5):
