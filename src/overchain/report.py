@@ -412,11 +412,13 @@ class ScenarioReport:
 
 class TraceText(str):
     """A trace's text as ``simnet.Trace.text()`` returns it, carrying the
-    ``metrics`` its trace fed while it wrote the text's ``records`` lines. A
-    slice, a join or a copy of it is a plain ``str``; so is the text that
-    crosses a process boundary, since a ``metrics`` holds functions."""
+    ``metrics`` its trace fed while it wrote the text's ``records`` lines, of
+    which ``fed`` were fed when the text was taken. A slice, a join or a copy
+    of it is a plain ``str``; so is the text that crosses a process boundary,
+    since a ``metrics`` holds functions."""
 
     metrics: Metrics
+    fed: int
     records: int
 
     def __reduce__(self):
@@ -424,13 +426,16 @@ class TraceText(str):
 
 
 def build_report(trace_text: str, config: ScenarioConfig) -> ScenarioReport:
-    """The report of a trace's text. A ``TraceText`` whose metrics were fed
-    exactly its records (no line came from outside the trace's writers, and no
-    record was written after it) is reported from those metrics. Any other
-    string, such as a saved file, is decoded by ``parse_trace``; ``TraceError``
-    names a bad line, or the record ending the shortest prefix
-    ``compute_metrics`` fails on, or says that the trace has no records."""
-    if isinstance(trace_text, TraceText) and trace_text.metrics.fed == trace_text.records:
+    """The report of a trace's text. A ``TraceText`` whose metrics had been
+    fed exactly its records when it was taken and have been fed none since (no
+    line came from outside the trace's writers, and no record was written
+    after it) is reported from those metrics; records fed later never make up
+    a line the metrics missed. Any other string, such as a saved file, is
+    decoded by ``parse_trace``; ``TraceError`` names a bad line, or the record
+    ending the shortest prefix ``compute_metrics`` fails on, or says that the
+    trace has no records."""
+    if isinstance(trace_text, TraceText) and \
+            trace_text.metrics.fed == trace_text.fed == trace_text.records:
         return _report(trace_text.metrics.result(), config)
     records = list(parse_trace(trace_text))
     if not records:  # every run writes records: an all-zero report would be made up

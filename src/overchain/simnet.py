@@ -26,7 +26,8 @@ and, for ``traffic_tx``, ``tx_delivered``, ``tx_dropped`` and
 ``block_validated``, calls the positional handler of that name. ``text()``
 always returns a ``report.TraceText`` that carries those metrics, and
 ``report.build_report`` alone decides whether to read them: it does when they
-were fed exactly the text's lines, and decodes any other text line by line.
+were fed exactly the text's lines and no record since, and decodes any other
+text line by line.
 """
 from __future__ import annotations
 
@@ -88,11 +89,12 @@ class Trace:
 
     def text(self) -> TraceText:
         """The lines, each ending in a newline, as a ``TraceText`` carrying the
-        metrics and the number of lines; ``report.build_report`` reads those
-        metrics only when they were fed exactly that many records."""
+        metrics, the number of records they had been fed and the number of
+        lines; ``report.build_report`` reads those metrics only when they were
+        fed exactly those lines and no record since."""
         lines = self.lines
         text = TraceText("\n".join([*lines, ""]))
-        text.metrics, text.records = self.metrics, len(lines)
+        text.metrics, text.fed, text.records = self.metrics, self.metrics.fed, len(lines)
         return text
 
     # -- positional writers: each line is byte for byte what ``emit`` writes for
@@ -175,14 +177,14 @@ class LinkModel:
     """
 
     def __init__(self, default_delay: float = 5.0, jitter: float = 0.0):
-        self.default_delay = _positive("default_delay", default_delay)
+        self.default_delay = _checked("default_delay", default_delay, 0)
         if not 0 <= jitter < math.inf:  # false for NaN too
             raise ValueError(f"jitter must be a finite number of at least 0, got {jitter!r}")
         self.jitter = jitter
         self._base: dict[tuple[str, str], float] = {}
 
     def set_link(self, a: str, b: str, delay: float) -> None:
-        self._base[(a, b)] = self._base[(b, a)] = _positive("delay", delay)
+        self._base[(a, b)] = self._base[(b, a)] = _checked("delay", delay, 0)
 
     def sample(self, a: str, b: str, rng: Random) -> float:
         base = self._base.get((a, b), self.default_delay)
@@ -191,19 +193,13 @@ class LinkModel:
         return base
 
 
-def _positive(name: str, delay: float) -> float:
-    """``delay`` if it is a positive finite number: a delay of 0 or less would
-    deliver at or before the send, ahead of events already queued."""
-    if not 0 < delay < math.inf:  # false for NaN too
-        raise ValueError(f"{name} must be a positive finite number, got {delay!r}")
-    return delay
-
-
-def _finite(name: str, value: float) -> float:
-    """``value`` if it is a finite number: a NaN or infinite time has no place
-    in the queue's time order."""
-    if not -math.inf < value < math.inf:  # false for NaN too
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+def _checked(name: str, value: float, low: float = -math.inf) -> float:
+    """``value`` if it is a finite number above ``low``: a NaN or infinite time
+    has no place in the queue's time order, and a link delay (``low`` 0) of 0
+    or less would deliver at or before the send, ahead of events queued."""
+    if not low < value < math.inf:  # false for NaN too
+        kind = "positive finite" if low == 0 else "finite"
+        raise ValueError(f"{name} must be a {kind} number, got {value!r}")
     return value
 
 
@@ -260,10 +256,10 @@ class Engine:
 
     def schedule(self, delay: float, target: str, payload: Any) -> None:
         """Local timer on the target node (no network hop)."""
-        self._push(self.now + _finite("delay", delay), target, payload)
+        self._push(self.now + _checked("delay", delay), target, payload)
 
     def schedule_at(self, at: float, target: str, payload: Any) -> None:
-        self._push(max(_finite("time", at), self.now), target, payload)
+        self._push(max(_checked("time", at), self.now), target, payload)
 
     # -- measurements ---------------------------------------------------------
 

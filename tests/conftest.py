@@ -2,8 +2,9 @@
 session and the (config, world, trace, report) tuple is cached for reuse; and
 a count of backend signature verifies. Also ``trace_records``, the one way
 tests read an actor's outcomes: from the trace, as the report does,
-``signed_block``, which seals any transactions into a block, and ``pool_of``,
-a pool as ``form_block`` takes it."""
+``signed_block``, which seals any transactions into a block, ``forged_block``,
+a block whose generator signature is bad, and ``pool_of``, a pool as
+``form_block`` takes it."""
 import dataclasses
 from dataclasses import dataclass
 from typing import Optional
@@ -13,7 +14,7 @@ import pytest
 from overchain import crypto
 from overchain.cli import bundled_scenarios
 from overchain.config import ScenarioConfig, load_scenario
-from overchain.ledger import Block, Chain
+from overchain.ledger import Block, Chain, PayloadTag, build_transaction
 from overchain.report import ScenarioReport, build_report, parse_trace
 from overchain.world import World, run_scenario
 
@@ -39,6 +40,16 @@ def signed_block(chain: Chain, generator: crypto.KeyPair, transactions) -> Block
     body = draft.signing_body()
     return dataclasses.replace(draft, block_id=crypto.digest(body),
                                generator_signature=generator.sign(body))
+
+
+def forged_block(chain: Chain, generator: crypto.KeyPair, seed: str = "junk") -> Block:
+    """A block on ``chain``'s head of one transaction signed by ``seed``'s key
+    pair, whose generator signature covers other bytes, as a corrupt generator
+    may send it."""
+    junk = build_transaction(crypto.ZERO_DIGEST, crypto.digest(seed.encode()),
+                             PayloadTag.GENERIC, crypto.generate_keypair(seed))
+    return dataclasses.replace(signed_block(chain, generator, [junk]),
+                               generator_signature=generator.sign(b"corrupt"))
 
 
 @dataclass

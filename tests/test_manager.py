@@ -32,7 +32,7 @@ from overchain.report import compute_metrics, parse_trace
 from overchain.simnet import Engine, LinkModel
 from overchain.world import run_scenario
 
-from conftest import signed_block, trace_records
+from conftest import forged_block, signed_block, trace_records
 
 
 class Sink(BaseActor):
@@ -454,10 +454,7 @@ def test_corrupt_block_is_rejected_and_resets_trust():
     engine.now = 30.0
     for m in managers:
         m.tick(engine, 2, "obm0")
-    _, junk = single_tx("junk")
-    block = dataclasses.replace(signed_block(gen.chain, gen.keypair, [junk]),
-                                generator_signature=gen.keypair.sign(b"corrupt"))
-    engine.send("obm0", "obm1", BlockMessage(block))
+    engine.send("obm0", "obm1", BlockMessage(forged_block(gen.chain, gen.keypair)))
     engine.run()
     assert watcher.chain.height == height_before  # rejected, not appended
     assert watcher.trust.score(gen.keypair.public) == 0.0

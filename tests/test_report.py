@@ -109,14 +109,18 @@ def test_a_line_from_outside_the_writers_is_decoded():
     trace = Trace()
     trace.emit(0.0, "veh0", "installed", version="v1")
     trace.lines.append(json.dumps(rec("installed", version="v2"), separators=(",", ":")))
-    text = trace.text()
-    assert type(text) is TraceText and (text.records, text.metrics.fed) == (2, 1)
-    assert build_report(text, config).metrics["installs_by_version"] == {"v1": 1, "v2": 1}
+    earlier = trace.text()
+    assert type(earlier) is TraceText and (earlier.records, earlier.fed) == (2, 1)
+    assert build_report(earlier, config).metrics["installs_by_version"] == {"v1": 1, "v2": 1}
     trace.emit(1.0, "veh0", "installed", version="v3")  # fed stays one record short of the lines
     text = trace.text()
-    assert type(text) is TraceText and (text.records, text.metrics.fed) == (3, 2)
+    assert type(text) is TraceText and (text.records, text.fed) == (3, 2)
     assert build_report(text, config).metrics["installs_by_version"] == \
         {"v1": 1, "v2": 1, "v3": 1}
+    # the metrics have now been fed as many records as the earlier text has
+    # lines, but not its lines: it is still decoded
+    assert trace.metrics.fed == earlier.records
+    assert build_report(earlier, config).metrics["installs_by_version"] == {"v1": 1, "v2": 1}
 
 
 def test_a_record_written_after_the_text_leaves_the_text_decoded():
@@ -133,12 +137,14 @@ def test_a_written_record_the_metrics_cannot_read_fails_the_report():
     trace = Trace()
     trace.emit(0.0, "veh0", "installed", version="v1")
     trace.emit(1.0, "veh0", "installed")  # written, but not fed: it has no version
+    earlier = trace.text()
     trace.emit(2.0, "veh0", "installed", version="v2")
-    assert len(trace.lines) == 3 and trace.metrics.fed == 2
+    assert len(trace.lines) == 3 and trace.metrics.fed == 2 == earlier.records
     text = trace.text()
-    assert type(text) is TraceText and text.records == 3  # one more than fed, so decoded
-    with pytest.raises(TraceError, match=r"^trace line 2: no field 'version'$"):
-        build_report(text, ScenarioConfig("hand_made"))
+    assert type(text) is TraceText and (text.records, text.fed) == (3, 2)  # so decoded
+    for either in (earlier, text):  # fed has caught up with the earlier text's lines
+        with pytest.raises(TraceError, match=r"^trace line 2: no field 'version'$"):
+            build_report(either, ScenarioConfig("hand_made"))
 
 
 @pytest.mark.parametrize("text", ["", "\n", "\n \r\n", "\n  \r\n\t\n"])

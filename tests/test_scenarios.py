@@ -24,7 +24,7 @@ from overchain.messages import BlockMessage
 from overchain.report import build_report, compute_metrics, parse_trace
 from overchain.world import Attacker, build_world, run_scenario
 
-from conftest import signed_block, trace_records
+from conftest import forged_block, trace_records
 
 NAMES = tuple(bundled_scenarios())
 
@@ -140,10 +140,7 @@ def test_corrupt_generator_is_rejected_and_chains_stay_equal(monkeypatch):
         # whose generator signature covers other bytes, and keeps its pool
         if flush or len(sent_at) == 2:
             return honest_generate(engine, flush)
-        junk = build_transaction(ZERO_DIGEST, digest(b"junk"), PayloadTag.GENERIC,
-                                 generate_keypair(f"junk:{len(sent_at)}"))
-        block = dataclasses.replace(signed_block(rogue.chain, rogue.keypair, [junk]),
-                                    generator_signature=rogue.keypair.sign(b"corrupt"))
+        block = forged_block(rogue.chain, rogue.keypair, f"junk:{len(sent_at)}")
         sent_at.append(engine.now)
         for peer in rogue.peers:
             engine.send(rogue.node_id, peer, BlockMessage(block))
