@@ -584,10 +584,14 @@ def _parse_expectations(check: _Checker, entries: list) -> tuple:
                     or not all(isinstance(v, (int, float)) for v in value)):
                 check.fail(f"{path}.value", "'between' takes [low, high]")
             else:
-                for j, v in enumerate(value):
-                    check.value(v, f"{path}.value[{j}]", float)
+                low, high = (check.value(v, f"{path}.value[{j}]", float)
+                             for j, v in enumerate(value))
+                if None not in (low, high) and low > high:
+                    check.fail(f"{path}.value", "low must not exceed high")
         else:
             check.value(value, f"{path}.value", float)
+        if expectation.op in ("gt", "lt") and raw.get("tol") is not None:
+            check.fail(f"{path}.tol", f"'{expectation.op}' takes no tol")
         out.append(expectation)
     return tuple(out)
 

@@ -5,12 +5,11 @@ simulator state — so a stored trace file can be re-analyzed later and the
 numbers reconcile exactly with the events that produced them.
 
 ``Metrics`` is fed one record at a time. A run's ``simnet.Trace`` feeds it
-each record as it writes the record, and its ``text()`` is a ``TraceText``
-that carries it, so ``build_report`` of that text reads the fed metrics
-instead of decoding. ``build_report`` of any other string, such as a saved
-file, decodes it line by line with ``parse_trace`` and feeds the records to a
-fresh ``Metrics`` by ``compute_metrics``; both give the same report, and a
-line the decode or the metrics cannot read raises a ``TraceError`` naming it.
+each record as it writes it, and ``text()`` is a ``TraceText`` carrying the
+result only when every line was fed and read. ``build_report`` of any other
+string, such as a saved file, decodes it line by line with ``parse_trace`` and
+feeds the records to a fresh ``Metrics`` by ``compute_metrics``; both give the
+same report, and a line either cannot read raises a ``TraceError`` naming it.
 """
 from __future__ import annotations
 
@@ -153,6 +152,9 @@ class Metrics:
     records whose fields ``result`` reads (``throughput``, ``manager_summary``
     and ``scenario_end``), never a list of every record.
     """
+
+    # what ``feed`` or ``result`` raises on a record it cannot read
+    UNREADABLE = (KeyError, TypeError, ValueError, ArithmeticError)
 
     def __init__(self) -> None:
         # Records fed, by event: most records are only counted, and a writer
@@ -411,38 +413,31 @@ class ScenarioReport:
 
 
 class TraceText(str):
-    """A trace's text as ``simnet.Trace.text()`` returns it, carrying the
-    ``metrics`` its trace fed while it wrote the text's ``records`` lines, of
-    which ``fed`` were fed when the text was taken. A slice, a join or a copy
-    of it is a plain ``str``; so is the text that crosses a process boundary,
-    since a ``metrics`` holds functions."""
+    """A trace's text whose ``metrics`` is the ``Metrics.result()`` of exactly
+    its records. Every report built from one text shares that dict; nothing
+    writes to a report's metrics. A slice, a join, a copy or a pickled one is
+    a plain ``str``, so ``run --jobs`` sends its workers' traces as text."""
 
-    metrics: Metrics
-    fed: int
-    records: int
+    metrics: dict
 
     def __reduce__(self):
         return str, (str(self),)
 
 
 def build_report(trace_text: str, config: ScenarioConfig) -> ScenarioReport:
-    """The report of a trace's text. A ``TraceText`` whose metrics had been
-    fed exactly its records when it was taken and have been fed none since (no
-    line came from outside the trace's writers, and no record was written
-    after it) is reported from those metrics; records fed later never make up
-    a line the metrics missed. Any other string, such as a saved file, is
-    decoded by ``parse_trace``; ``TraceError`` names a bad line, or the record
-    ending the shortest prefix ``compute_metrics`` fails on, or says that the
-    trace has no records."""
-    if isinstance(trace_text, TraceText) and \
-            trace_text.metrics.fed == trace_text.fed == trace_text.records:
-        return _report(trace_text.metrics.result(), config)
+    """The report of a trace's text. A ``TraceText`` is reported from the
+    metrics it carries. Any other string, such as a saved file, is decoded by
+    ``parse_trace``; ``TraceError`` names a bad line, or the record ending the
+    shortest prefix ``compute_metrics`` fails on, or says that the trace has
+    no records."""
+    if isinstance(trace_text, TraceText):
+        return _report(trace_text.metrics, config)
     records = list(parse_trace(trace_text))
     if not records:  # every run writes records: an all-zero report would be made up
         raise TraceError("trace has no records")
     try:
         return _report(compute_metrics(records), config)
-    except (KeyError, TypeError, ValueError) as exc:
+    except Metrics.UNREADABLE as exc:
         error = exc
     low, high = 0, len(records)  # records[:high] fails; records[:low] does not
     while high - low > 1:
@@ -450,7 +445,7 @@ def build_report(trace_text: str, config: ScenarioConfig) -> ScenarioReport:
         try:
             compute_metrics(records[:middle])
             low = middle
-        except (KeyError, TypeError, ValueError) as exc:
+        except Metrics.UNREADABLE as exc:
             high, error = middle, exc
     numbers = [number for number, line in enumerate(trace_text.splitlines(), 1) if line.strip()]
     problem = f"no field {error.args[0]!r}" if isinstance(error, KeyError) else error

@@ -24,16 +24,14 @@ The trace feeds each record it writes to its ``report.Metrics``
 ``emit`` feeds its record once it is encoded, and a writer counts its record
 and, for ``traffic_tx``, ``tx_delivered``, ``tx_dropped`` and
 ``block_validated``, calls the positional handler of that name. ``text()``
-always returns a ``report.TraceText`` that carries those metrics, and
-``report.build_report`` alone decides whether to read them: it does when they
-were fed exactly the text's lines and no record since, and decodes any other
-text line by line.
+carries their ``result()`` only when they stand for the text (``Trace.text``).
 """
 from __future__ import annotations
 
 import hashlib
 import heapq
 import math
+from contextlib import suppress
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from random import Random
 from typing import Any, Optional
@@ -83,19 +81,21 @@ class Trace:
         self.lines.append("".join(_encode_chunks(record, 0)))
         try:
             self.metrics.feed(record)
-        except (KeyError, TypeError, ValueError):
-            pass  # left uncounted: build_report decodes the text, and raises a
-            # TraceError naming this record's line there
+        except Metrics.UNREADABLE:
+            pass  # left uncounted: every later text() is a plain str, so decoded
 
-    def text(self) -> TraceText:
-        """The lines, each ending in a newline, as a ``TraceText`` carrying the
-        metrics, the number of records they had been fed and the number of
-        lines; ``report.build_report`` reads those metrics only when they were
-        fed exactly those lines and no record since."""
-        lines = self.lines
-        text = TraceText("\n".join([*lines, ""]))
-        text.metrics, text.fed, text.records = self.metrics, self.metrics.fed, len(lines)
-        return text
+    def text(self) -> str:
+        """The lines, each ending in a newline: a ``report.TraceText`` carrying
+        ``metrics.result()`` as taken now when there is a line, every line was
+        fed and the result reads them; else a plain ``str``, which
+        ``report.build_report`` decodes as it does a saved file."""
+        lines, metrics = self.lines, self.metrics
+        if lines and metrics.fed == len(lines):
+            text = TraceText("\n".join([*lines, ""]))  # the join is freed before result()
+            with suppress(Metrics.UNREADABLE):
+                text.metrics = metrics.result()
+                return text
+        return "\n".join([*lines, ""])
 
     # -- positional writers: each line is byte for byte what ``emit`` writes for
     # the same fields, in the same order

@@ -112,9 +112,11 @@ def test_expectations_parse_ops_and_tol():
     cfg = parse_scenario(minimal(expectations=[
         {"metric": "a.b", "op": "between", "value": [1, 2]},
         {"metric": "c", "value": 3, "tol": 0.5},
+        {"metric": "d", "op": "between", "value": [1, 1]},  # low may equal high
     ]))
     assert cfg.expectations[0].op == "between"
     assert cfg.expectations[1].op == "eq" and cfg.expectations[1].tol == 0.5
+    assert cfg.expectations[2].value == [1, 1]
 
 
 # A non-default legal value for every field the reader fills; a field missing
@@ -603,6 +605,23 @@ def test_expectation_errors():
     assert "expectations[1].value: 'between' takes [low, high]" in msg
     assert "expectations[2].metric: required" in msg
     assert "expectations[3].value: expected a number" in msg
+
+
+@pytest.mark.parametrize("value", [[2, 1], [0.5, -0.5], [1e300, -1e300]])
+def test_a_between_written_backwards_is_refused(value):
+    assert problems_of(minimal(expectations=[
+        {"metric": "a", "op": "between", "value": value}])) == \
+        "expectations[0].value: low must not exceed high"
+
+
+@pytest.mark.parametrize("op", ["gt", "lt"])
+@pytest.mark.parametrize("tol", [0, 1])
+def test_a_strict_comparison_refuses_a_tol(op, tol):
+    # gt and lt compare strictly, so a tol would be ignored
+    assert problems_of(minimal(expectations=[
+        {"metric": "a", "op": "ge", "value": 5, "tol": 1},
+        {"metric": "a", "op": op, "value": 5, "tol": tol}])) == \
+        f"expectations[1].tol: '{op}' takes no tol"
 
 
 # -- file handling -------------------------------------------------------------------

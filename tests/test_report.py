@@ -1,20 +1,23 @@
 """Trace decoding: ``parse_trace`` gives exactly what decoding each non-blank
 line on its own gives, and a bad line raises, through ``parse_trace`` and
 ``build_report`` alike, a ``TraceError`` that names the first line whose own
-decode fails; ``build_report`` of a fed text holds less than the text, reports
-a trace as it does when it decodes a plain string, and reads the fed metrics
-only when they were fed exactly the text's lines; each event
+decode fails; ``build_report`` of a fed text holds less than the text, and
+every text a trace gives reports as its saved copy does, since it carries fed
+metrics only when they were fed and could read exactly its lines; each event
 ``compute_metrics`` handles moves its metrics, and a record missing the first
 field its handler reads is named by ``build_report``; ``Metrics.result``
 changes nothing; every expectation op holds on its side of each bound."""
 import copy
 import dataclasses
+import inspect
 import json
+import math
 import pickle
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from overchain import report
 from overchain.cli import bundled_scenarios
@@ -110,20 +113,20 @@ def test_a_line_from_outside_the_writers_is_decoded():
     trace.emit(0.0, "veh0", "installed", version="v1")
     trace.lines.append(json.dumps(rec("installed", version="v2"), separators=(",", ":")))
     earlier = trace.text()
-    assert type(earlier) is TraceText and (earlier.records, earlier.fed) == (2, 1)
+    assert type(earlier) is str and (len(trace.lines), trace.metrics.fed) == (2, 1)
     assert build_report(earlier, config).metrics["installs_by_version"] == {"v1": 1, "v2": 1}
     trace.emit(1.0, "veh0", "installed", version="v3")  # fed stays one record short of the lines
     text = trace.text()
-    assert type(text) is TraceText and (text.records, text.fed) == (3, 2)
+    assert type(text) is str and (len(trace.lines), trace.metrics.fed) == (3, 2)
     assert build_report(text, config).metrics["installs_by_version"] == \
         {"v1": 1, "v2": 1, "v3": 1}
     # the metrics have now been fed as many records as the earlier text has
     # lines, but not its lines: it is still decoded
-    assert trace.metrics.fed == earlier.records
+    assert trace.metrics.fed == len(earlier.splitlines())
     assert build_report(earlier, config).metrics["installs_by_version"] == {"v1": 1, "v2": 1}
 
 
-def test_a_record_written_after_the_text_leaves_the_text_decoded():
+def test_a_record_written_after_the_text_leaves_its_report_unchanged():
     config = ScenarioConfig("hand_made")
     trace = Trace()
     trace.emit(0.0, "veh0", "installed", version="v1")
@@ -139,9 +142,9 @@ def test_a_written_record_the_metrics_cannot_read_fails_the_report():
     trace.emit(1.0, "veh0", "installed")  # written, but not fed: it has no version
     earlier = trace.text()
     trace.emit(2.0, "veh0", "installed", version="v2")
-    assert len(trace.lines) == 3 and trace.metrics.fed == 2 == earlier.records
+    assert len(trace.lines) == 3 and trace.metrics.fed == 2 == len(earlier.splitlines())
     text = trace.text()
-    assert type(text) is TraceText and (text.records, text.fed) == (3, 2)  # so decoded
+    assert type(text) is type(earlier) is str  # so decoded
     for either in (earlier, text):  # fed has caught up with the earlier text's lines
         with pytest.raises(TraceError, match=r"^trace line 2: no field 'version'$"):
             build_report(either, ScenarioConfig("hand_made"))
@@ -383,6 +386,109 @@ def test_result_changes_nothing_and_feeding_goes_on_after_it():
     metrics.feed(records[-1])
     assert metrics.result() == report.compute_metrics(decoded)
     assert metrics.result()["dtm"]["utilization"]["obm2"] == [0.1, 0.5]
+
+
+def outcome(text: str) -> str:
+    """``render_json`` of the report of ``text``, or its ``TraceError``."""
+    try:
+        return render_json(build_report(text, ScenarioConfig("hand_made")))
+    except TraceError as exc:
+        return f"TraceError: {exc}"
+
+
+def without(event: str, field: str) -> dict:
+    """The HANDLED record of ``event`` without ``field``."""
+    record = next(record for name, _, record, *_ in HANDLED if name == event)
+    return {key: value for key, value in record.items() if key != field}
+
+
+# Texts whose records are all fed but whose metrics cannot be finished
+@pytest.mark.parametrize("records, error", [
+    ([], "trace has no records"),
+    ([rec("tx_pooled"), without("throughput", "band")], "trace line 2: no field 'band'"),
+    ([rec("tx_pooled"), without("manager_summary", "blocks")],
+     "trace line 2: no field 'blocks'"),
+    ([rec("tx_pooled"), without("scenario_end", "all_valid")],
+     "trace line 2: no field 'all_valid'"),
+    # an accepted block whose mean check count is too large for a float
+    ([rec("tx_pooled"), rec("block_validated", ok=True, generator="obm1", height=1,
+                            verification_count=10 ** 400)],
+     "trace line 2: integer division result too large for a float"),
+], ids=["empty", "band", "blocks", "all_valid", "overflow"])
+def test_a_text_its_metrics_cannot_finish_fails_as_its_saved_copy(records, error):
+    trace = Trace()
+    for record in records:
+        trace.emit(**record)
+    text = trace.text()
+    assert outcome(text) == outcome(str(text)) == f"TraceError: {error}"
+    assert type(text) is str  # the metrics do not stand for it
+
+
+# JSON-native values. Every NaN is one float object, as every NaN of a decode
+# is: the fed path keys its tallies by the object passed, so two NaN objects
+# would count apart where their decode counts them together.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.just(math.nan),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+
+# Each field of a HANDLED record, by the values it takes there, so that records
+# meet on their ids and some metrics can be finished
+KNOWN: dict = {}
+for _, before, record, *_ in HANDLED:
+    for r in (*before, record):
+        for key, value in r.items():
+            KNOWN.setdefault(key, []).append(value)
+# The fields each handled event's record holds, and one event nothing handles
+EMITTED = {record["event"]: [key for key in record if key not in ("t", "actor", "event")]
+           for _, _, record, *_ in HANDLED}
+EMITTED["no_such_event"] = ["version"]
+
+words = st.sampled_from(sorted({v for vs in KNOWN.values() for v in vs if isinstance(v, str)}))
+emitted = st.sampled_from(sorted(EMITTED)).flatmap(lambda event: st.tuples(
+    st.just(event), st.fixed_dictionaries({}, optional={
+        key: st.sampled_from(KNOWN[key]) | json_values for key in EMITTED[event]})))
+# A valid value for each type a positional writer's parameters are annotated with
+TYPED = {"float": st.floats(0, 1e3), "str": words, "bool": st.booleans(),
+         "int": st.integers(0, 12), "Optional[str]": st.none() | words}
+WRITERS = {name: st.tuples(*(TYPED[p.annotation]
+                             for p in list(inspect.signature(method).parameters.values())[1:]))
+           for name, method in vars(Trace).items()
+           if name not in ("emit", "text") and not name.startswith("_")}
+steps = st.one_of(
+    st.tuples(st.just("emit"), st.floats(0, 1e3), words | json_values, emitted),
+    st.sampled_from(sorted(WRITERS)).flatmap(
+        lambda name: st.tuples(st.just("write"), st.just(name), WRITERS[name])),
+    st.tuples(st.just("append"), st.text(max_size=6) | emitted.map(
+        lambda e: json.dumps({"t": 0.0, "actor": "obm0", "event": e[0], **e[1]}))),
+    st.just(("text",)))
+
+
+@seed(0)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(steps, max_size=12))
+def test_every_text_reports_as_its_saved_copy(steps):
+    """Each text taken from a trace written by ``emit``, the positional
+    writers and lines appended by hand, reported once every step is done, gives
+    the ``render_json`` or the ``TraceError`` its saved copy gives. Out of this
+    domain (ROADMAP item 12), since the fed path reads them as passed: tuples,
+    ``str`` enums, non-string keys, integers past the 4,300-digit limit, and
+    NaNs that are not one object."""
+    trace, texts = Trace(), []
+    for step, *args in steps:
+        if step == "emit":
+            t, actor, (event, fields) = args
+            trace.emit(t, actor, event, **fields)
+        elif step == "write":
+            name, values = args
+            getattr(trace, name)(*values)
+        elif step == "append":
+            trace.lines.append(args[0])
+        else:
+            texts.append(trace.text())
+    for text in [*texts, trace.text()]:
+        assert outcome(text) == outcome(str(text))
 
 
 # With tol 0.5, x.5 sits on a widened bound and x.25/x.75 on either side of
