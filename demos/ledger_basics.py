@@ -15,7 +15,6 @@ from overchain.ledger import (
     ZERO_DIGEST,
     append_block,
     build_transaction,
-    checks_for_trust,
     countersign,
     form_block,
     schedule_block_turn,
@@ -61,8 +60,7 @@ def main() -> None:
     trust = TrustTable(ledger)
     for round_ in range(8):
         score = trust.score(obm.public)
-        n_checks = checks_for_trust(score, block_len=10,
-                                    min_check_fraction=ledger.min_check_fraction)
+        n_checks = trust.checks(obm.public, block_len=10)
         verdict = validate_block(block, Chain(), trust, sample_seed=round_)
         trust.record_valid(obm.public)
         print(f"  after {round_} valid blocks: trust={score:.3f}, "

@@ -27,6 +27,7 @@ __all__ = [
     "CLOUD_ID",
     "DRIVER_ID",
     "EXPECTATION_OPS",
+    "RECORD_CATEGORIES",
     "TRAFFIC_ID",
     "ConfigError",
     "Directive",
@@ -121,8 +122,10 @@ class LedgerConfig:
     utilization_high: float = _at_least(0.0, default=1.0)
     period_min: float = _above(0.0, default=1.0)
     period_max: float = _above(0.0, default=120.0)
-    pending_timeout: float = _at_least(0.0, default=60.0)
     notify_requires_certificate: bool = True
+
+
+RECORD_CATEGORIES = ("location", "speed")  # recorded in turn at each record_interval
 
 
 @dataclass(frozen=True)
@@ -135,10 +138,8 @@ class VehicleSpec:
     probe_interval: float = _at_least(0.0, default=0.0)
     handover_threshold: float = _at_least(0.0, default=1e9)
     handover_improvement: float = _at_least(0.0, default=0.8)
-    probe_samples: int = _at_least(1, default=3)
     candidate_obms: tuple[str, ...] = ()
     rotate_keys: bool = False
-    record_categories: tuple[str, ...] = ("location", "speed")
     upload_categories: tuple[str, ...] = ()
 
 
@@ -196,7 +197,6 @@ class ScenarioConfig:
     description: str = ""
     network: NetworkConfig = field(default_factory=NetworkConfig)
     ledger: LedgerConfig = field(default_factory=LedgerConfig)
-    retain_closed_objects: bool = True
     oem: Optional[ServiceSpec] = None
     providers: tuple = ()
     insurer: Optional[ServiceSpec] = None
@@ -225,7 +225,7 @@ def traffic_pairs(phases) -> list[tuple[str, str]]:
 _DIRECTIVES = {
     "publish_update": {"provider": (str, None), "ecu": (str, ...), "version": (str, ...),
                        "body": (str, None)},
-    "tamper_cloud_object": {"version": (str, None), "object": (str, None)},
+    "tamper_cloud_object": {"version": (str, ...)},
     "start_ddos": {"attackers": (int, ...), "tx_per_attacker": (int, ...),
                    "target": (str, ...), "interval": (float, ...),
                    "keyed_attackers": (int, 0)},
@@ -423,6 +423,10 @@ def _parse_vehicle(check: _Checker, obj, path: str, base: VehicleSpec,
     for v in spec.candidate_obms:
         if v not in manager_ids:
             check.fail(f"{path}.candidate_obms", f"unknown manager '{v}'")
+    if spec.upload_categories != base.upload_categories:  # else the template reported it
+        for category in sorted(set(spec.upload_categories) - set(RECORD_CATEGORIES)):
+            check.fail(f"{path}.upload_categories", f"'{category}' is never recorded; "
+                       f"a vehicle records {' and '.join(RECORD_CATEGORIES)}")
     return spec
 
 
@@ -536,9 +540,6 @@ def _parse_script(check: _Checker, entries: list, known_ids: dict,
                 and params["keyed_attackers"] > params["attackers"]:
             check.fail(f"{path}.keyed_attackers", f"must not exceed attackers "
                        f"({params['attackers']}); only that many are started")
-        if action == "tamper_cloud_object" and params["version"] is None \
-                and params["object"] is None:
-            check.fail(path, "tamper_cloud_object needs 'version' or 'object'")
 
         # referential checks
         for key in ("vehicle", "target"):
@@ -602,10 +603,7 @@ def parse_scenario(obj: Any, *, default_name: str = "scenario") -> ScenarioConfi
         raise ConfigError(f"<root>: expected a mapping, got {type(obj).__name__}")
     check = _Checker()
     raw = check.mapping(obj, "")
-    cloud = check.mapping(raw.get("cloud"), "cloud")
-    head = check.build(ScenarioConfig, raw, "", ScenarioConfig(default_name),
-                       retain_closed_objects=check.read(
-                           cloud, "retain_closed_objects", "cloud", bool))
+    head = check.build(ScenarioConfig, raw, "", ScenarioConfig(default_name))
     network = _parse_network(check, raw.get("network"))
     ledger = _parse_ledger(check, raw.get("ledger"), network)
 

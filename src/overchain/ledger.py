@@ -22,11 +22,11 @@ again. ``BlockVerdict.verification_count`` still counts the simulated sample.
 from __future__ import annotations
 
 import json
-import math
 import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import AbstractSet, Collection, Iterable, Optional, Sequence
 
 from .config import LedgerConfig
@@ -448,6 +448,8 @@ class TrustTable:
     def __init__(self, ledger: LedgerConfig = LedgerConfig()):
         self.ledger = ledger
         self.records: dict[PublicKey, TrustRecord] = {}
+        # min_check_fraction as the exact ratio of the decimal it prints as: 0.1 is 1/10
+        self._floor = Fraction(repr(ledger.min_check_fraction)).as_integer_ratio()
 
     def records_for(self, generator_pk: PublicKey) -> TrustRecord:
         rec = self.records.get(generator_pk)
@@ -475,12 +477,16 @@ class TrustTable:
         rec.trust_score = 0.0
         return rec
 
-
-def checks_for_trust(trust_score: float, block_len: int, min_check_fraction: float) -> int:
-    """How many of a block's transactions a receiver verifies. Rounds up so at
-    least one transaction is always checked."""
-    fraction = max(min_check_fraction, 1.0 - trust_score)
-    return min(block_len, math.ceil(fraction * block_len))
+    def checks(self, generator_pk: PublicKey, block_len: int) -> int:
+        """How many of a ``block_len``-transaction block from ``generator_pk`` a
+        receiver verifies: exactly ceil(max(min_check_fraction, 1 - trust) * block_len),
+        where trust is valid / (valid + trust_ramp), or 0 if the last block was invalid."""
+        rec = self.records.get(generator_pk)
+        valid = rec.valid_blocks_seen if rec is not None and rec.trust_score else 0
+        ramp, (low, scale) = self.ledger.trust_ramp, self._floor
+        # in integers, as ceil(a / b) == -(-a // b) and 1 - trust == ramp / (valid + ramp)
+        return min(block_len, max(-(-ramp * block_len // (valid + ramp)),
+                                  -(-low * block_len // scale)))
 
 
 def _check_block(block: Block, chain: Chain, indices: Sequence[int]) -> BlockVerdict:
@@ -528,7 +534,7 @@ def validate_block(
     reports how many sampled transactions were actually verified.
     """
     n = len(block.transactions)
-    k = checks_for_trust(trust.score(block.generator_pk), n, trust.ledger.min_check_fraction)
+    k = trust.checks(block.generator_pk, n)
     return _check_block(block, chain, sorted(random.Random(sample_seed).sample(range(n), k)))
 
 

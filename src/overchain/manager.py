@@ -55,6 +55,8 @@ from .messages import (
     UpdateNotice,
 )
 
+PENDING_TIMEOUT = 60.0  # seconds a parked transaction waits for its predecessor
+
 
 @dataclass(frozen=True)
 class KeyListEntry:
@@ -203,7 +205,7 @@ class BlockManager(BaseActor):
             return
         p = tx.p_t_id
         if p != ZERO_DIGEST and p not in self.chain.tx_index and p not in self.pool:
-            self.waiting[tid] = (tx, origin_member, engine.now + self.ledger.pending_timeout)
+            self.waiting[tid] = (tx, origin_member, engine.now + PENDING_TIMEOUT)
             engine.trace.emit(engine.now, self.node_id, "tx_parked", t_id=tx.t_id_hex)
             return
         self._admit(engine, tx, origin_member)

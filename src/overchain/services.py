@@ -31,14 +31,14 @@ from .vehicle import storage_digest
 
 class CloudStore(BaseActor):
     """Key-value object store with per-account ACLs behind challenge-response
-    authentication. ACL entries ending in "/" grant the whole prefix."""
+    authentication. ACL entries ending in "/" grant the whole prefix. Closing an
+    account ends its access, not its objects: they stay stored."""
 
-    def __init__(self, *, retain_closed_objects: bool = True):
+    def __init__(self):
         super().__init__(CLOUD_ID)
         self.objects: dict[str, bytes] = {}
         self.accounts: dict[str, PublicKey] = {}
         self.acl: dict[str, set[str]] = {}
-        self.retain_closed_objects = retain_closed_objects
         self._nonces: dict[str, set[bytes]] = {}  # account -> outstanding challenges
         self._sessions: dict[str, str] = {}
         self._session_seq = 0
@@ -55,10 +55,6 @@ class CloudStore(BaseActor):
         self.acl.pop(account_id, None)
         self._nonces.pop(account_id, None)
         self._sessions = {s: a for s, a in self._sessions.items() if a != account_id}
-        if not self.retain_closed_objects:
-            prefix = f"{account_id}/"
-            self.objects = {k: v for k, v in self.objects.items()
-                            if not k.startswith(prefix)}
         return existed
 
     # -- request protocol ---------------------------------------------------------

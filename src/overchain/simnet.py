@@ -263,15 +263,15 @@ class Engine:
 
     # -- measurements ---------------------------------------------------------
 
-    def probe_rtt(self, sender: str, target: str, samples: int = 3) -> float:
-        """Mean round-trip delay over ``samples`` simulated probe exchanges at
-        the current link schedule. Consumes no simulated time."""
+    def probe_rtt(self, sender: str, target: str) -> float:
+        """Mean round-trip delay over 3 simulated probe exchanges at the current
+        link schedule. Consumes no simulated time."""
         rng = self.rng(f"probe:{sender}")
         total = 0.0
-        for _ in range(samples):
+        for _ in range(3):
             total += self.links.sample(sender, target, rng)
             total += self.links.sample(target, sender, rng)
-        return total / samples
+        return total / 3
 
     # -- main loop -----------------------------------------------------------
 

@@ -8,7 +8,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from .config import VehicleSpec
+from .config import RECORD_CATEGORIES, VehicleSpec
 from .crypto import (
     ZERO_DIGEST,
     Digest,
@@ -121,7 +121,7 @@ class Vehicle(BaseActor):
     # -- storage and anchoring ----------------------------------------------------
 
     def append_records(self, engine) -> None:
-        for category in self.spec.record_categories:
+        for category in RECORD_CATEGORIES:
             payload = f"{category}@{engine.now:.3f}#{self._record_seq}".encode()
             record = StorageRecord(engine.now, category, payload)
             self.in_vehicle_storage.append(record)
@@ -262,8 +262,7 @@ class Vehicle(BaseActor):
             return
         delays = {}
         for candidate in self.spec.candidate_obms:
-            delays[candidate] = engine.probe_rtt(
-                self.node_id, candidate, self.spec.probe_samples)
+            delays[candidate] = engine.probe_rtt(self.node_id, candidate)
         engine.trace.emit(engine.now, self.node_id, "probe",
                           delays={k: round(v, 6) for k, v in delays.items()})
         eligible = {c: d for c, d in delays.items() if d <= self.spec.handover_threshold}

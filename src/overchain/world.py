@@ -177,14 +177,12 @@ class ScenarioDriver(BaseActor):
                                 None if body is None else body.encode())
 
     def _do_tamper_cloud_object(self, engine, params: dict) -> None:
-        object_id = params["object"]
-        if object_id is None:
-            version = params["version"]
-            for provider in self.world.providers.values():
-                for ver, oid, _ in provider.published:
-                    if ver == version:
-                        object_id = oid
-        blob = self.world.cloud.objects.get(object_id) if object_id else None
+        object_id = None  # the object of the last publication of the version
+        for provider in self.world.providers.values():
+            for version, oid, _ in provider.published:
+                if version == params["version"]:
+                    object_id = oid
+        blob = self.world.cloud.objects.get(object_id)
         if blob is None:
             engine.trace.emit(engine.now, self.node_id, "tamper_failed",
                               object=object_id or "?")
@@ -300,7 +298,7 @@ def build_world(config: ScenarioConfig) -> World:
         for other in managers:
             manager.manager_names[other.keypair.public] = other.node_id
 
-    cloud = CloudStore(retain_closed_objects=config.retain_closed_objects)
+    cloud = CloudStore()
     engine.add_node(cloud)
     by_id = {m.node_id: m for m in managers}
 

@@ -11,6 +11,7 @@ from overchain.cli import bundled_scenarios
 from overchain.config import (
     CLOUD_ID,
     DRIVER_ID,
+    RECORD_CATEGORIES,
     TRAFFIC_ID,
     ConfigError,
     Expectation,
@@ -67,16 +68,17 @@ def test_vehicles_round_robin_and_overrides():
         network={"managers": 3},
         actors={"vehicles": {
             "count": 5,
-            "template": {"record_interval": 7.5, "probe_samples": 5},
+            "template": {"record_interval": 7.5, "handover_improvement": 0.5},
             "overrides": {"veh2": {"obm": "obm0", "probe_interval": 4.0,
                                    "candidate_obms": "all"},
                           # a null override keeps the template's value
-                          "veh3": {"record_interval": None, "probe_samples": None}},
+                          "veh3": {"record_interval": None, "handover_improvement": None}},
         }},
     ))
     assert [v.vehicle_id for v in cfg.vehicles] == [f"veh{i}" for i in range(5)]
     assert [v.obm for v in cfg.vehicles] == ["obm0", "obm1", "obm0", "obm0", "obm1"]
-    assert all(v.record_interval == 7.5 and v.probe_samples == 5 for v in cfg.vehicles)
+    assert all(v.record_interval == 7.5 and v.handover_improvement == 0.5
+               for v in cfg.vehicles)
     veh2 = cfg.vehicles[2]
     assert veh2.probe_interval == 4.0
     assert veh2.candidate_obms == ("obm0", "obm1", "obm2")
@@ -125,12 +127,10 @@ LEGAL = {
     "managers": 5, "default_delay": 2.5, "jitter": 0.5,
     "block_size": 11, "block_period": 12.5, "min_check_fraction": 0.25,
     "trust_ramp": 6, "utilization_low": 0.75, "utilization_high": 2.0,
-    "period_min": 2.0, "period_max": 240.0, "pending_timeout": 30.0,
-    "notify_requires_certificate": False,
+    "period_min": 2.0, "period_max": 240.0, "notify_requires_certificate": False,
     "obm": "obm2", "record_interval": 1.5, "anchor_interval": 2.5,
     "backup_interval": 3.5, "probe_interval": 4.5, "handover_threshold": 60.0,
-    "handover_improvement": 0.5, "probe_samples": 4, "candidate_obms": ["obm1"],
-    "rotate_keys": True, "record_categories": ["braking"],
+    "handover_improvement": 0.5, "candidate_obms": ["obm1"], "rotate_keys": True,
     "upload_categories": ["speed"],
     "start": 1.0, "stop": 2.0, "pairs": 1, "interval": 2.0,
     "metric": "traffic.sent", "op": "ge", "value": 3, "tol": 0.5,
@@ -217,6 +217,39 @@ def test_unknown_top_level_key():
 
 def test_unknown_nested_key_path():
     assert "ledger.bogus: unknown key" in problems_of(minimal(ledger={"bogus": 1}))
+
+
+def vehicles(**section):
+    return minimal(actors={"vehicles": {"count": 2, **section}})
+
+
+# Settings that every run left at one value; each is now a constant where it is read.
+@pytest.mark.parametrize("document, message", [
+    (minimal(ledger={"pending_timeout": 60.0}), "ledger.pending_timeout: unknown key"),
+    (vehicles(template={"probe_samples": 3}),
+     "actors.vehicles.template.probe_samples: unknown key"),
+    (vehicles(overrides={"veh1": {"probe_samples": 1}}),
+     "actors.vehicles.overrides.veh1.probe_samples: unknown key"),
+    (vehicles(template={"record_categories": ["location", "speed"]}),
+     "actors.vehicles.template.record_categories: unknown key"),
+    (minimal(cloud={"retain_closed_objects": False}), "<root>.cloud: unknown key"),
+    (minimal(cloud={"retain_closed_objects": True}), "<root>.cloud: unknown key"),
+], ids=["pending_timeout", "probe_samples", "override_probe_samples", "record_categories",
+        "purge_closed_objects", "retain_closed_objects"])
+def test_a_removed_setting_is_refused(document, message):
+    assert problems_of(document) == message
+
+
+def test_an_upload_category_that_is_never_recorded_is_refused():
+    msg = problems_of(vehicles(template={"upload_categories": ["speed", "braking"]},
+                               overrides={"veh1": {"upload_categories": ["lidar"]}}))
+    assert msg == (
+        "actors.vehicles.template.upload_categories: 'braking' is never recorded; "
+        "a vehicle records location and speed\n"
+        "actors.vehicles.overrides.veh1.upload_categories: 'lidar' is never recorded; "
+        "a vehicle records location and speed")
+    cfg = parse_scenario(vehicles(template={"upload_categories": list(RECORD_CATEGORIES)}))
+    assert [v.upload_categories for v in cfg.vehicles] == [RECORD_CATEGORIES] * 2
 
 
 def test_wrong_types_report_paths():
@@ -337,9 +370,21 @@ def test_impersonation_requires_attacker_and_oem():
 
 def test_tamper_without_a_target_rejected():
     msg = problems_of(minimal(script=[{"at": 1.0, "do": "tamper_cloud_object"}]))
-    assert msg == "script[0]: tamper_cloud_object needs 'version' or 'object'"
-    for target in ({"version": "2"}, {"object": "sw/x"}):
-        parse_scenario(minimal(script=[{"at": 1.0, "do": "tamper_cloud_object", **target}]))
+    assert msg == "script[0].version: required"
+    cfg = parse_scenario(minimal(script=[{"at": 1.0, "do": "tamper_cloud_object",
+                                          "version": "2"}]))
+    assert cfg.script[0].params == {"version": "2"}
+
+
+@pytest.mark.parametrize("target, message", [
+    ({"object": "sw/x", "version": "2"},
+     "script[0].object: unknown key for tamper_cloud_object"),
+    ({"object": "sw/x"},
+     "script[0].object: unknown key for tamper_cloud_object\nscript[0].version: required"),
+])
+def test_tamper_names_its_target_by_version_only(target, message):
+    msg = problems_of(minimal(script=[{"at": 1.0, "do": "tamper_cloud_object", **target}]))
+    assert msg == message
 
 
 @pytest.mark.parametrize("providers", [[], [{"id": "swp1"}, {"id": "swp2"}]])

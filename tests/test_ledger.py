@@ -12,6 +12,7 @@ defining formulas (and frozen) before the module was written:
 """
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -333,9 +334,11 @@ def test_validate_block_fraction_at_high_trust():
     chain = Chain()
     blk = form_block(pool_of(pool), chain, GEN, 10)
     trust = TrustTable()
-    trust.records_for(GEN.public).trust_score = 0.9
+    for _ in range(45):
+        trust.record_valid(GEN.public)
+    assert trust.score(GEN.public) == 0.9
     v = validate_block(blk, chain, trust, sample_seed=1)
-    # oracle: ceil(max(0.1, 1 - 0.9) * 10) = 1
+    # oracle: ceil(max(0.1, 1 - 45/50) * 10) = 1
     assert v.ok and v.verification_count == 1
 
 
@@ -426,6 +429,49 @@ def test_trust_reset_on_invalid():
 
 def test_unknown_generator_scores_zero():
     assert TrustTable().score(BOB.public) == 0.0
+
+
+def trusted(valid: int, ledger: LedgerConfig = LedgerConfig()) -> TrustTable:
+    trust = TrustTable(ledger)
+    for _ in range(valid):
+        trust.record_valid(GEN.public)
+    return trust
+
+
+# valid blocks seen, block size, k by the exact rule, and the k that the float product
+# max(0.1, 1 - trust_score) * n gave: one too many where rounding lifted a whole product
+@pytest.mark.parametrize("valid, block_len, k, float_k", [
+    (10, 9, 3, 4),    # trust 2/3: 9/3 = 3
+    (30, 7, 1, 2),    # trust 6/7: 7/7 = 1
+    (40, 9, 1, 2),    # trust 8/9: 9/9 = 1
+    (10, 10, 4, 4),   # 10/3 is not whole, so its ceiling is 4 either way
+    (45, 30, 3, 3),   # trust capped at 0.9: 0.1 * 30 = 3, which the float product reads
+])
+def test_trust_checks_take_the_exact_rule(valid, block_len, k, float_k):
+    trust = trusted(valid)  # min_check_fraction 0.1, trust_ramp 5
+    assert trust.checks(GEN.public, block_len) == k
+    assert math.ceil(max(0.1, 1.0 - trust.score(GEN.public)) * block_len) == float_k
+
+
+def test_trust_checks_are_full_from_an_invalid_block_until_the_next_valid_one():
+    trust = trusted(10)
+    trust.record_invalid(GEN.public)
+    assert trust.checks(GEN.public, 9) == 9
+    assert trust.checks(BOB.public, 9) == 9  # a generator never seen
+    trust.record_valid(GEN.public)  # trust 11/16: ceil(9 * 5/16) = 3
+    assert trust.checks(GEN.public, 9) == 3
+
+
+@pytest.mark.parametrize("fraction, k", [(0.0, 1), (1.0, 10)])
+def test_trust_checks_keep_one_check_and_at_most_the_block(fraction, k):
+    trust = trusted(1000, LedgerConfig(min_check_fraction=fraction))
+    assert trust.checks(GEN.public, 10) == k
+
+
+def test_trust_checks_read_the_check_fraction_as_its_decimal():
+    trust = trusted(10_000, LedgerConfig(min_check_fraction=0.07))  # 1 - trust < 0.07
+    assert 0.07 * 100 > 7  # the float product, which a ceiling would take to 8
+    assert trust.checks(GEN.public, 100) == 7
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,13 @@ from overchain.ledger import (
     schedule_block_turn,
     verify_chain,
 )
-from overchain.manager import BlockManager, KeyList, KeyListEntry, chain_summary
+from overchain.manager import (
+    PENDING_TIMEOUT,
+    BlockManager,
+    KeyList,
+    KeyListEntry,
+    chain_summary,
+)
 from overchain.messages import BaseActor, BlockMessage, DeliverTx, TxMessage, UpdateNotice
 from overchain.report import compute_metrics, parse_trace
 from overchain.simnet import Engine, LinkModel
@@ -333,13 +339,18 @@ def test_parked_transaction_that_a_block_brings_is_delivered_but_not_pooled_agai
 
 
 def test_parked_transaction_expires_as_invalid():
-    engine, (m,) = build_world(1, pending_timeout=30.0)
+    assert PENDING_TIMEOUT == 60.0
+    engine, (m,) = build_world(1)
     kp, parent = single_tx("chain-gen")
     child = build_transaction(parent.t_id, digest(b"c"),
                               PayloadTag.GENERIC, kp)
     engine.send(m.node_id, m.node_id, TxMessage(child, None))
     engine.run()
-    engine.now = 40.0
+    assert m.waiting[child.t_id][2] == 1.0 + 60.0  # parked on arrival, after the 1.0 hop
+    engine.now = 60.5
+    m.expire_waiting(engine)
+    assert child.t_id in m.waiting and m.drops["invalid"] == 0
+    engine.now = 70.0
     m.expire_waiting(engine)
     assert m.waiting == {} and m.drops["invalid"] == 1
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 from overchain import cli, crypto
 from overchain import services as services_mod
@@ -19,7 +20,7 @@ from overchain.cli import bundled_scenarios, main
 from overchain.config import LedgerConfig, load_scenario, parse_scenario
 from overchain.crypto import ZERO_DIGEST, digest, generate_keypair
 from overchain.ledger import Chain, PayloadTag, build_transaction, countersign
-from overchain.manager import chain_summary
+from overchain.manager import PENDING_TIMEOUT, chain_summary
 from overchain.messages import BlockMessage
 from overchain.report import build_report, compute_metrics, parse_trace
 from overchain.world import Attacker, build_world, run_scenario
@@ -69,7 +70,7 @@ def test_report_from_saved_trace_matches_in_memory(bundled, tmp_path):
 NON_DEFAULT_LEDGER = {
     "block_size": 7, "block_period": 13.0, "min_check_fraction": 0.3, "trust_ramp": 9,
     "utilization_low": 0.2, "utilization_high": 2.5, "period_min": 2.0,
-    "period_max": 90.0, "pending_timeout": 17.0, "notify_requires_certificate": False,
+    "period_max": 90.0, "notify_requires_certificate": False,
 }
 
 
@@ -101,7 +102,7 @@ def test_every_ledger_setting_reaches_every_manager_and_specs_reach_vehicles():
         tp.adjust(observed_rate=1e9, manager_count=1)  # far over the band: the floor binds
         assert tp.block_period == config.network.period_floor == 5.0
         m.receive_transaction(engine, orphan, None)
-        assert m.waiting[orphan.t_id][2] == 5.0 + 17.0  # parking deadline
+        assert m.waiting[orphan.t_id][2] == 5.0 + PENDING_TIMEOUT  # parking deadline
         m.receive_transaction(engine, update, None)
     # no certificate is needed, so every vehicle member hears of the update
     notified = [r["member"] for r in parse_trace(engine.trace.text())
@@ -288,6 +289,24 @@ def test_period_floor_keeps_chains_equal_under_load():
         assert min(periods) == floor  # the floor, not period_min 1.0, binds
 
 
+@pytest.mark.parametrize("name", ["wrsu_happy_path", "trust_trend"])
+def test_a_bundled_scenario_holds_at_jitter(name):
+    """A small cell of the jitter matrix, and why ``network.jitter`` stays a
+    setting: at jitter 0.25 and seed 0 the scenario's own expectations hold, and
+    so do equal, valid chains with an empty pool and every transaction delivered.
+    ``wrsu_tampered`` is left out: it is known to fail at jitter (ROADMAP item 5)."""
+    document = yaml.safe_load(bundled_scenarios()[name].read_bytes())
+    document["network"]["jitter"] = 0.25
+    document["seed"] = 0
+    config = parse_scenario(document)
+    report = build_report(run_scenario(config).engine.trace.text(), config)
+    assert config.expectations
+    assert [(r.metric, r.actual) for r in report.results if not r.passed] == []
+    chain, traffic = report.metrics["chain"], report.metrics["traffic"]
+    assert (chain["equal"], chain["all_valid"], chain["residual_pool_max"],
+            traffic["success"]) == (1, 1, 0, 1)
+
+
 def test_a_block_that_overtakes_a_relay_does_not_commit_the_transaction_twice():
     # With jitter, obm1's block holding a final reaches obm0 before obm1's relay
     # of it. obm0 must still deliver the relayed final to its member, but must
@@ -428,7 +447,6 @@ def test_a_directive_without_a_target_leaves_a_failure_record():
                    "vehicles": {"count": 1}},
         "script": [{"at": 1.0, "do": "publish_update", "ecu": "e", "version": "1"},
                    {"at": 60.0, "do": "tamper_cloud_object", "version": "2"},
-                   {"at": 61.0, "do": "tamper_cloud_object", "object": "sw/absent"},
                    {"at": 62.0, "do": "close_account", "vehicle": "veh0"}],
     })
     text = run_scenario(config).engine.trace.text()
@@ -436,7 +454,6 @@ def test_a_directive_without_a_target_leaves_a_failure_record():
     assert failures == [
         # version 2 was never published, so no object holds it
         {"t": 60.0, "actor": "driver", "event": "tamper_failed", "object": "?"},
-        {"t": 61.0, "actor": "driver", "event": "tamper_failed", "object": "sw/absent"},
         # veh0 never opened an insurance account
         {"t": 62.0, "actor": "driver", "event": "directive_failed", "action": "close_account",
          "vehicle": "veh0", "reason": "no insurance account"},

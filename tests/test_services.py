@@ -56,9 +56,9 @@ class Caller(BaseActor):
                         lambda eng, resp: self.responses.append(resp))
 
 
-def cloud_world(**cloud_kwargs):
+def cloud_world():
     engine = Engine(seed="svc-test", links=LinkModel(default_delay=1.0))
-    cloud = CloudStore(**cloud_kwargs)
+    cloud = CloudStore()
     engine.add_node(cloud)
     key = generate_keypair("acct-key")
     cloud.create_account("acct", key.public, ["acct/", "shared-note"])
@@ -198,18 +198,15 @@ def test_closed_account_fails_auth_and_loses_sessions():
     caller.call(engine, "cloud_get", {"object": "acct/r1"})
     engine.run()
     assert caller.responses[-1] == {"error": "UnknownAccount"}
-    # default policy retains stored objects after closure
-    assert "acct/r1" in cloud.objects
+    # the store keeps a closed account's objects
+    assert cloud.objects["acct/r1"] == b"\xaa"
 
 
-def test_closing_account_can_purge_its_objects():
-    engine, cloud, caller = cloud_world(retain_closed_objects=False)
-    caller.call(engine, "cloud_put", {"object": "acct/r1", "data": b"\xaa"})
-    engine.run()
-    cloud.objects["sw/unrelated"] = b"keep"
-    cloud.close_account("acct")
-    assert "acct/r1" not in cloud.objects
-    assert cloud.objects["sw/unrelated"] == b"keep"  # only the account prefix goes
+def test_cloud_store_takes_no_retention_policy():
+    with pytest.raises(TypeError) as err:
+        CloudStore(retain_closed_objects=False)
+    assert str(err.value) == ("CloudStore.__init__() got an unexpected keyword argument "
+                              "'retain_closed_objects'")
 
 
 def test_cloud_nonces_are_deterministic_per_seed():

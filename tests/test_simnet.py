@@ -103,16 +103,39 @@ def test_probe_rtt_symmetric_no_jitter():
     engine = Engine(1, links)
     engine.add_node(Recorder("v")), engine.add_node(Recorder("m"))
     # mean of 3 round trips, 12 each way -> 24
-    assert engine.probe_rtt("v", "m", samples=3) == 24.0
+    assert engine.probe_rtt("v", "m") == 24.0
 
 
 def test_probe_rtt_sees_schedule_switch():
     links = LinkModel(default_delay=10.0)
     engine = Engine(1, links)
     engine.add_node(Recorder("v")), engine.add_node(Recorder("m"))
-    assert engine.probe_rtt("v", "m", samples=1) == 20.0
+    assert engine.probe_rtt("v", "m") == 20.0  # the mean of 3 round trips of 10 + 10
     links.set_link("m", "v", 40.0)  # as move_vehicle does; both directions
-    assert engine.probe_rtt("v", "m", samples=1) == 80.0
+    assert engine.probe_rtt("v", "m") == 80.0
+
+
+def test_probe_rtt_takes_no_sample_count():
+    engine = Engine(1, LinkModel(default_delay=10.0))
+    engine.add_node(Recorder("v")), engine.add_node(Recorder("m"))
+    with pytest.raises(TypeError) as err:
+        engine.probe_rtt("v", "m", samples=3)
+    assert str(err.value) == "Engine.probe_rtt() got an unexpected keyword argument 'samples'"
+    with pytest.raises(TypeError) as err:
+        engine.probe_rtt("v", "m", 3)
+    assert str(err.value) == "Engine.probe_rtt() takes 3 positional arguments but 4 were given"
+
+
+def test_probe_rtt_averages_three_jittered_round_trips():
+    links = LinkModel(default_delay=10.0, jitter=0.5)
+    engine = Engine(1, links)
+    engine.add_node(Recorder("v")), engine.add_node(Recorder("m"))
+    rng = Engine(1, links).rng("probe:v")  # the same stream probe_rtt draws from
+    total = 0.0
+    for _ in range(3):
+        total += links.sample("v", "m", rng)
+        total += links.sample("m", "v", rng)
+    assert engine.probe_rtt("v", "m") == total / 3
 
 
 BAD_DELAYS = [0.0, -0.0, -1.0, -math.inf, math.inf, math.nan]

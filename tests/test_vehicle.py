@@ -488,20 +488,21 @@ def test_record_and_anchor_timers_accumulate_and_anchor_periodically():
     obm = Sink("obm")
     engine.add_node(obm)
     veh = make_vehicle(engine, VehicleSpec("veh", "obm", record_interval=1.0,
-                                           anchor_interval=5.0, backup_interval=7.0,
-                                           record_categories=("speed",)))
+                                           anchor_interval=5.0, backup_interval=7.0))
     veh.stop_at = 20.0
     veh.start(engine)
     # every periodic timer stops at stop_at, so the queue drains long before 100
     assert engine.run(max_time=100.0)
-    timestamps = [r.timestamp for r in veh.backup_store + veh.in_vehicle_storage]
-    assert timestamps == [float(t) for t in range(1, 21)]
+    records = veh.backup_store + veh.in_vehicle_storage
+    # one record of each category per interval
+    assert [(r.timestamp, r.category) for r in records] == [
+        (float(t), category) for t in range(1, 21) for category in ("location", "speed")]
     anchors = trace_records(engine.trace.text(), "anchor", "backup")
     assert [(r["t"], r["event"]) for r in anchors] == [
         (5.0, "anchor"), (7.0, "backup"), (10.0, "anchor"), (14.0, "backup"),
         (15.0, "anchor"), (20.0, "anchor")]
     # a backup was queued a period before the record of its own instant
     assert [(r["moved"], r["backup_total"]) for r in anchors
-            if r["event"] == "backup"] == [(6, 6), (7, 13)]
-    assert len(veh.in_vehicle_storage) == 7
+            if r["event"] == "backup"] == [(12, 12), (14, 26)]
+    assert len(veh.in_vehicle_storage) == 14
     assert len(obm.got) == 6  # one anchor transaction each, all delivered
